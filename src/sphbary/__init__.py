@@ -20,10 +20,8 @@ from .geom import (
 )
 from .harness import (
     DEFAULT_BANDS,
-    METHODS,
     compare_methods,
     demo_quadrilateral,
-    evaluate,
     extended_pair,
     great_circle_ring,
     grid_rows,
@@ -34,18 +32,21 @@ from .harness import (
     random_polygon,
     save_polygon_file,
 )
-from .polyhedron import PolyhedronQ, Weights3D, build_q, coords_at_origin, mv_weights, wachspress_weights
+from .polyhedron import PolyhedronQ, build_q, coords_at_origin, mv_weights, wachspress_weights
 from .spherical import (
+    METHODS,
     AngleCache,
     CoordinateVector,
     angles,
     closed_form_mv_weights,
+    evaluate,
     extended_spherical_coords,
     origin_coords_on_ring,
     reconstruction_residual,
     spherical_coords,
+    spherical_coords_classical,
 )
-from .tangent import TangentPolygon, gnomonic_project, planar_mv, planar_wachspress, spherical_coords_classical
+from .tangent import TangentPolygon, gnomonic_project, planar_mv, planar_wachspress
 
 __version__ = "0.1.0"
 
@@ -61,7 +62,6 @@ __all__ = [
     "validate_polygon",
     "locate_point",
     "PolyhedronQ",
-    "Weights3D",
     "build_q",
     "mv_weights",
     "wachspress_weights",

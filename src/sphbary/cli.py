@@ -18,19 +18,15 @@ from .errors import SphBaryError
 from .geom import DEFAULT_TOL, Tolerances, normalize
 from .harness import (
     DEFAULT_BANDS,
-    METHODS,
     PolygonFile,
     compare_methods,
-    evaluate,
-    evaluate_extended,
     grid_rows,
     load_polygon_file,
     oracle_triangle,
     random_polygon,
     rows_to_csv,
-    save_polygon_file,
 )
-from .spherical import reconstruction_residual
+from .spherical import METHODS, evaluate, extended_spherical_coords, reconstruction_residual
 
 
 def _fmt(v: float) -> str:
@@ -72,7 +68,7 @@ def cmd_coords(args, tol: Tolerances) -> int:
             print("error: --extended evaluation supports only NEW_MV", file=sys.stderr)
             return 2
         ring = np.array([normalize(v, tol) for v in np.asarray(pf.vertices, dtype=float)])
-        cv = evaluate_extended(ring, x, tol)
+        cv = extended_spherical_coords(ring, x, "MV", tol)
         vertices = ring
     else:
         polygon = pf.validated(tol)
@@ -108,11 +104,13 @@ def cmd_compare(args, tol: Tolerances) -> int:
     report = compare_methods(polygon, a, b, args.resolution, tol)
     print(report.to_text())
     if args.csv:
-        chunks = []
-        for method in (a, b):
-            for k in range(polygon.n):
-                chunks.extend(grid_rows(polygon, k, args.resolution, method, DEFAULT_BANDS, tol))
-        _write(rows_to_csv(chunks), args.csv)
+        rows = [
+            row.for_vertex(k)
+            for method_rows in (report.rows_a, report.rows_b)
+            for k in range(polygon.n)
+            for row in method_rows
+        ]
+        _write(rows_to_csv(rows), args.csv)
     return 0
 
 
@@ -125,20 +123,8 @@ def cmd_random(args, tol: Tolerances) -> int:
         return 2
     mode = "nonconvex" if args.nonconvex else "convex"
     polygon = random_polygon(args.n, args.rho, args.seed, mode, tol)
-    pf = PolygonFile(
-        vertices=[[float(c) for c in v] for v in polygon.vertices],
-        name=args.name,
-        seed=args.seed,
-    )
-    if args.output:
-        save_polygon_file(args.output, pf)
-    else:
-        import json
-
-        data = {"name": pf.name, "seed": pf.seed, "vertices": pf.vertices}
-        if pf.name is None:
-            del data["name"]
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    pf = PolygonFile(vertices=polygon.vertices.tolist(), name=args.name, seed=args.seed)
+    _write(pf.to_json(), args.output)
     return 0
 
 

@@ -35,6 +35,10 @@ class DegenerateEdge(SphBaryError):
     pass
 
 
+class SelfIntersecting(SphBaryError):
+    pass
+
+
 # -- polyhedron construction and 3D weights --------------------------------
 
 class PointOnVertexOrAntipode(SphBaryError):

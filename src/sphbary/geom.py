@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateEdge,
     NotInHemisphere,
+    SelfIntersecting,
     TooFewVertices,
     WrongOrientation,
     ZeroVector,
@@ -249,59 +250,28 @@ def find_hemisphere_witness(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     return w
 
 
-def _planar_interior_point(points2d: np.ndarray) -> np.ndarray:
-    """A point strictly inside a simple planar polygon.
+def _segments_cross(points2d: np.ndarray) -> bool:
+    """True iff two edges of the closed planar ring cross properly.
 
-    Vertex centroid when it already works (the common convex case),
-    otherwise the centroid of the first valid ear.
+    orient[i, k] is the side of point k relative to edge i; edges i and j
+    cross iff each one's endpoints lie strictly on opposite sides of the
+    other.  Edges sharing an endpoint get an exact 0 there, so adjacent
+    edges never count.
     """
-    n = len(points2d)
-    centroid = points2d.mean(axis=0)
-    if _planar_winding_nonzero(points2d, centroid):
-        return centroid
-    area2 = 0.0
-    for i in range(n):
-        a, b = points2d[i], points2d[(i + 1) % n]
-        area2 += a[0] * b[1] - a[1] * b[0]
-    orient = 1.0 if area2 >= 0.0 else -1.0
-    for i in range(n):
-        a = points2d[(i - 1) % n]
-        b = points2d[i]
-        c = points2d[(i + 1) % n]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross * orient <= 0.0:
-            continue
-        ear = np.array([a, b, c])
-        others = [points2d[j] for j in range(n) if j not in ((i - 1) % n, i, (i + 1) % n)]
-        if any(_point_in_triangle(p, ear) for p in others):
-            continue
-        return ear.mean(axis=0)
-    # Fallback for pathological rings: centroid regardless.
-    return centroid
-
-
-def _point_in_triangle(p, tri) -> bool:
-    signs = []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        signs.append((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
-    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
-
-
-def _planar_winding_nonzero(points2d: np.ndarray, p) -> bool:
-    rel = points2d - p
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    d = np.diff(np.concatenate([ang, ang[:1]]))
-    d = (d + np.pi) % (2 * np.pi) - np.pi
-    return abs(float(d.sum())) > 1.0
+    nxt = np.roll(points2d, -1, axis=0)
+    d = nxt - points2d
+    rel = points2d[None, :, :] - points2d[:, None, :]          # point k - start of edge i
+    orient = d[:, None, 0] * rel[:, :, 1] - d[:, None, 1] * rel[:, :, 0]
+    straddles = orient * np.roll(orient, -1, axis=1) < 0.0     # edge j's ends on both sides of edge i
+    return bool(np.any(straddles & straddles.T))
 
 
 def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
     """Normalize, certify hemisphere containment and orientation, classify
     convexity; the only constructor of :class:`SphericalPolygon`.
 
-    Raises TooFewVertices, ZeroVector, DegenerateEdge, NotInHemisphere or
-    WrongOrientation.
+    Raises TooFewVertices, ZeroVector, DegenerateEdge, NotInHemisphere,
+    SelfIntersecting or WrongOrientation.
     """
     raw = np.asarray(raw_vertices, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 3:
@@ -319,20 +289,19 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
         j = int(np.argmax(np.abs(dots)))
         raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % len(vertices)} are equal or antipodal")
 
-    # Orientation: project the ring onto the tangent plane at the witness
-    # (defined since <w, v_i> > 0), pick a planar interior point, lift it,
-    # and demand the spherical winding about it be +2*pi.
+    # Simplicity and orientation in the gnomonic image at the witness: the
+    # projection is defined since every <w, v_i> > 0, maps arcs to segments
+    # and keeps orientation, so the ring is simple and anti-clockwise iff
+    # its image is, by the sign of the shoelace area.
     b1, b2 = tangent_basis(witness)
     scale = vertices @ witness
     planar = np.column_stack([(vertices @ b1) / scale, (vertices @ b2) / scale])
-    inner2d = _planar_interior_point(planar)
-    inner = normalize(witness + inner2d[0] * b1 + inner2d[1] * b2, tol)
-    w = winding_angle(vertices, inner)
-    if abs(w - 2 * np.pi) > 1e-6:
-        raise WrongOrientation(
-            f"ring winding about an interior direction is {w:.6f}, expected +2*pi"
-            + (" (ring is clockwise)" if w < 0 else "")
-        )
+    if _segments_cross(planar):
+        raise SelfIntersecting("two edges of the ring cross")
+    nxt = np.roll(planar, -1, axis=0)
+    area = 0.5 * float(np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]))
+    if area <= 0.0:
+        raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
 
     trips = np.einsum(
         "ij,ij->i",

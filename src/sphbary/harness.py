@@ -11,18 +11,12 @@ every method on triangles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    GenerationFailed,
-    ResidualTooLarge,
-    SingularMatrix,
-    SphBaryError,
-    UnknownMethod,
-)
+from .errors import GenerationFailed, ResidualTooLarge, SingularMatrix, SphBaryError
 from .geom import (
     DEFAULT_TOL,
     SphericalPolygon,
@@ -32,21 +26,13 @@ from .geom import (
     tangent_basis,
     validate_polygon,
 )
-from .spherical import (
-    CoordinateVector,
-    extended_spherical_coords,
-    reconstruction_residual,
-    spherical_coords,
-)
-from .tangent import spherical_coords_classical
+from .spherical import evaluate_located, reconstruction_residual
 
 __all__ = [
-    "METHODS",
     "DEFAULT_BANDS",
     "PolygonFile",
     "load_polygon_file",
     "save_polygon_file",
-    "evaluate",
     "random_polygon",
     "interior_points",
     "grid_directions",
@@ -61,8 +47,6 @@ __all__ = [
     "extended_pair",
     "great_circle_ring",
 ]
-
-METHODS = ("NEW_MV", "NEW_WC", "NEW_MV_CLOSED", "CC_MV", "CC_WC")
 
 # Contour bands for the per-vertex coordinate maps, normalized to lo <= hi.
 DEFAULT_BANDS = (
@@ -92,6 +76,16 @@ class PolygonFile:
     def validated(self, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
         return validate_polygon(np.asarray(self.vertices, dtype=float), tol)
 
+    def to_json(self) -> str:
+        """The file text: name and seed when set, then the vertices."""
+        data: dict = {}
+        if self.name is not None:
+            data["name"] = self.name
+        if self.seed is not None:
+            data["seed"] = self.seed
+        data["vertices"] = [[float(c) for c in v] for v in self.vertices]
+        return json.dumps(data, indent=2) + "\n"
+
 
 def load_polygon_file(path) -> PolygonFile:
     data = json.loads(Path(path).read_text())
@@ -103,39 +97,7 @@ def load_polygon_file(path) -> PolygonFile:
 
 
 def save_polygon_file(path, pf: PolygonFile) -> None:
-    data: dict = {}
-    if pf.name is not None:
-        data["name"] = pf.name
-    if pf.seed is not None:
-        data["seed"] = pf.seed
-    data["vertices"] = [[float(c) for c in v] for v in pf.vertices]
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
-
-
-# --------------------------------------------------------------------------
-# method dispatch
-# --------------------------------------------------------------------------
-
-def evaluate(
-    polygon: SphericalPolygon, x, method: str, tol: Tolerances | None = None
-) -> CoordinateVector:
-    """Evaluate one of the five coordinate methods at x."""
-    if method == "NEW_MV":
-        return spherical_coords(polygon, x, "MV", tol=tol)
-    if method == "NEW_WC":
-        return spherical_coords(polygon, x, "WC", tol=tol)
-    if method == "NEW_MV_CLOSED":
-        return spherical_coords(polygon, x, "MV", closed_form=True, tol=tol)
-    if method == "CC_MV":
-        return spherical_coords_classical(polygon, x, "MV", tol=tol)
-    if method == "CC_WC":
-        return spherical_coords_classical(polygon, x, "WC", tol=tol)
-    raise UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def evaluate_extended(ring, x, tol: Tolerances = DEFAULT_TOL) -> CoordinateVector:
-    """Mean value evaluation with validation and interior checks bypassed."""
-    return extended_spherical_coords(ring, x, "MV", tol)
+    Path(path).write_text(pf.to_json())
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +265,13 @@ class GridRow:
     error: str | None = None
     values: np.ndarray | None = field(default=None, repr=False)
 
+    def for_vertex(self, vertex_index: int, bands=DEFAULT_BANDS) -> "GridRow":
+        """The same sample with vertex_index's value and band selected."""
+        if self.values is None:
+            return replace(self, vertex_index=vertex_index)
+        value = float(self.values[vertex_index])
+        return replace(self, vertex_index=vertex_index, value=value, band=_band_index(value, bands))
+
     def to_csv(self) -> str:
         def f(v):
             return "" if v is None else repr(float(v))
@@ -341,23 +310,25 @@ def grid_rows(
     """Evaluate `method` on the grid and classify the chosen vertex
     coordinate into contour bands.  Evaluation failures become rows with an
     error tag; a linear-precision defect above 1e-8 is refused at emission.
+    Each direction is located once, for the location column and the
+    evaluation alike.
     """
+    tol = tol or polygon.tol
     rows = []
     for p in grid_directions(polygon, resolution):
-        loc = locate_point(polygon, p, tol)
+        x = normalize(p, tol)
+        loc = locate_point(polygon, x, tol)
         row = GridRow(point=p, location=str(loc), method=method, vertex_index=vertex_index)
         try:
-            cv = evaluate(polygon, p, method, tol=tol)
-            residual = reconstruction_residual(cv.values, polygon.vertices, p)
+            values = evaluate_located(polygon, x, method, tol, loc).values
+            residual = reconstruction_residual(values, polygon.vertices, p)
             if residual > 1e-8:
                 raise ResidualTooLarge(f"linear-precision defect {residual:.3e} > 1e-8")
-            row.value = float(cv.values[vertex_index])
             row.residual = residual
-            row.band = _band_index(row.value, bands)
-            row.values = cv.values
+            row.values = values
         except SphBaryError as exc:
             row.error = exc.name
-        rows.append(row)
+        rows.append(row.for_vertex(vertex_index, bands))
     return rows
 
 
@@ -377,6 +348,8 @@ class CompareReport:
     mean_diff: float
     argmax_point: np.ndarray | None
     argmax_vertex: int
+    rows_a: list = field(default_factory=list, repr=False)     # vertex 0 grid rows of method_a
+    rows_b: list = field(default_factory=list, repr=False)
 
     def to_text(self) -> str:
         lines = [
@@ -402,50 +375,42 @@ def compare_methods(
     tol: Tolerances | None = None,
 ) -> CompareReport:
     """Grid-evaluate two methods and report the largest per-vertex gap over
-    the points where both succeed."""
-    pts = grid_directions(polygon, resolution)
+    the points where both succeed.  The report keeps each method's grid
+    rows (see :func:`grid_rows`), one evaluation per point and method."""
+    rows_a = grid_rows(polygon, 0, resolution, method_a, tol=tol)
+    rows_b = grid_rows(polygon, 0, resolution, method_b, tol=tol)
     ok = 0
-    ok_a = 0
-    ok_b = 0
     max_diff = 0.0
     sum_diff = 0.0
     count_diff = 0
     argmax_point = None
     argmax_vertex = -1
-    for p in pts:
-        va = vb = None
-        try:
-            va = evaluate(polygon, p, method_a, tol=tol).values
-            ok_a += 1
-        except SphBaryError:
-            pass
-        try:
-            vb = evaluate(polygon, p, method_b, tol=tol).values
-            ok_b += 1
-        except SphBaryError:
-            pass
-        if va is None or vb is None:
+    for ra, rb in zip(rows_a, rows_b):
+        if ra.values is None or rb.values is None:
             continue
         ok += 1
-        diff = np.abs(va - vb)
+        diff = np.abs(ra.values - rb.values)
         sum_diff += float(diff.sum())
         count_diff += len(diff)
         i = int(np.argmax(diff))
         if diff[i] > max_diff:
             max_diff = float(diff[i])
-            argmax_point = p
+            argmax_point = ra.point
             argmax_vertex = i
+    total = len(rows_a)
     return CompareReport(
         method_a=method_a,
         method_b=method_b,
-        points_total=len(pts),
+        points_total=total,
         points_compared=ok,
-        coverage_a=ok_a / len(pts),
-        coverage_b=ok_b / len(pts),
+        coverage_a=sum(r.values is not None for r in rows_a) / total,
+        coverage_b=sum(r.values is not None for r in rows_b) / total,
         max_diff=max_diff,
         mean_diff=(sum_diff / count_diff) if count_diff else 0.0,
         argmax_point=argmax_point,
         argmax_vertex=argmax_vertex,
+        rows_a=rows_a,
+        rows_b=rows_b,
     )
 
 

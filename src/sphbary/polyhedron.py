@@ -41,13 +41,13 @@ from .errors import (
     NotInterior,
     PointOnVertexOrAntipode,
 )
-from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, angle_between, locate_point, normalize
+from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, locate_point, normalize
 
 __all__ = [
     "PolyhedronQ",
-    "Weights3D",
     "build_q",
     "build_ring_q",
+    "bipyramid",
     "is_convex",
     "mv_weights",
     "wachspress_weights",
@@ -115,32 +115,29 @@ class PolyhedronQ:
         return nrm
 
 
-@dataclass(frozen=True)
-class Weights3D:
-    """Raw non-normalized vertex weights for one backend ("MV" or "WC")."""
-
-    w: np.ndarray
-    backend: str
-
-    def normalized(self) -> np.ndarray:
-        return self.w / float(self.w.sum())
-
-
 def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> PolyhedronQ:
     """Assemble the polyhedron from a raw unit-vector ring, skipping polygon
     validation.  Used by the extended evaluation mode where the ring may not
     bound a valid hemisphere polygon (e.g. all vertices on a great circle).
     """
-    ring = np.asarray(ring, dtype=float)
-    x = normalize(x, tol)
+    return bipyramid(np.asarray(ring, dtype=float), normalize(x, tol), tol)
+
+
+def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, hull: bool = False) -> PolyhedronQ:
+    """[ring, x, -x] for a unit x with the fan faces, or with those of the
+    convex hull (see :func:`_flip_to_hull`); no point location, and the
+    origin-in-kernel certificate is computed for the returned faces only."""
     n = len(ring)
-    for i, v in enumerate(ring):
-        if angle_between(x, v) <= tol.angle or angle_between(-x, v) <= tol.angle:
-            raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {i}")
+    theta = np.arctan2(np.linalg.norm(np.cross(ring, x), axis=1), ring @ x)
+    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
+    if np.any(near):
+        raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {int(np.argmax(near))}")
     vertices = np.vstack([ring, x, -x])
     upper = np.column_stack([np.full(n, n), np.arange(n), (np.arange(n) + 1) % n])
     lower = np.column_stack([np.full(n, n + 1), (np.arange(n) + 1) % n, np.arange(n)])
     faces = np.vstack([upper, lower]).astype(np.intp)
+    if hull:
+        faces = _flip_to_hull(vertices, faces, tol)
     return _assemble(vertices, faces, tol)
 
 
@@ -173,10 +170,7 @@ def build_q(
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    q = build_ring_q(polygon.vertices, x, tol)
-    if not hull:
-        return q
-    return _assemble(q.vertices, _flip_to_hull(q.vertices, q.faces, tol), tol)
+    return bipyramid(polygon.vertices, x, tol, hull)
 
 
 def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -244,7 +238,7 @@ def _check_kernel(q: PolyhedronQ, at: np.ndarray, tol: Tolerances) -> None:
         )
 
 
-def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> Weights3D:
+def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.ndarray:
     """Mean value weights of `at` with respect to q's vertices.
 
     For each face (i, j, k), taken in its oriented order, the contribution
@@ -300,7 +294,7 @@ def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> Weig
         ) / denom
         np.add.at(accum, i, mu)
 
-    return Weights3D(w=accum / r, backend="MV")
+    return accum / r
 
 
 def is_convex(q: PolyhedronQ, tol: Tolerances | None = None) -> bool:
@@ -319,7 +313,7 @@ def is_convex(q: PolyhedronQ, tol: Tolerances | None = None) -> bool:
 
 def wachspress_weights(
     q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None, require_convex: bool = True
-) -> Weights3D:
+) -> np.ndarray:
     """Rational polar-dual weights of `at`.
 
     Every face f contributes a dual point p_f = n_f / <n_f, y_f - at>; the
@@ -360,7 +354,7 @@ def wachspress_weights(
     np.add.at(area, F.ravel(), np.cross(dual[q.twin.ravel() // 3], dual[own]))
     u = V - at
     w = np.einsum("ij,ij->i", u, area) / np.einsum("ij,ij->i", u, u)
-    return Weights3D(w=w, backend="WC")
+    return w
 
 
 def coords_at_origin(
@@ -380,7 +374,7 @@ def coords_at_origin(
         weights = wachspress_weights(q, at, tol, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    total = float(weights.w.sum())
+    total = float(weights.sum())
     if total <= 0.0:
         raise KernelViolation("weight sum is not positive; configuration invalid for this backend")
-    return weights.w / total
+    return weights / total

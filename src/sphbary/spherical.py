@@ -15,18 +15,25 @@ On an edge the same limit collapses to the two-vertex decomposition
 x = a v_j + b v_{j+1}: because x, -x, v_j, v_{j+1} and the origin are all
 contained in span(v_j, v_{j+1}), the boundary-extended ratios
 phi_j(0)/phi_{n+2}(0) and phi_{j+1}(0)/phi_{n+2}(0) equal exactly the Gram
-solution (a, b), which is how the edge case is evaluated here (the optional
-debug mode re-derives them from planar barycentric coordinates of the
-origin inside the triangle (-x, v_j, v_{j+1}) and asserts agreement).
+solution (a, b), which is how the edge case is evaluated here.
 
 For the mean value backend the quotient also has a closed form built from
-the angles theta_i = angle(x, v_i) and alpha_i = angle(x cross v_i,
-x cross v_{i+1}); see :func:`closed_form_mv_weights`.
+the angles theta_i = angle(x, v_i) and the signed angles alpha_i between
+x cross v_i and x cross v_{i+1}; see :func:`closed_form_mv_weights`.
+
+All five methods share one evaluation path, :func:`evaluate`: it locates x
+once, answers the boundary and the exterior the same way for every method
+(the Kronecker delta and the edge vector for the NEW_* methods, which
+extend to the boundary, OriginOnBoundary for the tangent-plane CC_*
+methods, ExteriorPoint for all) and calls the method's interior kernel,
+looked up in :data:`KERNELS`, only for interior x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +43,8 @@ from .errors import (
     ExteriorPoint,
     NonPositiveDenominator,
     NotConvexForWC,
+    OriginOnBoundary,
+    UnknownMethod,
 )
 from .geom import (
     DEFAULT_TOL,
@@ -46,14 +55,20 @@ from .geom import (
     locate_point,
     normalize,
 )
-from .polyhedron import build_q, build_ring_q, coords_at_origin
+from .polyhedron import bipyramid, build_ring_q, coords_at_origin
+from .tangent import gnomonic_project, planar_mv, planar_wachspress
 
 __all__ = [
     "CoordinateVector",
     "AngleCache",
     "angles",
     "closed_form_mv_weights",
+    "KERNELS",
+    "METHODS",
+    "evaluate",
+    "evaluate_located",
     "spherical_coords",
+    "spherical_coords_classical",
     "extended_spherical_coords",
     "reconstruction_residual",
 ]
@@ -64,7 +79,7 @@ class CoordinateVector:
     """Length-n coordinate values with their method tag and the location
     classification that selected the evaluation formula.  `denom` captures
     the interior-formula denominator phi_{n+2} - phi_{n+1} when one was
-    computed (None on the boundary)."""
+    computed (None on the boundary and for the tangent-plane methods)."""
 
     values: np.ndarray
     method: str
@@ -115,14 +130,6 @@ def angles(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> Angle
     return AngleCache(theta=theta, alpha=alpha)
 
 
-def _tan_half(alpha: np.ndarray, tol: Tolerances) -> np.ndarray:
-    # sin a / (1 + cos a) avoids cancellation near a = 0; near a = pi the
-    # tangent genuinely blows up and we refuse to evaluate.
-    if np.any(alpha >= np.pi - tol.angle):
-        raise AlphaNearPi("some alpha is too close to pi for the closed form")
-    return np.sin(alpha) / (1.0 + np.cos(alpha))
-
-
 def closed_form_mv_weights(
     polygon: SphericalPolygon, x, tol: Tolerances | None = None
 ) -> tuple[np.ndarray, float]:
@@ -131,112 +138,162 @@ def closed_form_mv_weights(
     omega_i = pi (tan(alpha_i/2) + tan(alpha_{i-1}/2)) / (2 sin theta_i)
     denom   = pi/2 * sum_i cot(theta_i) (tan(alpha_i/2) + tan(alpha_{i-1}/2))
 
-    The spherical coordinates follow as psi_i = omega_i / denom and agree
-    with the generic polyhedral mean value pipeline.
+    with alpha_i signed by <x, v_i x v_{i+1}>, so that the weights hold on
+    non-convex polygons too.  Without trigonometry, from c_i = x cross v_i:
+    tan(alpha_i/2) = <x, c_i x c_{i+1}> / (|c_i||c_{i+1}| + <c_i, c_{i+1}>),
+    sin theta_i = |c_i| and cos theta_i = <v_i, x>.  The spherical
+    coordinates follow as psi_i = omega_i / denom and agree with the generic
+    polyhedral mean value pipeline.
     """
     tol = tol or polygon.tol
-    cache = angles(polygon, x, tol)
-    t = _tan_half(cache.alpha, tol)
+    x = np.asarray(x, dtype=float)
+    c = np.cross(x, polygon.vertices)
+    sin_theta = np.linalg.norm(c, axis=1)
+    cos_theta = polygon.vertices @ x
+    theta = np.arctan2(sin_theta, cos_theta)
+    if np.any((theta <= tol.angle) | (theta >= np.pi - tol.angle)):
+        i = int(np.argmin(np.minimum(theta, np.pi - theta)))
+        raise AngleDegenerate(f"x is aligned with vertex {i} (theta = {theta[i]:.3e})")
+    c_next = np.roll(c, -1, axis=0)
+    s = np.cross(c, c_next) @ x                   # |c_i||c_{i+1}| sin(alpha_i)
+    d = np.einsum("ij,ij->i", c, c_next)          # |c_i||c_{i+1}| cos(alpha_i)
+    # Near |alpha| = pi the tangent genuinely blows up; refuse to evaluate.
+    if np.any(np.arctan2(np.abs(s), d) >= np.pi - tol.angle):
+        raise AlphaNearPi("some alpha is too close to pi for the closed form")
+    cc = sin_theta * np.roll(sin_theta, -1)
+    # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
+    # for |alpha| > pi/2, the second for |alpha| < pi/2.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
     pair = t + np.roll(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
-    omega = np.pi * pair / (2.0 * np.sin(cache.theta))
-    denom = float(np.pi / 2.0 * np.sum(pair / np.tan(cache.theta)))
+    omega = np.pi * pair / (2.0 * sin_theta)
+    denom = float(np.pi / 2.0 * np.sum(pair * cos_theta / sin_theta))
+    if not (np.all(np.isfinite(omega)) and np.isfinite(denom)):
+        raise AlphaNearPi("the closed form is not finite at x")
     return omega, denom
 
 
-def _kronecker(n: int, j: int, method: str, loc: PointLocation) -> CoordinateVector:
-    values = np.zeros(n)
-    values[j] = 1.0
-    return CoordinateVector(values=values, method=method, location=loc)
+# --------------------------------------------------------------------------
+# interior kernels: (polygon, unit interior x, tol) -> (values, denominator)
+# --------------------------------------------------------------------------
 
-
-def _edge_vector(polygon: SphericalPolygon, loc: PointLocation, method: str) -> CoordinateVector:
-    values = np.zeros(polygon.n)
-    values[loc.index] = loc.a
-    values[(loc.index + 1) % polygon.n] = loc.b
-    return CoordinateVector(values=values, method=method, location=loc)
-
-
-def _debug_edge_check(polygon: SphericalPolygon, x, loc: PointLocation) -> None:
-    """Assert the Gram edge solution equals the boundary limit of the 3D
-    construction, via planar barycentric coordinates of the origin in the
-    triangle (-x, v_j, v_{j+1})."""
-    vj, vk = polygon.edge(loc.index)
-    base = -np.asarray(x, dtype=float)
-    u, v = vj - base, vk - base
-    g11, g12, g22 = np.dot(u, u), np.dot(u, v), np.dot(v, v)
-    r1, r2 = np.dot(-base, u), np.dot(-base, v)
-    det = g11 * g22 - g12 * g12
-    lam2 = (r1 * g22 - r2 * g12) / det
-    lam3 = (r2 * g11 - r1 * g12) / det
-    lam1 = 1.0 - lam2 - lam3
-    if abs(lam2 / lam1 - loc.a) > 1e-10 or abs(lam3 / lam1 - loc.b) > 1e-10:
-        raise AssertionError(
-            "edge coefficients disagree with the planar boundary limit: "
-            f"({lam2 / lam1}, {lam3 / lam1}) vs ({loc.a}, {loc.b})"
-        )
-
-
-def _interior_quotient(
-    phi: np.ndarray, n: int, method: str, loc: PointLocation, tol: Tolerances
-) -> CoordinateVector:
+def _quotient(phi: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, float]:
     denom = float(phi[n + 1] - phi[n])
     if denom <= tol.denom:
         raise NonPositiveDenominator(
             f"phi[-x] - phi[x] = {denom:.3e} <= {tol.denom}; invalid input or broken backend"
         )
-    return CoordinateVector(values=phi[:n] / denom, method=method, location=loc, denom=denom)
+    return phi[:n] / denom, denom
 
 
-def spherical_coords(
-    polygon: SphericalPolygon,
-    x,
-    backend: str = "MV",
-    *,
-    closed_form: bool = False,
-    debug: bool = False,
-    tol: Tolerances | None = None,
-) -> CoordinateVector:
-    """Spherical barycentric coordinates of x with the given backend.
-
-    backend "MV" (mean value, any simple polygon) or "WC" (rational
-    polar-dual weights, convex polygons only).  With closed_form=True the
-    mean value interior case uses the trigonometric closed form instead of
-    assembling the polyhedron; boundary cases are identical either way.
-    """
-    tol = tol or polygon.tol
-    x = normalize(x, tol)
-    if backend == "WC" and not polygon.convex:
-        raise NotConvexForWC("the polar-dual backend requires a convex polygon")
-    if backend != "MV" and closed_form:
-        raise ValueError("the closed form exists only for the mean value backend")
-    method = {"MV": "NEW_MV", "WC": "NEW_WC"}[backend]
-    if closed_form:
-        method = "NEW_MV_CLOSED"
-
-    loc = locate_point(polygon, x, tol)
-    if loc.kind == "vertex":
-        return _kronecker(polygon.n, loc.index, method, loc)
-    if loc.kind == "edge":
-        if debug:
-            _debug_edge_check(polygon, x, loc)
-        return _edge_vector(polygon, loc, method)
-    if loc.kind == "exterior":
-        raise ExteriorPoint("x lies outside the polygon")
-
-    if closed_form:
-        omega, denom = closed_form_mv_weights(polygon, x, tol)
-        if denom <= tol.denom:
-            raise NonPositiveDenominator(f"closed-form denominator {denom:.3e} <= {tol.denom}")
-        return CoordinateVector(values=omega / denom, method=method, location=loc, denom=denom)
-
+def _polyhedral(backend: str, polygon: SphericalPolygon, x, tol: Tolerances, *, hull: bool):
     # Mean value weights need only the origin in the kernel and depend on
     # the triangulation, so they keep the fan.  Polar-dual weights are
     # positive only on a convex polyhedron, and the fan over a convex
     # polygon is usually not convex, so they use the hull of the same
     # n+2 points under the strict convexity check.
-    q = build_q(polygon, x, tol, hull=backend == "WC")
-    phi = coords_at_origin(q, backend, tol=tol)
-    return _interior_quotient(phi, polygon.n, method, loc, tol)
+    q = bipyramid(polygon.vertices, x, tol, hull)
+    return _quotient(coords_at_origin(q, backend, tol=tol), polygon.n, tol)
+
+
+def _closed_form(polygon: SphericalPolygon, x, tol: Tolerances):
+    omega, denom = closed_form_mv_weights(polygon, x, tol)
+    if denom <= tol.denom:
+        raise NonPositiveDenominator(f"closed-form denominator {denom:.3e} <= {tol.denom}")
+    return omega / denom, denom
+
+
+def _tangent(planar: Callable, polygon: SphericalPolygon, x, tol: Tolerances):
+    # Planar coordinates of the gnomonic image, divided by <v_i, x> to
+    # restore linear precision on the sphere.
+    t = gnomonic_project(polygon, x, tol)
+    return planar(t, tol) / t.dots, None
+
+
+class Method(NamedTuple):
+    """One row of :data:`KERNELS`."""
+
+    kernel: Callable     # (polygon, unit interior x, tol) -> (values, denom or None)
+    boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
+    convex_only: bool    # NotConvexForWC on a non-convex polygon
+
+
+KERNELS = {
+    "NEW_MV": Method(partial(_polyhedral, "MV", hull=False), True, False),
+    "NEW_WC": Method(partial(_polyhedral, "WC", hull=True), True, True),
+    "NEW_MV_CLOSED": Method(_closed_form, True, False),
+    "CC_MV": Method(partial(_tangent, planar_mv), False, False),
+    "CC_WC": Method(partial(_tangent, planar_wachspress), False, False),
+}
+METHODS = tuple(KERNELS)
+
+
+# --------------------------------------------------------------------------
+# the evaluation path
+# --------------------------------------------------------------------------
+
+def evaluate(
+    polygon: SphericalPolygon, x, method: str, tol: Tolerances | None = None
+) -> CoordinateVector:
+    """Evaluate one of the five coordinate methods at x."""
+    tol = tol or polygon.tol
+    return evaluate_located(polygon, normalize(x, tol), method, tol)
+
+
+def evaluate_located(
+    polygon: SphericalPolygon,
+    x: np.ndarray,
+    method: str,
+    tol: Tolerances,
+    loc: PointLocation | None = None,
+) -> CoordinateVector:
+    """:func:`evaluate` at a unit x whose location the caller may already
+    hold (a grid row reports it even when the evaluation fails); x is
+    located here otherwise, after the method's polygon precondition."""
+    if method not in KERNELS:
+        raise UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}")
+    kernel, boundary, convex_only = KERNELS[method]
+    if convex_only and not polygon.convex:
+        raise NotConvexForWC("the polar-dual backend requires a convex polygon")
+    loc = loc or locate_point(polygon, x, tol)
+    if loc.kind == "exterior":
+        raise ExteriorPoint("x lies outside the polygon")
+    if loc.is_boundary:
+        if not boundary:
+            raise OriginOnBoundary(f"x is {loc}; the tangent-plane construction needs interior x")
+        values = np.zeros(polygon.n)
+        if loc.kind == "vertex":
+            values[loc.index] = 1.0
+        else:
+            values[loc.index] = loc.a
+            values[(loc.index + 1) % polygon.n] = loc.b
+        return CoordinateVector(values=values, method=method, location=loc)
+    values, denom = kernel(polygon, x, tol)
+    return CoordinateVector(values=values, method=method, location=loc, denom=denom)
+
+
+def spherical_coords(
+    polygon: SphericalPolygon, x, backend: str = "MV", *, tol: Tolerances | None = None
+) -> CoordinateVector:
+    """Spherical barycentric coordinates of x with the given backend:
+    "MV" (mean value, any simple polygon whose polyhedron keeps the origin
+    in its kernel) or "WC" (rational polar-dual weights, convex polygons
+    only); the NEW_MV and NEW_WC methods of :func:`evaluate`."""
+    return evaluate(polygon, x, "NEW_" + backend, tol)
+
+
+def spherical_coords_classical(
+    polygon: SphericalPolygon, x, backend: str = "MV", tol: Tolerances | None = None
+) -> CoordinateVector:
+    """Classical spherical coordinates: gnomonic projection, planar
+    coordinates, then division by <v_i, x>; the CC_MV and CC_WC methods of
+    :func:`evaluate`.
+
+    Only defined for strictly interior x with all <v_i, x> positive;
+    boundary points raise OriginOnBoundary rather than being patched by a
+    continuous extension.
+    """
+    return evaluate(polygon, x, "CC_" + backend, tol)
 
 
 def extended_spherical_coords(
@@ -253,11 +310,11 @@ def extended_spherical_coords(
     location kind "extended"."""
     ring = np.array([normalize(v, tol) for v in np.asarray(ring, dtype=float)])
     x = normalize(x, tol)
-    q = build_ring_q(ring, x, tol)
-    phi = coords_at_origin(q, backend, tol=tol, require_convex=False)
-    loc = PointLocation(kind="extended")
-    cv = _interior_quotient(phi, len(ring), {"MV": "NEW_MV", "WC": "NEW_WC"}[backend], loc, tol)
-    return cv
+    phi = coords_at_origin(build_ring_q(ring, x, tol), backend, tol=tol, require_convex=False)
+    values, denom = _quotient(phi, len(ring), tol)
+    return CoordinateVector(
+        values=values, method="NEW_" + backend, location=PointLocation(kind="extended"), denom=denom
+    )
 
 
 def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -6,7 +6,8 @@ of the projected evaluation point (the planar origin) are computed there,
 and each weight is divided by <v_i, x> to restore linear precision on the
 sphere.  The projection exists only while <v_i, x> stays positive, which is
 the advertised limitation of this construction; no continuous extension is
-attempted at <v_i, x> = 0.
+attempted at <v_i, x> = 0.  The CC_MV and CC_WC methods of
+:func:`sphbary.spherical.evaluate` are built from these pieces.
 """
 
 from __future__ import annotations
@@ -15,23 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExteriorPoint, NotConvex, OriginOnBoundary, ProjectionUndefined
-from .geom import (
-    DEFAULT_TOL,
-    SphericalPolygon,
-    Tolerances,
-    locate_point,
-    normalize,
-    tangent_basis,
-)
-from .spherical import CoordinateVector
+from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined
+from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, normalize, tangent_basis
 
 __all__ = [
     "TangentPolygon",
     "gnomonic_project",
     "planar_mv",
     "planar_wachspress",
-    "spherical_coords_classical",
 ]
 
 
@@ -114,33 +106,3 @@ def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.nd
         raise OriginOnBoundary("evaluation point lies on a projected edge line")
     w = corner / (np.roll(wedge, 1) * wedge)
     return w / w.sum()
-
-
-def spherical_coords_classical(
-    polygon: SphericalPolygon, x, backend: str = "MV", tol: Tolerances | None = None
-) -> CoordinateVector:
-    """Classical spherical coordinates: gnomonic projection, planar
-    coordinates, then division by <v_i, x>.
-
-    Only defined for strictly interior x with all <v_i, x> positive;
-    boundary points raise OriginOnBoundary rather than being patched by a
-    continuous extension.
-    """
-    tol = tol or polygon.tol
-    x = normalize(x, tol)
-    loc = locate_point(polygon, x, tol)
-    if loc.kind == "exterior":
-        raise ExteriorPoint("x lies outside the polygon")
-    if loc.is_boundary:
-        raise OriginOnBoundary(f"x is {loc}; the tangent-plane construction needs interior x")
-
-    t = gnomonic_project(polygon, x, tol)
-    if backend == "MV":
-        lam = planar_mv(t, tol)
-        method = "CC_MV"
-    elif backend == "WC":
-        lam = planar_wachspress(t, tol)
-        method = "CC_WC"
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return CoordinateVector(values=lam / t.dots, method=method, location=loc)

@@ -33,3 +33,30 @@ def random_rotation(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def crossing_hexagon() -> np.ndarray:
+    """A six-vertex ring whose edges cross although every vertex turns
+    left: azimuths 0, 2, 4, 1, 3, 5.2 rad at polar angle 0.5."""
+    azim = np.array([0.0, 2.0, 4.0, 1.0, 3.0, 5.2])
+    polar = 0.5
+    return np.column_stack(
+        [np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim), np.full(6, np.cos(polar))]
+    )
+
+
+@pytest.fixture()
+def locate_calls(monkeypatch):
+    """Counts locate_point calls from every sphbary module (each module
+    binds its own name for it); read the count as locate_calls[0]."""
+    count = [0]
+    original = sb.geom.locate_point
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sphbary") and getattr(module, "locate_point", None) is original:
+            monkeypatch.setattr(module, "locate_point", counting)
+    return count

@@ -9,7 +9,7 @@ import sphbary as sb
 from sphbary.cli import main
 from sphbary.harness import CSV_HEADER, PolygonFile, save_polygon_file
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, crossing_hexagon
 
 
 @pytest.fixture()
@@ -45,6 +45,11 @@ class TestValidate:
         path = write_polygon(tmp_path, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         assert main(["validate", path]) == 1
         assert "WrongOrientation" in capsys.readouterr().err
+
+    def test_self_intersecting(self, tmp_path, capsys):
+        path = write_polygon(tmp_path, crossing_hexagon().tolist())
+        assert main(["validate", path]) == 1
+        assert "error: SelfIntersecting" in capsys.readouterr().err
 
     def test_not_in_hemisphere(self, tmp_path, capsys):
         path = write_polygon(tmp_path, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]])
@@ -152,6 +157,27 @@ class TestCompare:
         max_diff = float([l for l in out.splitlines() if l.startswith("max |diff|")][0]
                          .split("=")[1].split("at")[0])
         assert max_diff > 1e-4
+
+
+    def test_csv_reuses_the_grid_evaluations(self, tmp_path, locate_calls):
+        # One evaluation per method and grid point; the CSV holds the rows
+        # of `grid --vertex k` for both methods and every k.
+        quad = str(DATA_DIR / "demo_quad.json")
+        res, n = 8, 4
+        csv_path = tmp_path / "compare.csv"
+        assert main(["compare", quad, "--methods", "NEW_WC", "CC_WC", "--resolution", str(res),
+                     "--csv", str(csv_path)]) == 0
+        assert locate_calls[0] == 2 * res * res
+        expected = CSV_HEADER + "\n"
+        for method in ("NEW_WC", "CC_WC"):
+            for k in range(n):
+                grid_path = tmp_path / f"grid_{method}_{k}.csv"
+                assert main(["grid", quad, "--vertex", str(k), "--resolution", str(res),
+                             "--method", method, "--output", str(grid_path)]) == 0
+                header, body = grid_path.read_text().split("\n", 1)
+                assert header == CSV_HEADER
+                expected += body
+        assert csv_path.read_bytes() == expected.encode()
 
 
 class TestRandom:

@@ -7,13 +7,14 @@ import sphbary as sb
 from sphbary.errors import (
     DegenerateEdge,
     NotInHemisphere,
+    SelfIntersecting,
     TooFewVertices,
     WrongOrientation,
     ZeroVector,
 )
 from sphbary.geom import find_hemisphere_witness, winding_angle
 
-from conftest import random_rotation
+from conftest import crossing_hexagon, random_rotation
 
 E1, E2, E3 = np.eye(3)
 
@@ -95,6 +96,12 @@ class TestValidatePolygon:
     def test_too_few(self):
         with pytest.raises(TooFewVertices):
             sb.validate_polygon([E1, E2])
+
+    def test_crossing_ring_rejected(self):
+        ring = crossing_hexagon()
+        for candidate in (ring, ring[::-1]):
+            with pytest.raises(SelfIntersecting):
+                sb.validate_polygon(candidate)
 
     def test_nonconvex_flagged(self):
         polygon = sb.random_polygon(4, 0.9, seed=7, mode="nonconvex")

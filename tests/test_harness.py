@@ -107,6 +107,11 @@ class TestGrid:
             checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("method", sb.METHODS)
+    def test_one_locate_per_grid_point(self, method, locate_calls):
+        sb.grid_rows(sb.demo_quadrilateral(), 0, 16, method)
+        assert locate_calls[0] == 16 * 16
+
     def test_error_rows_recorded_not_fatal(self, octant):
         rows = sb.grid_rows(octant, 0, 12, "CC_MV")
         errors = {r.error for r in rows if r.error}

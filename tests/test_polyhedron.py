@@ -81,25 +81,25 @@ class TestHull:
             assert q.kernel_ok and is_convex(q)
             expected = {tuple(sorted(f)) for f in spatial.ConvexHull(q.vertices).simplices.tolist()}
             assert {tuple(sorted(f)) for f in q.faces.tolist()} == expected
-            assert np.all(sb.wachspress_weights(q).w > 0)
+            assert np.all(sb.wachspress_weights(q) > 0)
             fan_differs += not is_convex(sb.build_q(polygon, x))
         assert fan_differs > 0   # the flips really change the triangulation
 
 
 class TestMeanValueWeights:
     def test_octant_symmetry(self, octant_q):
-        w = sb.mv_weights(octant_q).w
+        w = sb.mv_weights(octant_q)
         assert w[0] == pytest.approx(w[1], abs=1e-12)
         assert w[1] == pytest.approx(w[2], abs=1e-12)
 
     def test_octant_linear_precision(self, octant_q):
-        w = sb.mv_weights(octant_q).w
+        w = sb.mv_weights(octant_q)
         assert np.linalg.norm(w @ octant_q.vertices) <= 1e-10
 
     def test_matches_closed_form_weights(self, octant_q):
         # Ring weights computed two independent ways: per-face angle sums
         # versus the trigonometric closed form.
-        w = sb.mv_weights(octant_q).w
+        w = sb.mv_weights(octant_q)
         omega, denom = sb.closed_form_mv_weights(sb.octant_triangle(), CENTER)
         np.testing.assert_allclose(w[:3], omega, atol=1e-9)
         assert w[4] - w[3] == pytest.approx(denom, abs=1e-9)
@@ -126,12 +126,12 @@ class TestMeanValueWeights:
             polygon = sb.random_polygon(int(rng.integers(3, 13)), 1.0, seed=300 + k)
             x = sb.interior_points(polygon, 1, rng)[0]
             q = sb.build_q(polygon, x)
-            w = sb.mv_weights(q).w
+            w = sb.mv_weights(q)
             assert np.linalg.norm(w @ q.vertices) <= 1e-9
 
     def test_movable_evaluation_point(self, octant_q):
         at = np.array([0.05, -0.02, 0.04])
-        w = sb.mv_weights(octant_q, at=at).w
+        w = sb.mv_weights(octant_q, at=at)
         assert np.linalg.norm(w @ (octant_q.vertices - at)) <= 1e-9
         outside = 1.2 * sb.normalize([1, 1, 1])
         with pytest.raises(KernelViolation):
@@ -146,12 +146,12 @@ def regular_tetrahedron() -> PolyhedronQ:
 
 class TestWachspressWeights:
     def test_tetrahedron_symmetry(self):
-        w = sb.wachspress_weights(regular_tetrahedron()).w
+        w = sb.wachspress_weights(regular_tetrahedron())
         assert np.all(w > 0)
         np.testing.assert_allclose(w, w[0], rtol=1e-12)
 
     def test_octant_linear_precision(self, octant_q):
-        w = sb.wachspress_weights(octant_q).w
+        w = sb.wachspress_weights(octant_q)
         assert np.all(w > 0)
         assert np.linalg.norm(w @ octant_q.vertices) <= 1e-10
 
@@ -170,7 +170,7 @@ class TestWachspressWeights:
             polygon = sb.random_polygon(int(rng.integers(4, 13)), 1.0, seed=400 + k)
             x = sb.interior_points(polygon, 1, rng)[0]
             q = sb.build_q(polygon, x)
-            w = sb.wachspress_weights(q, require_convex=False).w
+            w = sb.wachspress_weights(q, require_convex=False)
             assert np.linalg.norm(w @ q.vertices) / abs(w.sum()) <= 1e-10
             if not is_convex(q):
                 hit += 1

@@ -10,6 +10,7 @@ from sphbary.errors import (
     ExteriorPoint,
     NonPositiveDenominator,
     NotConvexForWC,
+    ProjectionUndefined,
 )
 
 CENTER = sb.normalize([1, 1, 1])
@@ -21,6 +22,26 @@ def edge_point(polygon, j, t):
     vj, vk = polygon.edge(j)
     length = sb.angle_between(vj, vk)
     return (np.sin((1 - t) * length) * vj + np.sin(t * length) * vk) / np.sin(length)
+
+
+def assert_edge_limit(polygon, x, loc):
+    """The Gram edge solution equals the boundary limit of the 3D
+    construction, via planar barycentric coordinates of the origin in the
+    triangle (-x, v_j, v_{j+1})."""
+    assert loc.kind == "edge"
+    vj, vk = polygon.edge(loc.index)
+    base = -np.asarray(x, dtype=float)
+    u, v = vj - base, vk - base
+    g11, g12, g22 = np.dot(u, u), np.dot(u, v), np.dot(v, v)
+    r1, r2 = np.dot(-base, u), np.dot(-base, v)
+    det = g11 * g22 - g12 * g12
+    lam2 = (r1 * g22 - r2 * g12) / det
+    lam3 = (r2 * g11 - r1 * g12) / det
+    lam1 = 1.0 - lam2 - lam3
+    assert abs(lam2 / lam1 - loc.a) <= 1e-10 and abs(lam3 / lam1 - loc.b) <= 1e-10, (
+        "edge coefficients disagree with the planar boundary limit: "
+        f"({lam2 / lam1}, {lam3 / lam1}) vs ({loc.a}, {loc.b})"
+    )
 
 
 class TestOctantValues:
@@ -111,7 +132,7 @@ class TestClosedForm:
             polygon = sb.random_polygon(int(rng.integers(3, 13)), 1.0, seed=600 + k)
             x = sb.interior_points(polygon, 1, rng)[0]
             a = sb.spherical_coords(polygon, x, "MV").values
-            b = sb.spherical_coords(polygon, x, "MV", closed_form=True).values
+            b = sb.evaluate(polygon, x, "NEW_MV_CLOSED").values
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_denominator_positive(self, rng):
@@ -120,6 +141,25 @@ class TestClosedForm:
             x = sb.interior_points(polygon, 1, rng)[0]
             _, denom = sb.closed_form_mv_weights(polygon, x)
             assert denom > 1e-12
+
+    def test_signed_on_nonconvex_polygons(self):
+        # Signed alphas make the closed form the mean value coordinate on
+        # non-convex polygons as well.
+        rng = np.random.default_rng(20261018)
+        evaluated = against_cc = 0
+        for k in range(30):
+            polygon = sb.random_polygon(8, 1.0, seed=3000 + k, mode="nonconvex")
+            for x in sb.interior_points(polygon, 28, rng):
+                closed = sb.evaluate(polygon, x, "NEW_MV_CLOSED").values
+                assert sb.reconstruction_residual(closed, polygon.vertices, x) <= 1e-8
+                evaluated += 1
+                try:
+                    cc = sb.evaluate(polygon, x, "CC_MV").values
+                except ProjectionUndefined:
+                    continue
+                assert np.max(np.abs(closed - cc)) <= 1e-9
+                against_cc += 1
+        assert evaluated == 30 * 28 and against_cc > evaluated // 2
 
     def test_alpha_near_pi_refused(self, octant):
         t = 4e-10
@@ -137,7 +177,8 @@ class TestBoundaryBehavior:
             polygon = sb.random_polygon(int(rng.integers(3, 9)), 1.0, seed=800 + k)
             j = int(rng.integers(polygon.n))
             x = edge_point(polygon, j, rng.uniform(0.1, 0.9))
-            cv = sb.spherical_coords(polygon, x, "MV", debug=True)
+            cv = sb.spherical_coords(polygon, x, "MV")
+            assert_edge_limit(polygon, sb.normalize(x), cv.location)
             vj, vk = polygon.edge(j)
             n = polygon.n
             assert np.linalg.norm(cv.values[j] * vj + cv.values[(j + 1) % n] * vk - x) <= 1e-10
