@@ -206,8 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "grid" and args.resolution < 8:
-        parser.error(f"--resolution must be >= 8, got {args.resolution}")
+    # compare needs a non-empty grid; grid wants a contour map worth drawing.
+    least = {"grid": 8, "compare": 1}.get(args.command)
+    if least is not None and args.resolution < least:
+        parser.error(f"--resolution must be >= {least}, got {args.resolution}")
     tol = DEFAULT_TOL if args.tol is None else DEFAULT_TOL.scaled_to(args.tol)
     try:
         return args.func(args, tol)

@@ -113,3 +113,23 @@ class ResidualTooLarge(SphBaryError):
 
 class UnknownMethod(SphBaryError):
     pass
+
+
+# -- batched calls -------------------------------------------------------------
+#
+# A batched kernel evaluates m rows at once and records, per row, the error
+# its single-row call raises: a list of m entries, None where the row
+# succeeded.  Checks run in the single-row order and each one only tags rows
+# that no earlier check refused, so every row keeps its first error.
+
+def refuse(errors: list, mask, make) -> None:
+    """Record make(i) as the error of each row i in `mask` still unrefused."""
+    for i in mask.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = make(int(i))
+
+
+def check_row(errors: list, i: int = 0) -> None:
+    """Raise row i's recorded error, if any: the single-row form of a batch."""
+    if errors[i] is not None:
+        raise errors[i]

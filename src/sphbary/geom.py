@@ -5,11 +5,19 @@ ordered vertex rings on the unit sphere contained in an open hemisphere.
 Floating point makes every geometric decision a banded one, so every cutoff
 lives in one :class:`Tolerances` record instead of being sprinkled through
 the code.
+
+Point location is batched: :func:`locate_points` classifies an (m, 3)
+block of directions with (m, n) arrays for the vertex band, the edge band
+and the winding, and :func:`locate_point` is its m = 1 call.  Row-wise dot
+products go through :func:`dot3`, which adds the three products in a fixed
+order instead of calling BLAS, so a row's result does not depend on the
+batch it is evaluated in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +36,19 @@ __all__ = [
     "normalize",
     "angle_between",
     "triple_product",
+    "dot3",
+    "cross3",
+    "roll1",
+    "unit_rows",
     "tangent_basis",
+    "tangent_frames",
     "winding_angle",
     "PointLocation",
+    "Locations",
     "SphericalPolygon",
     "validate_polygon",
+    "locate_points",
     "locate_point",
-    "edge_coefficients",
 ]
 
 
@@ -92,18 +106,65 @@ def triple_product(a, b, c) -> float:
     return float(np.dot(np.asarray(a, dtype=float), np.cross(b, c)))
 
 
-def tangent_basis(x) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis (b1, b2) of the plane tangent at x.
+def dot3(a, b) -> np.ndarray:
+    """<a, b> over the last axis (length 3), broadcasting the others; the
+    three products are added left to right whatever the batch shape."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def cross3(a, b) -> np.ndarray:
+    """a x b over the last axis (length 3), broadcasting the others; the
+    same products as np.cross without its per-call axis handling."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def roll1(a: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift, axis=1) for shift = +1 or -1, without np.roll's
+    per-call overhead: row i of the result is a[:, i - shift]."""
+    return np.concatenate([a[:, -shift:], a[:, :-shift]], axis=1)
+
+
+def unit_rows(X, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(X / ||X|| row-wise, mask of rows too short to normalize); those
+    rows come back as NaN, for the caller to refuse with ZeroVector."""
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    norms = np.sqrt(dot3(X, X))
+    short = ~(norms > tol.tiny)
+    if short.any():
+        norms[short] = np.nan
+    return X / norms[:, None], short
+
+
+def tangent_frames(X) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (B1, B2), each (m, 3), of the planes tangent at
+    the unit rows of X.
 
     Gram-Schmidt against the coordinate axis where |x| is smallest, so that
     repeated runs produce bit-identical output.
     """
-    x = np.asarray(x, dtype=float)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(x)))] = 1.0
-    b1 = normalize(axis - np.dot(axis, x) * x)
-    b2 = np.cross(x, b1)
-    return b1, b2
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    k = np.argmin(np.abs(X), axis=1)
+    B1 = np.eye(3)[k] - X[np.arange(len(X)), k][:, None] * X     # e_k - <e_k, x> x
+    B1 /= np.sqrt(dot3(B1, B1))[:, None]
+    return B1, cross3(X, B1)
+
+
+def tangent_basis(x) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (b1, b2) of the plane tangent at the unit x; the
+    m = 1 call of :func:`tangent_frames`."""
+    B1, B2 = tangent_frames(x)
+    return B1[0], B2[0]
+
+
+def _winding(sin_terms: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """Winding sums from <x, v_i x v_{i+1}> and x x v_i, shapes (m, n) and
+    (m, n, 3)."""
+    cos_terms = dot3(cx, roll1(cx, -1))
+    return np.sum(np.arctan2(sin_terms, cos_terms), axis=1)
 
 
 def winding_angle(vertices: np.ndarray, x) -> float:
@@ -113,13 +174,10 @@ def winding_angle(vertices: np.ndarray, x) -> float:
     reversed ring, ~0 for x outside. Undefined when x coincides with a
     vertex (the caller is expected to have excluded that).
     """
-    x = np.asarray(x, dtype=float)
-    cx = np.cross(x, vertices)               # x cross v_i, row-wise
-    cx_next = np.roll(cx, -1, axis=0)
-    v_next = np.roll(vertices, -1, axis=0)
-    sin_terms = np.einsum("ij,ij->i", np.cross(vertices, v_next), np.broadcast_to(x, vertices.shape))
-    cos_terms = np.einsum("ij,ij->i", cx, cx_next)
-    return float(np.sum(np.arctan2(sin_terms, cos_terms)))
+    vertices = np.asarray(vertices, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(1, 1, 3)
+    normals = cross3(vertices, np.roll(vertices, -1, axis=0))
+    return float(_winding(dot3(x, normals), cross3(x, vertices))[0])
 
 
 @dataclass(frozen=True)
@@ -152,6 +210,33 @@ class PointLocation:
         return self.kind
 
 
+KINDS = ("interior", "edge", "vertex", "exterior")
+INTERIOR, EDGE, VERTEX, EXTERIOR = range(len(KINDS))
+
+
+@dataclass(frozen=True)
+class Locations:
+    """:class:`PointLocation` of m directions as arrays: kind (codes into
+    KINDS), index (-1 unless edge or vertex) and the edge coefficients a, b
+    (0 unless edge)."""
+
+    kind: np.ndarray
+    index: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def at(self, i: int) -> PointLocation:
+        kind = KINDS[self.kind[i]]
+        if kind == "edge":
+            return PointLocation(kind, int(self.index[i]), float(self.a[i]), float(self.b[i]))
+        if kind == "vertex":
+            return PointLocation(kind, int(self.index[i]))
+        return PointLocation(kind)
+
+
 @dataclass(frozen=True)
 class SphericalPolygon:
     """Validated anti-clockwise vertex ring contained in an open hemisphere.
@@ -180,6 +265,16 @@ class SphericalPolygon:
     def edge(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices[j % self.n], self.vertices[(j + 1) % self.n]
 
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        """(n, 3) rows v_j x v_{j+1}."""
+        return cross3(self.vertices, np.roll(self.vertices, -1, axis=0))
+
+    @cached_property
+    def edge_cosines(self) -> np.ndarray:
+        """(n,) Gram cosines <v_j, v_{j+1}>."""
+        return dot3(self.vertices, np.roll(self.vertices, -1, axis=0))
+
 
 def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Best hemisphere witness via the nearest point of the vertex hull.
@@ -188,47 +283,44 @@ def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]
     <w*/||w*||, v_i> >= ||w*|| for every i, so it certifies an open
     hemisphere whenever w* != 0.  w* lies on a face of the hull spanned by
     at most three vertices, so enumerating singles, pairs and triples is an
-    exact search.  O(n^3) pairs/triples are fine at polygon scale.
+    exact search.  Candidates are evaluated as arrays, singles first, then
+    pairs and then triples in lexicographic order, the triples one first
+    vertex at a time to keep memory at O(n^3) per block; the first
+    candidate with the largest margin min_i <w, v_i> wins.
     """
-    n = len(vertices)
+    V = vertices
+    n = len(V)
     best_w, best_margin = None, -np.inf
 
-    def consider(w):
+    def consider(W):
         nonlocal best_w, best_margin
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-14:
-            return
-        w = w / nw
-        margin = float(np.min(vertices @ w))
-        if margin > best_margin:
-            best_w, best_margin = w, margin
+        nw = np.sqrt(dot3(W, W))
+        W = W[nw > 1e-14] / nw[nw > 1e-14, None]
+        margins = np.min(dot3(W[:, None, :], V), axis=1)
+        margins[np.isnan(margins)] = -np.inf
+        if len(W) and margins.max() > best_margin:
+            k = int(np.argmax(margins))
+            best_w, best_margin = W[k], float(margins[k])
 
-    for i in range(n):
-        consider(vertices[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = vertices[i], vertices[j]
-            d = b - a
-            dd = float(np.dot(d, d))
-            if dd <= 1e-28:
-                continue
-            t = -float(np.dot(a, d)) / dd
-            if 0.0 < t < 1.0:
-                consider(a + t * d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a, b, c = vertices[i], vertices[j], vertices[k]
-                u, v = b - a, c - a
-                g = np.array([[np.dot(u, u), np.dot(u, v)], [np.dot(u, v), np.dot(v, v)]])
-                rhs = -np.array([np.dot(a, u), np.dot(a, v)])
-                det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-                if abs(det) <= 1e-28:
-                    continue
-                s = (rhs[0] * g[1, 1] - rhs[1] * g[0, 1]) / det
-                t = (rhs[1] * g[0, 0] - rhs[0] * g[1, 0]) / det
-                if s > 0.0 and t > 0.0 and s + t < 1.0:
-                    consider(a + s * u + t * v)
+    consider(V)
+    i, j = np.triu_indices(n, 1)
+    a, d = V[i], V[j] - V[i]
+    dd = dot3(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -dot3(a, d) / dd
+    keep = (dd > 1e-28) & (0.0 < t) & (t < 1.0)
+    consider(a[keep] + t[keep, None] * d[keep])
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        a, u, v = V[i], V[j + i + 1] - V[i], V[k + i + 1] - V[i]
+        g00, g01, g11 = dot3(u, u), dot3(u, v), dot3(v, v)
+        r0, r1 = -dot3(a, u), -dot3(a, v)
+        det = g00 * g11 - g01 * g01
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (r0 * g11 - r1 * g01) / det
+            t = (r1 * g00 - r0 * g01) / det
+        keep = (np.abs(det) > 1e-28) & (s > 0.0) & (t > 0.0) & (s + t < 1.0)
+        consider(a + s[keep, None] * u[keep] + t[keep, None] * v[keep])
     return best_w, best_margin
 
 
@@ -312,46 +404,61 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     return SphericalPolygon(vertices=vertices, witness=witness, convex=convex, tol=tol)
 
 
-def edge_coefficients(vj, vk, x) -> tuple[float, float]:
-    """Coefficients (a, b) of x = a*vj + b*vk from the 2x2 Gram system."""
-    c = float(np.dot(vj, vk))
-    det = 1.0 - c * c
-    if det <= 1e-14:
-        raise DegenerateEdge("edge endpoints are collinear")
-    r1 = float(np.dot(vj, x))
-    r2 = float(np.dot(vk, x))
-    a = (r1 - c * r2) / det
-    b = (r2 - c * r1) / det
-    return a, b
+def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -> Locations:
+    """Classify each row of X, an (m, 3) block of unit directions, as
+    interior / edge / vertex / exterior for the polygon.
+
+    Vertex and edge bands are checked first so that ambiguous points are
+    never classified interior: a vertex when the angle to the nearest
+    vertex is at most tol.angle; an edge j (the lowest such index) when
+    |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
+    x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.edge_fit;
+    interior when the signed winding of the ring about x is 2*pi to
+    tol.angle.
+    """
+    tol = tol or polygon.tol
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    V = polygon.vertices
+    m, n = len(X), polygon.n
+    rows = np.arange(m)
+    x = X[:, None, :]
+    cosines = dot3(x, V)                                # (m, n) <v_i, x>
+    kind = np.full(m, EXTERIOR)
+    index = np.full(m, -1)
+    a = np.zeros(m)
+    b = np.zeros(m)
+
+    cx = cross3(x, V)                                   # (m, n, 3) x cross v_i
+    near = np.argmax(cosines, axis=1)
+    c = cx[rows, near]
+    vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= tol.angle
+
+    trips = dot3(x, polygon.edge_normals)                # (m, n) <x, v_j x v_{j+1}>
+    r, j = np.nonzero((np.abs(trips) <= tol.geom) & ~vertex[:, None])
+    if len(r):
+        k = (j + 1) % n
+        gram = polygon.edge_cosines[j]
+        det = 1.0 - gram * gram
+        if np.any(det <= 1e-14):
+            raise DegenerateEdge("edge endpoints are collinear")
+        ea = (cosines[r, j] - gram * cosines[r, k]) / det
+        eb = (cosines[r, k] - gram * cosines[r, j]) / det
+        miss = ea[:, None] * V[j] + eb[:, None] * V[k] - X[r]
+        hit = (ea > 0.0) & (eb > 0.0) & (np.sqrt(dot3(miss, miss)) <= tol.edge_fit)
+        r, j, ea, eb = r[hit], j[hit], ea[hit], eb[hit]
+        first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
+        r = r[first]
+        kind[r] = EDGE
+        index[r], a[r], b[r] = j[first], ea[first], eb[first]
+
+    kind[vertex] = VERTEX
+    index[vertex] = near[vertex]
+    rest = kind == EXTERIOR
+    winding = _winding(trips[rest], cx[rest])
+    kind[rest] = np.where(np.abs(winding - 2 * np.pi) <= tol.angle, INTERIOR, kind[rest])
+    return Locations(kind=kind, index=index, a=a, b=b)
 
 
 def locate_point(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> PointLocation:
-    """Classify x as interior / edge / vertex / exterior for the polygon.
-
-    Vertex and edge bands are checked first so that ambiguous points are
-    never classified interior; interior means the signed winding of the
-    ring about x is +2*pi.
-    """
-    tol = tol or polygon.tol
-    x = np.asarray(x, dtype=float)
-    V = polygon.vertices
-    n = polygon.n
-
-    cosines = V @ x
-    j = int(np.argmax(cosines))
-    if angle_between(V[j], x) <= tol.angle:
-        return PointLocation(kind="vertex", index=j)
-
-    for j in range(n):
-        vj, vk = V[j], V[(j + 1) % n]
-        if abs(triple_product(vj, vk, x)) > tol.geom:
-            continue
-        a, b = edge_coefficients(vj, vk, x)
-        if a <= 0.0 or b <= 0.0:
-            continue
-        if float(np.linalg.norm(a * vj + b * vk - x)) <= tol.edge_fit:
-            return PointLocation(kind="edge", index=j, a=a, b=b)
-
-    if abs(winding_angle(V, x) - 2 * np.pi) <= tol.angle:
-        return PointLocation(kind="interior")
-    return PointLocation(kind="exterior")
+    """Location of one direction x: the m = 1 call of :func:`locate_points`."""
+    return locate_points(polygon, x, tol).at(0)

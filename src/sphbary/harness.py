@@ -24,9 +24,10 @@ from .geom import (
     locate_point,
     normalize,
     tangent_basis,
+    unit_rows,
     validate_polygon,
 )
-from .spherical import evaluate_located, reconstruction_residual
+from .spherical import evaluate_batch
 
 __all__ = [
     "DEFAULT_BANDS",
@@ -244,10 +245,9 @@ def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     planar = np.column_stack([(polygon.vertices @ b1) / scale, (polygon.vertices @ b2) / scale])
     lo = planar.min(axis=0)
     hi = planar.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], resolution)
-    ys = np.linspace(lo[1], hi[1], resolution)
-    pts = [_lift(center, b1, b2, (x, y)) for y in ys for x in xs]
-    return np.array(pts)
+    x = np.tile(np.linspace(lo[0], hi[0], resolution), resolution)[:, None]
+    y = np.repeat(np.linspace(lo[1], hi[1], resolution), resolution)[:, None]
+    return unit_rows(center + x * b1 + y * b2)[0]
 
 
 @dataclass
@@ -310,24 +310,22 @@ def grid_rows(
     """Evaluate `method` on the grid and classify the chosen vertex
     coordinate into contour bands.  Evaluation failures become rows with an
     error tag; a linear-precision defect above 1e-8 is refused at emission.
-    Each direction is located once, for the location column and the
-    evaluation alike.
+    The whole grid is located and evaluated in one batch, and the location
+    column comes from that same locate.
     """
-    tol = tol or polygon.tol
+    points = grid_directions(polygon, resolution)
+    batch = evaluate_batch(polygon, points, method, tol)
+    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
     rows = []
-    for p in grid_directions(polygon, resolution):
-        x = normalize(p, tol)
-        loc = locate_point(polygon, x, tol)
-        row = GridRow(point=p, location=str(loc), method=method, vertex_index=vertex_index)
-        try:
-            values = evaluate_located(polygon, x, method, tol, loc).values
-            residual = reconstruction_residual(values, polygon.vertices, p)
-            if residual > 1e-8:
-                raise ResidualTooLarge(f"linear-precision defect {residual:.3e} > 1e-8")
-            row.residual = residual
-            row.values = values
-        except SphBaryError as exc:
-            row.error = exc.name
+    for i, p in enumerate(points):
+        row = GridRow(point=p, location=str(batch.locations.at(i)), method=method, vertex_index=vertex_index)
+        if batch.errors[i] is not None:
+            row.error = batch.errors[i].name
+        elif residuals[i] > 1e-8:
+            row.error = ResidualTooLarge.__name__
+        else:
+            row.residual = float(residuals[i])
+            row.values = batch.values[i]
         rows.append(row.for_vertex(vertex_index, bands))
     return rows
 

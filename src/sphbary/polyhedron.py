@@ -40,8 +40,10 @@ from .errors import (
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
+    check_row,
+    refuse,
 )
-from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, locate_point, normalize
+from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize
 
 __all__ = [
     "PolyhedronQ",
@@ -123,37 +125,59 @@ def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> Polyhedr
     return bipyramid(np.asarray(ring, dtype=float), normalize(x, tol), tol)
 
 
+def fan_faces(n: int) -> np.ndarray:
+    """(2n, 3) fan faces: (n, i, i+1) upper, (n+1, i+1, i) lower."""
+    i = np.arange(n)
+    upper = np.column_stack([np.full(n, n), i, (i + 1) % n])
+    lower = np.column_stack([np.full(n, n + 1), (i + 1) % n, i])
+    return np.vstack([upper, lower]).astype(np.intp)
+
+
+def stack_bipyramids(ring: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+    """Vertex arrays [ring, x, -x], shape (m, n+2, 3), for the unit rows of
+    X; rows where x or -x coincides with a vertex are refused with
+    PointOnVertexOrAntipode."""
+    m, n = len(X), len(ring)
+    c = cross3(X[:, None, :], ring)
+    theta = np.arctan2(np.sqrt(dot3(c, c)), dot3(X[:, None, :], ring))
+    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
+    refuse(errors, near.any(axis=1), lambda r: PointOnVertexOrAntipode(
+        f"x or -x coincides with vertex {int(np.argmax(near[r]))}"))
+    P = np.empty((m, n + 2, 3))
+    P[:, :n] = ring
+    P[:, n] = X
+    P[:, n + 1] = -X
+    return P
+
+
+def _face_planes(P: np.ndarray, faces: np.ndarray):
+    """First vertices (m, F, 3), unit normals (m, F, 3) and normal lengths
+    (m, F) of the shared faces of each stacked polyhedron P[r]."""
+    a = P[:, faces[:, 0]]
+    nrm = cross3(P[:, faces[:, 1]] - a, P[:, faces[:, 2]] - a)
+    norms = np.sqrt(dot3(nrm, nrm))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a, nrm / norms[..., None], norms
+
+
+def kernel_ok_rows(P: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Origin-in-kernel certificate of each stacked polyhedron P[r] with
+    the shared faces: every face plane keeps a distance > tol.geom."""
+    a, normals, norms = _face_planes(P, faces)
+    return np.all(norms > tol.unit, axis=1) & np.all(dot3(normals, a) > tol.geom, axis=1)
+
+
 def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, hull: bool = False) -> PolyhedronQ:
     """[ring, x, -x] for a unit x with the fan faces, or with those of the
     convex hull (see :func:`_flip_to_hull`); no point location, and the
     origin-in-kernel certificate is computed for the returned faces only."""
-    n = len(ring)
-    theta = np.arctan2(np.linalg.norm(np.cross(ring, x), axis=1), ring @ x)
-    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
-    if np.any(near):
-        raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {int(np.argmax(near))}")
-    vertices = np.vstack([ring, x, -x])
-    upper = np.column_stack([np.full(n, n), np.arange(n), (np.arange(n) + 1) % n])
-    lower = np.column_stack([np.full(n, n + 1), (np.arange(n) + 1) % n, np.arange(n)])
-    faces = np.vstack([upper, lower]).astype(np.intp)
+    errors = [None]
+    P = stack_bipyramids(ring, np.asarray(x, dtype=float)[None], tol, errors)
+    check_row(errors)
+    faces = fan_faces(len(ring))
     if hull:
-        faces = _flip_to_hull(vertices, faces, tol)
-    return _assemble(vertices, faces, tol)
-
-
-def _assemble(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> PolyhedronQ:
-    """PolyhedronQ with its origin-in-kernel certificate."""
-    a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
-    nrm = np.cross(b - a, c - a)
-    norms = np.linalg.norm(nrm, axis=1)
-    if np.any(norms <= tol.unit):
-        kernel_ok = False
-    else:
-        dist = np.einsum("ij,ij->i", nrm / norms[:, None], a)
-        kernel_ok = bool(np.all(dist > tol.geom))
-    return PolyhedronQ(vertices=vertices, faces=faces, kernel_ok=kernel_ok, tol=tol)
+        faces = _flip_to_hull(P[0], faces, tol)
+    return PolyhedronQ(vertices=P[0], faces=faces, kernel_ok=bool(kernel_ok_rows(P, faces, tol)[0]), tol=tol)
 
 
 def build_q(
@@ -228,14 +252,47 @@ def _reflex(a, b, c, d, band: float) -> bool:
     return volume * volume > band * band * shorter
 
 
-def _check_kernel(q: PolyhedronQ, at: np.ndarray, tol: Tolerances) -> None:
-    a = q.vertices[q.faces[:, 0]]
-    nrm = q.face_normals(unit=True)
-    dist = np.einsum("ij,ij->i", nrm, a - at)
-    if np.any(dist <= tol.geom):
-        raise KernelViolation(
-            f"evaluation point is not strictly inside every face plane (min distance {dist.min():.3e})"
-        )
+def mv_weights_batch(
+    P: np.ndarray, faces: np.ndarray, at: np.ndarray, tol: Tolerances, kernel_ok: np.ndarray, errors: list
+) -> np.ndarray:
+    """Mean value weights of `at` in each stacked polyhedron P[r] (shape
+    (m, N, 3)) with the shared faces; see :func:`mv_weights`."""
+    refuse(errors, ~kernel_ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
+    if not np.array_equal(at, ORIGIN):
+        a, normals, _ = _face_planes(P, faces)
+        dist = dot3(normals, a - at)
+        refuse(errors, np.any(dist <= tol.geom, axis=1), lambda r: KernelViolation(
+            f"evaluation point is not strictly inside every face plane (min distance {dist[r].min():.3e})"))
+    u = P - at
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(dot3(u, u))
+        e = u / r[..., None]
+
+        def unit_cross(p, s):
+            cr = cross3(p, s)
+            nn = np.sqrt(dot3(cr, cr))
+            refuse(errors, np.any(nn <= tol.unit, axis=1),
+                   lambda _: DegenerateTriangle("two rays of a face are collinear"))
+            return cr / nn[..., None], nn
+
+        mus = []
+        for rot in range(3):
+            ei, ej, ek = e[:, faces[:, rot]], e[:, faces[:, (rot + 1) % 3]], e[:, faces[:, (rot + 2) % 3]]
+            n_ij, s_ij = unit_cross(ei, ej)
+            n_jk, s_jk = unit_cross(ej, ek)
+            n_ki, s_ki = unit_cross(ek, ei)
+            b_ij = np.arctan2(s_ij, dot3(ei, ej))
+            b_jk = np.arctan2(s_jk, dot3(ej, ek))
+            b_ki = np.arctan2(s_ki, dot3(ek, ei))
+            denom = 2.0 * dot3(ei, n_jk)
+            refuse(errors, np.any(np.abs(denom) <= tol.unit, axis=1),
+                   lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
+            mus.append((b_jk + b_ij * dot3(n_ij, n_jk) + b_ki * dot3(n_ki, n_jk)) / denom)
+        # Sum each vertex's contributions in face order, rotation by rotation.
+        m, N = r.shape
+        slot = (np.arange(m)[:, None] * N + faces.T.ravel()).ravel()
+        accum = np.bincount(slot, weights=np.concatenate(mus, axis=1).ravel(), minlength=m * N)
+        return accum.reshape(m, N) / r
 
 
 def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.ndarray:
@@ -249,52 +306,15 @@ def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.n
     where e_i is the unit vector from `at` to vertex i, b_rs the angle
     between e_r and e_s and n_rs the unit normal of span(e_r, e_s).  The
     weight of a vertex is the sum of its mu over incident faces divided by
-    its distance from `at`.
+    its distance from `at`.  The m = 1 call of the batched kernel that
+    NEW_MV runs over the stacked fans of a whole grid.
     """
     tol = tol or q.tol
+    errors = [None]
     at = np.asarray(at, dtype=float)
-    if not q.kernel_ok:
-        raise KernelViolation("polyhedron failed the origin-in-kernel certificate")
-    if not np.array_equal(at, ORIGIN):
-        _check_kernel(q, at, tol)
-
-    u = q.vertices - at
-    r = np.linalg.norm(u, axis=1)
-    e = u / r[:, None]
-
-    accum = np.zeros(len(q.vertices))
-    F = q.faces
-    for rot in range(3):
-        i = F[:, rot]
-        j = F[:, (rot + 1) % 3]
-        k = F[:, (rot + 2) % 3]
-        ei, ej, ek = e[i], e[j], e[k]
-
-        def unit_cross(p, s):
-            cr = np.cross(p, s)
-            nn = np.linalg.norm(cr, axis=1)
-            if np.any(nn <= tol.unit):
-                raise DegenerateTriangle("two rays of a face are collinear")
-            return cr / nn[:, None], nn
-
-        n_ij, s_ij = unit_cross(ei, ej)
-        n_jk, s_jk = unit_cross(ej, ek)
-        n_ki, s_ki = unit_cross(ek, ei)
-        b_ij = np.arctan2(s_ij, np.einsum("ij,ij->i", ei, ej))
-        b_jk = np.arctan2(s_jk, np.einsum("ij,ij->i", ej, ek))
-        b_ki = np.arctan2(s_ki, np.einsum("ij,ij->i", ek, ei))
-
-        denom = 2.0 * np.einsum("ij,ij->i", ei, n_jk)
-        if np.any(np.abs(denom) <= tol.unit):
-            raise DegenerateTriangle("face is flat as seen from the evaluation point")
-        mu = (
-            b_jk
-            + b_ij * np.einsum("ij,ij->i", n_ij, n_jk)
-            + b_ki * np.einsum("ij,ij->i", n_ki, n_jk)
-        ) / denom
-        np.add.at(accum, i, mu)
-
-    return accum / r
+    w = mv_weights_batch(q.vertices[None], q.faces, at, tol, np.array([q.kernel_ok]), errors)
+    check_row(errors)
+    return w[0]
 
 
 def is_convex(q: PolyhedronQ, tol: Tolerances | None = None) -> bool:
@@ -357,6 +377,16 @@ def wachspress_weights(
     return w
 
 
+def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
+    """Rows of raw weights (m, N) divided by their sums; rows whose sum is
+    not positive are refused with KernelViolation."""
+    total = w.sum(axis=1)
+    refuse(errors, total <= 0.0, lambda _: KernelViolation(
+        "weight sum is not positive; configuration invalid for this backend"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return w / total[:, None]
+
+
 def coords_at_origin(
     q: PolyhedronQ,
     backend: str = "MV",
@@ -374,7 +404,7 @@ def coords_at_origin(
         weights = wachspress_weights(q, at, tol, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise KernelViolation("weight sum is not positive; configuration invalid for this backend")
-    return weights / total
+    errors = [None]
+    phi = normalized_weights(weights[None], errors)
+    check_row(errors)
+    return phi[0]

@@ -21,12 +21,19 @@ For the mean value backend the quotient also has a closed form built from
 the angles theta_i = angle(x, v_i) and the signed angles alpha_i between
 x cross v_i and x cross v_{i+1}; see :func:`closed_form_mv_weights`.
 
-All five methods share one evaluation path, :func:`evaluate`: it locates x
-once, answers the boundary and the exterior the same way for every method
-(the Kronecker delta and the edge vector for the NEW_* methods, which
-extend to the boundary, OriginOnBoundary for the tangent-plane CC_*
-methods, ExteriorPoint for all) and calls the method's interior kernel,
-looked up in :data:`KERNELS`, only for interior x.
+All five methods share one evaluation path, :func:`evaluate_batch`, over
+an (m, 3) block of directions: it locates the block once, answers the
+boundary and the exterior the same way for every method (the Kronecker
+delta and the edge vector for the NEW_* methods, which extend to the
+boundary, OriginOnBoundary for the tangent-plane CC_* methods,
+ExteriorPoint for all) and calls the method's interior kernel, looked up
+in :data:`KERNELS`, once on the interior rows.  The kernels are numpy code
+over the whole block, except that NEW_WC builds each row's convex hull on
+its own.  A kernel records per row the error the single-point call raises
+(see :func:`sphbary.errors.refuse`), so one failing row leaves the others
+evaluated.  :func:`evaluate` and the public single-point functions are
+m = 1 calls of the same code, and a row's result does not depend on the
+batch it came in.
 """
 
 from __future__ import annotations
@@ -44,19 +51,41 @@ from .errors import (
     NonPositiveDenominator,
     NotConvexForWC,
     OriginOnBoundary,
+    SphBaryError,
     UnknownMethod,
+    ZeroVector,
+    check_row,
+    refuse,
 )
 from .geom import (
     DEFAULT_TOL,
+    EDGE,
+    EXTERIOR,
+    INTERIOR,
+    VERTEX,
+    Locations,
     PointLocation,
     SphericalPolygon,
     Tolerances,
-    angle_between,
-    locate_point,
+    cross3,
+    dot3,
+    locate_points,
     normalize,
+    roll1,
+    unit_rows,
 )
-from .polyhedron import bipyramid, build_ring_q, coords_at_origin
-from .tangent import gnomonic_project, planar_mv, planar_wachspress
+from .polyhedron import (
+    ORIGIN,
+    bipyramid,
+    build_ring_q,
+    coords_at_origin,
+    fan_faces,
+    kernel_ok_rows,
+    mv_weights_batch,
+    normalized_weights,
+    stack_bipyramids,
+)
+from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
 __all__ = [
     "CoordinateVector",
@@ -65,8 +94,9 @@ __all__ = [
     "closed_form_mv_weights",
     "KERNELS",
     "METHODS",
+    "Evaluations",
+    "evaluate_batch",
     "evaluate",
-    "evaluate_located",
     "spherical_coords",
     "spherical_coords_classical",
     "extended_spherical_coords",
@@ -112,22 +142,55 @@ class AngleCache:
         self.alpha.setflags(write=False)
 
 
+def _fan_angles(V: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list):
+    """c_i = x cross v_i (m, n, 3), sin theta_i = |c_i| and cos theta_i =
+    <v_i, x> (m, n) for the unit rows of X; rows with x aligned with or
+    opposite to some vertex are refused with AngleDegenerate."""
+    x = X[:, None, :]
+    c = cross3(x, V)
+    sin_theta = np.sqrt(dot3(c, c))
+    cos_theta = dot3(x, V)
+    theta = np.arctan2(sin_theta, cos_theta)
+    aligned = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
+    refuse(errors, aligned.any(axis=1), lambda r: AngleDegenerate(
+        f"x is aligned with vertex {np.argmax(aligned[r])} (theta = {theta[r, np.argmax(aligned[r])]:.3e})"))
+    return c, sin_theta, cos_theta, theta
+
+
 def angles(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> AngleCache:
     """Angle cache for the closed-form weights; x must not coincide with or
     oppose any vertex (AngleDegenerate otherwise)."""
     tol = tol or polygon.tol
-    x = np.asarray(x, dtype=float)
-    V = polygon.vertices
-    n = polygon.n
-    theta = np.empty(n)
-    cross = np.empty((n, 3))
-    for i in range(n):
-        theta[i] = angle_between(x, V[i])
-        if theta[i] <= tol.angle or theta[i] >= np.pi - tol.angle:
-            raise AngleDegenerate(f"x is aligned with vertex {i} (theta = {theta[i]:.3e})")
-        cross[i] = normalize(np.cross(x, V[i]), tol)
-    alpha = np.array([angle_between(cross[i], cross[(i + 1) % n]) for i in range(n)])
-    return AngleCache(theta=theta, alpha=alpha)
+    errors = [None]
+    c, _, _, theta = _fan_angles(polygon.vertices, np.asarray(x, dtype=float).reshape(1, 3), tol, errors)
+    check_row(errors)
+    c_next = roll1(c, -1)
+    s = cross3(c, c_next)
+    alpha = np.arctan2(np.sqrt(dot3(s, s)), dot3(c, c_next))
+    return AngleCache(theta=theta[0], alpha=alpha[0])
+
+
+def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+    """Batched closed-form mean value weights (omega (m, n), denom (m,))
+    at the unit rows of X; see :func:`closed_form_mv_weights`."""
+    c, sin_theta, cos_theta, _ = _fan_angles(polygon.vertices, X, tol, errors)
+    c_next = roll1(c, -1)
+    s = dot3(cross3(c, c_next), X[:, None, :])      # |c_i||c_{i+1}| sin(alpha_i)
+    d = dot3(c, c_next)                              # |c_i||c_{i+1}| cos(alpha_i)
+    # Near |alpha| = pi the tangent genuinely blows up; refuse to evaluate.
+    refuse(errors, np.any(np.arctan2(np.abs(s), d) >= np.pi - tol.angle, axis=1),
+           lambda _: AlphaNearPi("some alpha is too close to pi for the closed form"))
+    cc = sin_theta * roll1(sin_theta, -1)
+    # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
+    # for |alpha| > pi/2, the second for |alpha| < pi/2.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
+        pair = t + roll1(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
+        omega = np.pi * pair / (2.0 * sin_theta)
+        denom = np.pi / 2.0 * np.sum(pair * cos_theta / sin_theta, axis=1)
+    refuse(errors, ~(np.all(np.isfinite(omega), axis=1) & np.isfinite(denom)),
+           lambda _: AlphaNearPi("the closed form is not finite at x"))
+    return omega, denom
 
 
 def closed_form_mv_weights(
@@ -143,87 +206,83 @@ def closed_form_mv_weights(
     tan(alpha_i/2) = <x, c_i x c_{i+1}> / (|c_i||c_{i+1}| + <c_i, c_{i+1}>),
     sin theta_i = |c_i| and cos theta_i = <v_i, x>.  The spherical
     coordinates follow as psi_i = omega_i / denom and agree with the generic
-    polyhedral mean value pipeline.
+    polyhedral mean value pipeline.  The m = 1 call of the batched kernel
+    of NEW_MV_CLOSED.
     """
     tol = tol or polygon.tol
-    x = np.asarray(x, dtype=float)
-    c = np.cross(x, polygon.vertices)
-    sin_theta = np.linalg.norm(c, axis=1)
-    cos_theta = polygon.vertices @ x
-    theta = np.arctan2(sin_theta, cos_theta)
-    if np.any((theta <= tol.angle) | (theta >= np.pi - tol.angle)):
-        i = int(np.argmin(np.minimum(theta, np.pi - theta)))
-        raise AngleDegenerate(f"x is aligned with vertex {i} (theta = {theta[i]:.3e})")
-    c_next = np.roll(c, -1, axis=0)
-    s = np.cross(c, c_next) @ x                   # |c_i||c_{i+1}| sin(alpha_i)
-    d = np.einsum("ij,ij->i", c, c_next)          # |c_i||c_{i+1}| cos(alpha_i)
-    # Near |alpha| = pi the tangent genuinely blows up; refuse to evaluate.
-    if np.any(np.arctan2(np.abs(s), d) >= np.pi - tol.angle):
-        raise AlphaNearPi("some alpha is too close to pi for the closed form")
-    cc = sin_theta * np.roll(sin_theta, -1)
-    # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
-    # for |alpha| > pi/2, the second for |alpha| < pi/2.
+    errors = [None]
+    omega, denom = closed_form_batch(polygon, np.asarray(x, dtype=float).reshape(1, 3), tol, errors)
+    check_row(errors)
+    return omega[0], float(denom[0])
+
+
+# --------------------------------------------------------------------------
+# interior kernels: (polygon, unit interior rows X (m, 3), tol, errors)
+# -> (values (m, n), denominators (m,), NaN where a method has none)
+# --------------------------------------------------------------------------
+
+def _quotient(phi: np.ndarray, n: int, tol: Tolerances, errors: list):
+    denom = phi[:, n + 1] - phi[:, n]
+    refuse(errors, denom <= tol.denom, lambda r: NonPositiveDenominator(
+        f"phi[-x] - phi[x] = {denom[r]:.3e} <= {tol.denom}; invalid input or broken backend"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
-    pair = t + np.roll(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
-    omega = np.pi * pair / (2.0 * sin_theta)
-    denom = float(np.pi / 2.0 * np.sum(pair * cos_theta / sin_theta))
-    if not (np.all(np.isfinite(omega)) and np.isfinite(denom)):
-        raise AlphaNearPi("the closed form is not finite at x")
-    return omega, denom
+        return phi[:, :n] / denom[:, None], denom
 
 
-# --------------------------------------------------------------------------
-# interior kernels: (polygon, unit interior x, tol) -> (values, denominator)
-# --------------------------------------------------------------------------
-
-def _quotient(phi: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, float]:
-    denom = float(phi[n + 1] - phi[n])
-    if denom <= tol.denom:
-        raise NonPositiveDenominator(
-            f"phi[-x] - phi[x] = {denom:.3e} <= {tol.denom}; invalid input or broken backend"
-        )
-    return phi[:n] / denom, denom
-
-
-def _polyhedral(backend: str, polygon: SphericalPolygon, x, tol: Tolerances, *, hull: bool):
+def _mean_value(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
     # Mean value weights need only the origin in the kernel and depend on
-    # the triangulation, so they keep the fan.  Polar-dual weights are
-    # positive only on a convex polyhedron, and the fan over a convex
-    # polygon is usually not convex, so they use the hull of the same
-    # n+2 points under the strict convexity check.
-    q = bipyramid(polygon.vertices, x, tol, hull)
-    return _quotient(coords_at_origin(q, backend, tol=tol), polygon.n, tol)
+    # the triangulation; the fan's faces are the same for every x, so the
+    # whole block is one stack of polyhedra.
+    P = stack_bipyramids(polygon.vertices, X, tol, errors)
+    faces = fan_faces(polygon.n)
+    w = mv_weights_batch(P, faces, ORIGIN, tol, kernel_ok_rows(P, faces, tol), errors)
+    return _quotient(normalized_weights(w, errors), polygon.n, tol, errors)
 
 
-def _closed_form(polygon: SphericalPolygon, x, tol: Tolerances):
-    omega, denom = closed_form_mv_weights(polygon, x, tol)
-    if denom <= tol.denom:
-        raise NonPositiveDenominator(f"closed-form denominator {denom:.3e} <= {tol.denom}")
-    return omega / denom, denom
+def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+    # Polar-dual weights are positive only on a convex polyhedron, and the
+    # fan over a convex polygon is usually not convex, so they use the hull
+    # of the same n+2 points under the strict convexity check.  The hull's
+    # faces depend on x, so each row builds its own.
+    phi = np.full((len(X), polygon.n + 2), np.nan)
+    for r, x in enumerate(X):
+        try:
+            phi[r] = coords_at_origin(bipyramid(polygon.vertices, x, tol, hull=True), "WC", tol=tol)
+        except SphBaryError as exc:
+            errors[r] = exc
+    return _quotient(phi, polygon.n, tol, errors)
 
 
-def _tangent(planar: Callable, polygon: SphericalPolygon, x, tol: Tolerances):
+def _closed_form(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+    omega, denom = closed_form_batch(polygon, X, tol, errors)
+    refuse(errors, denom <= tol.denom, lambda r: NonPositiveDenominator(
+        f"closed-form denominator {denom[r]:.3e} <= {tol.denom}"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return omega / denom[:, None], denom
+
+
+def _tangent(planar: Callable, polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
     # Planar coordinates of the gnomonic image, divided by <v_i, x> to
     # restore linear precision on the sphere.
-    t = gnomonic_project(polygon, x, tol)
-    return planar(t, tol) / t.dots, None
+    _, points2d, dots = project_batch(polygon.vertices, X, tol, errors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return planar(points2d, tol, errors) / dots, np.full(len(X), np.nan)
 
 
 class Method(NamedTuple):
     """One row of :data:`KERNELS`."""
 
-    kernel: Callable     # (polygon, unit interior x, tol) -> (values, denom or None)
+    kernel: Callable     # (polygon, unit interior rows X, tol, errors) -> (values, denominators)
     boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
     convex_only: bool    # NotConvexForWC on a non-convex polygon
 
 
 KERNELS = {
-    "NEW_MV": Method(partial(_polyhedral, "MV", hull=False), True, False),
-    "NEW_WC": Method(partial(_polyhedral, "WC", hull=True), True, True),
+    "NEW_MV": Method(_mean_value, True, False),
+    "NEW_WC": Method(_polar_dual, True, True),
     "NEW_MV_CLOSED": Method(_closed_form, True, False),
-    "CC_MV": Method(partial(_tangent, planar_mv), False, False),
-    "CC_WC": Method(partial(_tangent, planar_wachspress), False, False),
+    "CC_MV": Method(partial(_tangent, planar_mv_batch), False, False),
+    "CC_WC": Method(partial(_tangent, planar_wachspress_batch), False, False),
 }
 METHODS = tuple(KERNELS)
 
@@ -232,44 +291,76 @@ METHODS = tuple(KERNELS)
 # the evaluation path
 # --------------------------------------------------------------------------
 
+class Evaluations(NamedTuple):
+    """One method at m directions: locations, values (m, n) and interior
+    denominators (m,), NaN where absent, and per row the error its
+    single-point evaluation raises (None where it succeeds)."""
+
+    method: str
+    locations: Locations
+    values: np.ndarray
+    denom: np.ndarray
+    errors: list
+
+    def result(self, i: int) -> CoordinateVector:
+        """Row i as :func:`evaluate` returns it, or its error raised."""
+        check_row(self.errors, i)
+        d = float(self.denom[i])
+        return CoordinateVector(values=self.values[i].copy(), method=self.method,
+                                location=self.locations.at(i), denom=None if np.isnan(d) else d)
+
+
+def evaluate_batch(
+    polygon: SphericalPolygon, X, method: str, tol: Tolerances | None = None
+) -> Evaluations:
+    """Evaluate one of the five coordinate methods at the rows of X, an
+    (m, 3) block of directions: normalize, locate the whole block once,
+    answer the boundary and the exterior for every row, and call the
+    method's interior kernel once on the interior rows."""
+    tol = tol or polygon.tol
+    X, short = unit_rows(X, tol)
+    m, n = len(X), polygon.n
+    errors = [None] * m
+    refuse(errors, short, lambda _: ZeroVector("cannot normalize a vector this short"))
+    locations = locate_points(polygon, X, tol)
+    values = np.full((m, n), np.nan)
+    denom = np.full(m, np.nan)
+    if method not in KERNELS:
+        refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
+        return Evaluations(method, locations, values, denom, errors)
+    kernel, boundary, convex_only = KERNELS[method]
+    if convex_only and not polygon.convex:
+        refuse(errors, ~short, lambda _: NotConvexForWC("the polar-dual backend requires a convex polygon"))
+        return Evaluations(method, locations, values, denom, errors)
+    kind = locations.kind
+    refuse(errors, kind == EXTERIOR, lambda _: ExteriorPoint("x lies outside the polygon"))
+    on_boundary = (kind == VERTEX) | (kind == EDGE)
+    if not boundary:
+        refuse(errors, on_boundary, lambda r: OriginOnBoundary(
+            f"x is {locations.at(r)}; the tangent-plane construction needs interior x"))
+    elif on_boundary.any():
+        rows = on_boundary.nonzero()[0]
+        i, edge = locations.index[rows], kind[rows] == EDGE
+        values[rows] = 0.0
+        values[rows, i] = np.where(edge, locations.a[rows], 1.0)
+        values[rows[edge], (i[edge] + 1) % n] = locations.b[rows[edge]]
+    rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
+    if len(rows):
+        kernel_errors = [None] * len(rows)
+        values[rows], denom[rows] = kernel(polygon, X[rows], tol, kernel_errors)
+        for r, error in zip(rows, kernel_errors):
+            if error is not None:
+                errors[r] = error
+                values[r] = denom[r] = np.nan
+    return Evaluations(method, locations, values, denom, errors)
+
+
 def evaluate(
     polygon: SphericalPolygon, x, method: str, tol: Tolerances | None = None
 ) -> CoordinateVector:
-    """Evaluate one of the five coordinate methods at x."""
-    tol = tol or polygon.tol
-    return evaluate_located(polygon, normalize(x, tol), method, tol)
-
-
-def evaluate_located(
-    polygon: SphericalPolygon,
-    x: np.ndarray,
-    method: str,
-    tol: Tolerances,
-    loc: PointLocation | None = None,
-) -> CoordinateVector:
-    """:func:`evaluate` at a unit x whose location the caller may already
-    hold (a grid row reports it even when the evaluation fails); x is
-    located here otherwise, after the method's polygon precondition."""
-    if method not in KERNELS:
-        raise UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}")
-    kernel, boundary, convex_only = KERNELS[method]
-    if convex_only and not polygon.convex:
-        raise NotConvexForWC("the polar-dual backend requires a convex polygon")
-    loc = loc or locate_point(polygon, x, tol)
-    if loc.kind == "exterior":
-        raise ExteriorPoint("x lies outside the polygon")
-    if loc.is_boundary:
-        if not boundary:
-            raise OriginOnBoundary(f"x is {loc}; the tangent-plane construction needs interior x")
-        values = np.zeros(polygon.n)
-        if loc.kind == "vertex":
-            values[loc.index] = 1.0
-        else:
-            values[loc.index] = loc.a
-            values[(loc.index + 1) % polygon.n] = loc.b
-        return CoordinateVector(values=values, method=method, location=loc)
-    values, denom = kernel(polygon, x, tol)
-    return CoordinateVector(values=values, method=method, location=loc, denom=denom)
+    """Evaluate one of the five coordinate methods at x: the m = 1 call of
+    :func:`evaluate_batch`."""
+    return evaluate_batch(polygon, x, method, tol).result(0)
 
 
 def spherical_coords(
@@ -311,12 +402,12 @@ def extended_spherical_coords(
     ring = np.array([normalize(v, tol) for v in np.asarray(ring, dtype=float)])
     x = normalize(x, tol)
     phi = coords_at_origin(build_ring_q(ring, x, tol), backend, tol=tol, require_convex=False)
-    values, denom = _quotient(phi, len(ring), tol)
+    errors = [None]
+    values, denom = _quotient(phi[None], len(ring), tol, errors)
+    check_row(errors)
     return CoordinateVector(
-        values=values, method="NEW_" + backend, location=PointLocation(kind="extended"), denom=denom
+        values=values[0], method="NEW_" + backend, location=PointLocation(kind="extended"), denom=float(denom[0])
     )
-
-
 def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """3D barycentric coordinates of the origin in the polyhedron over a raw
     ring (length n+2); the finite object the construction always produces,

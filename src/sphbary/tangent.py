@@ -8,6 +8,11 @@ sphere.  The projection exists only while <v_i, x> stays positive, which is
 the advertised limitation of this construction; no continuous extension is
 attempted at <v_i, x> = 0.  The CC_MV and CC_WC methods of
 :func:`sphbary.spherical.evaluate` are built from these pieces.
+
+Each piece is batched over m evaluation points (an (m, 3) block of
+directions, (m, n, 2) planar rings) and records a per-row error instead of
+raising (see :func:`sphbary.errors.refuse`); the public functions are its
+m = 1 calls.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined
-from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, normalize, tangent_basis
+from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, check_row, refuse
+from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, dot3, normalize, roll1, tangent_frames
 
 __all__ = [
     "TangentPolygon",
@@ -46,6 +51,22 @@ class TangentPolygon:
         self.dots.setflags(write=False)
 
 
+def project_batch(V: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list):
+    """Batched gnomonic projection of the ring V at the unit rows of X:
+    bases (m, 2, 3), points2d (m, n, 2) and dots (m, n); rows with some
+    <v_i, x> <= tol.proj are refused with ProjectionUndefined."""
+    x = X[:, None, :]
+    dots = dot3(x, V)
+    low = dots <= tol.proj
+    refuse(errors, low.any(axis=1), lambda r: ProjectionUndefined(
+        f"<v[{np.argmin(dots[r])}], x> = {dots[r].min():.3e} is not positive"))
+    B1, B2 = tangent_frames(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        images = V / dots[..., None] - x
+    points2d = np.stack([dot3(images, B1[:, None, :]), dot3(images, B2[:, None, :])], axis=-1)
+    return np.stack([B1, B2], axis=1), points2d, dots
+
+
 def gnomonic_project(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> TangentPolygon:
     """Project the polygon's vertices into the tangent plane at x.
 
@@ -53,56 +74,68 @@ def gnomonic_project(polygon: SphericalPolygon, x, tol: Tolerances | None = None
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     tol = tol or polygon.tol
-    x = normalize(x, tol)
-    dots = polygon.vertices @ x
-    if np.any(dots <= tol.proj):
-        i = int(np.argmin(dots))
-        raise ProjectionUndefined(f"<v[{i}], x> = {dots[i]:.3e} is not positive")
-    b1, b2 = tangent_basis(x)
-    images = polygon.vertices / dots[:, None] - x
-    points2d = np.column_stack([images @ b1, images @ b2])
-    return TangentPolygon(basis=np.vstack([b1, b2]), points2d=points2d, dots=dots)
+    errors = [None]
+    basis, points2d, dots = project_batch(polygon.vertices, normalize(x, tol)[None], tol, errors)
+    check_row(errors)
+    return TangentPolygon(basis=basis[0], points2d=points2d[0], dots=dots[0])
 
 
-def _polar_angles_about_origin(points2d: np.ndarray, tol: Tolerances):
-    r = np.linalg.norm(points2d, axis=1)
-    if np.any(r <= tol.proj):
-        raise OriginOnBoundary("evaluation point coincides with a projected vertex")
-    nxt = np.roll(points2d, -1, axis=0)
-    cross = points2d[:, 0] * nxt[:, 1] - points2d[:, 1] * nxt[:, 0]
-    dot = np.einsum("ij,ij->i", points2d, nxt)
-    return r, cross, dot
-
-
-def planar_mv(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Normalized planar mean value coordinates of the origin.
+def planar_mv_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+    """Normalized planar mean value coordinates of the origin for each
+    ring u[r], shape (m, n, 2).
 
     w_i = (tan(g_{i-1}/2) + tan(g_i/2)) / ||u_i|| with g_i the signed angle
     at the origin between u_i and u_{i+1}.
     """
-    r, cross, dot = _polar_angles_about_origin(t.points2d, tol)
-    denom = r * np.roll(r, -1) + dot
-    if np.any(denom <= tol.proj):
-        raise OriginOnBoundary("evaluation point lies on a projected edge")
-    tan_half = cross / denom
-    w = (tan_half + np.roll(tan_half, 1)) / r
-    return w / w.sum()
+    r = np.sqrt(u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1])
+    refuse(errors, np.any(r <= tol.proj, axis=1),
+           lambda _: OriginOnBoundary("evaluation point coincides with a projected vertex"))
+    nxt = roll1(u, -1)
+    cross = u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0]
+    denom = r * roll1(r, -1) + (u[..., 0] * nxt[..., 0] + u[..., 1] * nxt[..., 1])
+    refuse(errors, np.any(denom <= tol.proj, axis=1),
+           lambda _: OriginOnBoundary("evaluation point lies on a projected edge"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tan_half = cross / denom
+        w = (tan_half + roll1(tan_half, 1)) / r
+        return w / w.sum(axis=1)[:, None]
 
 
-def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Normalized planar Wachspress coordinates of the origin.
+def planar_wachspress_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+    """Normalized planar Wachspress coordinates of the origin for each
+    ring u[r], shape (m, n, 2).
 
     w_i = A(u_{i-1}, u_i, u_{i+1}) / (A(0, u_{i-1}, u_i) A(0, u_i, u_{i+1}))
     with signed triangle areas A; requires a convex planar polygon.
     """
-    u = t.points2d
-    prv = np.roll(u, 1, axis=0)
-    nxt = np.roll(u, -1, axis=0)
-    corner = 0.5 * ((u[:, 0] - prv[:, 0]) * (nxt[:, 1] - prv[:, 1]) - (u[:, 1] - prv[:, 1]) * (nxt[:, 0] - prv[:, 0]))
-    if np.any(corner < -tol.geom):
-        raise NotConvex("projected polygon is not convex")
-    wedge = 0.5 * (u[:, 0] * nxt[:, 1] - u[:, 1] * nxt[:, 0])     # A(0, u_i, u_{i+1})
-    if np.any(np.abs(wedge) <= tol.unit):
-        raise OriginOnBoundary("evaluation point lies on a projected edge line")
-    w = corner / (np.roll(wedge, 1) * wedge)
-    return w / w.sum()
+    prv = roll1(u, 1)
+    nxt = roll1(u, -1)
+    corner = 0.5 * ((u[..., 0] - prv[..., 0]) * (nxt[..., 1] - prv[..., 1])
+                    - (u[..., 1] - prv[..., 1]) * (nxt[..., 0] - prv[..., 0]))
+    refuse(errors, np.any(corner < -tol.geom, axis=1), lambda _: NotConvex("projected polygon is not convex"))
+    wedge = 0.5 * (u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0])     # A(0, u_i, u_{i+1})
+    refuse(errors, np.any(np.abs(wedge) <= tol.unit, axis=1),
+           lambda _: OriginOnBoundary("evaluation point lies on a projected edge line"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = corner / (roll1(wedge, 1) * wedge)
+        return w / w.sum(axis=1)[:, None]
+
+
+def _single(planar, t: TangentPolygon, tol: Tolerances) -> np.ndarray:
+    errors = [None]
+    w = planar(np.asarray(t.points2d, dtype=float)[None], tol, errors)
+    check_row(errors)
+    return w[0]
+
+
+def planar_mv(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Normalized planar mean value coordinates of the origin in the
+    projected polygon (see :func:`planar_mv_batch`)."""
+    return _single(planar_mv_batch, t, tol)
+
+
+def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Normalized planar Wachspress coordinates of the origin in the
+    projected polygon (see :func:`planar_wachspress_batch`); requires a convex
+    planar polygon."""
+    return _single(planar_wachspress_batch, t, tol)

@@ -47,16 +47,17 @@ def crossing_hexagon() -> np.ndarray:
 
 @pytest.fixture()
 def locate_calls(monkeypatch):
-    """Counts locate_point calls from every sphbary module (each module
-    binds its own name for it); read the count as locate_calls[0]."""
+    """Counts the directions located by locate_points, m per batched call
+    and 1 per locate_point, from every sphbary module (each module binds
+    its own name for it); read the count as locate_calls[0]."""
     count = [0]
-    original = sb.geom.locate_point
+    original = sb.geom.locate_points
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
+    def counting(polygon, X, *args, **kwargs):
+        count[0] += len(np.asarray(X, dtype=float).reshape(-1, 3))
+        return original(polygon, X, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("sphbary") and getattr(module, "locate_point", None) is original:
-            monkeypatch.setattr(module, "locate_point", counting)
+        if name.startswith("sphbary") and getattr(module, "locate_points", None) is original:
+            monkeypatch.setattr(module, "locate_points", counting)
     return count

@@ -158,6 +158,12 @@ class TestCompare:
                          .split("=")[1].split("at")[0])
         assert max_diff > 1e-4
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_low_resolution_usage_error(self, resolution):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(DATA_DIR / "demo_quad.json"), "--methods", "NEW_WC", "CC_WC",
+                  "--resolution", resolution])
+        assert exc.value.code == 2
 
     def test_csv_reuses_the_grid_evaluations(self, tmp_path, locate_calls):
         # One evaluation per method and grid point; the CSV holds the rows

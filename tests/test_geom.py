@@ -12,7 +12,7 @@ from sphbary.errors import (
     WrongOrientation,
     ZeroVector,
 )
-from sphbary.geom import find_hemisphere_witness, winding_angle
+from sphbary.geom import _min_norm_direction, find_hemisphere_witness, winding_angle
 
 from conftest import crossing_hexagon, random_rotation
 
@@ -135,6 +135,80 @@ class TestWitnessSearch:
         equator = np.column_stack([np.cos(azim), np.sin(azim), np.zeros(6)])
         with pytest.raises(NotInHemisphere):
             find_hemisphere_witness(equator)
+
+
+def dot(a, b) -> float:
+    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+
+
+def min_norm_direction_loop(vertices):
+    """Reference for the vectorised witness search: singles, pairs and
+    triples in order, keeping a candidate only on strict improvement, with
+    the dot products summed in the library's fixed order."""
+    n = len(vertices)
+    best_w, best_margin = None, -np.inf
+
+    def consider(w):
+        nonlocal best_w, best_margin
+        nw = np.sqrt(dot(w, w))
+        if nw <= 1e-14:
+            return
+        w = w / nw
+        margin = min(dot(v, w) for v in vertices)
+        if margin > best_margin:
+            best_w, best_margin = w, margin
+
+    for i in range(n):
+        consider(vertices[i])
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = vertices[i], vertices[j]
+            d = b - a
+            dd = dot(d, d)
+            if dd <= 1e-28:
+                continue
+            t = -dot(a, d) / dd
+            if 0.0 < t < 1.0:
+                consider(a + t * d)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                a, b, c = vertices[i], vertices[j], vertices[k]
+                u, v = b - a, c - a
+                g = np.array([[dot(u, u), dot(u, v)], [dot(u, v), dot(v, v)]])
+                rhs = -np.array([dot(a, u), dot(a, v)])
+                det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+                if abs(det) <= 1e-28:
+                    continue
+                s = (rhs[0] * g[1, 1] - rhs[1] * g[0, 1]) / det
+                t = (rhs[1] * g[0, 0] - rhs[0] * g[1, 0]) / det
+                if s > 0.0 and t > 0.0 and s + t < 1.0:
+                    consider(a + s * u + t * v)
+    return best_w, best_margin
+
+
+def lopsided_star_ring(rng, n):
+    """A star ring about the pole, most vertices bunched on one side and
+    near the equator, so that the normalized vertex sum is no witness."""
+    azimuth = np.sort(np.concatenate([rng.uniform(-0.6, 0.6, n - 1), [np.pi + rng.uniform(-0.3, 0.3)]]))
+    polar = rng.uniform(1.35, 1.55, n)
+    return np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+
+
+class TestWitnessFallback:
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 20, 33, 64])
+    def test_matches_the_loop(self, n):
+        rng = np.random.default_rng(7000 + n)
+        for _ in range(2 if n < 64 else 1):
+            ring = lopsided_star_ring(rng, n)
+            s = sb.normalize(ring.sum(axis=0))
+            assert np.min(ring @ s) <= 0.0            # the fast path fails
+            w, margin = _min_norm_direction(ring)
+            w_loop, margin_loop = min_norm_direction_loop(ring)
+            assert margin > 0.0
+            assert np.max(np.abs(w - w_loop)) <= 1e-15
+            assert abs(margin - margin_loop) <= 1e-15
+            np.testing.assert_array_equal(find_hemisphere_witness(ring), w)
 
 
 class TestLocatePoint:

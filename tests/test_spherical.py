@@ -11,7 +11,12 @@ from sphbary.errors import (
     NonPositiveDenominator,
     NotConvexForWC,
     ProjectionUndefined,
+    SphBaryError,
 )
+from sphbary.geom import unit_rows
+from sphbary.spherical import evaluate_batch
+
+from conftest import random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 INV_SQRT3 = 1 / np.sqrt(3)
@@ -281,6 +286,80 @@ class TestPolarDualOnHull:
         n = polygon.n
         phi = sb.coords_at_origin(q, "WC")
         np.testing.assert_allclose(cv.values, phi[:n] / (phi[n + 1] - phi[n]), rtol=0, atol=1e-14)
+
+
+# (n, cap radius, mode): convex and star polygons, n 3..64, caps up to 1.5.
+BATCH_POLYGONS = (
+    (3, 1.5, "convex"), (4, 0.6, "nonconvex"), (6, 1.2, "convex"), (9, 1.5, "nonconvex"),
+    (16, 0.9, "convex"), (24, 1.4, "nonconvex"), (40, 1.5, "convex"), (64, 1.2, "convex"),
+)
+
+
+def batch_points(polygon, rng):
+    """Interior points, points at geodesic gaps 1e-4 ... 1e-12 inside an
+    edge, two vertices, exterior points and a zero vector, shuffled."""
+    inner = sb.interior_points(polygon, 4, rng)
+    near = []
+    for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        j = int(rng.integers(polygon.n))
+        vj, vk = polygon.edge(j)
+        pole = sb.normalize(np.cross(vj, vk))
+        near.append(np.cos(gap) * edge_point(polygon, j, rng.uniform(0.2, 0.8)) + np.sin(gap) * pole)
+    points = np.vstack([inner, near, polygon.vertices[:2], -inner[:2], np.zeros((1, 3))])
+    return points[rng.permutation(len(points))]
+
+
+def row_outcome(batch, i):
+    error = batch.errors[i]
+    if error is not None:
+        return error.name, None, None, None
+    return None, batch.locations.at(i), batch.values[i].tobytes(), batch.denom[i].tobytes()
+
+
+def single_outcome(polygon, x, method):
+    try:
+        cv = sb.evaluate(polygon, x, method)
+    except SphBaryError as exc:
+        return exc.name, None, None, None
+    denom = np.float64(np.nan if cv.denom is None else cv.denom)
+    return None, cv.location, cv.values.tobytes(), denom.tobytes()
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("case", range(len(BATCH_POLYGONS)))
+    def test_rows_equal_single_point_calls(self, case):
+        # Each row of a batch: the same location, error tag and bits as the
+        # m = 1 call, also with the rows permuted, rotated copies included.
+        rng = np.random.default_rng(20261018 + case)
+        n, rho, mode = BATCH_POLYGONS[case]
+        polygon = sb.random_polygon(n, rho, seed=4000 + case, mode=mode)
+        R = random_rotation(rng)
+        rotated = sb.validate_polygon(polygon.vertices @ R.T)
+        points = batch_points(polygon, rng)
+        for poly, X in ((polygon, points), (rotated, points @ R.T)):
+            unit = unit_rows(X)[0]
+            for method in sb.METHODS:
+                batch = evaluate_batch(poly, X, method)
+                perm = rng.permutation(len(X))
+                permuted = evaluate_batch(poly, X[perm], method)
+                for i, x in enumerate(X):
+                    if np.any(x):
+                        assert batch.locations.at(i) == sb.locate_point(poly, unit[i])
+                    assert row_outcome(batch, i) == single_outcome(poly, x, method)
+                for k, i in enumerate(perm):
+                    assert row_outcome(permuted, k) == row_outcome(batch, i)
+                # The zero row raises and the rows beside it still evaluate.
+                assert batch.errors[np.flatnonzero(~np.any(X, axis=1))[0]].name == "ZeroVector"
+                if poly.convex:
+                    assert any(e is None for e in batch.errors)
+                elif method == "NEW_WC":
+                    assert {e.name for e in batch.errors} == {"ZeroVector", "NotConvexForWC"}
+
+    @pytest.mark.parametrize("method", sb.METHODS)
+    def test_empty_batch(self, octant, method):
+        batch = evaluate_batch(octant, np.empty((0, 3)), method)
+        assert batch.values.shape == (0, 3) and batch.denom.shape == (0,)
+        assert batch.errors == [] and len(batch.locations) == 0
 
 
 class TestExtendedDomain:
