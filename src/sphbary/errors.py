@@ -133,3 +133,12 @@ def check_row(errors: list, i: int = 0) -> None:
     """Raise row i's recorded error, if any: the single-row form of a batch."""
     if errors[i] is not None:
         raise errors[i]
+
+
+def single(batched, *args):
+    """The m = 1 call of a batched kernel: batched(*args, errors) with one
+    error slot, that row's error raised, else row 0 of each output."""
+    errors = [None]
+    out = batched(*args, errors)
+    check_row(errors)
+    return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]

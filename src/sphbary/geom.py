@@ -160,6 +160,14 @@ def tangent_basis(x) -> tuple[np.ndarray, np.ndarray]:
     return B1[0], B2[0]
 
 
+def gnomonic_image(vertices: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent basis (b1, b2) at the unit `center` and the (n, 2) planar
+    coordinates of v_i / <v_i, center> in it."""
+    b1, b2 = tangent_basis(center)
+    scale = vertices @ center
+    return b1, b2, np.column_stack([(vertices @ b1) / scale, (vertices @ b2) / scale])
+
+
 def _winding(sin_terms: np.ndarray, cx: np.ndarray) -> np.ndarray:
     """Winding sums from <x, v_i x v_{i+1}> and x x v_i, shapes (m, n) and
     (m, n, 3)."""
@@ -197,10 +205,6 @@ class PointLocation:
     @property
     def is_interior(self) -> bool:
         return self.kind == "interior"
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.kind in ("edge", "vertex")
 
     def __str__(self) -> str:
         if self.kind == "edge":
@@ -385,9 +389,7 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # projection is defined since every <w, v_i> > 0, maps arcs to segments
     # and keeps orientation, so the ring is simple and anti-clockwise iff
     # its image is, by the sign of the shoelace area.
-    b1, b2 = tangent_basis(witness)
-    scale = vertices @ witness
-    planar = np.column_stack([(vertices @ b1) / scale, (vertices @ b2) / scale])
+    _, _, planar = gnomonic_image(vertices, witness)
     if _segments_cross(planar):
         raise SelfIntersecting("two edges of the ring cross")
     nxt = np.roll(planar, -1, axis=0)

@@ -19,9 +19,11 @@ import numpy as np
 from .errors import GenerationFailed, ResidualTooLarge, SingularMatrix, SphBaryError
 from .geom import (
     DEFAULT_TOL,
+    INTERIOR,
     SphericalPolygon,
     Tolerances,
-    locate_point,
+    gnomonic_image,
+    locate_points,
     normalize,
     tangent_basis,
     unit_rows,
@@ -195,28 +197,21 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
 
     Convex polygons use random convex combinations of the tangent-plane
     vertex images; general polygons use rejection sampling over the image's
-    bounding box.
+    bounding box.  Each round draws as many candidates as are still missing
+    and locates them in one batch, so the rng advances exactly as it would
+    one candidate at a time.
     """
-    b1, b2 = tangent_basis(polygon.witness)
-    scale = polygon.vertices @ polygon.witness
-    planar = np.column_stack(
-        [(polygon.vertices @ b1) / scale, (polygon.vertices @ b2) / scale]
-    )
+    b1, b2, planar = gnomonic_image(polygon.vertices, polygon.witness)
+    lo, hi = planar.min(axis=0), planar.max(axis=0)
     out = []
-    if polygon.convex:
-        while len(out) < count:
-            lam = rng.dirichlet(np.ones(polygon.n))
-            p = _lift(polygon.witness, b1, b2, lam @ planar)
-            if locate_point(polygon, p).is_interior:
-                out.append(p)
-    else:
-        lo = planar.min(axis=0)
-        hi = planar.max(axis=0)
-        while len(out) < count:
-            uv = rng.uniform(lo, hi)
-            p = _lift(polygon.witness, b1, b2, uv)
-            if locate_point(polygon, p).is_interior:
-                out.append(p)
+    while len(out) < count:
+        need = count - len(out)
+        if polygon.convex:
+            uv = [lam @ planar for lam in rng.dirichlet(np.ones(polygon.n), size=need)]
+        else:
+            uv = rng.uniform(lo, hi, size=(need, 2))
+        candidates = np.array([_lift(polygon.witness, b1, b2, p) for p in uv])
+        out += list(candidates[locate_points(polygon, candidates).kind == INTERIOR])
     return np.array(out)
 
 
@@ -240,9 +235,7 @@ def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
             center = polygon.witness
     else:
         center = polygon.witness
-    b1, b2 = tangent_basis(center)
-    scale = polygon.vertices @ center
-    planar = np.column_stack([(polygon.vertices @ b1) / scale, (polygon.vertices @ b2) / scale])
+    b1, b2, planar = gnomonic_image(polygon.vertices, center)
     lo = planar.min(axis=0)
     hi = planar.max(axis=0)
     x = np.tile(np.linspace(lo[0], hi[0], resolution), resolution)[:, None]

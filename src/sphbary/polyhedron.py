@@ -24,12 +24,16 @@ Two weight backends are provided:
 
 Both produce raw weights w with sum(w_i * (p_i - at)) = 0; normalizing by
 sum(w) gives the 3D barycentric coordinates of the evaluation point.
+
+Both are numpy code over m stacked polyhedra (m, N, 3) with shared (F, 3)
+or per-row (m, F, 3) faces, recording per-row errors (see
+:func:`sphbary.errors.refuse`); the :class:`PolyhedronQ` functions are
+their m = 1 calls.  Only the flips from the fan to the hull run per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +44,8 @@ from .errors import (
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
-    check_row,
     refuse,
+    single,
 )
 from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize
 
@@ -86,35 +90,9 @@ class PolyhedronQ:
     def x(self) -> np.ndarray:
         return self.vertices[self.n]
 
-    @cached_property
-    def twin(self) -> np.ndarray:
-        """Directed-edge index table, shape (F, 3).  Edge r of face f runs
-        faces[f, r] -> faces[f, r+1]; twin[f, r] = 3 g + s when edge s of
-        face g runs the other way.  DegenerateTriangle unless the faces form
-        a closed oriented surface."""
-        F = self.faces
-        m = len(self.vertices)
-        tail = F.ravel()
-        head = np.roll(F, -1, axis=1).ravel()
-        key = tail * m + head
-        reverse = head * m + tail
-        order = np.argsort(key)
-        ordered = key[order]
-        pos = np.minimum(np.searchsorted(ordered, reverse), len(key) - 1)
-        if np.any(ordered[1:] == ordered[:-1]) or np.any(ordered[pos] != reverse):
-            raise DegenerateTriangle("faces do not form a closed oriented surface")
-        table = order[pos].reshape(F.shape)
-        table.setflags(write=False)
-        return table
-
-    def face_normals(self, unit: bool = True) -> np.ndarray:
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        nrm = np.cross(b - a, c - a)
-        if unit:
-            nrm = nrm / np.linalg.norm(nrm, axis=1)[:, None]
-        return nrm
+    def face_normals(self) -> np.ndarray:
+        """(F, 3) unit face normals."""
+        return _face_planes(self.vertices[None], self.faces)[1][0]
 
 
 def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> PolyhedronQ:
@@ -143,18 +121,16 @@ def stack_bipyramids(ring: np.ndarray, X: np.ndarray, tol: Tolerances, errors: l
     near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
     refuse(errors, near.any(axis=1), lambda r: PointOnVertexOrAntipode(
         f"x or -x coincides with vertex {int(np.argmax(near[r]))}"))
-    P = np.empty((m, n + 2, 3))
-    P[:, :n] = ring
-    P[:, n] = X
-    P[:, n + 1] = -X
-    return P
+    return np.concatenate([np.broadcast_to(ring, (m, n, 3)), X[:, None], -X[:, None]], axis=1)
 
 
 def _face_planes(P: np.ndarray, faces: np.ndarray):
     """First vertices (m, F, 3), unit normals (m, F, 3) and normal lengths
-    (m, F) of the shared faces of each stacked polyhedron P[r]."""
-    a = P[:, faces[:, 0]]
-    nrm = cross3(P[:, faces[:, 1]] - a, P[:, faces[:, 2]] - a)
+    (m, F) of the faces, shared (F, 3) or per row (m, F, 3), of each
+    stacked polyhedron P[r]."""
+    rows = np.arange(len(P))[:, None]
+    a = P[rows, faces[..., 0]]
+    nrm = cross3(P[rows, faces[..., 1]] - a, P[rows, faces[..., 2]] - a)
     norms = np.sqrt(dot3(nrm, nrm))
     with np.errstate(divide="ignore", invalid="ignore"):
         return a, nrm / norms[..., None], norms
@@ -169,14 +145,10 @@ def kernel_ok_rows(P: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndar
 
 def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, hull: bool = False) -> PolyhedronQ:
     """[ring, x, -x] for a unit x with the fan faces, or with those of the
-    convex hull (see :func:`_flip_to_hull`); no point location, and the
+    convex hull (see :func:`hull_faces`); no point location, and the
     origin-in-kernel certificate is computed for the returned faces only."""
-    errors = [None]
-    P = stack_bipyramids(ring, np.asarray(x, dtype=float)[None], tol, errors)
-    check_row(errors)
-    faces = fan_faces(len(ring))
-    if hull:
-        faces = _flip_to_hull(P[0], faces, tol)
+    P = single(stack_bipyramids, ring, np.asarray(x, dtype=float)[None], tol)[None]
+    faces = single(hull_faces, P, tol) if hull else fan_faces(len(ring))
     return PolyhedronQ(vertices=P[0], faces=faces, kernel_ok=bool(kernel_ok_rows(P, faces, tol)[0]), tol=tol)
 
 
@@ -186,7 +158,7 @@ def build_q(
     """Validated construction: x must be strictly interior to the polygon.
 
     With hull=True the faces are those of the convex hull of
-    [v_1..v_n, x, -x] instead of the fan (see :func:`_flip_to_hull`)."""
+    [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`)."""
     tol = tol or polygon.tol
     x = normalize(x, tol)
     loc = locate_point(polygon, x, tol)
@@ -197,7 +169,19 @@ def build_q(
     return bipyramid(polygon.vertices, x, tol, hull)
 
 
-def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray:
+def hull_faces(P: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+    """Faces (m, 2n, 3) of the convex hull of each stacked [ring, x, -x]
+    P[r], flipped from the fan by :func:`_flip_to_hull`.  Rows refused
+    earlier keep the fan; rows whose flips run out are refused with
+    NotConvex."""
+    fan = fan_faces(P.shape[1] - 2)
+    hulls = [_flip_to_hull(P[r], fan, tol) if error is None else fan for r, error in enumerate(errors)]
+    refuse(errors, np.array([h is None for h in hulls]),
+           lambda _: NotConvex("edge flips did not reach the convex hull"))
+    return np.array([fan if h is None else h for h in hulls])
+
+
+def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """Lawson edge flips from a triangulation of points on the unit sphere,
     star-shaped about the origin, to the faces of their convex hull.
 
@@ -207,7 +191,8 @@ def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> n
     of the other face, so the quadrilateral is convex and the flip keeps a
     valid triangulation; each flip adds the tetrahedron abcd to the enclosed
     volume, so the flips terminate.  For points on a sphere the resulting
-    locally convex triangulation is the convex hull."""
+    locally convex triangulation is the convex hull.  None if the flips
+    have not ended after F^2 of them."""
     V = vertices.tolist()
     faces = faces.tolist()
     owner = {}                                    # directed edge -> face
@@ -226,7 +211,7 @@ def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> n
         if not _reflex(V[a], V[b], V[c], V[d], tol.geom):
             continue
         if flips_left == 0:
-            raise NotConvex("edge flips did not reach the convex hull")
+            return None
         flips_left -= 1
         faces[f] = [c, a, d]
         faces[g] = [d, b, c]
@@ -309,26 +294,71 @@ def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.n
     its distance from `at`.  The m = 1 call of the batched kernel that
     NEW_MV runs over the stacked fans of a whole grid.
     """
-    tol = tol or q.tol
-    errors = [None]
     at = np.asarray(at, dtype=float)
-    w = mv_weights_batch(q.vertices[None], q.faces, at, tol, np.array([q.kernel_ok]), errors)
-    check_row(errors)
-    return w[0]
+    return single(mv_weights_batch, q.vertices[None], q.faces, at, tol or q.tol, np.array([q.kernel_ok]))
+
+
+def _edge_table(
+    P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances, errors: list
+):
+    """Twin table (m, 3F) and dihedral convexity (m,) of the per-row faces
+    (m, F, 3) of each stacked polyhedron P[r], given its face planes.  Edge
+    s of face f runs faces[r, f, s] -> faces[r, f, s+1]; twin[r, 3f + s] =
+    3g + t when edge t of face g runs the other way.  Rows whose faces are
+    not a closed oriented surface are refused with DegenerateTriangle."""
+    m, F, N = len(P), faces.shape[1], P.shape[1]
+    rows = np.arange(m)[:, None]
+    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
+    key = ((rows * N + tail) * N + head).ravel()
+    reverse = ((rows * N + head) * N + tail).ravel()
+    order = np.argsort(key)
+    ordered = key[order]
+    pos = np.minimum(np.searchsorted(ordered, reverse), len(key) - 1)
+    open_rows = np.any((ordered[pos] != reverse).reshape(m, -1), axis=1)
+    open_rows[ordered[1:][ordered[1:] == ordered[:-1]] // (N * N)] = True
+    refuse(errors, open_rows, lambda _: DegenerateTriangle("faces do not form a closed oriented surface"))
+    twin = np.where(open_rows[:, None], np.arange(3 * F), order[pos].reshape(m, -1) - 3 * F * rows)
+    own = np.repeat(np.arange(F), 3)
+    across = faces[..., [2, 0, 1]].reshape(m, -1)[rows, twin]    # apex of the face across each edge
+    height = dot3(normals[:, own], P[rows, across] - a[:, own])
+    return twin, np.all(height <= tol.geom, axis=1)
 
 
 def is_convex(q: PolyhedronQ, tol: Tolerances | None = None) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
-    sharing an edge, the apex of each lies weakly behind the other's plane."""
-    tol = tol or q.tol
-    V = q.vertices
-    F = q.faces
-    normals = q.face_normals(unit=True)
-    apex = np.roll(F, -2, axis=1).ravel()         # vertex opposite each edge
-    across = apex[q.twin.ravel()]                 # apex of the face across it
-    own = np.repeat(np.arange(len(F)), 3)
-    height = np.einsum("ij,ij->i", normals[own], V[across] - V[F[own, 0]])
-    return bool(np.all(height <= tol.geom))
+    sharing an edge, the apex of each lies weakly behind the other's plane.
+    DegenerateTriangle unless the faces form a closed oriented surface."""
+    P, faces = q.vertices[None], q.faces[None]
+    a, normals, _ = _face_planes(P, faces)
+    return bool(single(_edge_table, P, faces, a, normals, tol or q.tol)[1])
+
+
+def wachspress_weights_batch(
+    P: np.ndarray, faces: np.ndarray, at: np.ndarray, tol: Tolerances, require_convex: bool, errors: list
+) -> np.ndarray:
+    """Rational polar-dual weights of `at` in each stacked polyhedron P[r]
+    (shape (m, N, 3)) with shared (F, 3) or per-row (m, F, 3) faces; see
+    :func:`wachspress_weights`."""
+    m, N = P.shape[:2]
+    faces = np.broadcast_to(faces, (m,) + faces.shape[-2:])
+    a, normals, _ = _face_planes(P, faces)
+    offsets = dot3(normals, a - at)
+    refuse(errors, np.any(offsets <= tol.unit, axis=1),
+           lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
+    twin, convex = _edge_table(P, faces, a, normals, tol, errors)
+    if require_convex:
+        refuse(errors, ~convex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
+    rows = np.arange(m)[:, None]
+    own = np.repeat(np.arange(faces.shape[1]), 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dual = normals / offsets[..., None]
+        # Edge s of face f leaves vertex faces[r, f, s]; the face across it
+        # precedes f anti-clockwise around that vertex.
+        cells = cross3(dual[rows, twin // 3], dual[:, own]).reshape(-1, 3)
+        slot = (rows * N + faces.reshape(m, -1)).ravel()
+        area = np.stack([np.bincount(slot, weights=cells[:, k], minlength=m * N) for k in range(3)], axis=-1)
+        u = P - at
+        return dot3(u, area.reshape(m, N, 3)) / dot3(u, u)
 
 
 def wachspress_weights(
@@ -352,29 +382,12 @@ def wachspress_weights(
     convex spherical polygon is very often non-convex in the strict
     dihedral sense; the spherical quotient therefore evaluates these
     weights on the hull (build_q(..., hull=True)), and only the extended
-    mode, whose ring is unvalidated, uses the relaxed mode on the fan.
+    mode, whose ring is unvalidated, uses the relaxed mode on the fan.  The
+    m = 1 call of the batched kernel that NEW_WC runs over the stacked
+    hulls of a whole grid.
     """
-    tol = tol or q.tol
     at = np.asarray(at, dtype=float)
-
-    V = q.vertices
-    F = q.faces
-    normals = q.face_normals(unit=True)
-    offsets = np.einsum("ij,ij->i", normals, V[F[:, 0]] - at)
-    if np.any(offsets <= tol.unit):
-        raise FaceThroughPoint("a face plane passes through the evaluation point")
-    if require_convex and not is_convex(q, tol):
-        raise NotConvex("polyhedron has a reflex dihedral angle")
-
-    dual = normals / offsets[:, None]
-    # Edge r of face g leaves vertex F[g, r]; the face across it precedes g
-    # anti-clockwise around that vertex.
-    own = np.repeat(np.arange(len(F)), 3)
-    area = np.zeros((len(V), 3))
-    np.add.at(area, F.ravel(), np.cross(dual[q.twin.ravel() // 3], dual[own]))
-    u = V - at
-    w = np.einsum("ij,ij->i", u, area) / np.einsum("ij,ij->i", u, u)
-    return w
+    return single(wachspress_weights_batch, q.vertices[None], q.faces, at, tol or q.tol, require_convex)
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
@@ -404,7 +417,4 @@ def coords_at_origin(
         weights = wachspress_weights(q, at, tol, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    errors = [None]
-    phi = normalized_weights(weights[None], errors)
-    check_row(errors)
-    return phi[0]
+    return single(normalized_weights, weights[None])

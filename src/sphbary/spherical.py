@@ -28,11 +28,12 @@ delta and the edge vector for the NEW_* methods, which extend to the
 boundary, OriginOnBoundary for the tangent-plane CC_* methods,
 ExteriorPoint for all) and calls the method's interior kernel, looked up
 in :data:`KERNELS`, once on the interior rows.  The kernels are numpy code
-over the whole block, except that NEW_WC builds each row's convex hull on
-its own.  A kernel records per row the error the single-point call raises
-(see :func:`sphbary.errors.refuse`), so one failing row leaves the others
-evaluated.  :func:`evaluate` and the public single-point functions are
-m = 1 calls of the same code, and a row's result does not depend on the
+over the whole block; only the edge flips that turn each row's fan into
+its convex hull for NEW_WC run row by row.  A kernel records per row the
+error the single-point call raises (see :func:`sphbary.errors.refuse`),
+so one failing row leaves the others evaluated.  :func:`evaluate` and the
+public single-point functions are m = 1 calls of the same code (see
+:func:`sphbary.errors.single`), and a row's result does not depend on the
 batch it came in.
 """
 
@@ -51,11 +52,11 @@ from .errors import (
     NonPositiveDenominator,
     NotConvexForWC,
     OriginOnBoundary,
-    SphBaryError,
     UnknownMethod,
     ZeroVector,
     check_row,
     refuse,
+    single,
 )
 from .geom import (
     DEFAULT_TOL,
@@ -76,14 +77,15 @@ from .geom import (
 )
 from .polyhedron import (
     ORIGIN,
-    bipyramid,
     build_ring_q,
     coords_at_origin,
     fan_faces,
+    hull_faces,
     kernel_ok_rows,
     mv_weights_batch,
     normalized_weights,
     stack_bipyramids,
+    wachspress_weights_batch,
 )
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
@@ -161,13 +163,11 @@ def angles(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> Angle
     """Angle cache for the closed-form weights; x must not coincide with or
     oppose any vertex (AngleDegenerate otherwise)."""
     tol = tol or polygon.tol
-    errors = [None]
-    c, _, _, theta = _fan_angles(polygon.vertices, np.asarray(x, dtype=float).reshape(1, 3), tol, errors)
-    check_row(errors)
-    c_next = roll1(c, -1)
+    c, _, _, theta = single(_fan_angles, polygon.vertices, np.asarray(x, dtype=float).reshape(1, 3), tol)
+    c_next = np.roll(c, -1, axis=0)
     s = cross3(c, c_next)
     alpha = np.arctan2(np.sqrt(dot3(s, s)), dot3(c, c_next))
-    return AngleCache(theta=theta[0], alpha=alpha[0])
+    return AngleCache(theta=theta, alpha=alpha)
 
 
 def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
@@ -210,10 +210,8 @@ def closed_form_mv_weights(
     of NEW_MV_CLOSED.
     """
     tol = tol or polygon.tol
-    errors = [None]
-    omega, denom = closed_form_batch(polygon, np.asarray(x, dtype=float).reshape(1, 3), tol, errors)
-    check_row(errors)
-    return omega[0], float(denom[0])
+    omega, denom = single(closed_form_batch, polygon, np.asarray(x, dtype=float).reshape(1, 3), tol)
+    return omega, float(denom)
 
 
 # --------------------------------------------------------------------------
@@ -243,14 +241,10 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, error
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they use the hull
     # of the same n+2 points under the strict convexity check.  The hull's
-    # faces depend on x, so each row builds its own.
-    phi = np.full((len(X), polygon.n + 2), np.nan)
-    for r, x in enumerate(X):
-        try:
-            phi[r] = coords_at_origin(bipyramid(polygon.vertices, x, tol, hull=True), "WC", tol=tol)
-        except SphBaryError as exc:
-            errors[r] = exc
-    return _quotient(phi, polygon.n, tol, errors)
+    # faces depend on x: each row flips its own, then one weight call.
+    P = stack_bipyramids(polygon.vertices, X, tol, errors)
+    w = wachspress_weights_batch(P, hull_faces(P, tol, errors), ORIGIN, tol, True, errors)
+    return _quotient(normalized_weights(w, errors), polygon.n, tol, errors)
 
 
 def _closed_form(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
@@ -399,15 +393,13 @@ def extended_spherical_coords(
     runs the polar-dual weights in their relaxed mode, which keeps linear
     precision but not the sign.  Returns the quotient coordinates with
     location kind "extended"."""
-    ring = np.array([normalize(v, tol) for v in np.asarray(ring, dtype=float)])
-    x = normalize(x, tol)
-    phi = coords_at_origin(build_ring_q(ring, x, tol), backend, tol=tol, require_convex=False)
-    errors = [None]
-    values, denom = _quotient(phi[None], len(ring), tol, errors)
-    check_row(errors)
+    phi = origin_coords_on_ring(ring, x, backend, tol)
+    values, denom = single(_quotient, phi[None], len(phi) - 2, tol)
     return CoordinateVector(
-        values=values[0], method="NEW_" + backend, location=PointLocation(kind="extended"), denom=float(denom[0])
+        values=values, method="NEW_" + backend, location=PointLocation(kind="extended"), denom=float(denom)
     )
+
+
 def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """3D barycentric coordinates of the origin in the polyhedron over a raw
     ring (length n+2); the finite object the construction always produces,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, check_row, refuse
+from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
 from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, dot3, normalize, roll1, tangent_frames
 
 __all__ = [
@@ -74,10 +74,8 @@ def gnomonic_project(polygon: SphericalPolygon, x, tol: Tolerances | None = None
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     tol = tol or polygon.tol
-    errors = [None]
-    basis, points2d, dots = project_batch(polygon.vertices, normalize(x, tol)[None], tol, errors)
-    check_row(errors)
-    return TangentPolygon(basis=basis[0], points2d=points2d[0], dots=dots[0])
+    basis, points2d, dots = single(project_batch, polygon.vertices, normalize(x, tol)[None], tol)
+    return TangentPolygon(basis=basis, points2d=points2d, dots=dots)
 
 
 def planar_mv_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
@@ -121,21 +119,14 @@ def planar_wachspress_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.
         return w / w.sum(axis=1)[:, None]
 
 
-def _single(planar, t: TangentPolygon, tol: Tolerances) -> np.ndarray:
-    errors = [None]
-    w = planar(np.asarray(t.points2d, dtype=float)[None], tol, errors)
-    check_row(errors)
-    return w[0]
-
-
 def planar_mv(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normalized planar mean value coordinates of the origin in the
     projected polygon (see :func:`planar_mv_batch`)."""
-    return _single(planar_mv_batch, t, tol)
+    return single(planar_mv_batch, np.asarray(t.points2d, dtype=float)[None], tol)
 
 
 def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normalized planar Wachspress coordinates of the origin in the
     projected polygon (see :func:`planar_wachspress_batch`); requires a convex
     planar polygon."""
-    return _single(planar_wachspress_batch, t, tol)
+    return single(planar_wachspress_batch, np.asarray(t.points2d, dtype=float)[None], tol)

@@ -74,12 +74,43 @@ class TestRandomPolygon:
         assert np.all(np.arccos(np.clip(best, -1, 1)) <= np.pi / 2)
 
 
+def interior_points_loop(polygon, count, rng):
+    """The sampler one candidate at a time: a Dirichlet combination of the
+    gnomonic vertex images (convex) or a uniform point of their bounding
+    box, lifted to the sphere and kept when located interior."""
+    b1, b2 = sb.geom.tangent_basis(polygon.witness)
+    scale = polygon.vertices @ polygon.witness
+    planar = np.column_stack([(polygon.vertices @ b1) / scale, (polygon.vertices @ b2) / scale])
+    out = []
+    while len(out) < count:
+        if polygon.convex:
+            uv = rng.dirichlet(np.ones(polygon.n)) @ planar
+        else:
+            uv = rng.uniform(planar.min(axis=0), planar.max(axis=0))
+        p = sb.normalize(polygon.witness + uv[0] * b1 + uv[1] * b2)
+        if sb.locate_point(polygon, p).kind == "interior":
+            out.append(p)
+    return np.array(out)
+
+
 class TestInteriorPoints:
     def test_all_interior(self, rng):
         for mode, seed in (("convex", 3), ("nonconvex", 31)):
             polygon = sb.random_polygon(5, 1.0, seed=seed, mode=mode)
             for x in sb.interior_points(polygon, 15, rng):
                 assert sb.locate_point(polygon, x).kind == "interior"
+
+    @pytest.mark.parametrize("mode", ["convex", "nonconvex"])
+    def test_same_points_and_rng_state_as_one_at_a_time(self, mode):
+        # Batched rounds draw exactly the missing count, so the points and
+        # the rng's next draw equal those of the one-candidate loop.
+        for seed, (n, rho) in enumerate([(4, 0.3), (5, 1.0), (8, 1.4), (12, 0.9), (24, 1.2)]):
+            polygon = sb.random_polygon(n, rho, seed=500 + seed, mode=mode)
+            for count in (0, 1, 7, 40):
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                points = sb.interior_points(polygon, count, rng_a)
+                assert np.array_equal(points, interior_points_loop(polygon, count, rng_b))
+                assert rng_a.uniform() == rng_b.uniform()
 
 
 class TestGrid:

@@ -6,10 +6,12 @@ import pytest
 import sphbary as sb
 from sphbary.errors import (
     DegenerateTriangle,
+    FaceThroughPoint,
     KernelViolation,
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
+    SphBaryError,
 )
 from sphbary.polyhedron import PolyhedronQ, build_ring_q, is_convex
 
@@ -229,3 +231,109 @@ def test_build_ring_q_skips_validation():
     q = build_ring_q(ring, x)
     assert q.kernel_ok
     assert q.faces.shape == (10, 3)
+
+
+# --------------------------------------------------------------------------
+# reference: the polar-dual weights one polyhedron at a time
+# --------------------------------------------------------------------------
+
+def twin_loop(q: PolyhedronQ) -> np.ndarray:
+    """Directed-edge table (F, 3): twin[f, r] = 3 g + s when edge s of face
+    g runs the other way to edge r of face f."""
+    F = q.faces
+    m = len(q.vertices)
+    tail = F.ravel()
+    head = np.roll(F, -1, axis=1).ravel()
+    key = tail * m + head
+    reverse = head * m + tail
+    order = np.argsort(key)
+    ordered = key[order]
+    pos = np.minimum(np.searchsorted(ordered, reverse), len(key) - 1)
+    if np.any(ordered[1:] == ordered[:-1]) or np.any(ordered[pos] != reverse):
+        raise DegenerateTriangle("faces do not form a closed oriented surface")
+    return order[pos].reshape(F.shape)
+
+
+def face_normals_loop(q: PolyhedronQ) -> np.ndarray:
+    a, b, c = (q.vertices[q.faces[:, k]] for k in range(3))
+    nrm = np.cross(b - a, c - a)
+    return nrm / np.linalg.norm(nrm, axis=1)[:, None]
+
+
+def is_convex_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL) -> bool:
+    V, F = q.vertices, q.faces
+    normals = face_normals_loop(q)
+    apex = np.roll(F, -2, axis=1).ravel()
+    across = apex[twin_loop(q).ravel()]
+    own = np.repeat(np.arange(len(F)), 3)
+    height = np.einsum("ij,ij->i", normals[own], V[across] - V[F[own, 0]])
+    return bool(np.all(height <= tol.geom))
+
+
+def wachspress_weights_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL, require_convex=True) -> np.ndarray:
+    V, F = q.vertices, q.faces
+    normals = face_normals_loop(q)
+    offsets = np.einsum("ij,ij->i", normals, V[F[:, 0]])
+    if np.any(offsets <= tol.unit):
+        raise FaceThroughPoint("a face plane passes through the evaluation point")
+    if require_convex and not is_convex_loop(q, tol):
+        raise NotConvex("polyhedron has a reflex dihedral angle")
+    dual = normals / offsets[:, None]
+    own = np.repeat(np.arange(len(F)), 3)
+    area = np.zeros((len(V), 3))
+    np.add.at(area, F.ravel(), np.cross(dual[twin_loop(q).ravel() // 3], dual[own]))
+    return np.einsum("ij,ij->i", V, area) / np.einsum("ij,ij->i", V, V)
+
+
+def jittered_ring(rng, n: int, cap: float, star: bool):
+    """n vertices at jittered, evenly spaced azimuths about the north pole:
+    on the circle of polar angle cap (convex), or at random polar angles in
+    [0.35 cap, cap] (usually non-convex)."""
+    azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
+    polar = cap * (rng.uniform(0.35, 1.0, size=n) if star else np.ones(n))
+    return sb.validate_polygon(np.column_stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except SphBaryError as exc:
+        return exc.name
+
+
+class TestPolarDualReference:
+    def test_batched_kernel_matches_one_polyhedron_code(self):
+        # Fan and hull, strict and relaxed, on convex and non-convex rings
+        # with n 3..64 and caps up to 1.5: the same convexity verdict, the
+        # same error tag, and weights equal up to float64 roundoff.  (Over
+        # a non-convex ring the edge flips need not reach a closed surface;
+        # both then raise DegenerateTriangle.)
+        rng = np.random.default_rng(20261018)
+        tags, convex, compared = set(), 0, 0
+        for k in range(80):
+            polygon = jittered_ring(rng, int(rng.integers(3, 65)), float(rng.uniform(0.2, 1.5)), k % 2 == 1)
+            x = sb.interior_points(polygon, 1, rng)[0]
+            for hull in (False, True):
+                q = sb.build_q(polygon, x, hull=hull)
+                verdict = outcome(is_convex, q)
+                assert verdict == outcome(is_convex_loop, q)
+                convex += verdict is True
+                tags.add(verdict)
+                for strict in (False, True):
+                    expected = outcome(wachspress_weights_loop, q, require_convex=strict)
+                    got = outcome(sb.wachspress_weights, q, require_convex=strict)
+                    if isinstance(expected, str) or isinstance(got, str):
+                        assert got == expected
+                        tags.add(got)
+                        continue
+                    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+                    compared += 1
+        assert compared > 200 and 0 < convex < 160
+        assert {"NotConvex", "FaceThroughPoint", "DegenerateTriangle"} <= tags
+
+    def test_open_surface_rejected_by_both(self, octant_q):
+        q = PolyhedronQ(vertices=octant_q.vertices.copy(), faces=octant_q.faces[1:].copy(), kernel_ok=True)
+        for strict in (False, True):
+            assert outcome(sb.wachspress_weights, q, require_convex=strict) == "DegenerateTriangle"
+            assert outcome(wachspress_weights_loop, q, require_convex=strict) == "DegenerateTriangle"
