@@ -56,11 +56,10 @@ __all__ = [
 class Tolerances:
     """Numerical cutoffs used by the geometric predicates.
 
-    geom     : band on triple products / signed plane distances
+    geom     : band on triple products, plane distances and on-edge fits
     angle    : band on angles (vertex coincidence, winding defect)
     unit     : allowed deviation of a unit vector's norm from 1
     tiny     : smallest vector norm accepted by :func:`normalize`
-    edge_fit : allowed reconstruction error for on-edge coefficients
     denom    : positivity threshold for coordinate denominators
     proj     : smallest admissible <v, x> for the gnomonic projection
     """
@@ -69,14 +68,13 @@ class Tolerances:
     angle: float = 1e-9
     unit: float = 1e-12
     tiny: float = 1e-14
-    edge_fit: float = 1e-10
     denom: float = 1e-12
     proj: float = 1e-10
 
     def scaled_to(self, geom: float) -> "Tolerances":
         """Variant with the geometric band replaced and the angle band
         kept one decade wider, for the command-line --tol override."""
-        return replace(self, geom=geom, angle=10.0 * geom, edge_fit=geom)
+        return replace(self, geom=geom, angle=10.0 * geom)
 
 
 DEFAULT_TOL = Tolerances()
@@ -137,6 +135,22 @@ def unit_rows(X, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     if short.any():
         norms[short] = np.nan
     return X / norms[:, None], short
+
+
+def half_edge_twins(faces: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twin table (m, 3F) of per-row triangles (m, F, 3) over N vertices,
+    by one argsort of row-offset edge keys: half-edge 3f + s runs from
+    corner s of face f to corner s+1, and its twin is the half-edge of its
+    row running the other way where there is one (matched), else itself."""
+    m, F = faces.shape[:2]
+    rows = np.arange(m)[:, None]
+    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
+    key = ((rows * N + tail) * N + head).ravel()
+    reverse = ((rows * N + head) * N + tail).ravel()
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
+    matched = (key[twin] == reverse).reshape(m, -1)
+    return np.where(matched, twin.reshape(m, -1) - 3 * F * rows, np.arange(3 * F)), matched
 
 
 def tangent_frames(X) -> tuple[np.ndarray, np.ndarray]:
@@ -279,6 +293,49 @@ class SphericalPolygon:
         """(n,) Gram cosines <v_j, v_{j+1}>."""
         return dot3(self.vertices, np.roll(self.vertices, -1, axis=0))
 
+    @cached_property
+    def delaunay(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The spherical Delaunay triangulation of a convex ring (the faces of
+        the hull of its vertices that face away from the origin), laid out for
+        the hull of the ring with a point n above it and a point n+1 below:
+        - faces (5n-8, 3): the n-2 triangles, anti-clockwise seen from
+          outside; (n, a, b) on each half-edge 3t+s, from corner s of
+          triangle t to s+1; the lower fan (n+1, i+1, i);
+        - the planes <normal, y> = offset of the triangles and, last, of the
+          side below the ring, which nothing lies in front of;
+        - across (3n-6,): the plane across each half-edge.
+        A chord recursion from (0, n-1) takes as apex of chord (i, j) the
+        lowest chain vertex i < k < j whose plane through v_i, v_k, v_j
+        leaves every other chain vertex at most tol.geom in front.  One pass
+        takes its first steps, apex i+1 for chord (i, n-1) while that plane
+        leaves every vertex so: all of them on a cocircular ring."""
+        V, n = self.vertices, self.n
+
+        def behind(a, b, c, points):      # (K, L): points[l] at most tol.geom in front of plane (a, b, c)[k]
+            normals = cross3(b - a, c - a)
+            band = self.tol.geom * np.sqrt(dot3(normals, normals))
+            return dot3(normals[:, None], points - a[..., None, :]) <= band[:, None]
+
+        run = int(np.cumprod(np.all(behind(V[:-2], V[1:-1], V[-1], V), axis=1)).sum())
+        triangles, chords = [(i, i + 1, n - 1) for i in range(run)], [(run, n - 1)]
+        while chords:
+            i, j = chords.pop()
+            if j - i > 1:
+                chain = V[i + 1:j]
+                k = i + 1 + int(np.all(behind(V[i], chain, V[j], chain), axis=1).argmax())
+                triangles.append((i, k, j))
+                chords += [(i, k), (k, j)]
+        triangles = np.array(triangles, dtype=np.intp)
+        a = V[triangles[:, 0]]
+        normals = cross3(V[triangles[:, 1]] - a, V[triangles[:, 2]] - a)
+        normals = np.concatenate([normals / np.sqrt(dot3(normals, normals))[:, None], np.zeros((1, 3))])
+        offsets = np.concatenate([dot3(normals[:-1], a), [np.inf]])
+        cones = np.column_stack([np.full(3 * n - 6, n), triangles.ravel(), triangles[:, [1, 2, 0]].ravel()])
+        lower = np.column_stack([np.full(n, n + 1), np.arange(1, n + 1) % n, np.arange(n)])
+        twin, matched = half_edge_twins(triangles[None], n)
+        return (np.concatenate([triangles, cones, lower]), normals, offsets,
+                np.where(matched[0], twin[0] // 3, n - 2))
+
 
 def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Best hemisphere witness via the nearest point of the vertex hull.
@@ -414,7 +471,7 @@ def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -
     never classified interior: a vertex when the angle to the nearest
     vertex is at most tol.angle; an edge j (the lowest such index) when
     |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
-    x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.edge_fit;
+    x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
     interior when the signed winding of the ring about x is 2*pi to
     tol.angle.
     """
@@ -446,7 +503,7 @@ def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -
         ea = (cosines[r, j] - gram * cosines[r, k]) / det
         eb = (cosines[r, k] - gram * cosines[r, j]) / det
         miss = ea[:, None] * V[j] + eb[:, None] * V[k] - X[r]
-        hit = (ea > 0.0) & (eb > 0.0) & (np.sqrt(dot3(miss, miss)) <= tol.edge_fit)
+        hit = (ea > 0.0) & (eb > 0.0) & (np.sqrt(dot3(miss, miss)) <= tol.geom)
         r, j, ea, eb = r[hit], j[hit], ea[hit], eb[hit]
         first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
         r = r[first]

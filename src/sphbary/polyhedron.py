@@ -10,10 +10,10 @@ sees every face from the inner side) whenever every face plane keeps a
 strictly positive distance from it.
 
 The fan is usually not convex, even over a convex polygon.  With
-hull=True, :func:`build_q` flips edges of the fan until it is the convex
-hull of the same n+2 points (all of them lie on the unit sphere, so each
-one is a hull vertex).  The mean value backend uses the fan; the polar-dual
-backend of the spherical quotient uses the hull.
+hull=True, :func:`build_q` takes the faces of the convex hull of the same
+n+2 points instead (:func:`hull_faces`: the lower fan, and the polygon's
+Delaunay triangulation with x inserted).  The mean value backend uses the
+fan; the polar-dual backend of the spherical quotient uses the hull.
 
 Two weight backends are provided:
 
@@ -28,7 +28,7 @@ sum(w) gives the 3D barycentric coordinates of the evaluation point.
 Both are numpy code over m stacked polyhedra (m, N, 3) with shared (F, 3)
 or per-row (m, F, 3) faces, recording per-row errors (see
 :func:`sphbary.errors.refuse`); the :class:`PolyhedronQ` functions are
-their m = 1 calls.  Only the flips from the fan to the hull run per row.
+their m = 1 calls; no kernel loops over rows in Python.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ from .errors import (
     refuse,
     single,
 )
-from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize
+from .geom import (
+    DEFAULT_TOL, SphericalPolygon, Tolerances, cross3, dot3, half_edge_twins, locate_point, normalize,
+)
 
 __all__ = [
     "PolyhedronQ",
@@ -143,12 +145,11 @@ def kernel_ok_rows(P: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndar
     return np.all(norms > tol.unit, axis=1) & np.all(dot3(normals, a) > tol.geom, axis=1)
 
 
-def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, hull: bool = False) -> PolyhedronQ:
-    """[ring, x, -x] for a unit x with the fan faces, or with those of the
-    convex hull (see :func:`hull_faces`); no point location, and the
-    origin-in-kernel certificate is computed for the returned faces only."""
+def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, faces: np.ndarray | None = None) -> PolyhedronQ:
+    """[ring, x, -x] for a unit x with the given faces (by default the fan)
+    and their origin-in-kernel certificate; no point location."""
     P = single(stack_bipyramids, ring, np.asarray(x, dtype=float)[None], tol)[None]
-    faces = single(hull_faces, P, tol) if hull else fan_faces(len(ring))
+    faces = fan_faces(len(ring)) if faces is None else faces
     return PolyhedronQ(vertices=P[0], faces=faces, kernel_ok=bool(kernel_ok_rows(P, faces, tol)[0]), tol=tol)
 
 
@@ -158,83 +159,35 @@ def build_q(
     """Validated construction: x must be strictly interior to the polygon.
 
     With hull=True the faces are those of the convex hull of
-    [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`)."""
+    [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`); the
+    polygon must then be convex (NotConvex otherwise)."""
     tol = tol or polygon.tol
+    if hull and not polygon.convex:
+        raise NotConvex("the hull faces are built for convex polygons only")
     x = normalize(x, tol)
     loc = locate_point(polygon, x, tol)
     if loc.kind == "vertex":
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    return bipyramid(polygon.vertices, x, tol, hull)
+    return bipyramid(polygon.vertices, x, tol, single(hull_faces, polygon, x[None], tol) if hull else None)
 
 
-def hull_faces(P: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
-    """Faces (m, 2n, 3) of the convex hull of each stacked [ring, x, -x]
-    P[r], flipped from the fan by :func:`_flip_to_hull`.  Rows refused
-    earlier keep the fan; rows whose flips run out are refused with
-    NotConvex."""
-    fan = fan_faces(P.shape[1] - 2)
-    hulls = [_flip_to_hull(P[r], fan, tol) if error is None else fan for r, error in enumerate(errors)]
-    refuse(errors, np.array([h is None for h in hulls]),
-           lambda _: NotConvex("edge flips did not reach the convex hull"))
-    return np.array([fan if h is None else h for h in hulls])
-
-
-def _flip_to_hull(vertices: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Lawson edge flips from a triangulation of points on the unit sphere,
-    star-shaped about the origin, to the faces of their convex hull.
-
-    An edge (a, b) between faces (a, b, c) and (b, a, d) is flipped to
-    (c, a, d), (d, b, c) while either apex lies more than tol.geom in front
-    of the other face's plane.  The apex then lies inside the circumcircle
-    of the other face, so the quadrilateral is convex and the flip keeps a
-    valid triangulation; each flip adds the tetrahedron abcd to the enclosed
-    volume, so the flips terminate.  For points on a sphere the resulting
-    locally convex triangulation is the convex hull.  None if the flips
-    have not ended after F^2 of them."""
-    V = vertices.tolist()
-    faces = faces.tolist()
-    owner = {}                                    # directed edge -> face
-    for fi, (a, b, c) in enumerate(faces):
-        owner[a, b] = owner[b, c] = owner[c, a] = fi
-    stack = [edge for edge in owner if edge[0] < edge[1]]
-    flips_left = len(faces) ** 2
-    while stack:
-        a, b = stack.pop()
-        f = owner.get((a, b))
-        if f is None:
-            continue                              # flipped away meanwhile
-        g = owner[b, a]
-        c = sum(faces[f]) - a - b
-        d = sum(faces[g]) - a - b
-        if not _reflex(V[a], V[b], V[c], V[d], tol.geom):
-            continue
-        if flips_left == 0:
-            return None
-        flips_left -= 1
-        faces[f] = [c, a, d]
-        faces[g] = [d, b, c]
-        del owner[a, b], owner[b, a]
-        owner[a, d] = owner[d, c] = f
-        owner[b, c] = owner[c, d] = g
-        stack += [(a, d), (d, b), (b, c), (c, a)]
-    return np.array(faces, dtype=np.intp)
-
-
-def _reflex(a, b, c, d, band: float) -> bool:
-    """True iff d lies more than `band` in front of the plane of face
-    (a, b, c), or c in front of the plane of face (b, a, d)."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    n1 = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-    volume = n1[0] * wx + n1[1] * wy + n1[2] * wz
-    if volume <= 0.0:
-        return False
-    n2 = (wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux)
-    shorter = min(n1[0] ** 2 + n1[1] ** 2 + n1[2] ** 2, n2[0] ** 2 + n2[1] ** 2 + n2[2] ** 2)
-    return volume * volume > band * band * shorter
+def hull_faces(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+    """Faces (m, 2n, 3) of the convex hull of [ring, x, -x] for the unit
+    rows of X over a convex polygon: the lower fan (-x, v_{i+1}, v_i), as
+    the projection from -x keeps the ring convex around x, and the
+    polygon's Delaunay triangulation with x inserted.  x sees the triangles
+    it lies more than tol.geom in front of and is joined to each half-edge
+    from a seen to an unseen one.  Rows without n such faces: NotConvex."""
+    m, n = len(X), polygon.n
+    faces, normals, offsets, across = polygon.delaunay
+    seen = dot3(normals, X[:, None, :]) > offsets + tol.geom
+    drop = np.concatenate([seen[:, :-1], np.repeat(seen[:, :-1], 3, axis=1) <= seen[:, across],
+                           np.zeros((m, n), bool)], axis=1)
+    refuse(errors, drop.sum(axis=1) != 3 * n - 8, lambda _: NotConvex(
+        "x does not see a disc of the polygon's triangles"))
+    return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
 def mv_weights_batch(
@@ -252,27 +205,24 @@ def mv_weights_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(dot3(u, u))
         e = u / r[..., None]
-
-        def unit_cross(p, s):
-            cr = cross3(p, s)
+        # Once per face: the unit rays e[s] to its corners and, per edge
+        # s -> s+1, the unit normal n[s] of span(e[s], e[s+1]) and the angle b[s].
+        e = [e[:, faces[:, s]] for s in range(3)]
+        n, b = [], []
+        for s in range(3):
+            cr = cross3(e[s], e[(s + 1) % 3])
             nn = np.sqrt(dot3(cr, cr))
             refuse(errors, np.any(nn <= tol.unit, axis=1),
                    lambda _: DegenerateTriangle("two rays of a face are collinear"))
-            return cr / nn[..., None], nn
-
+            n.append(cr / nn[..., None])
+            b.append(np.arctan2(nn, dot3(e[s], e[(s + 1) % 3])))
         mus = []
-        for rot in range(3):
-            ei, ej, ek = e[:, faces[:, rot]], e[:, faces[:, (rot + 1) % 3]], e[:, faces[:, (rot + 2) % 3]]
-            n_ij, s_ij = unit_cross(ei, ej)
-            n_jk, s_jk = unit_cross(ej, ek)
-            n_ki, s_ki = unit_cross(ek, ei)
-            b_ij = np.arctan2(s_ij, dot3(ei, ej))
-            b_jk = np.arctan2(s_jk, dot3(ej, ek))
-            b_ki = np.arctan2(s_ki, dot3(ek, ei))
-            denom = 2.0 * dot3(ei, n_jk)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            denom = 2.0 * dot3(e[i], n[j])
             refuse(errors, np.any(np.abs(denom) <= tol.unit, axis=1),
                    lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
-            mus.append((b_jk + b_ij * dot3(n_ij, n_jk) + b_ki * dot3(n_ki, n_jk)) / denom)
+            mus.append((b[j] + b[i] * dot3(n[i], n[j]) + b[k] * dot3(n[k], n[j])) / denom)
         # Sum each vertex's contributions in face order, rotation by rotation.
         m, N = r.shape
         slot = (np.arange(m)[:, None] * N + faces.T.ravel()).ravel()
@@ -301,23 +251,16 @@ def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.n
 def _edge_table(
     P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances, errors: list
 ):
-    """Twin table (m, 3F) and dihedral convexity (m,) of the per-row faces
-    (m, F, 3) of each stacked polyhedron P[r], given its face planes.  Edge
-    s of face f runs faces[r, f, s] -> faces[r, f, s+1]; twin[r, 3f + s] =
-    3g + t when edge t of face g runs the other way.  Rows whose faces are
-    not a closed oriented surface are refused with DegenerateTriangle."""
-    m, F, N = len(P), faces.shape[1], P.shape[1]
+    """Twin table (m, 3F) (see :func:`sphbary.geom.half_edge_twins`) and
+    dihedral convexity (m,) of the per-row faces (m, F, 3) of each stacked
+    polyhedron P[r], given its face planes.  Rows whose faces are not a
+    closed oriented surface are refused with DegenerateTriangle."""
+    m, F = faces.shape[:2]
     rows = np.arange(m)[:, None]
-    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
-    key = ((rows * N + tail) * N + head).ravel()
-    reverse = ((rows * N + head) * N + tail).ravel()
-    order = np.argsort(key)
-    ordered = key[order]
-    pos = np.minimum(np.searchsorted(ordered, reverse), len(key) - 1)
-    open_rows = np.any((ordered[pos] != reverse).reshape(m, -1), axis=1)
-    open_rows[ordered[1:][ordered[1:] == ordered[:-1]] // (N * N)] = True
-    refuse(errors, open_rows, lambda _: DegenerateTriangle("faces do not form a closed oriented surface"))
-    twin = np.where(open_rows[:, None], np.arange(3 * F), order[pos].reshape(m, -1) - 3 * F * rows)
+    twin, matched = half_edge_twins(faces, P.shape[1])
+    # A repeated directed edge leaves some twin pair unreciprocated.
+    closed = np.all(matched & (twin[rows, twin] == np.arange(3 * F)), axis=1)
+    refuse(errors, ~closed, lambda _: DegenerateTriangle("faces do not form a closed oriented surface"))
     own = np.repeat(np.arange(F), 3)
     across = faces[..., [2, 0, 1]].reshape(m, -1)[rows, twin]    # apex of the face across each edge
     height = dot3(normals[:, own], P[rows, across] - a[:, own])

@@ -28,13 +28,12 @@ delta and the edge vector for the NEW_* methods, which extend to the
 boundary, OriginOnBoundary for the tangent-plane CC_* methods,
 ExteriorPoint for all) and calls the method's interior kernel, looked up
 in :data:`KERNELS`, once on the interior rows.  The kernels are numpy code
-over the whole block; only the edge flips that turn each row's fan into
-its convex hull for NEW_WC run row by row.  A kernel records per row the
-error the single-point call raises (see :func:`sphbary.errors.refuse`),
-so one failing row leaves the others evaluated.  :func:`evaluate` and the
-public single-point functions are m = 1 calls of the same code (see
-:func:`sphbary.errors.single`), and a row's result does not depend on the
-batch it came in.
+over the whole block, with no loop over its rows.  A kernel records per
+row the error the single-point call raises (see
+:func:`sphbary.errors.refuse`), so one failing row leaves the others
+evaluated.  :func:`evaluate` and the public single-point functions are
+m = 1 calls of the same code (see :func:`sphbary.errors.single`), and a
+row's result does not depend on the batch it came in.
 """
 
 from __future__ import annotations
@@ -240,10 +239,10 @@ def _mean_value(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, error
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they use the hull
-    # of the same n+2 points under the strict convexity check.  The hull's
-    # faces depend on x: each row flips its own, then one weight call.
+    # of the same n+2 points (per row, x inserted into the polygon's
+    # Delaunay triangulation) under the strict convexity check.
     P = stack_bipyramids(polygon.vertices, X, tol, errors)
-    w = wachspress_weights_batch(P, hull_faces(P, tol, errors), ORIGIN, tol, True, errors)
+    w = wachspress_weights_batch(P, hull_faces(polygon, X, tol, errors), ORIGIN, tol, True, errors)
     return _quotient(normalized_weights(w, errors), polygon.n, tol, errors)
 
 

@@ -22,6 +22,7 @@ import pytest
 import sphbary as sb
 from sphbary.cli import main
 from sphbary.errors import ProjectionUndefined, SphBaryError
+from sphbary.spherical import evaluate_batch
 
 from conftest import DATA_DIR
 
@@ -48,11 +49,13 @@ def corpus():
         rho = float(rng.uniform(0.3, 1.2))
         seed = int(rng.integers(0, 2**32))
         polygon = sb.random_polygon(n, rho, seed)
-        for x in sb.interior_points(polygon, POINTS_PER_POLYGON, rng):
+        points = sb.interior_points(polygon, POINTS_PER_POLYGON, rng)
+        batches = {method: evaluate_batch(polygon, points, method) for method in sb.METHODS}
+        for i, x in enumerate(points):
             values, errors, denoms = {}, {}, {}
-            for method in sb.METHODS:
+            for method, batch in batches.items():
                 try:
-                    cv = sb.evaluate(polygon, x, method)
+                    cv = batch.result(i)
                     values[method] = cv.values
                     if cv.denom is not None:
                         denoms[method] = cv.denom

@@ -211,6 +211,46 @@ class TestWitnessFallback:
             np.testing.assert_array_equal(find_hemisphere_witness(ring), w)
 
 
+def delaunay_loop(polygon) -> set:
+    """The chord recursion one chord at a time, without the one-pass run
+    of fan steps: the reference for SphericalPolygon.delaunay."""
+    V, n, triangles, chords = polygon.vertices, polygon.n, set(), [(0, polygon.n - 1)]
+    while chords:
+        i, j = chords.pop()
+        ahead = []
+        for k in range(i + 1, j):
+            normal = np.cross(V[k] - V[i], V[j] - V[i])
+            band = polygon.tol.geom * np.linalg.norm(normal)
+            ahead.append(all(dot(normal, V[l] - V[i]) <= band for l in range(i + 1, j)))
+        k = i + 1 + ahead.index(True)
+        triangles.add((i, k, j))
+        chords += [c for c in ((i, k), (k, j)) if c[1] - c[0] > 1]
+    return triangles
+
+
+class TestDelaunay:
+    def test_matches_the_chord_recursion(self):
+        # Generic convex rings, cocircular rings, and cocircular rings with
+        # polar angles moved by 1e-12 ... 1e-6, where the tie rule decides.
+        rng = np.random.default_rng(20261021)
+        fans = 0
+        for k in range(60):
+            n = int(rng.integers(3, 40))
+            if k % 3 == 0:
+                polygon = sb.random_polygon(n, float(rng.uniform(0.2, 1.5)), seed=int(rng.integers(0, 2**32)))
+            else:
+                azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
+                jitter = rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1e-6], size=n) if k % 3 == 2 else np.zeros(n)
+                polar = float(rng.uniform(0.2, 1.5)) * (1 + jitter * rng.uniform(-1, 1, size=n))
+                polygon = sb.validate_polygon(np.column_stack(
+                    [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+            assert polygon.convex
+            triangles = {tuple(t) for t in polygon.delaunay[0][:n - 2].tolist()}
+            assert triangles == delaunay_loop(polygon)
+            fans += triangles == {(i, i + 1, n - 1) for i in range(n - 2)}
+        assert 0 < fans < 60
+
+
 class TestLocatePoint:
     def test_interior(self, octant):
         assert sb.locate_point(octant, sb.normalize([1, 1, 1])).kind == "interior"
