@@ -2,9 +2,9 @@
 
 Subcommands: validate, coords, grid, compare, random, oracle.  Exit codes:
 0 on success, 1 on a domain error (the machine-readable error name is the
-first token after "error:" on stderr), 2 on usage errors.  All output is a
-pure function of the inputs and the seed, so repeated runs are byte
-identical.
+first token after "error:" on stderr), 2 on usage errors, unparseable
+input included.  All output is a pure function of the inputs and the
+seed, so repeated runs are byte identical.
 """
 
 from __future__ import annotations
@@ -41,17 +41,38 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_bands(levels: str):
+# argparse types: the ArgumentTypeError they raise is a usage error (exit 2).
+
+def _band(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = np.nan
+    if not 0.0 < eps < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number, got {text!r}")
+    return eps
+
+
+def _levels(text: str):
     bands = []
-    for chunk in levels.split(","):
-        lo, hi = (float(t) for t in chunk.split(":"))
+    for chunk in text.split(","):
+        try:
+            lo, hi = (float(t) for t in chunk.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected lo:hi[,lo:hi...], got {text!r}") from None
         bands.append((min(lo, hi), max(lo, hi)))
     return tuple(bands)
 
 
+def _polygon_file(path: str) -> PolygonFile:
+    try:
+        return load_polygon_file(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read polygon file {path!r}: {exc!r}") from None
+
+
 def cmd_validate(args, tol: Tolerances) -> int:
-    pf = load_polygon_file(args.file)
-    polygon = pf.validated(tol)
+    polygon = args.file.validated(tol)
     shape = "convex" if polygon.convex else "non-convex"
     print(f"valid, {shape}, n={polygon.n}")
     w = polygon.witness
@@ -61,18 +82,17 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 
 def cmd_coords(args, tol: Tolerances) -> int:
-    pf = load_polygon_file(args.file)
-    x = normalize(np.array(args.point, dtype=float), tol)
+    x = normalize(np.array(args.point, dtype=float))
     if args.extended:
         if args.method != "NEW_MV":
             print("error: --extended evaluation supports only NEW_MV", file=sys.stderr)
             return 2
-        ring = np.array([normalize(v, tol) for v in np.asarray(pf.vertices, dtype=float)])
+        ring = np.array([normalize(v) for v in np.asarray(args.file.vertices, dtype=float)])
         cv = extended_spherical_coords(ring, x, "MV", tol)
         vertices = ring
     else:
-        polygon = pf.validated(tol)
-        cv = evaluate(polygon, x, args.method, tol=tol)
+        polygon = args.file.validated(tol)
+        cv = evaluate(polygon, x, args.method)
         vertices = polygon.vertices
     print(f"location: {cv.location}")
     print(f"method: {cv.method}")
@@ -86,22 +106,19 @@ def cmd_coords(args, tol: Tolerances) -> int:
 
 
 def cmd_grid(args, tol: Tolerances) -> int:
-    pf = load_polygon_file(args.file)
-    polygon = pf.validated(tol)
+    polygon = args.file.validated(tol)
     if not 0 <= args.vertex < polygon.n:
         print(f"error: vertex index {args.vertex} out of range for n={polygon.n}", file=sys.stderr)
         return 2
-    bands = _parse_bands(args.levels) if args.levels else DEFAULT_BANDS
-    rows = grid_rows(polygon, args.vertex, args.resolution, args.method, bands, tol)
+    rows = grid_rows(polygon, args.vertex, args.resolution, args.method, args.levels or DEFAULT_BANDS)
     _write(rows_to_csv(rows), args.output)
     return 0
 
 
 def cmd_compare(args, tol: Tolerances) -> int:
-    pf = load_polygon_file(args.file)
-    polygon = pf.validated(tol)
+    polygon = args.file.validated(tol)
     a, b = args.methods
-    report = compare_methods(polygon, a, b, args.resolution, tol)
+    report = compare_methods(polygon, a, b, args.resolution)
     print(report.to_text())
     if args.csv:
         rows = [
@@ -129,12 +146,12 @@ def cmd_random(args, tol: Tolerances) -> int:
 
 
 def cmd_oracle(args, tol: Tolerances) -> int:
-    pf = load_polygon_file(args.file)
+    pf = args.file
     if len(pf.vertices) != 3:
         print(f"error: oracle needs a triangle file, got n={len(pf.vertices)}", file=sys.stderr)
         return 2
-    v = [normalize(np.asarray(row, dtype=float), tol) for row in pf.vertices]
-    x = normalize(np.array(args.point, dtype=float), tol)
+    v = [normalize(np.asarray(row, dtype=float)) for row in pf.vertices]
+    x = normalize(np.array(args.point, dtype=float))
     psi = oracle_triangle(v[0], v[1], v[2], x)
     for i, val in enumerate(psi):
         print(f"psi[{i}] = {_fmt(val)}")
@@ -148,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barycentric coordinates of points on the unit sphere "
         "with respect to spherical polygons.",
     )
-    parser.add_argument("--tol", type=float, default=None, metavar="EPS",
-                        help="override the geometric tolerance band (angles get 10x this)")
+    parser.add_argument("--tol", type=_band, default=None, metavar="EPS",
+                        help="override the geometric band, > 0 and finite (angles get 10x this)")
     parser.add_argument("--seed", type=int, default=0, help="seed for the random subcommand")
     parser.add_argument("--extended", action="store_true",
                         help="evaluate outside the default domain: skip polygon validation "
@@ -157,11 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a polygon file")
-    p.add_argument("file")
+    p.add_argument("file", type=_polygon_file)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("coords", help="evaluate coordinates at one point")
-    p.add_argument("file")
+    p.add_argument("file", type=_polygon_file)
     p.add_argument("--point", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p.add_argument("--method", choices=METHODS, default="NEW_MV")
     p.add_argument("--extended", action="store_true", default=argparse.SUPPRESS,
@@ -169,17 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("grid", help="sample a coordinate over the polygon, CSV output")
-    p.add_argument("file")
+    p.add_argument("file", type=_polygon_file)
     p.add_argument("--vertex", type=int, default=0, help="vertex index k whose psi_k is tabulated")
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--method", choices=METHODS, default="NEW_MV")
-    p.add_argument("--levels", default=None,
+    p.add_argument("--levels", type=_levels, default=None,
                    help="contour bands lo:hi[,lo:hi...]; default is the shipped six bands")
     p.add_argument("--output", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("compare", help="max/mean gap between two methods on a grid")
-    p.add_argument("file")
+    p.add_argument("file", type=_polygon_file)
     p.add_argument("--methods", nargs=2, choices=METHODS, required=True, metavar=("A", "B"))
     p.add_argument("--resolution", type=int, default=24)
     p.add_argument("--csv", default=None, help="also dump per-point rows to this CSV path")
@@ -196,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("oracle", help="3x3 elimination oracle for triangles")
-    p.add_argument("file")
+    p.add_argument("file", type=_polygon_file)
     p.add_argument("--point", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p.set_defaults(func=cmd_oracle)
 
@@ -210,7 +227,7 @@ def main(argv=None) -> int:
     least = {"grid": 8, "compare": 1}.get(args.command)
     if least is not None and args.resolution < least:
         parser.error(f"--resolution must be >= {least}, got {args.resolution}")
-    tol = DEFAULT_TOL if args.tol is None else DEFAULT_TOL.scaled_to(args.tol)
+    tol = DEFAULT_TOL if args.tol is None else Tolerances(geom=args.tol)
     try:
         return args.func(args, tol)
     except SphBaryError as exc:

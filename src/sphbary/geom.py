@@ -2,9 +2,11 @@
 
 All directions are numpy arrays of shape (3,) with unit norm; polygons are
 ordered vertex rings on the unit sphere contained in an open hemisphere.
-Floating point makes every geometric decision a banded one, so every cutoff
-lives in one :class:`Tolerances` record instead of being sprinkled through
-the code.
+Floating point makes every geometric decision a banded one.  The one
+settable band, :class:`Tolerances` (geom, and the angle band ten times
+wider), is carried by the validated polygon, and every predicate and kernel
+gate reads it from there; the fixed guards are the constants UNIT, TINY,
+DENOM and PROJ.
 
 Point location is batched: :func:`locate_points` classifies an (m, 3)
 block of directions with (m, n) arrays for the vertex band, the edge band
@@ -16,7 +18,7 @@ batch it is evaluated in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,39 +54,36 @@ __all__ = [
 ]
 
 
+UNIT = 1e-12      # guard at unit scale: cosines this near +-1, sines, lengths and offsets this near 0
+TINY = 1e-14      # smallest vector norm accepted by :func:`normalize`
+DENOM = 1e-12     # positivity threshold for coordinate denominators
+PROJ = 1e-10      # smallest admissible <v, x> for the gnomonic projection
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical cutoffs used by the geometric predicates.
+    """The one settable band, carried by a validated polygon.
 
     geom     : band on triple products, plane distances and on-edge fits
-    angle    : band on angles (vertex coincidence, winding defect)
-    unit     : allowed deviation of a unit vector's norm from 1
-    tiny     : smallest vector norm accepted by :func:`normalize`
-    denom    : positivity threshold for coordinate denominators
-    proj     : smallest admissible <v, x> for the gnomonic projection
+    angle    : derived, 10 * geom: band on angles (vertex coincidence,
+               winding defect)
     """
 
     geom: float = 1e-10
-    angle: float = 1e-9
-    unit: float = 1e-12
-    tiny: float = 1e-14
-    denom: float = 1e-12
-    proj: float = 1e-10
 
-    def scaled_to(self, geom: float) -> "Tolerances":
-        """Variant with the geometric band replaced and the angle band
-        kept one decade wider, for the command-line --tol override."""
-        return replace(self, geom=geom, angle=10.0 * geom)
+    @property
+    def angle(self) -> float:
+        return 10.0 * self.geom
 
 
 DEFAULT_TOL = Tolerances()
 
 
-def normalize(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def normalize(v) -> np.ndarray:
     """Return v / ||v||. Raises ZeroVector for vanishing input."""
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
-    if n <= tol.tiny:
+    if n <= TINY:
         raise ZeroVector(f"cannot normalize vector with norm {n!r}")
     return v / n
 
@@ -126,12 +125,12 @@ def roll1(a: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate([a[:, -shift:], a[:, :-shift]], axis=1)
 
 
-def unit_rows(X, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(X) -> tuple[np.ndarray, np.ndarray]:
     """(X / ||X|| row-wise, mask of rows too short to normalize); those
     rows come back as NaN, for the caller to refuse with ZeroVector."""
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     norms = np.sqrt(dot3(X, X))
-    short = ~(norms > tol.tiny)
+    short = ~(norms > TINY)
     if short.any():
         norms[short] = np.nan
     return X / norms[:, None], short
@@ -262,6 +261,7 @@ class SphericalPolygon:
     vertices  : (n, 3) unit rows, cyclically indexed (v[i + n] = v[i])
     witness   : direction w with <w, v_i> > 0 for every vertex
     convex    : True iff every consecutive vertex triple turns left
+    tol       : the band of every predicate and kernel gate evaluated on it
     """
 
     vertices: np.ndarray
@@ -306,12 +306,12 @@ class SphericalPolygon:
         - across (3n-6,): the plane across each half-edge.
         A chord recursion from (0, n-1) takes as apex of chord (i, j) the
         lowest chain vertex i < k < j whose plane through v_i, v_k, v_j
-        leaves every other chain vertex at most tol.geom in front.  One pass
+        leaves every other chain vertex at most the band in front.  One pass
         takes its first steps, apex i+1 for chord (i, n-1) while that plane
         leaves every vertex so: all of them on a cocircular ring."""
         V, n = self.vertices, self.n
 
-        def behind(a, b, c, points):      # (K, L): points[l] at most tol.geom in front of plane (a, b, c)[k]
+        def behind(a, b, c, points):      # (K, L): points[l] at most the band in front of plane (a, b, c)[k]
             normals = cross3(b - a, c - a)
             band = self.tol.geom * np.sqrt(dot3(normals, normals))
             return dot3(normals[:, None], points - a[..., None, :]) <= band[:, None]
@@ -385,7 +385,7 @@ def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]
     return best_w, best_margin
 
 
-def find_hemisphere_witness(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:
     """Direction w with <w, v_i> > 0 for all rows, or NotInHemisphere.
 
     Fast path: the normalized vertex sum.  Fallback: exact min-norm-point
@@ -393,7 +393,7 @@ def find_hemisphere_witness(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     """
     s = vertices.sum(axis=0)
     ns = float(np.linalg.norm(s))
-    if ns > tol.tiny:
+    if ns > TINY:
         w = s / ns
         if float(np.min(vertices @ w)) > 0.0:
             return w
@@ -431,14 +431,14 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
         raise TooFewVertices("expected an (n, 3) array of vertices")
     if len(raw) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(raw)}")
-    vertices = np.array([normalize(v, tol) for v in raw])
+    vertices = np.array([normalize(v) for v in raw])
 
     # Hemisphere first: a ring containing an antipodal pair has no witness,
     # and that is the more informative failure than the degenerate edge.
-    witness = find_hemisphere_witness(vertices, tol)
+    witness = find_hemisphere_witness(vertices)
 
     dots = np.einsum("ij,ij->i", vertices, np.roll(vertices, -1, axis=0))
-    if np.any(np.abs(dots) >= 1.0 - tol.unit):
+    if np.any(np.abs(dots) >= 1.0 - UNIT):
         j = int(np.argmax(np.abs(dots)))
         raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % len(vertices)} are equal or antipodal")
 
@@ -463,7 +463,7 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     return SphericalPolygon(vertices=vertices, witness=witness, convex=convex, tol=tol)
 
 
-def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -> Locations:
+def locate_points(polygon: SphericalPolygon, X) -> Locations:
     """Classify each row of X, an (m, 3) block of unit directions, as
     interior / edge / vertex / exterior for the polygon.
 
@@ -473,9 +473,9 @@ def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -
     |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
     x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
     interior when the signed winding of the ring about x is 2*pi to
-    tol.angle.
+    tol.angle; tol is the polygon's band.
     """
-    tol = tol or polygon.tol
+    tol = polygon.tol
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     V = polygon.vertices
     m, n = len(X), polygon.n
@@ -518,6 +518,6 @@ def locate_points(polygon: SphericalPolygon, X, tol: Tolerances | None = None) -
     return Locations(kind=kind, index=index, a=a, b=b)
 
 
-def locate_point(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> PointLocation:
+def locate_point(polygon: SphericalPolygon, x) -> PointLocation:
     """Location of one direction x: the m = 1 call of :func:`locate_points`."""
-    return locate_points(polygon, x, tol).at(0)
+    return locate_points(polygon, x).at(0)

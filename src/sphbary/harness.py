@@ -20,6 +20,7 @@ from .errors import GenerationFailed, ResidualTooLarge, SingularMatrix, SphBaryE
 from .geom import (
     DEFAULT_TOL,
     INTERIOR,
+    PROJ,
     SphericalPolygon,
     Tolerances,
     gnomonic_image,
@@ -62,6 +63,9 @@ DEFAULT_BANDS = (
 )
 
 CSV_HEADER = "px,py,pz,location,method,vertex_index,value,residual,band,error"
+
+# Rings random_polygon draws before it gives up with GenerationFailed.
+MAX_TRIES = 1000
 
 
 # --------------------------------------------------------------------------
@@ -153,12 +157,7 @@ def _random_star_ring(rng, n: int, rho: float) -> np.ndarray:
 
 
 def random_polygon(
-    n: int,
-    rho: float,
-    seed: int,
-    mode: str = "convex",
-    tol: Tolerances = DEFAULT_TOL,
-    max_tries: int = 1000,
+    n: int, rho: float, seed: int, mode: str = "convex", tol: Tolerances = DEFAULT_TOL
 ) -> SphericalPolygon:
     """Deterministic seeded polygon generator.
 
@@ -171,7 +170,7 @@ def random_polygon(
     if not 0.0 < rho < np.pi / 2:
         raise GenerationFailed(f"cap radius {rho} outside (0, pi/2)")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if mode == "convex":
             ring = _random_convex_ring(rng, n, rho)
         elif mode == "nonconvex":
@@ -189,7 +188,7 @@ def random_polygon(
         if mode == "nonconvex" and polygon.convex:
             continue
         return polygon
-    raise GenerationFailed(f"no valid {mode} polygon after {max_tries} tries")
+    raise GenerationFailed(f"no valid {mode} polygon after {MAX_TRIES} tries")
 
 
 def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
@@ -231,7 +230,7 @@ def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     nc = np.linalg.norm(center)
     if nc > 1e-12:
         center = center / nc
-        if np.min(polygon.vertices @ center) <= DEFAULT_TOL.proj:
+        if np.min(polygon.vertices @ center) <= PROJ:
             center = polygon.witness
     else:
         center = polygon.witness
@@ -293,12 +292,7 @@ def _band_index(value: float, bands) -> int:
 
 
 def grid_rows(
-    polygon: SphericalPolygon,
-    vertex_index: int,
-    resolution: int,
-    method: str,
-    bands=DEFAULT_BANDS,
-    tol: Tolerances | None = None,
+    polygon: SphericalPolygon, vertex_index: int, resolution: int, method: str, bands=DEFAULT_BANDS
 ) -> list[GridRow]:
     """Evaluate `method` on the grid and classify the chosen vertex
     coordinate into contour bands.  Evaluation failures become rows with an
@@ -307,7 +301,7 @@ def grid_rows(
     column comes from that same locate.
     """
     points = grid_directions(polygon, resolution)
-    batch = evaluate_batch(polygon, points, method, tol)
+    batch = evaluate_batch(polygon, points, method)
     residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
     rows = []
     for i, p in enumerate(points):
@@ -358,18 +352,12 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def compare_methods(
-    polygon: SphericalPolygon,
-    method_a: str,
-    method_b: str,
-    resolution: int = 24,
-    tol: Tolerances | None = None,
-) -> CompareReport:
+def compare_methods(polygon: SphericalPolygon, method_a: str, method_b: str, resolution: int = 24) -> CompareReport:
     """Grid-evaluate two methods and report the largest per-vertex gap over
     the points where both succeed.  The report keeps each method's grid
     rows (see :func:`grid_rows`), one evaluation per point and method."""
-    rows_a = grid_rows(polygon, 0, resolution, method_a, tol=tol)
-    rows_b = grid_rows(polygon, 0, resolution, method_b, tol=tol)
+    rows_a = grid_rows(polygon, 0, resolution, method_a)
+    rows_b = grid_rows(polygon, 0, resolution, method_b)
     ok = 0
     max_diff = 0.0
     sum_diff = 0.0

@@ -48,7 +48,7 @@ from .errors import (
     single,
 )
 from .geom import (
-    DEFAULT_TOL, SphericalPolygon, Tolerances, cross3, dot3, half_edge_twins, locate_point, normalize,
+    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, half_edge_twins, locate_point, normalize,
 )
 
 __all__ = [
@@ -73,6 +73,7 @@ class PolyhedronQ:
     faces     : (2n, 3) int, anti-clockwise viewed from outside; in the fan
                 faces[i] = (n, i, i+1) upper, (n+1, i+1, i) lower
     kernel_ok : True iff the origin is strictly inside every face plane
+    tol       : the band of its kernel gates (the polygon's, under build_q)
     """
 
     vertices: np.ndarray
@@ -102,7 +103,7 @@ def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> Polyhedr
     validation.  Used by the extended evaluation mode where the ring may not
     bound a valid hemisphere polygon (e.g. all vertices on a great circle).
     """
-    return bipyramid(np.asarray(ring, dtype=float), normalize(x, tol), tol)
+    return bipyramid(np.asarray(ring, dtype=float), normalize(x), tol)
 
 
 def fan_faces(n: int) -> np.ndarray:
@@ -142,7 +143,7 @@ def kernel_ok_rows(P: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndar
     """Origin-in-kernel certificate of each stacked polyhedron P[r] with
     the shared faces: every face plane keeps a distance > tol.geom."""
     a, normals, norms = _face_planes(P, faces)
-    return np.all(norms > tol.unit, axis=1) & np.all(dot3(normals, a) > tol.geom, axis=1)
+    return np.all(norms > UNIT, axis=1) & np.all(dot3(normals, a) > tol.geom, axis=1)
 
 
 def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, faces: np.ndarray | None = None) -> PolyhedronQ:
@@ -153,36 +154,35 @@ def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, faces: np.ndarra
     return PolyhedronQ(vertices=P[0], faces=faces, kernel_ok=bool(kernel_ok_rows(P, faces, tol)[0]), tol=tol)
 
 
-def build_q(
-    polygon: SphericalPolygon, x, tol: Tolerances | None = None, *, hull: bool = False
-) -> PolyhedronQ:
-    """Validated construction: x must be strictly interior to the polygon.
+def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
+    """Validated construction: x must be strictly interior to the polygon;
+    the polyhedron carries the polygon's band.
 
     With hull=True the faces are those of the convex hull of
     [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`); the
     polygon must then be convex (NotConvex otherwise)."""
-    tol = tol or polygon.tol
     if hull and not polygon.convex:
         raise NotConvex("the hull faces are built for convex polygons only")
-    x = normalize(x, tol)
-    loc = locate_point(polygon, x, tol)
+    x = normalize(x)
+    loc = locate_point(polygon, x)
     if loc.kind == "vertex":
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    return bipyramid(polygon.vertices, x, tol, single(hull_faces, polygon, x[None], tol) if hull else None)
+    return bipyramid(polygon.vertices, x, polygon.tol, single(hull_faces, polygon, x[None]) if hull else None)
 
 
-def hull_faces(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.ndarray:
     """Faces (m, 2n, 3) of the convex hull of [ring, x, -x] for the unit
     rows of X over a convex polygon: the lower fan (-x, v_{i+1}, v_i), as
     the projection from -x keeps the ring convex around x, and the
     polygon's Delaunay triangulation with x inserted.  x sees the triangles
-    it lies more than tol.geom in front of and is joined to each half-edge
-    from a seen to an unseen one.  Rows without n such faces: NotConvex."""
+    it lies more than the polygon's band (the one the triangulation was
+    built with) in front of and is joined to each half-edge from a seen to
+    an unseen one.  Rows without n such faces: NotConvex."""
     m, n = len(X), polygon.n
     faces, normals, offsets, across = polygon.delaunay
-    seen = dot3(normals, X[:, None, :]) > offsets + tol.geom
+    seen = dot3(normals, X[:, None, :]) > offsets + polygon.tol.geom
     drop = np.concatenate([seen[:, :-1], np.repeat(seen[:, :-1], 3, axis=1) <= seen[:, across],
                            np.zeros((m, n), bool)], axis=1)
     refuse(errors, drop.sum(axis=1) != 3 * n - 8, lambda _: NotConvex(
@@ -212,7 +212,7 @@ def mv_weights_batch(
         for s in range(3):
             cr = cross3(e[s], e[(s + 1) % 3])
             nn = np.sqrt(dot3(cr, cr))
-            refuse(errors, np.any(nn <= tol.unit, axis=1),
+            refuse(errors, np.any(nn <= UNIT, axis=1),
                    lambda _: DegenerateTriangle("two rays of a face are collinear"))
             n.append(cr / nn[..., None])
             b.append(np.arctan2(nn, dot3(e[s], e[(s + 1) % 3])))
@@ -220,7 +220,7 @@ def mv_weights_batch(
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             denom = 2.0 * dot3(e[i], n[j])
-            refuse(errors, np.any(np.abs(denom) <= tol.unit, axis=1),
+            refuse(errors, np.any(np.abs(denom) <= UNIT, axis=1),
                    lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
             mus.append((b[j] + b[i] * dot3(n[i], n[j]) + b[k] * dot3(n[k], n[j])) / denom)
         # Sum each vertex's contributions in face order, rotation by rotation.
@@ -230,7 +230,7 @@ def mv_weights_batch(
         return accum.reshape(m, N) / r
 
 
-def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.ndarray:
+def mv_weights(q: PolyhedronQ, at=ORIGIN) -> np.ndarray:
     """Mean value weights of `at` with respect to q's vertices.
 
     For each face (i, j, k), taken in its oriented order, the contribution
@@ -245,7 +245,7 @@ def mv_weights(q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None) -> np.n
     NEW_MV runs over the stacked fans of a whole grid.
     """
     at = np.asarray(at, dtype=float)
-    return single(mv_weights_batch, q.vertices[None], q.faces, at, tol or q.tol, np.array([q.kernel_ok]))
+    return single(mv_weights_batch, q.vertices[None], q.faces, at, q.tol, np.array([q.kernel_ok]))
 
 
 def _edge_table(
@@ -267,13 +267,13 @@ def _edge_table(
     return twin, np.all(height <= tol.geom, axis=1)
 
 
-def is_convex(q: PolyhedronQ, tol: Tolerances | None = None) -> bool:
+def is_convex(q: PolyhedronQ) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
     sharing an edge, the apex of each lies weakly behind the other's plane.
     DegenerateTriangle unless the faces form a closed oriented surface."""
     P, faces = q.vertices[None], q.faces[None]
     a, normals, _ = _face_planes(P, faces)
-    return bool(single(_edge_table, P, faces, a, normals, tol or q.tol)[1])
+    return bool(single(_edge_table, P, faces, a, normals, q.tol)[1])
 
 
 def wachspress_weights_batch(
@@ -286,7 +286,7 @@ def wachspress_weights_batch(
     faces = np.broadcast_to(faces, (m,) + faces.shape[-2:])
     a, normals, _ = _face_planes(P, faces)
     offsets = dot3(normals, a - at)
-    refuse(errors, np.any(offsets <= tol.unit, axis=1),
+    refuse(errors, np.any(offsets <= UNIT, axis=1),
            lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
     twin, convex = _edge_table(P, faces, a, normals, tol, errors)
     if require_convex:
@@ -304,9 +304,7 @@ def wachspress_weights_batch(
         return dot3(u, area.reshape(m, N, 3)) / dot3(u, u)
 
 
-def wachspress_weights(
-    q: PolyhedronQ, at=ORIGIN, tol: Tolerances | None = None, require_convex: bool = True
-) -> np.ndarray:
+def wachspress_weights(q: PolyhedronQ, at=ORIGIN, require_convex: bool = True) -> np.ndarray:
     """Rational polar-dual weights of `at`.
 
     Every face f contributes a dual point p_f = n_f / <n_f, y_f - at>; the
@@ -330,7 +328,7 @@ def wachspress_weights(
     hulls of a whole grid.
     """
     at = np.asarray(at, dtype=float)
-    return single(wachspress_weights_batch, q.vertices[None], q.faces, at, tol or q.tol, require_convex)
+    return single(wachspress_weights_batch, q.vertices[None], q.faces, at, q.tol, require_convex)
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
@@ -343,21 +341,15 @@ def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
         return w / total[:, None]
 
 
-def coords_at_origin(
-    q: PolyhedronQ,
-    backend: str = "MV",
-    at=ORIGIN,
-    tol: Tolerances | None = None,
-    require_convex: bool = True,
-) -> np.ndarray:
+def coords_at_origin(q: PolyhedronQ, backend: str = "MV", at=ORIGIN, require_convex: bool = True) -> np.ndarray:
     """Normalized 3D barycentric coordinates phi of `at` in q (length n+2).
 
     Satisfies sum(phi) = 1 and sum(phi_i * p_i) = at up to roundoff.
     """
     if backend == "MV":
-        weights = mv_weights(q, at, tol)
+        weights = mv_weights(q, at)
     elif backend == "WC":
-        weights = wachspress_weights(q, at, tol, require_convex=require_convex)
+        weights = wachspress_weights(q, at, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return single(normalized_weights, weights[None])

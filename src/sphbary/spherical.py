@@ -59,6 +59,7 @@ from .errors import (
 )
 from .geom import (
     DEFAULT_TOL,
+    DENOM,
     EDGE,
     EXTERIOR,
     INTERIOR,
@@ -143,41 +144,40 @@ class AngleCache:
         self.alpha.setflags(write=False)
 
 
-def _fan_angles(V: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list):
+def _fan_angles(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     """c_i = x cross v_i (m, n, 3), sin theta_i = |c_i| and cos theta_i =
     <v_i, x> (m, n) for the unit rows of X; rows with x aligned with or
     opposite to some vertex are refused with AngleDegenerate."""
     x = X[:, None, :]
-    c = cross3(x, V)
+    c = cross3(x, polygon.vertices)
     sin_theta = np.sqrt(dot3(c, c))
-    cos_theta = dot3(x, V)
+    cos_theta = dot3(x, polygon.vertices)
     theta = np.arctan2(sin_theta, cos_theta)
-    aligned = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
+    aligned = (theta <= polygon.tol.angle) | (theta >= np.pi - polygon.tol.angle)
     refuse(errors, aligned.any(axis=1), lambda r: AngleDegenerate(
         f"x is aligned with vertex {np.argmax(aligned[r])} (theta = {theta[r, np.argmax(aligned[r])]:.3e})"))
     return c, sin_theta, cos_theta, theta
 
 
-def angles(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> AngleCache:
+def angles(polygon: SphericalPolygon, x) -> AngleCache:
     """Angle cache for the closed-form weights; x must not coincide with or
     oppose any vertex (AngleDegenerate otherwise)."""
-    tol = tol or polygon.tol
-    c, _, _, theta = single(_fan_angles, polygon.vertices, np.asarray(x, dtype=float).reshape(1, 3), tol)
+    c, _, _, theta = single(_fan_angles, polygon, np.asarray(x, dtype=float).reshape(1, 3))
     c_next = np.roll(c, -1, axis=0)
     s = cross3(c, c_next)
     alpha = np.arctan2(np.sqrt(dot3(s, s)), dot3(c, c_next))
     return AngleCache(theta=theta, alpha=alpha)
 
 
-def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
     at the unit rows of X; see :func:`closed_form_mv_weights`."""
-    c, sin_theta, cos_theta, _ = _fan_angles(polygon.vertices, X, tol, errors)
+    c, sin_theta, cos_theta, _ = _fan_angles(polygon, X, errors)
     c_next = roll1(c, -1)
     s = dot3(cross3(c, c_next), X[:, None, :])      # |c_i||c_{i+1}| sin(alpha_i)
     d = dot3(c, c_next)                              # |c_i||c_{i+1}| cos(alpha_i)
     # Near |alpha| = pi the tangent genuinely blows up; refuse to evaluate.
-    refuse(errors, np.any(np.arctan2(np.abs(s), d) >= np.pi - tol.angle, axis=1),
+    refuse(errors, np.any(np.arctan2(np.abs(s), d) >= np.pi - polygon.tol.angle, axis=1),
            lambda _: AlphaNearPi("some alpha is too close to pi for the closed form"))
     cc = sin_theta * roll1(sin_theta, -1)
     # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
@@ -192,9 +192,7 @@ def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances,
     return omega, denom
 
 
-def closed_form_mv_weights(
-    polygon: SphericalPolygon, x, tol: Tolerances | None = None
-) -> tuple[np.ndarray, float]:
+def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, float]:
     """Closed-form mean value weights (omega, denom) for interior x.
 
     omega_i = pi (tan(alpha_i/2) + tan(alpha_{i-1}/2)) / (2 sin theta_i)
@@ -208,64 +206,67 @@ def closed_form_mv_weights(
     polyhedral mean value pipeline.  The m = 1 call of the batched kernel
     of NEW_MV_CLOSED.
     """
-    tol = tol or polygon.tol
-    omega, denom = single(closed_form_batch, polygon, np.asarray(x, dtype=float).reshape(1, 3), tol)
+    omega, denom = single(closed_form_batch, polygon, np.asarray(x, dtype=float).reshape(1, 3))
     return omega, float(denom)
 
 
 # --------------------------------------------------------------------------
-# interior kernels: (polygon, unit interior rows X (m, 3), tol, errors)
-# -> (values (m, n), denominators (m,), NaN where a method has none)
+# interior kernels: (polygon, unit interior rows X (m, 3), errors)
+# -> (values (m, n), denominators (m,), NaN where a method has none);
+# every band comes from polygon.tol
 # --------------------------------------------------------------------------
 
-def _quotient(phi: np.ndarray, n: int, tol: Tolerances, errors: list):
+def _quotient(phi: np.ndarray, n: int, errors: list):
     denom = phi[:, n + 1] - phi[:, n]
-    refuse(errors, denom <= tol.denom, lambda r: NonPositiveDenominator(
-        f"phi[-x] - phi[x] = {denom[r]:.3e} <= {tol.denom}; invalid input or broken backend"))
+    refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
+        f"phi[-x] - phi[x] = {denom[r]:.3e} <= {DENOM}; invalid input or broken backend"))
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi[:, :n] / denom[:, None], denom
 
 
-def _mean_value(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+def _mean_value(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # Mean value weights need only the origin in the kernel and depend on
     # the triangulation; the fan's faces are the same for every x, so the
     # whole block is one stack of polyhedra.
+    tol = polygon.tol
     P = stack_bipyramids(polygon.vertices, X, tol, errors)
     faces = fan_faces(polygon.n)
     w = mv_weights_batch(P, faces, ORIGIN, tol, kernel_ok_rows(P, faces, tol), errors)
-    return _quotient(normalized_weights(w, errors), polygon.n, tol, errors)
+    return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 
-def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they use the hull
     # of the same n+2 points (per row, x inserted into the polygon's
     # Delaunay triangulation) under the strict convexity check.
-    P = stack_bipyramids(polygon.vertices, X, tol, errors)
-    w = wachspress_weights_batch(P, hull_faces(polygon, X, tol, errors), ORIGIN, tol, True, errors)
-    return _quotient(normalized_weights(w, errors), polygon.n, tol, errors)
+    P = stack_bipyramids(polygon.vertices, X, polygon.tol, errors)
+    w = wachspress_weights_batch(P, hull_faces(polygon, X, errors), ORIGIN, polygon.tol, True, errors)
+    return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 
-def _closed_form(polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
-    omega, denom = closed_form_batch(polygon, X, tol, errors)
-    refuse(errors, denom <= tol.denom, lambda r: NonPositiveDenominator(
-        f"closed-form denominator {denom[r]:.3e} <= {tol.denom}"))
+def _closed_form(polygon: SphericalPolygon, X: np.ndarray, errors: list):
+    omega, denom = closed_form_batch(polygon, X, errors)
+    refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
+        f"closed-form denominator {denom[r]:.3e} <= {DENOM}"))
     with np.errstate(divide="ignore", invalid="ignore"):
         return omega / denom[:, None], denom
 
 
-def _tangent(planar: Callable, polygon: SphericalPolygon, X: np.ndarray, tol: Tolerances, errors: list):
+def _tangent(polygon: SphericalPolygon, X: np.ndarray, errors: list, wachspress: bool):
     # Planar coordinates of the gnomonic image, divided by <v_i, x> to
     # restore linear precision on the sphere.
-    _, points2d, dots = project_batch(polygon.vertices, X, tol, errors)
+    _, points2d, dots = project_batch(polygon.vertices, X, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return planar(points2d, tol, errors) / dots, np.full(len(X), np.nan)
+        planar = (planar_wachspress_batch(points2d, polygon.tol, errors) if wachspress
+                  else planar_mv_batch(points2d, errors))
+        return planar / dots, np.full(len(X), np.nan)
 
 
 class Method(NamedTuple):
     """One row of :data:`KERNELS`."""
 
-    kernel: Callable     # (polygon, unit interior rows X, tol, errors) -> (values, denominators)
+    kernel: Callable     # (polygon, unit interior rows X, errors) -> (values, denominators)
     boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
     convex_only: bool    # NotConvexForWC on a non-convex polygon
 
@@ -274,8 +275,8 @@ KERNELS = {
     "NEW_MV": Method(_mean_value, True, False),
     "NEW_WC": Method(_polar_dual, True, True),
     "NEW_MV_CLOSED": Method(_closed_form, True, False),
-    "CC_MV": Method(partial(_tangent, planar_mv_batch), False, False),
-    "CC_WC": Method(partial(_tangent, planar_wachspress_batch), False, False),
+    "CC_MV": Method(partial(_tangent, wachspress=False), False, False),
+    "CC_WC": Method(partial(_tangent, wachspress=True), False, False),
 }
 METHODS = tuple(KERNELS)
 
@@ -303,19 +304,17 @@ class Evaluations(NamedTuple):
                                 location=self.locations.at(i), denom=None if np.isnan(d) else d)
 
 
-def evaluate_batch(
-    polygon: SphericalPolygon, X, method: str, tol: Tolerances | None = None
-) -> Evaluations:
+def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     """Evaluate one of the five coordinate methods at the rows of X, an
     (m, 3) block of directions: normalize, locate the whole block once,
     answer the boundary and the exterior for every row, and call the
-    method's interior kernel once on the interior rows."""
-    tol = tol or polygon.tol
-    X, short = unit_rows(X, tol)
+    method's interior kernel once on the interior rows, all within the
+    polygon's band."""
+    X, short = unit_rows(X)
     m, n = len(X), polygon.n
     errors = [None] * m
     refuse(errors, short, lambda _: ZeroVector("cannot normalize a vector this short"))
-    locations = locate_points(polygon, X, tol)
+    locations = locate_points(polygon, X)
     values = np.full((m, n), np.nan)
     denom = np.full(m, np.nan)
     if method not in KERNELS:
@@ -340,7 +339,7 @@ def evaluate_batch(
     rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
     if len(rows):
         kernel_errors = [None] * len(rows)
-        values[rows], denom[rows] = kernel(polygon, X[rows], tol, kernel_errors)
+        values[rows], denom[rows] = kernel(polygon, X[rows], kernel_errors)
         for r, error in zip(rows, kernel_errors):
             if error is not None:
                 errors[r] = error
@@ -348,27 +347,21 @@ def evaluate_batch(
     return Evaluations(method, locations, values, denom, errors)
 
 
-def evaluate(
-    polygon: SphericalPolygon, x, method: str, tol: Tolerances | None = None
-) -> CoordinateVector:
+def evaluate(polygon: SphericalPolygon, x, method: str) -> CoordinateVector:
     """Evaluate one of the five coordinate methods at x: the m = 1 call of
     :func:`evaluate_batch`."""
-    return evaluate_batch(polygon, x, method, tol).result(0)
+    return evaluate_batch(polygon, x, method).result(0)
 
 
-def spherical_coords(
-    polygon: SphericalPolygon, x, backend: str = "MV", *, tol: Tolerances | None = None
-) -> CoordinateVector:
+def spherical_coords(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:
     """Spherical barycentric coordinates of x with the given backend:
     "MV" (mean value, any simple polygon whose polyhedron keeps the origin
     in its kernel) or "WC" (rational polar-dual weights, convex polygons
     only); the NEW_MV and NEW_WC methods of :func:`evaluate`."""
-    return evaluate(polygon, x, "NEW_" + backend, tol)
+    return evaluate(polygon, x, "NEW_" + backend)
 
 
-def spherical_coords_classical(
-    polygon: SphericalPolygon, x, backend: str = "MV", tol: Tolerances | None = None
-) -> CoordinateVector:
+def spherical_coords_classical(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:
     """Classical spherical coordinates: gnomonic projection, planar
     coordinates, then division by <v_i, x>; the CC_MV and CC_WC methods of
     :func:`evaluate`.
@@ -377,12 +370,10 @@ def spherical_coords_classical(
     boundary points raise OriginOnBoundary rather than being patched by a
     continuous extension.
     """
-    return evaluate(polygon, x, "CC_" + backend, tol)
+    return evaluate(polygon, x, "CC_" + backend)
 
 
-def extended_spherical_coords(
-    ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL
-) -> CoordinateVector:
+def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> CoordinateVector:
     """Evaluation mode for configurations outside the default contracts.
 
     Accepts a raw unit-vector ring (no hemisphere or orientation
@@ -393,7 +384,7 @@ def extended_spherical_coords(
     precision but not the sign.  Returns the quotient coordinates with
     location kind "extended"."""
     phi = origin_coords_on_ring(ring, x, backend, tol)
-    values, denom = single(_quotient, phi[None], len(phi) - 2, tol)
+    values, denom = single(_quotient, phi[None], len(phi) - 2)
     return CoordinateVector(
         values=values, method="NEW_" + backend, location=PointLocation(kind="extended"), denom=float(denom)
     )
@@ -406,6 +397,5 @@ def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAUL
     great circle, where phi[-x] = phi[x] identically).  Like
     :func:`extended_spherical_coords` it uses the fan, with the polar-dual
     backend in its relaxed mode."""
-    ring = np.array([normalize(v, tol) for v in np.asarray(ring, dtype=float)])
-    q = build_ring_q(ring, normalize(x, tol), tol)
-    return coords_at_origin(q, backend, tol=tol, require_convex=False)
+    ring = np.array([normalize(v) for v in np.asarray(ring, dtype=float)])
+    return coords_at_origin(build_ring_q(ring, normalize(x), tol), backend, require_convex=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
-from .geom import DEFAULT_TOL, SphericalPolygon, Tolerances, dot3, normalize, roll1, tangent_frames
+from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, normalize, roll1, tangent_frames
 
 __all__ = [
     "TangentPolygon",
@@ -51,13 +51,13 @@ class TangentPolygon:
         self.dots.setflags(write=False)
 
 
-def project_batch(V: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list):
+def project_batch(V: np.ndarray, X: np.ndarray, errors: list):
     """Batched gnomonic projection of the ring V at the unit rows of X:
     bases (m, 2, 3), points2d (m, n, 2) and dots (m, n); rows with some
-    <v_i, x> <= tol.proj are refused with ProjectionUndefined."""
+    <v_i, x> <= PROJ are refused with ProjectionUndefined."""
     x = X[:, None, :]
     dots = dot3(x, V)
-    low = dots <= tol.proj
+    low = dots <= PROJ
     refuse(errors, low.any(axis=1), lambda r: ProjectionUndefined(
         f"<v[{np.argmin(dots[r])}], x> = {dots[r].min():.3e} is not positive"))
     B1, B2 = tangent_frames(X)
@@ -67,18 +67,17 @@ def project_batch(V: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list):
     return np.stack([B1, B2], axis=1), points2d, dots
 
 
-def gnomonic_project(polygon: SphericalPolygon, x, tol: Tolerances | None = None) -> TangentPolygon:
+def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
     """Project the polygon's vertices into the tangent plane at x.
 
-    Raises ProjectionUndefined when some <v_i, x> <= tol.proj; the radial
+    Raises ProjectionUndefined when some <v_i, x> <= PROJ; the radial
     planar distance of a vertex at angle theta from x is tan(theta).
     """
-    tol = tol or polygon.tol
-    basis, points2d, dots = single(project_batch, polygon.vertices, normalize(x, tol)[None], tol)
+    basis, points2d, dots = single(project_batch, polygon.vertices, normalize(x)[None])
     return TangentPolygon(basis=basis, points2d=points2d, dots=dots)
 
 
-def planar_mv_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
+def planar_mv_batch(u: np.ndarray, errors: list) -> np.ndarray:
     """Normalized planar mean value coordinates of the origin for each
     ring u[r], shape (m, n, 2).
 
@@ -86,12 +85,12 @@ def planar_mv_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
     at the origin between u_i and u_{i+1}.
     """
     r = np.sqrt(u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1])
-    refuse(errors, np.any(r <= tol.proj, axis=1),
+    refuse(errors, np.any(r <= PROJ, axis=1),
            lambda _: OriginOnBoundary("evaluation point coincides with a projected vertex"))
     nxt = roll1(u, -1)
     cross = u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0]
     denom = r * roll1(r, -1) + (u[..., 0] * nxt[..., 0] + u[..., 1] * nxt[..., 1])
-    refuse(errors, np.any(denom <= tol.proj, axis=1),
+    refuse(errors, np.any(denom <= PROJ, axis=1),
            lambda _: OriginOnBoundary("evaluation point lies on a projected edge"))
     with np.errstate(divide="ignore", invalid="ignore"):
         tan_half = cross / denom
@@ -112,17 +111,17 @@ def planar_wachspress_batch(u: np.ndarray, tol: Tolerances, errors: list) -> np.
                     - (u[..., 1] - prv[..., 1]) * (nxt[..., 0] - prv[..., 0]))
     refuse(errors, np.any(corner < -tol.geom, axis=1), lambda _: NotConvex("projected polygon is not convex"))
     wedge = 0.5 * (u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0])     # A(0, u_i, u_{i+1})
-    refuse(errors, np.any(np.abs(wedge) <= tol.unit, axis=1),
+    refuse(errors, np.any(np.abs(wedge) <= UNIT, axis=1),
            lambda _: OriginOnBoundary("evaluation point lies on a projected edge line"))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = corner / (roll1(wedge, 1) * wedge)
         return w / w.sum(axis=1)[:, None]
 
 
-def planar_mv(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def planar_mv(t: TangentPolygon) -> np.ndarray:
     """Normalized planar mean value coordinates of the origin in the
     projected polygon (see :func:`planar_mv_batch`)."""
-    return single(planar_mv_batch, np.asarray(t.points2d, dtype=float)[None], tol)
+    return single(planar_mv_batch, np.asarray(t.points2d, dtype=float)[None])
 
 
 def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -91,6 +91,50 @@ class TestCoords:
     def test_tol_override(self, octant_file):
         assert main(["--tol", "1e-8", "coords", octant_file, "--point", "1", "1", "1"]) == 0
 
+    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED"])
+    def test_tol_band_reaches_point_location(self, method, capsys):
+        # The midpoint arc of edge 0 of the demo quadrilateral, moved 5e-9 rad
+        # inward: interior in the default band, on the edge in a 1e-8 band.
+        quad = str(DATA_DIR / "demo_quad.json")
+        point = ["0.38351905645425516", "0.47903138612489254", "0.789583475285357"]
+        assert main(["coords", quad, "--point", *point, "--method", method]) == 0
+        assert "location: interior" in capsys.readouterr().out
+        assert main(["--tol", "1e-8", "coords", quad, "--point", *point, "--method", method]) == 0
+        assert "location: edge(0)" in capsys.readouterr().out
+
+
+def assert_usage_error(argv, capsys):
+    """argv exits with code 2 and a one-line argparse error, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("sphbary") and "error: argument" in err.splitlines()[-1]
+
+
+class TestUnparseableInput:
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, eps, capsys):
+        assert_usage_error(["--tol", eps, "validate", str(DATA_DIR / "demo_quad.json")], capsys)
+
+    @pytest.mark.parametrize("levels", ["abc", "0.1", "0.1:x"])
+    def test_malformed_levels(self, octant_file, levels, capsys):
+        assert_usage_error(["grid", octant_file, "--levels", levels], capsys)
+
+    def test_missing_polygon_file(self, tmp_path, capsys):
+        assert_usage_error(["validate", str(tmp_path / "missing.json")], capsys)
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"vertices": [[1, 0, 0],')
+        assert_usage_error(["validate", str(path)], capsys)
+
+    @pytest.mark.parametrize("text", ['{"name": "empty"}', "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"])
+    def test_no_vertices_key(self, tmp_path, text, capsys):
+        path = tmp_path / "novertices.json"
+        path.write_text(text + "\n")
+        assert_usage_error(["coords", str(path), "--point", "0", "0", "1"], capsys)
+
 
 class TestExtendedFlag:
     def test_negative_dot_pair(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Vector algebra, polygon validation and point classification."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -311,3 +314,18 @@ def test_winding_angle_signs(octant):
     assert winding_angle(octant.vertices[::-1], inner) == pytest.approx(-2 * np.pi, abs=1e-12)
     outside = sb.normalize([-1, -1, 1])
     assert abs(winding_angle(octant.vertices, outside)) <= 1e-9
+
+
+def test_one_band_carried_by_the_polygon():
+    """Tolerances has one settable field, and no public function that takes
+    a validated polygon or polyhedron takes a band of its own."""
+    assert [f.name for f in dataclasses.fields(sb.Tolerances)] == ["geom"]
+    assert sb.DEFAULT_TOL.angle == 1e-9 and sb.Tolerances(geom=1e-8).angle == 10.0 * 1e-8
+    carriers = 0
+    for name in sb.__all__:
+        obj = getattr(sb, name)
+        params = list(inspect.signature(obj).parameters.values()) if inspect.isfunction(obj) else []
+        if params and params[0].annotation in ("SphericalPolygon", "PolyhedronQ"):
+            carriers += 1
+            assert "tol" not in [p.name for p in params], name
+    assert carriers >= 13

@@ -13,6 +13,7 @@ from sphbary.errors import (
     PointOnVertexOrAntipode,
     SphBaryError,
 )
+from sphbary.geom import UNIT
 from sphbary.polyhedron import PolyhedronQ, build_ring_q, fan_faces, is_convex
 
 from conftest import random_rotation
@@ -311,7 +312,7 @@ def wachspress_weights_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL, require_convex=T
     V, F = q.vertices, q.faces
     normals = face_normals_loop(q)
     offsets = np.einsum("ij,ij->i", normals, V[F[:, 0]])
-    if np.any(offsets <= tol.unit):
+    if np.any(offsets <= UNIT):
         raise FaceThroughPoint("a face plane passes through the evaluation point")
     if require_convex and not is_convex_loop(q, tol):
         raise NotConvex("polyhedron has a reflex dihedral angle")
