@@ -67,7 +67,7 @@ def _levels(text: str):
 def _polygon_file(path: str) -> PolygonFile:
     try:
         return load_polygon_file(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read polygon file {path!r}: {exc!r}") from None
 
 
@@ -121,13 +121,7 @@ def cmd_compare(args, tol: Tolerances) -> int:
     report = compare_methods(polygon, a, b, args.resolution)
     print(report.to_text())
     if args.csv:
-        rows = [
-            row.for_vertex(k)
-            for method_rows in (report.rows_a, report.rows_b)
-            for k in range(polygon.n)
-            for row in method_rows
-        ]
-        _write(rows_to_csv(rows), args.csv)
+        _write(report.to_csv(), args.csv)
     return 0
 
 

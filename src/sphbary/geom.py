@@ -423,7 +423,8 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     """Normalize, certify hemisphere containment and orientation, classify
     convexity; the only constructor of :class:`SphericalPolygon`.
 
-    Raises TooFewVertices, ZeroVector, DegenerateEdge, NotInHemisphere,
+    Raises TooFewVertices, ZeroVector, DegenerateEdge (also when the angle
+    band is at least half the shortest edge), NotInHemisphere,
     SelfIntersecting or WrongOrientation.
     """
     raw = np.asarray(raw_vertices, dtype=float)
@@ -437,10 +438,18 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # and that is the more informative failure than the degenerate edge.
     witness = find_hemisphere_witness(vertices)
 
-    dots = np.einsum("ij,ij->i", vertices, np.roll(vertices, -1, axis=0))
+    succ = np.roll(vertices, -1, axis=0)
+    dots = np.einsum("ij,ij->i", vertices, succ)
     if np.any(np.abs(dots) >= 1.0 - UNIT):
         j = int(np.argmax(np.abs(dots)))
         raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % len(vertices)} are equal or antipodal")
+    # Neighbouring vertex bands must not overlap, or they swallow the points
+    # between them.
+    lengths = np.arctan2(np.linalg.norm(np.cross(vertices, succ), axis=1), dots)
+    if 2.0 * tol.angle >= lengths.min():
+        j = int(np.argmin(lengths))
+        raise DegenerateEdge(
+            f"the angle band {tol.angle!r} is at least half of edge {j}, {float(lengths[j])!r} rad long")
 
     # Simplicity and orientation in the gnomonic image at the witness: the
     # projection is defined since every <w, v_i> > 0, maps arcs to segments
@@ -457,7 +466,7 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     trips = np.einsum(
         "ij,ij->i",
         vertices,
-        np.cross(np.roll(vertices, -1, axis=0), np.roll(vertices, -2, axis=0)),
+        np.cross(succ, np.roll(vertices, -2, axis=0)),
     )
     convex = bool(np.all(trips >= -tol.geom))
     return SphericalPolygon(vertices=vertices, witness=witness, convex=convex, tol=tol)

@@ -11,8 +11,9 @@ every method on triangles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import GenerationFailed, ResidualTooLarge, SingularMatrix, SphBaryE
 from .geom import (
     DEFAULT_TOL,
     INTERIOR,
+    KINDS,
     PROJ,
     SphericalPolygon,
     Tolerances,
@@ -67,6 +69,9 @@ CSV_HEADER = "px,py,pz,location,method,vertex_index,value,residual,band,error"
 # Rings random_polygon draws before it gives up with GenerationFailed.
 MAX_TRIES = 1000
 
+# Largest pivot magnitude oracle_triangle treats as zero (SingularMatrix).
+PIVOT = 1e-12
+
 
 # --------------------------------------------------------------------------
 # polygon files
@@ -95,9 +100,16 @@ class PolygonFile:
 
 
 def load_polygon_file(path) -> PolygonFile:
+    """Read a polygon file.  ValueError (OverflowError past the float range)
+    unless its vertices are a list of [x, y, z] rows of finite numbers."""
     data = json.loads(Path(path).read_text())
+    rows = data["vertices"]
+    if not (isinstance(rows, list) and all(isinstance(v, list) and len(v) == 3 for v in rows)
+            and all(type(c) in (int, float) for v in rows for c in v)
+            and np.isfinite(np.array(rows, dtype=float)).all()):
+        raise ValueError("vertices must be a list of [x, y, z] rows of finite numbers")
     return PolygonFile(
-        vertices=data["vertices"],
+        vertices=rows,
         name=data.get("name"),
         seed=data.get("seed"),
     )
@@ -257,64 +269,72 @@ class GridRow:
     error: str | None = None
     values: np.ndarray | None = field(default=None, repr=False)
 
-    def for_vertex(self, vertex_index: int, bands=DEFAULT_BANDS) -> "GridRow":
-        """The same sample with vertex_index's value and band selected."""
-        if self.values is None:
-            return replace(self, vertex_index=vertex_index)
-        value = float(self.values[vertex_index])
-        return replace(self, vertex_index=vertex_index, value=value, band=_band_index(value, bands))
-
     def to_csv(self) -> str:
         def f(v):
             return "" if v is None else repr(float(v))
 
-        return ",".join(
-            [
-                f(self.point[0]),
-                f(self.point[1]),
-                f(self.point[2]),
-                self.location,
-                self.method,
-                str(self.vertex_index),
-                f(self.value),
-                f(self.residual),
-                "" if self.band is None else str(self.band),
-                self.error or "",
-            ]
-        )
+        band = "" if self.band is None else str(self.band)
+        return ",".join([*map(f, self.point), self.location, self.method, str(self.vertex_index),
+                         f(self.value), f(self.residual), band, self.error or ""])
 
 
-def _band_index(value: float, bands) -> int:
-    for i, (lo, hi) in enumerate(bands):
-        if lo <= value <= hi:
-            return i
-    return -1
+def _band_index(values, bands) -> np.ndarray:
+    """Index of the first band lo <= value <= hi of each value, else -1."""
+    index = np.full(np.shape(values), -1)
+    for i, (lo, hi) in reversed(list(enumerate(bands))):
+        index[(lo <= values) & (values <= hi)] = i
+    return index
+
+
+class _Grid(NamedTuple):
+    """One method on a grid, per point: direction, location label, values,
+    residual, and the error tag of a point that emits no value."""
+
+    method: str
+    points: np.ndarray
+    labels: list
+    values: np.ndarray
+    residuals: np.ndarray
+    errors: list
+
+    def rows(self, k: int, bands=DEFAULT_BANDS) -> list[GridRow]:
+        """One GridRow per point, with vertex k's value and band selected."""
+        value = self.values[:, k]
+        return [
+            GridRow(p, label, self.method, k, error=e) if e
+            else GridRow(p, label, self.method, k, v, r, b, None, row)
+            for p, label, row, v, r, b, e in zip(
+                self.points, self.labels, self.values, value.tolist(), self.residuals.tolist(),
+                _band_index(value, bands).tolist(), self.errors)
+        ]
+
+
+def _evaluate_grid(polygon: SphericalPolygon, resolution: int, method: str) -> _Grid:
+    """Evaluate `method` at the grid directions in one batch; the location
+    labels are formatted once per distinct location."""
+    points = grid_directions(polygon, resolution)
+    batch = evaluate_batch(polygon, points, method)
+    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
+    errors = [
+        error.name if error is not None else ResidualTooLarge.__name__ if r > 1e-8 else None
+        for error, r in zip(batch.errors, residuals.tolist())
+    ]
+    loc = batch.locations
+    _, first, which = np.unique(loc.index * len(KINDS) + loc.kind, return_index=True, return_inverse=True)
+    text = [str(loc.at(i)) for i in first]
+    return _Grid(method, points, [text[j] for j in which.tolist()], batch.values, residuals, errors)
 
 
 def grid_rows(
     polygon: SphericalPolygon, vertex_index: int, resolution: int, method: str, bands=DEFAULT_BANDS
 ) -> list[GridRow]:
     """Evaluate `method` on the grid and classify the chosen vertex
-    coordinate into contour bands.  Evaluation failures become rows with an
-    error tag; a linear-precision defect above 1e-8 is refused at emission.
-    The whole grid is located and evaluated in one batch, and the location
-    column comes from that same locate.
+    coordinate into contour bands, one row per grid point.  Evaluation
+    failures become rows with an error tag; a linear-precision defect above
+    1e-8 is refused at emission.  The whole grid is located and evaluated
+    in one batch, and the location column comes from that same locate.
     """
-    points = grid_directions(polygon, resolution)
-    batch = evaluate_batch(polygon, points, method)
-    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
-    rows = []
-    for i, p in enumerate(points):
-        row = GridRow(point=p, location=str(batch.locations.at(i)), method=method, vertex_index=vertex_index)
-        if batch.errors[i] is not None:
-            row.error = batch.errors[i].name
-        elif residuals[i] > 1e-8:
-            row.error = ResidualTooLarge.__name__
-        else:
-            row.residual = float(residuals[i])
-            row.values = batch.values[i]
-        rows.append(row.for_vertex(vertex_index, bands))
-    return rows
+    return _evaluate_grid(polygon, resolution, method).rows(vertex_index, bands)
 
 
 def rows_to_csv(rows) -> str:
@@ -333,8 +353,7 @@ class CompareReport:
     mean_diff: float
     argmax_point: np.ndarray | None
     argmax_vertex: int
-    rows_a: list = field(default_factory=list, repr=False)     # vertex 0 grid rows of method_a
-    rows_b: list = field(default_factory=list, repr=False)
+    _grids: tuple = field(default=(), repr=False)     # the two evaluated grids, for to_csv
 
     def to_text(self) -> str:
         lines = [
@@ -351,45 +370,39 @@ class CompareReport:
             lines.append("no common successful points")
         return "\n".join(lines)
 
+    def to_csv(self) -> str:
+        """The rows of `grid_rows` for method_a, then method_b, each for vertex 0, 1, ... in turn."""
+        return rows_to_csv([row for grid in self._grids for k in range(grid.values.shape[1]) for row in grid.rows(k)])
+
 
 def compare_methods(polygon: SphericalPolygon, method_a: str, method_b: str, resolution: int = 24) -> CompareReport:
     """Grid-evaluate two methods and report the largest per-vertex gap over
-    the points where both succeed.  The report keeps each method's grid
-    rows (see :func:`grid_rows`), one evaluation per point and method."""
-    rows_a = grid_rows(polygon, 0, resolution, method_a)
-    rows_b = grid_rows(polygon, 0, resolution, method_b)
-    ok = 0
-    max_diff = 0.0
-    sum_diff = 0.0
-    count_diff = 0
-    argmax_point = None
-    argmax_vertex = -1
-    for ra, rb in zip(rows_a, rows_b):
-        if ra.values is None or rb.values is None:
-            continue
-        ok += 1
-        diff = np.abs(ra.values - rb.values)
-        sum_diff += float(diff.sum())
-        count_diff += len(diff)
-        i = int(np.argmax(diff))
-        if diff[i] > max_diff:
-            max_diff = float(diff[i])
-            argmax_point = ra.point
-            argmax_vertex = i
-    total = len(rows_a)
+    the points where both succeed: the first largest in row-major order,
+    none when every gap is 0, and the mean gap.  One evaluation per point
+    and method; the report keeps both grids for its CSV."""
+    grids = _evaluate_grid(polygon, resolution, method_a), _evaluate_grid(polygon, resolution, method_b)
+    ok_a, ok_b = (np.array([e is None for e in grid.errors], dtype=bool) for grid in grids)
+    both = ok_a & ok_b
+    diff = np.abs(grids[0].values[both] - grids[1].values[both])
+    max_diff, mean_diff, argmax_point, argmax_vertex = 0.0, 0.0, None, -1
+    if diff.size:
+        # The per-point sums, added in row order.
+        mean_diff = float(np.cumsum(diff.sum(axis=1))[-1]) / diff.size
+        r, k = divmod(int(np.argmax(diff)), polygon.n)
+        if diff[r, k] > 0.0:
+            max_diff, argmax_point, argmax_vertex = float(diff[r, k]), grids[0].points[both][r], k
     return CompareReport(
         method_a=method_a,
         method_b=method_b,
-        points_total=total,
-        points_compared=ok,
-        coverage_a=sum(r.values is not None for r in rows_a) / total,
-        coverage_b=sum(r.values is not None for r in rows_b) / total,
+        points_total=len(both),
+        points_compared=len(diff),
+        coverage_a=int(ok_a.sum()) / len(both),
+        coverage_b=int(ok_b.sum()) / len(both),
         max_diff=max_diff,
-        mean_diff=(sum_diff / count_diff) if count_diff else 0.0,
+        mean_diff=mean_diff,
         argmax_point=argmax_point,
         argmax_vertex=argmax_vertex,
-        rows_a=rows_a,
-        rows_b=rows_b,
+        _grids=grids,
     )
 
 
@@ -397,7 +410,7 @@ def compare_methods(polygon: SphericalPolygon, method_a: str, method_b: str, res
 # the triangle oracle
 # --------------------------------------------------------------------------
 
-def oracle_triangle(v1, v2, v3, x, pivot_tol: float = 1e-12) -> np.ndarray:
+def oracle_triangle(v1, v2, v3, x) -> np.ndarray:
     """Solve sum(psi_i v_i) = x for a spherical triangle by Gaussian
     elimination with partial pivoting.
 
@@ -405,21 +418,13 @@ def oracle_triangle(v1, v2, v3, x, pivot_tol: float = 1e-12) -> np.ndarray:
     linearly independent), so this is the independent reference every
     coordinate method must match for n = 3.
     """
-    A = np.column_stack([
-        np.asarray(v1, dtype=float),
-        np.asarray(v2, dtype=float),
-        np.asarray(v3, dtype=float),
-    ])
-    b = np.asarray(x, dtype=float).copy()
-    M = np.hstack([A, b[:, None]])
-    perm = [0, 1, 2]
+    M = np.column_stack([v1, v2, v3, x]).astype(float)      # [A | b]
     for col in range(3):
         pivot_row = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[pivot_row, col]) <= pivot_tol:
+        if abs(M[pivot_row, col]) <= PIVOT:
             raise SingularMatrix("triangle vertices are linearly dependent")
         if pivot_row != col:
             M[[col, pivot_row]] = M[[pivot_row, col]]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
         for row in range(col + 1, 3):
             factor = M[row, col] / M[col, col]
             M[row, col:] -= factor * M[col, col:]

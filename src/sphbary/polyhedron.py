@@ -1,5 +1,5 @@
 """The bipyramid-style polyhedron over a spherical polygon and two families
-of 3D generalized barycentric coordinates evaluated at a point inside it.
+of 3D generalized barycentric coordinates of the origin inside it.
 
 Given a polygon ring v_1..v_n and an interior direction x, the polyhedron
 has vertex list [v_1, ..., v_n, x, -x] and 2n triangular faces.  The
@@ -18,12 +18,12 @@ fan; the polar-dual backend of the spherical quotient uses the hull.
 Two weight backends are provided:
 
 * mean value weights: per-face angle sums divided by the distance to each
-  vertex (valid whenever the evaluation point is in the kernel),
+  vertex (valid whenever the origin is in the kernel),
 * rational polar-dual weights: per-vertex vector areas of the cells of the
-  dual points n_f / <n_f, y_f - at> (positive on convex polyhedra).
+  dual points n_f / <n_f, y_f> (positive on convex polyhedra).
 
-Both produce raw weights w with sum(w_i * (p_i - at)) = 0; normalizing by
-sum(w) gives the 3D barycentric coordinates of the evaluation point.
+Both produce raw weights w of the origin with sum(w_i * p_i) = 0;
+normalizing by sum(w) gives its 3D barycentric coordinates.
 
 Both are numpy code over m stacked polyhedra (m, N, 3) with shared (F, 3)
 or per-row (m, F, 3) faces, recording per-row errors (see
@@ -61,8 +61,6 @@ __all__ = [
     "wachspress_weights",
     "coords_at_origin",
 ]
-
-ORIGIN = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -190,21 +188,13 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
-def mv_weights_batch(
-    P: np.ndarray, faces: np.ndarray, at: np.ndarray, tol: Tolerances, kernel_ok: np.ndarray, errors: list
-) -> np.ndarray:
-    """Mean value weights of `at` in each stacked polyhedron P[r] (shape
-    (m, N, 3)) with the shared faces; see :func:`mv_weights`."""
+def mv_weights_batch(P: np.ndarray, faces: np.ndarray, kernel_ok: np.ndarray, errors: list) -> np.ndarray:
+    """Mean value weights of the origin in each stacked polyhedron P[r]
+    (shape (m, N, 3)) with the shared faces; see :func:`mv_weights`."""
     refuse(errors, ~kernel_ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
-    if not np.array_equal(at, ORIGIN):
-        a, normals, _ = _face_planes(P, faces)
-        dist = dot3(normals, a - at)
-        refuse(errors, np.any(dist <= tol.geom, axis=1), lambda r: KernelViolation(
-            f"evaluation point is not strictly inside every face plane (min distance {dist[r].min():.3e})"))
-    u = P - at
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(dot3(u, u))
-        e = u / r[..., None]
+        r = np.sqrt(dot3(P, P))
+        e = P / r[..., None]
         # Once per face: the unit rays e[s] to its corners and, per edge
         # s -> s+1, the unit normal n[s] of span(e[s], e[s+1]) and the angle b[s].
         e = [e[:, faces[:, s]] for s in range(3)]
@@ -230,22 +220,21 @@ def mv_weights_batch(
         return accum.reshape(m, N) / r
 
 
-def mv_weights(q: PolyhedronQ, at=ORIGIN) -> np.ndarray:
-    """Mean value weights of `at` with respect to q's vertices.
+def mv_weights(q: PolyhedronQ) -> np.ndarray:
+    """Mean value weights of the origin with respect to q's vertices.
 
     For each face (i, j, k), taken in its oriented order, the contribution
     to the distinguished vertex i is
 
         mu = (b_jk + b_ij <n_ij, n_jk> + b_ki <n_ki, n_jk>) / (2 <e_i, n_jk>)
 
-    where e_i is the unit vector from `at` to vertex i, b_rs the angle
+    where e_i is the unit vector from the origin to vertex i, b_rs the angle
     between e_r and e_s and n_rs the unit normal of span(e_r, e_s).  The
     weight of a vertex is the sum of its mu over incident faces divided by
-    its distance from `at`.  The m = 1 call of the batched kernel that
+    its distance from the origin.  The m = 1 call of the batched kernel that
     NEW_MV runs over the stacked fans of a whole grid.
     """
-    at = np.asarray(at, dtype=float)
-    return single(mv_weights_batch, q.vertices[None], q.faces, at, q.tol, np.array([q.kernel_ok]))
+    return single(mv_weights_batch, q.vertices[None], q.faces, np.array([q.kernel_ok]))
 
 
 def _edge_table(
@@ -277,15 +266,15 @@ def is_convex(q: PolyhedronQ) -> bool:
 
 
 def wachspress_weights_batch(
-    P: np.ndarray, faces: np.ndarray, at: np.ndarray, tol: Tolerances, require_convex: bool, errors: list
+    P: np.ndarray, faces: np.ndarray, tol: Tolerances, require_convex: bool, errors: list
 ) -> np.ndarray:
-    """Rational polar-dual weights of `at` in each stacked polyhedron P[r]
-    (shape (m, N, 3)) with shared (F, 3) or per-row (m, F, 3) faces; see
-    :func:`wachspress_weights`."""
+    """Rational polar-dual weights of the origin in each stacked polyhedron
+    P[r] (shape (m, N, 3)) with shared (F, 3) or per-row (m, F, 3) faces;
+    see :func:`wachspress_weights`."""
     m, N = P.shape[:2]
     faces = np.broadcast_to(faces, (m,) + faces.shape[-2:])
     a, normals, _ = _face_planes(P, faces)
-    offsets = dot3(normals, a - at)
+    offsets = dot3(normals, a)
     refuse(errors, np.any(offsets <= UNIT, axis=1),
            lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
     twin, convex = _edge_table(P, faces, a, normals, tol, errors)
@@ -300,25 +289,24 @@ def wachspress_weights_batch(
         cells = cross3(dual[rows, twin // 3], dual[:, own]).reshape(-1, 3)
         slot = (rows * N + faces.reshape(m, -1)).ravel()
         area = np.stack([np.bincount(slot, weights=cells[:, k], minlength=m * N) for k in range(3)], axis=-1)
-        u = P - at
-        return dot3(u, area.reshape(m, N, 3)) / dot3(u, u)
+        return dot3(P, area.reshape(m, N, 3)) / dot3(P, P)
 
 
-def wachspress_weights(q: PolyhedronQ, at=ORIGIN, require_convex: bool = True) -> np.ndarray:
-    """Rational polar-dual weights of `at`.
+def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarray:
+    """Rational polar-dual weights of the origin.
 
-    Every face f contributes a dual point p_f = n_f / <n_f, y_f - at>; the
+    Every face f contributes a dual point p_f = n_f / <n_f, y_f>; the
     weight of a vertex p is twice the signed area of its dual cell, the
     polygon of the dual points of its incident faces in their order around
-    p.  Those points all lie on the plane <y, p - at> = 1, so the cell's
-    vector area S_p = sum of p_f x p_g over consecutive faces f, g is normal
-    to it and the weight is <p - at, S_p> / |p - at|^2.
+    p.  Those points all lie on the plane <y, p> = 1, so the cell's vector
+    area S_p = sum of p_f x p_g over consecutive faces f, g is normal to it
+    and the weight is <p, S_p> / |p|^2.
 
     By default this is restricted to convex polyhedra (NotConvex otherwise),
     where all weights are positive.  With require_convex=False the same
-    formula is evaluated whenever every face plane keeps `at` strictly on
-    its inner side; weights may then change sign, but the linear-precision
-    identity sum(w_p (p - at)) = sum(S_p) = 0 survives, because each
+    formula is evaluated whenever every face plane keeps the origin strictly
+    on its inner side; weights may then change sign, but the linear-precision
+    identity sum(w_p p) = sum(S_p) = 0 survives, because each
     oriented dual edge appears twice with opposite signs.  The fan over a
     convex spherical polygon is very often non-convex in the strict
     dihedral sense; the spherical quotient therefore evaluates these
@@ -327,8 +315,7 @@ def wachspress_weights(q: PolyhedronQ, at=ORIGIN, require_convex: bool = True) -
     m = 1 call of the batched kernel that NEW_WC runs over the stacked
     hulls of a whole grid.
     """
-    at = np.asarray(at, dtype=float)
-    return single(wachspress_weights_batch, q.vertices[None], q.faces, at, q.tol, require_convex)
+    return single(wachspress_weights_batch, q.vertices[None], q.faces, q.tol, require_convex)
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
@@ -341,15 +328,16 @@ def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
         return w / total[:, None]
 
 
-def coords_at_origin(q: PolyhedronQ, backend: str = "MV", at=ORIGIN, require_convex: bool = True) -> np.ndarray:
-    """Normalized 3D barycentric coordinates phi of `at` in q (length n+2).
+def coords_at_origin(q: PolyhedronQ, backend: str = "MV", require_convex: bool = True) -> np.ndarray:
+    """Normalized 3D barycentric coordinates phi of the origin in q (length
+    n+2).
 
-    Satisfies sum(phi) = 1 and sum(phi_i * p_i) = at up to roundoff.
+    Satisfies sum(phi) = 1 and sum(phi_i * p_i) = 0 up to roundoff.
     """
     if backend == "MV":
-        weights = mv_weights(q, at)
+        weights = mv_weights(q)
     elif backend == "WC":
-        weights = wachspress_weights(q, at, require_convex=require_convex)
+        weights = wachspress_weights(q, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return single(normalized_weights, weights[None])

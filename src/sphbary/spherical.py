@@ -76,7 +76,6 @@ from .geom import (
     unit_rows,
 )
 from .polyhedron import (
-    ORIGIN,
     build_ring_q,
     coords_at_origin,
     fan_faces,
@@ -231,7 +230,7 @@ def _mean_value(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     tol = polygon.tol
     P = stack_bipyramids(polygon.vertices, X, tol, errors)
     faces = fan_faces(polygon.n)
-    w = mv_weights_batch(P, faces, ORIGIN, tol, kernel_ok_rows(P, faces, tol), errors)
+    w = mv_weights_batch(P, faces, kernel_ok_rows(P, faces, tol), errors)
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 
@@ -241,7 +240,7 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # of the same n+2 points (per row, x inserted into the polygon's
     # Delaunay triangulation) under the strict convexity check.
     P = stack_bipyramids(polygon.vertices, X, polygon.tol, errors)
-    w = wachspress_weights_batch(P, hull_faces(polygon, X, errors), ORIGIN, polygon.tol, True, errors)
+    w = wachspress_weights_batch(P, hull_faces(polygon, X, errors), polygon.tol, True, errors)
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 

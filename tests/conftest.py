@@ -35,6 +35,16 @@ def random_rotation(rng) -> np.ndarray:
     return q
 
 
+def jittered_ring(rng, n: int, cap: float, star: bool):
+    """n vertices at jittered, evenly spaced azimuths about the north pole:
+    on the circle of polar angle cap (convex), or at random polar angles in
+    [0.35 cap, cap] (usually non-convex)."""
+    azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
+    polar = cap * (rng.uniform(0.35, 1.0, size=n) if star else np.ones(n))
+    return sb.validate_polygon(np.column_stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+
+
 def crossing_hexagon() -> np.ndarray:
     """A six-vertex ring whose edges cross although every vertex turns
     left: azimuths 0, 2, 4, 1, 3, 5.2 rad at polar angle 0.5."""

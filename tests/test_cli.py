@@ -91,6 +91,11 @@ class TestCoords:
     def test_tol_override(self, octant_file):
         assert main(["--tol", "1e-8", "coords", octant_file, "--point", "1", "1", "1"]) == 0
 
+    def test_band_wider_than_half_an_edge_is_refused(self, capsys):
+        # A 3-rad angle band would swallow the pole as vertex(3).
+        assert main(["--tol", "0.3", "coords", str(DATA_DIR / "demo_quad.json"), "--point", "0", "0", "1"]) == 1
+        assert "error: DegenerateEdge" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED"])
     def test_tol_band_reaches_point_location(self, method, capsys):
         # The midpoint arc of edge 0 of the demo quadrilateral, moved 5e-9 rad
@@ -134,6 +139,35 @@ class TestUnparseableInput:
         path = tmp_path / "novertices.json"
         path.write_text(text + "\n")
         assert_usage_error(["coords", str(path), "--point", "0", "0", "1"], capsys)
+
+    @pytest.mark.parametrize("vertices", [
+        "[[1, 0], [0, 1, 0], [0, 0, 1]]",
+        "[[1, 0], [0, 1], [1, 1]]",
+        '[[1, 0, 0], [0, "a", 0], [0, 0, 1]]',
+        '[[1, 0, 0], [0, "1", 0], [0, 0, 1]]',
+        "[[1, 0, 0], [0, true, 0], [0, 0, 1]]",
+        "[[1, 0, 0], [0, null, 0], [0, 0, 1]]",
+        "[[1, 0, 0], [0, NaN, 0], [0, 0, 1]]",
+        "[[1%s, 0, 0], [0, 1, 0], [0, 0, 1]]" % ("0" * 400),
+        "[1, 0, 0]",
+        "5",
+    ], ids=["ragged", "columns2", "string", "numeric_string", "bool", "null", "nan", "overflow", "flat", "scalar"])
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["coords", "--point", "0", "0", "1"],
+        ["grid"],
+        ["compare", "--methods", "NEW_MV", "CC_MV"],
+        ["oracle", "--point", "1", "1", "1"],
+    ], ids=lambda c: c[0])
+    def test_vertices_not_an_n_by_3_number_array(self, tmp_path, vertices, command, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text('{"vertices": %s}\n' % vertices)
+        assert_usage_error([command[0], str(path), *command[1:]], capsys)
+
+    def test_fewer_than_three_vertices_stay_a_domain_error(self, tmp_path, capsys):
+        path = write_polygon(tmp_path, [[1, 0, 0], [0, 1, 0]])
+        assert main(["validate", path]) == 1
+        assert "error: TooFewVertices" in capsys.readouterr().err
 
 
 class TestExtendedFlag:

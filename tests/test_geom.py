@@ -100,6 +100,16 @@ class TestValidatePolygon:
         with pytest.raises(TooFewVertices):
             sb.validate_polygon([E1, E2])
 
+    def test_angle_band_below_half_the_shortest_edge(self):
+        # Wider, the bands of neighbouring vertices overlap.
+        quad = sb.demo_quadrilateral().vertices
+        with pytest.raises(DegenerateEdge):
+            sb.validate_polygon(quad, sb.Tolerances(geom=0.3))
+        shortest = min(sb.geom.angle_between(a, b) for a, b in zip(quad, np.roll(quad, -1, axis=0)))
+        assert sb.validate_polygon(quad, sb.Tolerances(geom=0.049 * shortest)).n == 4
+        with pytest.raises(DegenerateEdge):
+            sb.validate_polygon(quad, sb.Tolerances(geom=0.051 * shortest))
+
     def test_crossing_ring_rejected(self):
         ring = crossing_hexagon()
         for candidate in (ring, ring[::-1]):

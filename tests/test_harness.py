@@ -1,5 +1,7 @@
 """File round trips, random generation, grids, comparison, the oracle."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -9,6 +11,8 @@ import sphbary as sb
 from sphbary.errors import GenerationFailed, SingularMatrix, UnknownMethod
 from sphbary.harness import (
     CSV_HEADER,
+    CompareReport,
+    GridRow,
     PolygonFile,
     _band_index,
     grid_directions,
@@ -16,6 +20,9 @@ from sphbary.harness import (
     rows_to_csv,
     save_polygon_file,
 )
+from sphbary.spherical import evaluate_batch
+
+from conftest import DATA_DIR, jittered_ring
 
 
 class TestPolygonFiles:
@@ -170,6 +177,142 @@ class TestCompare:
     def test_report_text(self, octant):
         text = sb.compare_methods(octant, "NEW_MV", "CC_MV", resolution=10).to_text()
         assert "max |diff|" in text and "coverage" in text
+
+
+# --------------------------------------------------------------------------
+# reference: grids and comparisons one grid point at a time
+# --------------------------------------------------------------------------
+
+def band_index_loop(value, bands):
+    for i, (lo, hi) in enumerate(bands):
+        if lo <= value <= hi:
+            return i
+    return -1
+
+
+def for_vertex_loop(row, k, bands=sb.DEFAULT_BANDS):
+    """A copy of the row with vertex k's value and band selected."""
+    if row.values is None:
+        return dataclasses.replace(row, vertex_index=k)
+    value = float(row.values[k])
+    return dataclasses.replace(row, vertex_index=k, value=value, band=band_index_loop(value, bands))
+
+
+def grid_rows_loop(polygon, vertex_index, resolution, method, bands=sb.DEFAULT_BANDS):
+    """One batch, then one row per point, copied with the vertex selected."""
+    points = grid_directions(polygon, resolution)
+    batch = evaluate_batch(polygon, points, method)
+    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
+    rows = []
+    for i, p in enumerate(points):
+        row = GridRow(point=p, location=str(batch.locations.at(i)), method=method, vertex_index=vertex_index)
+        if batch.errors[i] is not None:
+            row.error = batch.errors[i].name
+        elif residuals[i] > 1e-8:
+            row.error = "ResidualTooLarge"
+        else:
+            row.residual = float(residuals[i])
+            row.values = batch.values[i]
+        rows.append(for_vertex_loop(row, vertex_index, bands))
+    return rows
+
+
+def compare_loop(polygon, method_a, method_b, resolution):
+    """The report from a loop over the points of both grids, and the CSV of
+    every vertex's rows of both methods, copied row by row."""
+    rows_a = grid_rows_loop(polygon, 0, resolution, method_a)
+    rows_b = grid_rows_loop(polygon, 0, resolution, method_b)
+    ok, max_diff, sum_diff, count_diff, argmax_point, argmax_vertex = 0, 0.0, 0.0, 0, None, -1
+    for ra, rb in zip(rows_a, rows_b):
+        if ra.values is None or rb.values is None:
+            continue
+        ok += 1
+        diff = np.abs(ra.values - rb.values)
+        sum_diff += float(diff.sum())
+        count_diff += len(diff)
+        i = int(np.argmax(diff))
+        if diff[i] > max_diff:
+            max_diff, argmax_point, argmax_vertex = float(diff[i]), ra.point, i
+    total = len(rows_a)
+    report = CompareReport(
+        method_a, method_b, total, ok,
+        sum(r.values is not None for r in rows_a) / total, sum(r.values is not None for r in rows_b) / total,
+        max_diff, (sum_diff / count_diff) if count_diff else 0.0, argmax_point, argmax_vertex)
+    csv = rows_to_csv([for_vertex_loop(row, k) for rows in (rows_a, rows_b) for k in range(polygon.n) for row in rows])
+    return report, csv
+
+
+@functools.cache
+def reference_polygon(name):
+    """demo_quad, the octant (whose grids have tied largest gaps), seeded
+    convex rings ("convex<n>") and star rings ("star<n>")."""
+    if name == "demo_quad":
+        return load_polygon_file(DATA_DIR / "demo_quad.json").validated()
+    if name == "octant":
+        return sb.octant_triangle()
+    n = int(name.lstrip("convexstar"))
+    if name.startswith("convex"):
+        return sb.random_polygon(n, 1.2, seed=600 + n)
+    polygon = jittered_ring(np.random.default_rng(600 + n), n, 1.2, star=True)
+    assert not polygon.convex
+    return polygon
+
+
+REFERENCE_POLYGONS = ["demo_quad", "octant", "convex3", "convex7", "convex48", "star6", "star48"]
+# Overlapping and zero-width bands: a value takes the first band holding it.
+CUSTOM_BANDS = ((0.0, 0.1), (0.05, 0.3), (0.25, 0.25), (0.2, 1.0))
+
+
+def row_fields(row):
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in dataclasses.astuple(row)]
+
+
+def report_fields(report):
+    return [v.tobytes() if isinstance(v, np.ndarray) else v
+            for v in (getattr(report, f.name) for f in dataclasses.fields(report)) if not isinstance(v, tuple)]
+
+
+class TestAgainstPerPointLoops:
+    """grid_rows, compare_methods and the compare CSV build from the two
+    batches what the loops above build point by point: the same rows (every
+    field, values bit for bit), report and CSV text."""
+
+    @pytest.mark.parametrize("bands", [sb.DEFAULT_BANDS, CUSTOM_BANDS], ids=["default_bands", "custom_bands"])
+    @pytest.mark.parametrize("resolution", [8, 24])
+    @pytest.mark.parametrize("name", REFERENCE_POLYGONS)
+    def test_grid_rows(self, name, resolution, bands):
+        polygon = reference_polygon(name)
+        for method in sb.METHODS:
+            k = resolution % polygon.n
+            got = sb.grid_rows(polygon, k, resolution, method, bands)
+            expected = grid_rows_loop(polygon, k, resolution, method, bands)
+            assert len(got) == resolution * resolution
+            assert [row_fields(r) for r in got] == [row_fields(r) for r in expected]
+
+    # The 48-gons' CSVs at 24 x 24 (55,296 rows each) are left out for time;
+    # test_grid_rows covers their grids at that resolution.
+    @pytest.mark.parametrize("pair", [("NEW_MV", "CC_MV"), ("NEW_WC", "CC_WC"), ("NEW_MV", "NEW_MV_CLOSED")],
+                             ids="-".join)
+    @pytest.mark.parametrize("name, resolution", [
+        (name, resolution) for name in REFERENCE_POLYGONS for resolution in (8, 24)
+        if not (name.endswith("48") and resolution == 24)])
+    def test_compare(self, name, resolution, pair):
+        polygon = reference_polygon(name)
+        report = sb.compare_methods(polygon, *pair, resolution)
+        expected, csv = compare_loop(polygon, *pair, resolution)
+        assert report_fields(report) == report_fields(expected)
+        assert report.to_text() == expected.to_text()
+        assert report.to_csv() == csv
+
+    @pytest.mark.parametrize("resolution", [8, 24])
+    def test_no_argmax_when_every_gap_is_zero(self, resolution):
+        polygon = reference_polygon("demo_quad")
+        report = sb.compare_methods(polygon, "NEW_MV_CLOSED", "NEW_MV_CLOSED", resolution)
+        expected, csv = compare_loop(polygon, "NEW_MV_CLOSED", "NEW_MV_CLOSED", resolution)
+        assert report.points_compared > 0
+        assert (report.max_diff, report.argmax_point, report.argmax_vertex) == (0.0, None, -1)
+        assert report_fields(report) == report_fields(expected)
+        assert report.to_csv() == csv
 
 
 class TestOracle:

@@ -16,7 +16,7 @@ from sphbary.errors import (
 from sphbary.geom import UNIT
 from sphbary.polyhedron import PolyhedronQ, build_ring_q, fan_faces, is_convex
 
-from conftest import random_rotation
+from conftest import jittered_ring, random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 
@@ -169,14 +169,6 @@ class TestMeanValueWeights:
             w = sb.mv_weights(q)
             assert np.linalg.norm(w @ q.vertices) <= 1e-9
 
-    def test_movable_evaluation_point(self, octant_q):
-        at = np.array([0.05, -0.02, 0.04])
-        w = sb.mv_weights(octant_q, at=at)
-        assert np.linalg.norm(w @ (octant_q.vertices - at)) <= 1e-9
-        outside = 1.2 * sb.normalize([1, 1, 1])
-        with pytest.raises(KernelViolation):
-            sb.mv_weights(octant_q, at=outside)
-
 
 def regular_tetrahedron() -> PolyhedronQ:
     vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
@@ -321,16 +313,6 @@ def wachspress_weights_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL, require_convex=T
     area = np.zeros((len(V), 3))
     np.add.at(area, F.ravel(), np.cross(dual[twin_loop(q).ravel() // 3], dual[own]))
     return np.einsum("ij,ij->i", V, area) / np.einsum("ij,ij->i", V, V)
-
-
-def jittered_ring(rng, n: int, cap: float, star: bool):
-    """n vertices at jittered, evenly spaced azimuths about the north pole:
-    on the circle of polar angle cap (convex), or at random polar angles in
-    [0.35 cap, cap] (usually non-convex)."""
-    azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
-    polar = cap * (rng.uniform(0.35, 1.0, size=n) if star else np.ones(n))
-    return sb.validate_polygon(np.column_stack(
-        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
 
 
 def outcome(call, *args, **kwargs):
