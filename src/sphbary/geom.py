@@ -294,6 +294,21 @@ class SphericalPolygon:
         return dot3(self.vertices, np.roll(self.vertices, -1, axis=0))
 
     @cached_property
+    def edge_sines(self) -> np.ndarray:
+        """(n,) lengths |v_j x v_{j+1}|, the sines of the edges' angles."""
+        return np.sqrt(dot3(self.edge_normals, self.edge_normals))
+
+    @cached_property
+    def edge_angles(self) -> np.ndarray:
+        """(n,) angles between v_j and v_{j+1}."""
+        return np.arctan2(self.edge_sines, self.edge_cosines)
+
+    @cached_property
+    def unit_edge_normals(self) -> np.ndarray:
+        """(n, 3) rows (v_j x v_{j+1}) / |v_j x v_{j+1}|."""
+        return self.edge_normals / self.edge_sines[:, None]
+
+    @cached_property
     def delaunay(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The spherical Delaunay triangulation of a convex ring (the faces of
         the hull of its vertices that face away from the origin), laid out for

@@ -361,13 +361,15 @@ class CompareReport:
             f"grid points: {self.points_total}, compared on both: {self.points_compared}",
             f"coverage: {self.method_a} {self.coverage_a:.4f}, {self.method_b} {self.coverage_b:.4f}",
         ]
-        if self.points_compared:
-            p = [float(c) for c in self.argmax_point]
-            lines.append(f"max |diff| = {self.max_diff!r} at vertex {self.argmax_vertex}")
-            lines.append(f"argmax point = ({p[0]!r}, {p[1]!r}, {p[2]!r})")
-            lines.append(f"mean |diff| = {self.mean_diff!r}")
-        else:
+        if not self.points_compared:
             lines.append("no common successful points")
+        elif self.argmax_point is None:                 # every gap is 0: there is no largest one
+            lines += [f"max |diff| = {self.max_diff!r}", f"mean |diff| = {self.mean_diff!r}"]
+        else:
+            p = [float(c) for c in self.argmax_point]
+            lines += [f"max |diff| = {self.max_diff!r} at vertex {self.argmax_vertex}",
+                      f"argmax point = ({p[0]!r}, {p[1]!r}, {p[2]!r})",
+                      f"mean |diff| = {self.mean_diff!r}"]
         return "\n".join(lines)
 
     def to_csv(self) -> str:

@@ -13,7 +13,10 @@ The fan is usually not convex, even over a convex polygon.  With
 hull=True, :func:`build_q` takes the faces of the convex hull of the same
 n+2 points instead (:func:`hull_faces`: the lower fan, and the polygon's
 Delaunay triangulation with x inserted).  The mean value backend uses the
-fan; the polar-dual backend of the spherical quotient uses the hull.
+fan; the polar-dual backend of the spherical quotient uses the hull.  The
+NEW_MV method evaluates the fan's mean value weights from the rays
+x cross v_i instead (see :mod:`sphbary.spherical`); the kernels here serve
+any polyhedron: :func:`mv_weights`, the extended mode and NEW_WC.
 
 Two weight backends are provided:
 
@@ -231,8 +234,9 @@ def mv_weights(q: PolyhedronQ) -> np.ndarray:
     where e_i is the unit vector from the origin to vertex i, b_rs the angle
     between e_r and e_s and n_rs the unit normal of span(e_r, e_s).  The
     weight of a vertex is the sum of its mu over incident faces divided by
-    its distance from the origin.  The m = 1 call of the batched kernel that
-    NEW_MV runs over the stacked fans of a whole grid.
+    its distance from the origin.  The m = 1 call of
+    :func:`mv_weights_batch`; NEW_MV evaluates the same face terms on the
+    fan from its rays x cross v_i, without building q.
     """
     return single(mv_weights_batch, q.vertices[None], q.faces, np.array([q.kernel_ok]))
 

@@ -9,7 +9,11 @@ polyhedron [v_1..v_n, x, -x] (indices n+1 for x, n+2 for -x).  The psi are
 non-negative on convex polygons, reproduce x as sum(psi_i v_i), restrict
 linearly to the edges and are the Kronecker delta at the vertices.  The
 mean value backend takes phi on the fan triangulation of the polyhedron,
-the polar-dual backend on its convex hull.
+the polar-dual backend on its convex hull.  Every fan face holds x or -x,
+so the mean value kernel builds no polyhedron: each face edge is a ring
+edge, whose normal and angle the polygon caches, or +-(x cross v_i), and
+the per-face formula of :func:`sphbary.polyhedron.mv_weights` is
+evaluated on (m, n) arrays of those.
 
 On an edge the same limit collapses to the two-vertex decomposition
 x = a v_j + b v_{j+1}: because x, -x, v_j, v_{j+1} and the origin are all
@@ -47,10 +51,13 @@ import numpy as np
 from .errors import (
     AlphaNearPi,
     AngleDegenerate,
+    DegenerateTriangle,
     ExteriorPoint,
+    KernelViolation,
     NonPositiveDenominator,
     NotConvexForWC,
     OriginOnBoundary,
+    PointOnVertexOrAntipode,
     UnknownMethod,
     ZeroVector,
     check_row,
@@ -63,6 +70,7 @@ from .geom import (
     EDGE,
     EXTERIOR,
     INTERIOR,
+    UNIT,
     VERTEX,
     Locations,
     PointLocation,
@@ -78,10 +86,7 @@ from .geom import (
 from .polyhedron import (
     build_ring_q,
     coords_at_origin,
-    fan_faces,
     hull_faces,
-    kernel_ok_rows,
-    mv_weights_batch,
     normalized_weights,
     stack_bipyramids,
     wachspress_weights_batch,
@@ -143,25 +148,30 @@ class AngleCache:
         self.alpha.setflags(write=False)
 
 
-def _fan_angles(polygon: SphericalPolygon, X: np.ndarray, errors: list):
-    """c_i = x cross v_i (m, n, 3), sin theta_i = |c_i| and cos theta_i =
-    <v_i, x> (m, n) for the unit rows of X; rows with x aligned with or
-    opposite to some vertex are refused with AngleDegenerate."""
+def _fan_angles(polygon: SphericalPolygon, X: np.ndarray, aligned_error: Callable, errors: list):
+    """c_i = x cross v_i (m, n, 3), sin theta_i = |c_i|, cos theta_i =
+    <v_i, x> and theta_i (m, n) for the unit rows of X; rows with x aligned
+    with or opposite to some vertex k are refused with
+    aligned_error(k, theta_k), each kernel with its own tag."""
     x = X[:, None, :]
     c = cross3(x, polygon.vertices)
     sin_theta = np.sqrt(dot3(c, c))
     cos_theta = dot3(x, polygon.vertices)
     theta = np.arctan2(sin_theta, cos_theta)
     aligned = (theta <= polygon.tol.angle) | (theta >= np.pi - polygon.tol.angle)
-    refuse(errors, aligned.any(axis=1), lambda r: AngleDegenerate(
-        f"x is aligned with vertex {np.argmax(aligned[r])} (theta = {theta[r, np.argmax(aligned[r])]:.3e})"))
+    refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
+        int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
     return c, sin_theta, cos_theta, theta
+
+
+def _angle_degenerate(k: int, theta: float) -> AngleDegenerate:
+    return AngleDegenerate(f"x is aligned with vertex {k} (theta = {theta:.3e})")
 
 
 def angles(polygon: SphericalPolygon, x) -> AngleCache:
     """Angle cache for the closed-form weights; x must not coincide with or
     oppose any vertex (AngleDegenerate otherwise)."""
-    c, _, _, theta = single(_fan_angles, polygon, np.asarray(x, dtype=float).reshape(1, 3))
+    c, _, _, theta = single(_fan_angles, polygon, np.asarray(x, dtype=float).reshape(1, 3), _angle_degenerate)
     c_next = np.roll(c, -1, axis=0)
     s = cross3(c, c_next)
     alpha = np.arctan2(np.sqrt(dot3(s, s)), dot3(c, c_next))
@@ -171,7 +181,7 @@ def angles(polygon: SphericalPolygon, x) -> AngleCache:
 def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
     at the unit rows of X; see :func:`closed_form_mv_weights`."""
-    c, sin_theta, cos_theta, _ = _fan_angles(polygon, X, errors)
+    c, sin_theta, cos_theta, _ = _fan_angles(polygon, X, _angle_degenerate, errors)
     c_next = roll1(c, -1)
     s = dot3(cross3(c, c_next), X[:, None, :])      # |c_i||c_{i+1}| sin(alpha_i)
     d = dot3(c, c_next)                              # |c_i||c_{i+1}| cos(alpha_i)
@@ -224,14 +234,54 @@ def _quotient(phi: np.ndarray, n: int, errors: list):
 
 
 def _mean_value(polygon: SphericalPolygon, X: np.ndarray, errors: list):
-    # Mean value weights need only the origin in the kernel and depend on
-    # the triangulation; the fan's faces are the same for every x, so the
-    # whole block is one stack of polyhedra.
-    tol = polygon.tol
-    P = stack_bipyramids(polygon.vertices, X, tol, errors)
-    faces = fan_faces(polygon.n)
-    w = mv_weights_batch(P, faces, kernel_ok_rows(P, faces, tol), errors)
+    # The mean value weights of the origin in [v_1..v_n, x, -x] on the fan,
+    # face by face as in sphbary.polyhedron.mv_weights, from (m, n) arrays:
+    # the upper face (x, v_i, v_{i+1}) has edges c_i, N_i and -c_{i+1} at
+    # angles theta_i, beta_i and theta_{i+1}, the lower face
+    # (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and c_i at pi - theta_{i+1},
+    # beta_i and pi - theta_i, with c_i = x cross v_i and N_i the polygon's
+    # unit edge normals.
+    c, sin_theta, _, theta = _fan_angles(polygon, X, _on_vertex, errors)
+    N, beta = polygon.unit_edge_normals, polygon.edge_angles
+    c_next, sin_next, theta_next = roll1(c, -1), roll1(sin_theta, -1), roll1(theta, -1)
+    h = dot3(X[:, None, :], N)
+    # <x, v_i x v_{i+1}> from the same h: near edge i every term that grows
+    # like 1/h then shares its rounding, and they cancel in the quotient.
+    trips = h * polygon.edge_sines
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Kernel certificate: the face normals are +-(v_i x v_{i+1}) + c_i -
+        # c_{i+1}, and both planes lie trips / |normal| from the origin.
+        d = c - c_next
+        ok = np.ones(len(X), bool)
+        for normal in (polygon.edge_normals + d, d - polygon.edge_normals):
+            length = np.sqrt(dot3(normal, normal))
+            ok &= np.all(length > UNIT, axis=1) & np.all(trips / length > polygon.tol.geom, axis=1)
+        refuse(errors, ~ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
+        refuse(errors, np.any(sin_theta <= UNIT, axis=1) | np.any(polygon.edge_sines <= UNIT),
+               lambda _: DegenerateTriangle("two rays of a face are collinear"))
+        # Twice <e, n> at each corner, against the opposite edge: at x and -x
+        # (edge +-N_i), at v_i (edge v_{i+1}, +-x) and at v_{i+1} (edge +-x, v_i).
+        h2, h2_i, h2_next = 2.0 * h, 2.0 * trips / sin_next, 2.0 * trips / sin_theta
+        refuse(errors, np.any((np.abs(h2) <= UNIT) | (np.abs(h2_i) <= UNIT) | (np.abs(h2_next) <= UNIT), axis=1),
+               lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
+        # Cosines between the edge normals: <c_i, N_i>, <c_{i+1}, N_i> and
+        # <c_i, c_{i+1}>, normalized.
+        a = dot3(c, N) / sin_theta
+        b = dot3(c_next, N) / sin_next
+        cc = dot3(c, c_next) / (sin_theta * sin_next)
+        up_x = (beta + theta * a - theta_next * b) / h2
+        up_i = (theta_next - beta * b - theta * cc) / h2_i
+        up_next = (theta + beta * a - theta_next * cc) / h2_next
+        low_x = (beta + (np.pi - theta_next) * b - (np.pi - theta) * a) / h2
+        low_i = ((np.pi - theta_next) + beta * b - (np.pi - theta) * cc) / h2_i
+        low_next = ((np.pi - theta) - beta * a - (np.pi - theta_next) * cc) / h2_next
+        w = np.concatenate([up_i + low_i + roll1(up_next + low_next, 1),
+                            up_x.sum(axis=1)[:, None], low_x.sum(axis=1)[:, None]], axis=1)
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
+
+
+def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
+    return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
 
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):

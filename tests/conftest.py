@@ -71,3 +71,19 @@ def locate_calls(monkeypatch):
         if name.startswith("sphbary") and getattr(module, "locate_points", None) is original:
             monkeypatch.setattr(module, "locate_points", counting)
     return count
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Counts the calls of the function `original` from every sphbary
+    module that binds it (and from its own module's calls by name); read
+    the count as the returned list's [0]."""
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sphbary") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counting)
+    return count

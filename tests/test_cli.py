@@ -236,6 +236,14 @@ class TestCompare:
                          .split("=")[1].split("at")[0])
         assert max_diff > 1e-4
 
+    def test_method_against_itself(self, capsys):
+        # Every gap is 0, so there is no largest one to locate.
+        assert main(["compare", str(DATA_DIR / "demo_quad.json"), "--methods", "CC_MV", "CC_MV",
+                     "--resolution", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "grid points: 64, compared on both: 16"
+        assert lines[3:] == ["max |diff| = 0.0", "mean |diff| = 0.0"]
+
     @pytest.mark.parametrize("resolution", ["0", "-3"])
     def test_low_resolution_usage_error(self, resolution):
         with pytest.raises(SystemExit) as exc:

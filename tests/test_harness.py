@@ -22,7 +22,7 @@ from sphbary.harness import (
 )
 from sphbary.spherical import evaluate_batch
 
-from conftest import DATA_DIR, jittered_ring
+from conftest import DATA_DIR, count_calls, jittered_ring
 
 
 class TestPolygonFiles:
@@ -149,6 +149,20 @@ class TestGrid:
     def test_one_locate_per_grid_point(self, method, locate_calls):
         sb.grid_rows(sb.demo_quadrilateral(), 0, 16, method)
         assert locate_calls[0] == 16 * 16
+
+    def test_new_mv_builds_no_stacked_polyhedra(self, monkeypatch):
+        # NEW_MV's kernel works on the fan's own (m, n) arrays; the general
+        # polyhedral route stays in use for NEW_WC and for mv_weights.
+        polygon = sb.demo_quadrilateral()
+        stacks = count_calls(monkeypatch, sb.polyhedron.stack_bipyramids)
+        weights = count_calls(monkeypatch, sb.polyhedron.mv_weights_batch)
+        sb.grid_rows(polygon, 0, 16, "NEW_MV")
+        evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_MV")
+        sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_MV")
+        assert (stacks[0], weights[0]) == (0, 0)
+        evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
+        sb.mv_weights(sb.build_q(polygon, [0.0, 0.0, 1.0]))
+        assert stacks[0] > 0 and weights[0] == 1
 
     def test_error_rows_recorded_not_fatal(self, octant):
         rows = sb.grid_rows(octant, 0, 12, "CC_MV")
@@ -313,6 +327,8 @@ class TestAgainstPerPointLoops:
         assert (report.max_diff, report.argmax_point, report.argmax_vertex) == (0.0, None, -1)
         assert report_fields(report) == report_fields(expected)
         assert report.to_csv() == csv
+        assert report.to_text() == expected.to_text()
+        assert report.to_text().splitlines()[3:] == ["max |diff| = 0.0", "mean |diff| = 0.0"]
 
 
 class TestOracle:

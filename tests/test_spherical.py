@@ -12,11 +12,12 @@ from sphbary.errors import (
     NotConvexForWC,
     ProjectionUndefined,
     SphBaryError,
+    single,
 )
-from sphbary.geom import unit_rows
-from sphbary.spherical import evaluate_batch
+from sphbary.geom import INTERIOR, unit_rows
+from sphbary.spherical import _quotient, evaluate_batch
 
-from conftest import random_rotation
+from conftest import jittered_ring, random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 INV_SQRT3 = 1 / np.sqrt(3)
@@ -360,6 +361,82 @@ class TestBatchInvariance:
         batch = evaluate_batch(octant, np.empty((0, 3)), method)
         assert batch.values.shape == (0, 3) and batch.denom.shape == (0,)
         assert batch.errors == [] and len(batch.locations) == 0
+
+
+def near_edge_points(polygon, gap, rng):
+    """One unit direction per edge at geodesic distance gap inside it, with
+    its foot in the edge's middle half."""
+    poles = polygon.edge_normals / np.linalg.norm(polygon.edge_normals, axis=1)[:, None]
+    feet = np.array([edge_point(polygon, j, rng.uniform(0.25, 0.75)) for j in range(polygon.n)])
+    return unit_rows(np.cos(gap) * feet + np.sin(gap) * poles)[0]
+
+
+def general_mv_outcome(polygon, x):
+    """NEW_MV by the general polyhedral route: the fan polyhedron, the mean
+    value coordinates of the origin in it, the quotient; (error tag, psi)."""
+    try:
+        phi = sb.coords_at_origin(sb.build_q(polygon, x), "MV")
+        return None, single(_quotient, phi[None], polygon.n)[0]
+    except SphBaryError as exc:
+        return exc.name, None
+
+
+# (n, cap, star): seeded jittered rings, n 3..64, caps up to 1.5.
+FAN_RINGS = (
+    (3, 1.5, False), (4, 0.4, False), (5, 1.2, True), (7, 0.9, True), (8, 1.4, False), (12, 1.5, True),
+    (16, 0.7, False), (24, 1.1, True), (32, 1.5, False), (48, 1.3, True), (64, 1.0, False), (64, 1.5, True),
+)
+
+
+class TestFanKernel:
+    @pytest.mark.parametrize("case", range(len(FAN_RINGS)))
+    def test_matches_the_general_route(self, case):
+        # Every interior row gets the same error tag from NEW_MV's fan kernel
+        # and from the general route, and where both succeed the same psi
+        # to 1e-12 at points at least 1e-4 from the boundary; nearer to it
+        # the general route loses accuracy, so only the tags are compared.
+        n, cap, star = FAN_RINGS[case]
+        rng = np.random.default_rng(7100 + case)
+        polygon = jittered_ring(rng, n, cap, star)
+        R = random_rotation(rng)
+        for poly in (polygon, sb.validate_polygon(polygon.vertices @ R.T)):
+            X = np.vstack([sb.interior_points(poly, 40, rng)]
+                          + [near_edge_points(poly, gap, rng) for gap in (1e-3, 1e-5, 1e-7, 1e-9, 4e-10, 2e-10)])
+            poles = poly.edge_normals / np.linalg.norm(poly.edge_normals, axis=1)[:, None]
+            far = np.min(np.abs(X @ poles.T), axis=1) >= 1e-4      # sin of a lower bound on the distance
+            batch = evaluate_batch(poly, X, "NEW_MV")
+            compared = 0
+            for i in np.flatnonzero(batch.locations.kind == INTERIOR):
+                tag, psi = general_mv_outcome(poly, X[i])
+                assert (None if batch.errors[i] is None else batch.errors[i].name) == tag
+                if tag is None and far[i]:
+                    np.testing.assert_allclose(batch.values[i], psi, rtol=0, atol=1e-12)
+                    compared += 1
+            assert star or compared >= 40          # most star-ring rows fail the kernel certificate
+
+
+# ROADMAP item 1's sweep.  NEW_WC is left out: its polar-dual weights still
+# answer silently wrong at gaps of 1e-9 and 1e-10 (9 of these 1,890 rows;
+# ROADMAP item 1).
+SWEEP_GAPS = tuple(10.0 ** -k for k in range(4, 14))
+
+
+class TestNearBoundarySweep:
+    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_MV_CLOSED", "CC_MV", "CC_WC"])
+    def test_small_residual_or_named_error(self, method):
+        # Seeded convex and star rings, one point per edge at each gap from
+        # 1e-4 to 1e-13: each row is within 1e-8 of x or a named error.
+        wrong = []
+        for k in range(20):
+            rng = np.random.default_rng(8300 + k)
+            polygon = jittered_ring(rng, int(rng.integers(3, 20)), rng.uniform(0.3, 1.4), star=k % 2 == 1)
+            for gap in SWEEP_GAPS:
+                X = near_edge_points(polygon, gap, rng)
+                batch = evaluate_batch(polygon, X, method)
+                residual = np.linalg.norm(batch.values @ polygon.vertices - X, axis=1)
+                wrong += [(k, gap, i, residual[i]) for i, error in enumerate(batch.errors)
+                          if not (isinstance(error, SphBaryError) or residual[i] <= 1e-8)]
+        assert wrong == []
 
 
 class TestExtendedDomain:
