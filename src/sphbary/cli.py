@@ -60,6 +60,8 @@ def _levels(text: str):
             lo, hi = (float(t) for t in chunk.split(":"))
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected lo:hi[,lo:hi...], got {text!r}") from None
+        if np.isnan(lo) or np.isnan(hi):
+            raise argparse.ArgumentTypeError(f"a band bound must be a number or +-inf, got {chunk!r}")
         bands.append((min(lo, hi), max(lo, hi)))
     return tuple(bands)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,10 @@ def triple_product(a, b, c) -> float:
 
 def dot3(a, b) -> np.ndarray:
     """<a, b> over the last axis (length 3), broadcasting the others; the
-    three products are added left to right whatever the batch shape."""
-    return np.add.reduce(a * b, axis=-1)
+    three products are added left to right whatever the batch shape (the
+    order of np.add.reduce over that axis, without its per-row loop)."""
+    p = a * b
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 _NEXT = np.array([1, 2, 0])
@@ -134,22 +137,6 @@ def unit_rows(X) -> tuple[np.ndarray, np.ndarray]:
     if short.any():
         norms[short] = np.nan
     return X / norms[:, None], short
-
-
-def half_edge_twins(faces: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Twin table (m, 3F) of per-row triangles (m, F, 3) over N vertices,
-    by one argsort of row-offset edge keys: half-edge 3f + s runs from
-    corner s of face f to corner s+1, and its twin is the half-edge of its
-    row running the other way where there is one (matched), else itself."""
-    m, F = faces.shape[:2]
-    rows = np.arange(m)[:, None]
-    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
-    key = ((rows * N + tail) * N + head).ravel()
-    reverse = ((rows * N + head) * N + tail).ravel()
-    order = np.argsort(key)
-    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
-    matched = (key[twin] == reverse).reshape(m, -1)
-    return np.where(matched, twin.reshape(m, -1) - 3 * F * rows, np.arange(3 * F)), matched
 
 
 def tangent_frames(X) -> tuple[np.ndarray, np.ndarray]:
@@ -309,16 +296,10 @@ class SphericalPolygon:
         return self.edge_normals / self.edge_sines[:, None]
 
     @cached_property
-    def delaunay(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def delaunay(self) -> "Triangulation":
         """The spherical Delaunay triangulation of a convex ring (the faces of
-        the hull of its vertices that face away from the origin), laid out for
-        the hull of the ring with a point n above it and a point n+1 below:
-        - faces (5n-8, 3): the n-2 triangles, anti-clockwise seen from
-          outside; (n, a, b) on each half-edge 3t+s, from corner s of
-          triangle t to s+1; the lower fan (n+1, i+1, i);
-        - the planes <normal, y> = offset of the triangles and, last, of the
-          side below the ring, which nothing lies in front of;
-        - across (3n-6,): the plane across each half-edge.
+        the hull of its vertices that face away from the origin) with its
+        half-edge tables; see :class:`Triangulation`.
         A chord recursion from (0, n-1) takes as apex of chord (i, j) the
         lowest chain vertex i < k < j whose plane through v_i, v_k, v_j
         leaves every other chain vertex at most the band in front.  One pass
@@ -340,16 +321,81 @@ class SphericalPolygon:
                 k = i + 1 + int(np.all(behind(V[i], chain, V[j], chain), axis=1).argmax())
                 triangles.append((i, k, j))
                 chords += [(i, k), (k, j)]
-        triangles = np.array(triangles, dtype=np.intp)
-        a = V[triangles[:, 0]]
-        normals = cross3(V[triangles[:, 1]] - a, V[triangles[:, 2]] - a)
-        normals = np.concatenate([normals / np.sqrt(dot3(normals, normals))[:, None], np.zeros((1, 3))])
-        offsets = np.concatenate([dot3(normals[:-1], a), [np.inf]])
-        cones = np.column_stack([np.full(3 * n - 6, n), triangles.ravel(), triangles[:, [1, 2, 0]].ravel()])
-        lower = np.column_stack([np.full(n, n + 1), np.arange(1, n + 1) % n, np.arange(n)])
-        twin, matched = half_edge_twins(triangles[None], n)
-        return (np.concatenate([triangles, cones, lower]), normals, offsets,
-                np.where(matched[0], twin[0] // 3, n - 2))
+        return Triangulation.of(V, np.array(triangles, dtype=np.intp), self.tol)
+
+
+class Triangulation(NamedTuple):
+    """:attr:`SphericalPolygon.delaunay` and the tables the hull of the ring
+    with a point above it and one below is built from.  Half-edge
+    h = 3t + s runs from corner s of triangle t to corner s+1, from v_tail
+    to v_head; triangle n-2 stands for the side below the ring, which
+    nothing lies in front of."""
+
+    triangles: np.ndarray   # (n-2, 3), anti-clockwise seen from outside
+    normals: np.ndarray     # (n-1, 3) unit normals of their planes <normal, y> = offset,
+    offsets: np.ndarray     # (n-1,) and offsets; a zero normal and an infinite offset below
+    sizes: np.ndarray       # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
+    own: np.ndarray         # (3n-6,) the triangle of each half-edge
+    across: np.ndarray      # (3n-6,) the triangle across it, n-2 on the ring
+    tail: np.ndarray        # (3n-6,)
+    head: np.ndarray        # (3n-6,)
+    cross: np.ndarray       # (3n-6, 3) v_tail x v_head
+    cosines: np.ndarray     # (3n-6,) <v_tail, v_head>
+    rim: np.ndarray         # (n,) the triangle on the ring edge from v_i to v_{i+1}
+    turns: np.ndarray       # (n, 3) (v_{i-1} - v_i) x (v_{i+1} - v_i)
+    ends: np.ndarray        # (n-3, 2) the ends p, q of each edge between two triangles,
+    sides: np.ndarray       # (n-3, 2) the triangles left and right of p -> q,
+    kappa: np.ndarray       # (n-3,) its polar-dual term when both are on the hull,
+    reflex: np.ndarray      # (n-3,) and whether an apex lies more than the band in front of the plane across
+
+    @classmethod
+    def of(cls, V: np.ndarray, triangles: np.ndarray, tol: Tolerances) -> "Triangulation":
+        """The tables of a triangulation (n-2, 3) of the convex ring V, each
+        triangle anti-clockwise seen from outside; tol is the band of the
+        apex tests."""
+        n = len(V)
+        corners = V[triangles]
+        after = corners[:, [1, 2, 0]]                     # the head of each half-edge
+        a = corners[:, 0]
+        i, j, e = np.arange(n), np.arange(1, n + 1) % n, np.arange(3 * n - 6)
+        edges = V[j] - V                                   # v_{i+1} - v_i
+        # One pass for the triangles' normals (v_1 - v_0) x (v_2 - v_0), each
+        # half-edge's v_tail x v_head and each vertex's turn (v_{i-1} - v_i) x
+        # (v_{i+1} - v_i) = (v_{i+1} - v_i) x (v_i - v_{i-1}).
+        normals, cross, turns = np.split(cross3(
+            np.concatenate([corners[:, 1] - a, corners.reshape(-1, 3), edges]),
+            np.concatenate([corners[:, 2] - a, after.reshape(-1, 3), edges[i - 1]])), [n - 2, 4 * n - 8])
+        sizes = np.sqrt(dot3(normals, normals))
+        normals = normals / sizes[:, None]
+        offsets = dot3(normals, a)
+        tail, head = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+        lookup = np.full((n, n), -1)
+        lookup[tail, head] = e
+        twin = lookup[head, tail]
+        cosines = dot3(corners, after).ravel()
+        # Each edge between two triangles from both sides, half-edge h and
+        # then its twin: the height of the apex across over the own plane,
+        # and the edge's polar-dual term on a hull with both triangles.
+        h = np.flatnonzero(twin > e)
+        both = np.concatenate([h, twin[h]])
+        apex = corners[:, [2, 0, 1]].reshape(-1, 3)[twin[both]]
+        height = dot3(normals[both // 3], apex - a[both // 3])
+        planes = offsets * sizes
+        sides = both.reshape(2, -1).T // 3
+        return cls(
+            triangles=triangles, normals=np.concatenate([normals, np.zeros((1, 3))]),
+            offsets=np.concatenate([offsets, [np.inf]]), sizes=np.concatenate([sizes, [0.0]]), own=e // 3,
+            across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head, cross=cross, cosines=cosines,
+            rim=lookup[i, j] // 3, turns=turns, ends=np.column_stack([tail[h], head[h]]), sides=sides,
+            kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0)
+            / (planes[sides[:, 0]] * planes[sides[:, 1]]),
+            reflex=(height > tol.geom).reshape(2, -1).any(axis=0))
+
+    def outline(self, seen: np.ndarray) -> np.ndarray:
+        """Half-edges (m, 3n-6) from a seen triangle to an unseen one or to
+        the side below, for rows (m, n-1) of seen triangles, the last
+        column (below) False."""
+        return seen[:, self.own] & ~seen[:, self.across]
 
 
 def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]:

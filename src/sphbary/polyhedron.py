@@ -14,9 +14,10 @@ hull=True, :func:`build_q` takes the faces of the convex hull of the same
 n+2 points instead (:func:`hull_faces`: the lower fan, and the polygon's
 Delaunay triangulation with x inserted).  The mean value backend uses the
 fan; the polar-dual backend of the spherical quotient uses the hull.  The
-NEW_MV method evaluates the fan's mean value weights from the rays
+NEW_MV and NEW_WC methods evaluate these weights from the rays
 x cross v_i instead (see :mod:`sphbary.spherical`); the kernels here serve
-any polyhedron: :func:`mv_weights`, the extended mode and NEW_WC.
+any polyhedron: :func:`mv_weights`, :func:`wachspress_weights` and the
+extended mode.
 
 Two weight backends are provided:
 
@@ -51,7 +52,7 @@ from .errors import (
     single,
 )
 from .geom import (
-    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, half_edge_twins, locate_point, normalize,
+    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize,
 )
 
 __all__ = [
@@ -173,21 +174,36 @@ def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
     return bipyramid(polygon.vertices, x, polygon.tol, single(hull_faces, polygon, x[None]) if hull else None)
 
 
+def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
+    """The cavity x makes in the polygon's Delaunay triangulation, for the
+    unit rows of X over a convex polygon: rho (m, n-1), <normal, x> of each
+    triangle plane (and 0 below the ring); seen (m, n-1), the triangles x
+    lies more than the polygon's band (the one the triangulation was built
+    with) in front of; outline (m, 3n-6), the half-edges from a seen
+    triangle to an unseen one or to the side below.  The seen triangles are
+    one edge-connected disc, bounded by its ring vertices in ring order,
+    exactly when there are two more outline half-edges than seen
+    triangles; other rows: NotConvex."""
+    d = polygon.delaunay
+    rho = dot3(X[:, None, :], d.normals)
+    seen = rho > d.offsets + polygon.tol.geom
+    outline = d.outline(seen)
+    refuse(errors, outline.sum(axis=1) != seen.sum(axis=1) + 2, lambda _: NotConvex(
+        "x does not see a disc of the polygon's triangles"))
+    return rho, seen, outline
+
+
 def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.ndarray:
     """Faces (m, 2n, 3) of the convex hull of [ring, x, -x] for the unit
     rows of X over a convex polygon: the lower fan (-x, v_{i+1}, v_i), as
-    the projection from -x keeps the ring convex around x, and the
-    polygon's Delaunay triangulation with x inserted.  x sees the triangles
-    it lies more than the polygon's band (the one the triangulation was
-    built with) in front of and is joined to each half-edge from a seen to
-    an unseen one.  Rows without n such faces: NotConvex."""
-    m, n = len(X), polygon.n
-    faces, normals, offsets, across = polygon.delaunay
-    seen = dot3(normals, X[:, None, :]) > offsets + polygon.tol.geom
-    drop = np.concatenate([seen[:, :-1], np.repeat(seen[:, :-1], 3, axis=1) <= seen[:, across],
-                           np.zeros((m, n), bool)], axis=1)
-    refuse(errors, drop.sum(axis=1) != 3 * n - 8, lambda _: NotConvex(
-        "x does not see a disc of the polygon's triangles"))
+    the projection from -x keeps the ring convex around x, the Delaunay
+    triangles x does not see, and x joined to each outline half-edge of
+    the ones it sees (see :func:`hull_cavity`)."""
+    n, d = polygon.n, polygon.delaunay
+    _, seen, outline = hull_cavity(polygon, X, errors)
+    faces = np.concatenate([d.triangles, np.column_stack([np.full(3 * n - 6, n), d.tail, d.head]),
+                            np.column_stack([np.full(n, n + 1), np.arange(1, n + 1) % n, np.arange(n)])])
+    drop = np.concatenate([seen[:, :-1], ~outline, np.zeros((len(X), n), bool)], axis=1)
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
@@ -241,10 +257,26 @@ def mv_weights(q: PolyhedronQ) -> np.ndarray:
     return single(mv_weights_batch, q.vertices[None], q.faces, np.array([q.kernel_ok]))
 
 
+def half_edge_twins(faces: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twin table (m, 3F) of per-row triangles (m, F, 3) over N vertices,
+    by one argsort of row-offset edge keys: half-edge 3f + s runs from
+    corner s of face f to corner s+1, and its twin is the half-edge of its
+    row running the other way where there is one (matched), else itself."""
+    m, F = faces.shape[:2]
+    rows = np.arange(m)[:, None]
+    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
+    key = ((rows * N + tail) * N + head).ravel()
+    reverse = ((rows * N + head) * N + tail).ravel()
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
+    matched = (key[twin] == reverse).reshape(m, -1)
+    return np.where(matched, twin.reshape(m, -1) - 3 * F * rows, np.arange(3 * F)), matched
+
+
 def _edge_table(
     P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances, errors: list
 ):
-    """Twin table (m, 3F) (see :func:`sphbary.geom.half_edge_twins`) and
+    """Twin table (m, 3F) (see :func:`half_edge_twins`) and
     dihedral convexity (m,) of the per-row faces (m, F, 3) of each stacked
     polyhedron P[r], given its face planes.  Rows whose faces are not a
     closed oriented surface are refused with DegenerateTriangle."""
@@ -316,8 +348,9 @@ def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarra
     dihedral sense; the spherical quotient therefore evaluates these
     weights on the hull (build_q(..., hull=True)), and only the extended
     mode, whose ring is unvalidated, uses the relaxed mode on the fan.  The
-    m = 1 call of the batched kernel that NEW_WC runs over the stacked
-    hulls of a whole grid.
+    m = 1 call of :func:`wachspress_weights_batch`; NEW_WC sums the same
+    weights on the hull edge by edge from its rays x cross v_i, without
+    building q.
     """
     return single(wachspress_weights_batch, q.vertices[None], q.faces, q.tol, require_convex)
 

@@ -9,11 +9,15 @@ polyhedron [v_1..v_n, x, -x] (indices n+1 for x, n+2 for -x).  The psi are
 non-negative on convex polygons, reproduce x as sum(psi_i v_i), restrict
 linearly to the edges and are the Kronecker delta at the vertices.  The
 mean value backend takes phi on the fan triangulation of the polyhedron,
-the polar-dual backend on its convex hull.  Every fan face holds x or -x,
-so the mean value kernel builds no polyhedron: each face edge is a ring
+the polar-dual backend on its convex hull.  Neither kernel builds the
+polyhedron.  Every fan face holds x or -x, so each face edge is a ring
 edge, whose normal and angle the polygon caches, or +-(x cross v_i), and
 the per-face formula of :func:`sphbary.polyhedron.mv_weights` is
-evaluated on (m, n) arrays of those.
+evaluated on (m, n) arrays of those.  The hull is the lower fan, the
+triangles of the polygon's cached Delaunay triangulation that x does not
+see and x joined to the outline of those it sees; its polar-dual weights
+are summed edge by edge, from the rays x cross v_i and terms cached with
+the triangulation.
 
 On an edge the same limit collapses to the two-vertex decomposition
 x = a v_j + b v_{j+1}: because x, -x, v_j, v_{j+1} and the origin are all
@@ -53,8 +57,10 @@ from .errors import (
     AngleDegenerate,
     DegenerateTriangle,
     ExteriorPoint,
+    FaceThroughPoint,
     KernelViolation,
     NonPositiveDenominator,
+    NotConvex,
     NotConvexForWC,
     OriginOnBoundary,
     PointOnVertexOrAntipode,
@@ -83,14 +89,7 @@ from .geom import (
     roll1,
     unit_rows,
 )
-from .polyhedron import (
-    build_ring_q,
-    coords_at_origin,
-    hull_faces,
-    normalized_weights,
-    stack_bipyramids,
-    wachspress_weights_batch,
-)
+from .polyhedron import build_ring_q, coords_at_origin, hull_cavity, normalized_weights
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
 __all__ = [
@@ -287,11 +286,77 @@ def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they use the hull
-    # of the same n+2 points (per row, x inserted into the polygon's
-    # Delaunay triangulation) under the strict convexity check.
-    P = stack_bipyramids(polygon.vertices, X, polygon.tol, errors)
-    w = wachspress_weights_batch(P, hull_faces(polygon, X, errors), polygon.tol, True, errors)
-    return _quotient(normalized_weights(w, errors), polygon.n, errors)
+    # of [v_1..v_n, x, -x]: the lower fan (-x, v_{i+1}, v_i), the Delaunay
+    # triangles x does not see and a face (x, a, b) on each outline
+    # half-edge a -> b of the ones it sees.  They are summed edge by edge
+    # (the product form): a hull edge p -> q with the face f = (p, q, r) on
+    # its left and g = (q, p, s) on its right adds the same
+    #     kappa = vol (<p, q> - 1) / (t_f t_g),  vol = det(q - p, r - p, s - p),
+    # with t_f = det(p, q, r), to w_p and to w_q; vol > tol.geom times the
+    # smaller normal |(q - p) x (r - p)| is a reflex edge.  A face with
+    # corners x or -x has t = +-<x, v_a x v_b>, rounded once: both faces
+    # on ring edge i have tau_i, so near the edge all the terms that grow
+    # like 1 / tau_i cancel in the quotient.
+    n, tol, d, V = polygon.n, polygon.tol, polygon.delaunay, polygon.vertices
+    m, N = len(X), n + 2
+    c, _, cos_theta, _ = _fan_angles(polygon, X, _on_vertex, errors)
+    rho, seen, outline = hull_cavity(polygon, X, errors)
+    x = X[:, None, :]
+    tau = dot3(x, polygon.edge_normals)
+    lower = c - roll1(c, -1) - polygon.edge_normals       # normals of the lower faces
+    size_low = np.sqrt(dot3(lower, lower))
+    # The faces (x, a, b), one per outline half-edge: t, normal, its size.
+    r, h = np.divmod(np.flatnonzero(outline), outline.shape[1])
+    a, b, across = d.tail[h], d.head[h], d.across[h]
+    on_ring = across == n - 2
+    t = np.where(on_ring, tau[r, a], dot3(X[r], d.cross[h]))
+    upper = d.cross[h] + c[r, a] - c[r, b]               # (v_a - x) x (v_b - x)
+    size_up = np.sqrt(dot3(upper, upper))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refuse(errors, (tau / size_low <= UNIT).any(axis=1) | (np.bincount(r, t / size_up <= UNIT, m) > 0)
+               | (~seen[:, :-1] & (d.offsets[:-1] <= UNIT)).any(axis=1),
+               lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
+        # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on
+        # the right; vol from the base v_i, with its short edges to v_{i-1}
+        # and v_{i+1} crossed once per polygon.
+        vol = dot3(d.turns, V + x)
+        spoke_low = -vol * (1.0 + cos_theta) / (roll1(tau, 1) * tau)
+        reflex = (vol > tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
+        # Spokes of x: (x, a, b) on the left, (x, z, a) on the right, z -> a
+        # the outline half-edge before.
+        into = np.zeros((m, n), np.intp)
+        into[r, b] = np.arange(len(h))
+        z = into[r, a]
+        vol = dot3(upper, V[a[z]] - X[r])
+        spoke_up = vol * (cos_theta[r, a] - 1.0) / (t * t[z])
+        bent = vol > tol.geom * np.minimum(size_up, size_up[z])
+        # Outline edges: on the ring the lower face is across and
+        # vol = -2 tau_i, negative on every row the face gate passed, so
+        # never reflex; elsewhere an unseen triangle U, vol = its size
+        # times the height of x over it.
+        offset, size, cos_edge = d.offsets[across], d.sizes[across], d.cosines[h]
+        rise = rho[r, across] - offset
+        edge_up = np.where(on_ring, 2.0 * (1.0 - cos_edge) / t, rise * (cos_edge - 1.0) / (t * offset))
+        bent |= rise * size > tol.geom * np.minimum(size, size_up)
+        # A ring edge whose triangle x does not see: its triangle on the
+        # left, the lower face on the right, vol = -(height of -x over it).
+        unseen, offset, size = ~seen[:, d.rim], d.offsets[d.rim], d.sizes[d.rim]
+        fall = rho[:, d.rim] + offset
+        ring = np.where(unseen, fall * (1.0 - polygon.edge_cosines) / (offset * tau), 0.0)
+        reflex |= (unseen & (-fall * size > tol.geom * np.minimum(size, size_low))).any(axis=1)
+        # An edge between two unseen triangles: a per-polygon term.
+        both = ~seen[:, d.sides].any(axis=2)
+        inner = np.where(both, d.kappa, 0.0)
+        reflex |= (both & d.reflex).any(axis=1) | (np.bincount(r, bent, m) > 0)
+        refuse(errors, reflex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
+        # Each term to both ends of its edge, in a fixed order per row.
+        row = r * N
+        slots = np.concatenate([(np.arange(m)[:, None, None] * N + d.ends).ravel(), row + a, row + b, row + a, row + n])
+        w = np.bincount(slots, np.concatenate([np.repeat(inner.ravel(), 2), edge_up, edge_up, spoke_up, spoke_up]),
+                        m * N).reshape(m, N)
+        w[:, :n] += ring + roll1(ring, 1) + spoke_low
+        w[:, n + 1] += spoke_low.sum(axis=1)
+        return _quotient(normalized_weights(w, errors), n, errors)
 
 
 def _closed_form(polygon: SphericalPolygon, X: np.ndarray, errors: list):

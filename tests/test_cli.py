@@ -126,6 +126,11 @@ class TestUnparseableInput:
     def test_malformed_levels(self, octant_file, levels, capsys):
         assert_usage_error(["grid", octant_file, "--levels", levels], capsys)
 
+    @pytest.mark.parametrize("levels", ["nan:0.5,0.5:1", "0:0.5,0.5:NaN"])
+    def test_nan_level_bound(self, octant_file, levels, capsys):
+        # A NaN band matches no value; it is refused as --tol refuses NaN.
+        assert_usage_error(["grid", octant_file, "--resolution", "8", "--levels", levels], capsys)
+
     def test_missing_polygon_file(self, tmp_path, capsys):
         assert_usage_error(["validate", str(tmp_path / "missing.json")], capsys)
 
@@ -214,6 +219,12 @@ class TestGrid:
     def test_custom_levels(self, octant_file, tmp_path):
         out = tmp_path / "g.csv"
         assert main(["grid", octant_file, "--resolution", "8", "--levels", "0.5:0.6,0.7:0.6",
+                     "--output", str(out)]) == 0
+        assert out.exists()
+
+    def test_infinite_levels(self, octant_file, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["grid", octant_file, "--resolution", "8", "--levels=-inf:0.5,0.5:inf",
                      "--output", str(out)]) == 0
         assert out.exists()
 

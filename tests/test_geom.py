@@ -15,7 +15,7 @@ from sphbary.errors import (
     WrongOrientation,
     ZeroVector,
 )
-from sphbary.geom import _min_norm_direction, find_hemisphere_witness, winding_angle
+from sphbary.geom import Triangulation, _min_norm_direction, find_hemisphere_witness, winding_angle
 
 from conftest import crossing_hexagon, random_rotation
 
@@ -241,7 +241,56 @@ def delaunay_loop(polygon) -> set:
     return triangles
 
 
+def chord_triangulations(i: int, j: int) -> list:
+    """Every triangulation of the chain i..j closed by the chord (i, j)
+    that the chord recursion can build, one apex i < k < j per chord: the
+    fans, the zig-zags and all the others."""
+    if j - i < 2:
+        return [[]]
+    return [[(i, k, j)] + left + right for k in range(i + 1, j)
+            for left in chord_triangulations(i, k) for right in chord_triangulations(k, j)]
+
+
+def edge_connected(triangles: list) -> bool:
+    """Whether the triangles form one set joined through shared edges."""
+    if not triangles:
+        return False
+    reached, todo = {0}, [0]
+    while todo:
+        t = todo.pop()
+        for u, other in enumerate(triangles):
+            if u not in reached and len(set(triangles[t]) & set(other)) == 2:
+                reached.add(u)
+                todo.append(u)
+    return len(reached) == len(triangles)
+
+
 class TestDelaunay:
+    def test_disc_count_and_outline(self):
+        # For every triangulation of rings with n <= 9 and every set of seen
+        # triangles: there are two more outline half-edges than seen
+        # triangles exactly when the seen ones are one edge-connected set,
+        # and then the outline joins the cavity's ring vertices in ring
+        # order.  NEW_WC's kernel rests on this to build x's faces from the
+        # outline without a twin search or a closed-surface check.
+        for n in range(3, 10):
+            azimuth = 2 * np.pi * np.arange(n) / n
+            ring = np.column_stack([np.cos(azimuth), np.sin(azimuth), np.ones(n)]) / np.sqrt(2)
+            masks = (np.arange(2 ** (n - 2))[:, None] >> np.arange(n - 2)) & 1 == 1
+            seen = np.column_stack([masks, np.zeros(len(masks), bool)])
+            for triangles in chord_triangulations(0, n - 1):
+                table = Triangulation.of(ring, np.array(triangles), sb.DEFAULT_TOL)
+                outline = table.outline(seen)
+                disc = outline.sum(axis=1) == masks.sum(axis=1) + 2
+                for mask, edges, is_disc in zip(masks, outline, disc):
+                    cavity = [t for t, s in zip(triangles, mask) if s]
+                    assert is_disc == edge_connected(cavity)
+                    if is_disc:
+                        corners = sorted({v for t in cavity for v in t})
+                        assert sorted(zip(table.tail[edges], table.head[edges])) == list(
+                            zip(corners, corners[1:] + corners[:1]))
+            assert len(chord_triangulations(0, n - 1)) == [1, 1, 2, 5, 14, 42, 132, 429][n - 2]
+
     def test_matches_the_chord_recursion(self):
         # Generic convex rings, cocircular rings, and cocircular rings with
         # polar angles moved by 1e-12 ... 1e-6, where the tie rule decides.

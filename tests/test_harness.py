@@ -152,7 +152,7 @@ class TestGrid:
 
     def test_new_mv_builds_no_stacked_polyhedra(self, monkeypatch):
         # NEW_MV's kernel works on the fan's own (m, n) arrays; the general
-        # polyhedral route stays in use for NEW_WC and for mv_weights.
+        # polyhedral route stays in use for build_q and mv_weights.
         polygon = sb.demo_quadrilateral()
         stacks = count_calls(monkeypatch, sb.polyhedron.stack_bipyramids)
         weights = count_calls(monkeypatch, sb.polyhedron.mv_weights_batch)
@@ -160,9 +160,22 @@ class TestGrid:
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_MV")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_MV")
         assert (stacks[0], weights[0]) == (0, 0)
-        evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
         sb.mv_weights(sb.build_q(polygon, [0.0, 0.0, 1.0]))
         assert stacks[0] > 0 and weights[0] == 1
+
+    def test_new_wc_builds_no_stacked_hulls(self, monkeypatch):
+        # NEW_WC's kernel sums the hull's edge terms from x cross v_i and the
+        # polygon's cached triangulation; build_q(hull=True) and
+        # wachspress_weights keep the stacked route.
+        polygon = sb.demo_quadrilateral()
+        counts = [count_calls(monkeypatch, f) for f in (
+            sb.polyhedron.stack_bipyramids, sb.polyhedron.hull_faces, sb.polyhedron.wachspress_weights_batch)]
+        sb.grid_rows(polygon, 0, 16, "NEW_WC")
+        evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
+        sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_WC")
+        assert [c[0] for c in counts] == [0, 0, 0]
+        sb.wachspress_weights(sb.build_q(polygon, [0.0, 0.0, 1.0], hull=True))
+        assert [c[0] for c in counts] == [1, 1, 1]
 
     def test_error_rows_recorded_not_fatal(self, octant):
         rows = sb.grid_rows(octant, 0, 12, "CC_MV")

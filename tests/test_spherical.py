@@ -15,6 +15,7 @@ from sphbary.errors import (
     single,
 )
 from sphbary.geom import INTERIOR, unit_rows
+from sphbary.polyhedron import bipyramid, hull_faces
 from sphbary.spherical import _quotient, evaluate_batch
 
 from conftest import jittered_ring, random_rotation
@@ -415,14 +416,88 @@ class TestFanKernel:
             assert star or compared >= 40          # most star-ring rows fail the kernel certificate
 
 
-# ROADMAP item 1's sweep.  NEW_WC is left out: its polar-dual weights still
-# answer silently wrong at gaps of 1e-9 and 1e-10 (9 of these 1,890 rows;
-# ROADMAP item 1).
+def general_wc_outcome(polygon, x):
+    """NEW_WC by the general polyhedral route at the unit x: the convex hull
+    of [v_1..v_n, x, -x] as build_q(polygon, x, hull=True) builds it (here
+    without normalizing and locating x again, which can move a point near a
+    vertex onto an edge), the polar-dual coordinates of the origin in it,
+    the quotient; (error tag, psi, whether a face (x, a, b) stands on a
+    diagonal, that is, x sees a proper sub-disc of the triangulation)."""
+    try:
+        q = bipyramid(polygon.vertices, x, polygon.tol, single(hull_faces, polygon, x[None]))
+        phi = sb.coords_at_origin(q, "WC")
+    except SphBaryError as exc:
+        return exc.name, None, False
+    n = polygon.n
+    ends = np.array([np.roll(f, -int(np.argmax(f == n)))[1:] for f in q.faces if n in f])
+    return None, single(_quotient, phi[None], n)[0], bool(np.any((ends[:, 1] - ends[:, 0]) % n != 1))
+
+
+def nudged_ring(rng, n: int, cap: float):
+    """A cocircular ring with some polar angles moved by 1e-12 ... 1e-8,
+    where the band decides the triangulation and x's cavity."""
+    azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
+    polar = cap * (1 + rng.choice([0.0, 1e-12, 1e-10, 1e-8], size=n) * rng.uniform(-1, 1, size=n))
+    return sb.validate_polygon(np.column_stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+
+
+# (n, cap, kind): seeded convex rings, n 3..64, caps up to 1.5.  x sees every
+# triangle of a cocircular ring; near an edge of a generic one it sees a
+# proper sub-disc, so triangles and their diagonals stay on the hull; near
+# a vertex of a nudged one the cavity or the hull's convexity is refused.
+HULL_RINGS = (
+    (3, 1.5, "cocircular"), (4, 1.2, "generic"), (5, 1.5, "generic"), (6, 0.9, "cocircular"),
+    (8, 1.5, "generic"), (12, 1.4, "generic"), (16, 0.7, "cocircular"), (24, 1.5, "generic"),
+    (32, 1.5, "cocircular"), (40, 1.1, "generic"), (64, 1.0, "cocircular"), (64, 1.5, "generic"),
+    (30, 0.5, "nudged"), (24, 0.8, "nudged"), (33, 1.1, "nudged"),
+)
+
+
+class TestPolarDualKernel:
+    @pytest.mark.parametrize("case", range(len(HULL_RINGS)))
+    def test_matches_the_general_route(self, case):
+        # Every interior row gets the same error tag from NEW_WC's edge-form
+        # kernel and from the general route over the stacked hull, and
+        # where both succeed the same psi to 1e-12 at points at least 1e-4
+        # from the boundary.
+        n, cap, kind = HULL_RINGS[case]
+        rng = np.random.default_rng(7300 + case)
+        polygon = (sb.random_polygon(n, cap, seed=7300 + case) if kind == "generic"
+                   else jittered_ring(rng, n, cap, star=False) if kind == "cocircular" else nudged_ring(rng, n, cap))
+        R = random_rotation(rng)
+        diagonal, refusals = 0, set()
+        for poly in (polygon, sb.validate_polygon(polygon.vertices @ R.T)):
+            assert poly.convex
+            centre = sb.normalize(poly.vertices.sum(axis=0))
+            X = unit_rows(np.vstack(
+                [sb.interior_points(poly, 40, rng)]
+                + [near_edge_points(poly, gap, rng) for gap in (1e-3, 1e-5, 1e-7, 1e-9, 4e-10, 2e-10)]
+                + [poly.vertices + t * (centre - poly.vertices) for t in (1e-8, 3e-8)]))[0]
+            poles = poly.edge_normals / np.linalg.norm(poly.edge_normals, axis=1)[:, None]
+            far = np.min(np.abs(X @ poles.T), axis=1) >= 1e-4      # sin of a lower bound on the distance
+            batch = evaluate_batch(poly, X, "NEW_WC")
+            compared = 0
+            for i in np.flatnonzero(batch.locations.kind == INTERIOR):
+                tag, psi, on_diagonal = general_wc_outcome(poly, X[i])
+                assert (None if batch.errors[i] is None else batch.errors[i].name) == tag
+                if tag is None and far[i]:
+                    np.testing.assert_allclose(batch.values[i], psi, rtol=0, atol=1e-12)
+                    compared += 1
+                diagonal += on_diagonal
+                refusals.add(None if tag is None else str(batch.errors[i]))
+            assert compared >= 40
+        assert kind != "generic" or diagonal >= 10
+        assert kind != "nudged" or {"x does not see a disc of the polygon's triangles",
+                                    "polyhedron has a reflex dihedral angle"} <= refusals
+
+
+# ROADMAP item 1's sweep.
 SWEEP_GAPS = tuple(10.0 ** -k for k in range(4, 14))
 
 
 class TestNearBoundarySweep:
-    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_MV_CLOSED", "CC_MV", "CC_WC"])
+    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED", "CC_MV", "CC_WC"])
     def test_small_residual_or_named_error(self, method):
         # Seeded convex and star rings, one point per edge at each gap from
         # 1e-4 to 1e-13: each row is within 1e-8 of x or a named error.
