@@ -53,6 +53,16 @@ def _band(text: str) -> float:
     return eps
 
 
+def _coordinate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _levels(text: str):
     bands = []
     for chunk in text.split(","):
@@ -175,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coords", help="evaluate coordinates at one point")
     p.add_argument("file", type=_polygon_file)
-    p.add_argument("--point", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
+    p.add_argument("--point", type=_coordinate, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p.add_argument("--method", choices=METHODS, default="NEW_MV")
     p.add_argument("--extended", action="store_true", default=argparse.SUPPRESS,
                    help="same as the global --extended flag")
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="3x3 elimination oracle for triangles")
     p.add_argument("file", type=_polygon_file)
-    p.add_argument("--point", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
+    p.add_argument("--point", type=_coordinate, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -81,8 +81,16 @@ DEFAULT_TOL = Tolerances()
 
 
 def normalize(v) -> np.ndarray:
-    """Return v / ||v||. Raises ZeroVector for vanishing input."""
+    """Return v / ||v||. Raises ZeroVector for vanishing or non-finite
+    input; a finite v whose squared norm overflows is first divided by its
+    largest |component|."""
     v = np.asarray(v, dtype=float)
+    if not sum(map(abs, v.ravel().tolist())) <= 1e150:     # huge or not finite
+        if not np.isfinite(v).all():
+            raise ZeroVector("cannot normalize a vector that is not finite")
+        with np.errstate(over="ignore"):
+            if np.linalg.norm(v) == np.inf:
+                return normalize(v / np.abs(v).max())
     n = float(np.linalg.norm(v))
     if n <= TINY:
         raise ZeroVector(f"cannot normalize vector with norm {n!r}")
@@ -129,9 +137,17 @@ def roll1(a: np.ndarray, shift: int) -> np.ndarray:
 
 
 def unit_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    """(X / ||X|| row-wise, mask of rows too short to normalize); those
-    rows come back as NaN, for the caller to refuse with ZeroVector."""
+    """(X / ||X|| row-wise, mask of rows too short to normalize or not
+    finite); those rows come back as NaN, for the caller to refuse with
+    ZeroVector.  A finite row whose squared norm overflows is first divided
+    by its largest |component|, as :func:`normalize` does."""
     X = np.asarray(X, dtype=float).reshape(-1, 3)
+    if not np.abs(X).max(initial=0.0) <= 1e150:             # huge or not finite
+        with np.errstate(over="ignore"):
+            over = dot3(X, X) == np.inf
+        finite = np.isfinite(X).all(axis=1)
+        X = np.where(finite[:, None], X, np.nan)
+        X[over & finite] /= np.abs(X[over & finite]).max(axis=1, keepdims=True)
     norms = np.sqrt(dot3(X, X))
     short = ~(norms > TINY)
     if short.any():

@@ -29,10 +29,11 @@ Two weight backends are provided:
 Both produce raw weights w of the origin with sum(w_i * p_i) = 0;
 normalizing by sum(w) gives its 3D barycentric coordinates.
 
-Both are numpy code over m stacked polyhedra (m, N, 3) with shared (F, 3)
-or per-row (m, F, 3) faces, recording per-row errors (see
-:func:`sphbary.errors.refuse`); the :class:`PolyhedronQ` functions are
-their m = 1 calls; no kernel loops over rows in Python.
+Both are numpy code over one polyhedron, vertices (N, 3) and faces
+(F, 3), that raises each error as it finds it.  Only :func:`hull_cavity`,
+:func:`hull_faces` and :func:`normalized_weights` take a block of m
+directions or weight rows and record per-row errors (see
+:func:`sphbary.errors.refuse`), for the NEW_WC and NEW_MV kernels.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .errors import (
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
+    check_row,
     refuse,
-    single,
 )
 from .geom import (
     DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize,
@@ -97,7 +98,7 @@ class PolyhedronQ:
 
     def face_normals(self) -> np.ndarray:
         """(F, 3) unit face normals."""
-        return _face_planes(self.vertices[None], self.faces)[1][0]
+        return _face_planes(self.vertices, self.faces)[1]
 
 
 def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> PolyhedronQ:
@@ -116,44 +117,32 @@ def fan_faces(n: int) -> np.ndarray:
     return np.vstack([upper, lower]).astype(np.intp)
 
 
-def stack_bipyramids(ring: np.ndarray, X: np.ndarray, tol: Tolerances, errors: list) -> np.ndarray:
-    """Vertex arrays [ring, x, -x], shape (m, n+2, 3), for the unit rows of
-    X; rows where x or -x coincides with a vertex are refused with
-    PointOnVertexOrAntipode."""
-    m, n = len(X), len(ring)
-    c = cross3(X[:, None, :], ring)
-    theta = np.arctan2(np.sqrt(dot3(c, c)), dot3(X[:, None, :], ring))
-    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
-    refuse(errors, near.any(axis=1), lambda r: PointOnVertexOrAntipode(
-        f"x or -x coincides with vertex {int(np.argmax(near[r]))}"))
-    return np.concatenate([np.broadcast_to(ring, (m, n, 3)), X[:, None], -X[:, None]], axis=1)
-
-
 def _face_planes(P: np.ndarray, faces: np.ndarray):
-    """First vertices (m, F, 3), unit normals (m, F, 3) and normal lengths
-    (m, F) of the faces, shared (F, 3) or per row (m, F, 3), of each
-    stacked polyhedron P[r]."""
-    rows = np.arange(len(P))[:, None]
-    a = P[rows, faces[..., 0]]
-    nrm = cross3(P[rows, faces[..., 1]] - a, P[rows, faces[..., 2]] - a)
+    """First vertices (F, 3), unit normals (F, 3) and normal lengths (F,)
+    of the faces (F, 3) of the polyhedron with vertices P (N, 3)."""
+    a = P[faces[:, 0]]
+    nrm = cross3(P[faces[:, 1]] - a, P[faces[:, 2]] - a)
     norms = np.sqrt(dot3(nrm, nrm))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return a, nrm / norms[..., None], norms
-
-
-def kernel_ok_rows(P: np.ndarray, faces: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Origin-in-kernel certificate of each stacked polyhedron P[r] with
-    the shared faces: every face plane keeps a distance > tol.geom."""
-    a, normals, norms = _face_planes(P, faces)
-    return np.all(norms > UNIT, axis=1) & np.all(dot3(normals, a) > tol.geom, axis=1)
+        return a, nrm / norms[:, None], norms
 
 
 def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, faces: np.ndarray | None = None) -> PolyhedronQ:
     """[ring, x, -x] for a unit x with the given faces (by default the fan)
-    and their origin-in-kernel certificate; no point location."""
-    P = single(stack_bipyramids, ring, np.asarray(x, dtype=float)[None], tol)[None]
+    and their origin-in-kernel certificate: every face plane keeps a
+    distance > tol.geom.  No point location; PointOnVertexOrAntipode where
+    x or -x coincides with a vertex."""
+    x = np.asarray(x, dtype=float)
+    c = cross3(x, ring)
+    theta = np.arctan2(np.sqrt(dot3(c, c)), dot3(x, ring))
+    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
+    if near.any():
+        raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {int(np.argmax(near))}")
+    P = np.concatenate([ring, x[None], -x[None]])
     faces = fan_faces(len(ring)) if faces is None else faces
-    return PolyhedronQ(vertices=P[0], faces=faces, kernel_ok=bool(kernel_ok_rows(P, faces, tol)[0]), tol=tol)
+    a, normals, norms = _face_planes(P, faces)
+    kernel_ok = bool(np.all(norms > UNIT) and np.all(dot3(normals, a) > tol.geom))
+    return PolyhedronQ(vertices=P, faces=faces, kernel_ok=kernel_ok, tol=tol)
 
 
 def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
@@ -171,7 +160,10 @@ def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    return bipyramid(polygon.vertices, x, polygon.tol, single(hull_faces, polygon, x[None]) if hull else None)
+    errors = [None]
+    faces = hull_faces(polygon, x[None], errors)[0] if hull else None
+    check_row(errors)
+    return bipyramid(polygon.vertices, x, polygon.tol, faces)
 
 
 def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
@@ -207,38 +199,6 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
-def mv_weights_batch(P: np.ndarray, faces: np.ndarray, kernel_ok: np.ndarray, errors: list) -> np.ndarray:
-    """Mean value weights of the origin in each stacked polyhedron P[r]
-    (shape (m, N, 3)) with the shared faces; see :func:`mv_weights`."""
-    refuse(errors, ~kernel_ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(dot3(P, P))
-        e = P / r[..., None]
-        # Once per face: the unit rays e[s] to its corners and, per edge
-        # s -> s+1, the unit normal n[s] of span(e[s], e[s+1]) and the angle b[s].
-        e = [e[:, faces[:, s]] for s in range(3)]
-        n, b = [], []
-        for s in range(3):
-            cr = cross3(e[s], e[(s + 1) % 3])
-            nn = np.sqrt(dot3(cr, cr))
-            refuse(errors, np.any(nn <= UNIT, axis=1),
-                   lambda _: DegenerateTriangle("two rays of a face are collinear"))
-            n.append(cr / nn[..., None])
-            b.append(np.arctan2(nn, dot3(e[s], e[(s + 1) % 3])))
-        mus = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            denom = 2.0 * dot3(e[i], n[j])
-            refuse(errors, np.any(np.abs(denom) <= UNIT, axis=1),
-                   lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
-            mus.append((b[j] + b[i] * dot3(n[i], n[j]) + b[k] * dot3(n[k], n[j])) / denom)
-        # Sum each vertex's contributions in face order, rotation by rotation.
-        m, N = r.shape
-        slot = (np.arange(m)[:, None] * N + faces.T.ravel()).ravel()
-        accum = np.bincount(slot, weights=np.concatenate(mus, axis=1).ravel(), minlength=m * N)
-        return accum.reshape(m, N) / r
-
-
 def mv_weights(q: PolyhedronQ) -> np.ndarray:
     """Mean value weights of the origin with respect to q's vertices.
 
@@ -250,82 +210,62 @@ def mv_weights(q: PolyhedronQ) -> np.ndarray:
     where e_i is the unit vector from the origin to vertex i, b_rs the angle
     between e_r and e_s and n_rs the unit normal of span(e_r, e_s).  The
     weight of a vertex is the sum of its mu over incident faces divided by
-    its distance from the origin.  The m = 1 call of
-    :func:`mv_weights_batch`; NEW_MV evaluates the same face terms on the
-    fan from its rays x cross v_i, without building q.
+    its distance from the origin.  NEW_MV evaluates the same face terms on
+    the fan from its rays x cross v_i, without building q.
     """
-    return single(mv_weights_batch, q.vertices[None], q.faces, np.array([q.kernel_ok]))
+    if not q.kernel_ok:
+        raise KernelViolation("polyhedron failed the origin-in-kernel certificate")
+    P, faces = q.vertices, q.faces
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(dot3(P, P))
+        e = P / r[:, None]
+        # Once per face: the unit rays e[s] to its corners and, per edge
+        # s -> s+1, the unit normal n[s] of span(e[s], e[s+1]) and the angle b[s].
+        e = [e[faces[:, s]] for s in range(3)]
+        n, b = [], []
+        for s in range(3):
+            cr = cross3(e[s], e[(s + 1) % 3])
+            nn = np.sqrt(dot3(cr, cr))
+            if np.any(nn <= UNIT):
+                raise DegenerateTriangle("two rays of a face are collinear")
+            n.append(cr / nn[:, None])
+            b.append(np.arctan2(nn, dot3(e[s], e[(s + 1) % 3])))
+        mus = []
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            denom = 2.0 * dot3(e[i], n[j])
+            if np.any(np.abs(denom) <= UNIT):
+                raise DegenerateTriangle("face is flat as seen from the evaluation point")
+            mus.append((b[j] + b[i] * dot3(n[i], n[j]) + b[k] * dot3(n[k], n[j])) / denom)
+        # Sum each vertex's contributions in face order, rotation by rotation.
+        return np.bincount(faces.T.ravel(), weights=np.concatenate(mus), minlength=len(P)) / r
 
 
-def half_edge_twins(faces: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Twin table (m, 3F) of per-row triangles (m, F, 3) over N vertices,
-    by one argsort of row-offset edge keys: half-edge 3f + s runs from
-    corner s of face f to corner s+1, and its twin is the half-edge of its
-    row running the other way where there is one (matched), else itself."""
-    m, F = faces.shape[:2]
-    rows = np.arange(m)[:, None]
-    tail, head = faces.reshape(m, -1), faces[..., [1, 2, 0]].reshape(m, -1)
-    key = ((rows * N + tail) * N + head).ravel()
-    reverse = ((rows * N + head) * N + tail).ravel()
-    order = np.argsort(key)
-    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
-    matched = (key[twin] == reverse).reshape(m, -1)
-    return np.where(matched, twin.reshape(m, -1) - 3 * F * rows, np.arange(3 * F)), matched
-
-
-def _edge_table(
-    P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances, errors: list
-):
-    """Twin table (m, 3F) (see :func:`half_edge_twins`) and
-    dihedral convexity (m,) of the per-row faces (m, F, 3) of each stacked
-    polyhedron P[r], given its face planes.  Rows whose faces are not a
-    closed oriented surface are refused with DegenerateTriangle."""
-    m, F = faces.shape[:2]
-    rows = np.arange(m)[:, None]
-    twin, matched = half_edge_twins(faces, P.shape[1])
+def _edge_table(P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances):
+    """Twin table (3F,) and dihedral convexity of the faces (F, 3) of the
+    polyhedron with vertices P (N, 3), given its face planes: half-edge
+    3f + s runs from corner s of face f to corner s+1, and its twin, found
+    in an (N, N) lookup table as in Triangulation.of, runs the other way.
+    DegenerateTriangle unless the faces form a closed oriented surface."""
+    e = np.arange(3 * len(faces))
+    tail, head = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    lookup = np.full((len(P), len(P)), -1)
+    lookup[tail, head] = e
+    twin = lookup[head, tail]
     # A repeated directed edge leaves some twin pair unreciprocated.
-    closed = np.all(matched & (twin[rows, twin] == np.arange(3 * F)), axis=1)
-    refuse(errors, ~closed, lambda _: DegenerateTriangle("faces do not form a closed oriented surface"))
-    own = np.repeat(np.arange(F), 3)
-    across = faces[..., [2, 0, 1]].reshape(m, -1)[rows, twin]    # apex of the face across each edge
-    height = dot3(normals[:, own], P[rows, across] - a[:, own])
-    return twin, np.all(height <= tol.geom, axis=1)
+    if not np.all((twin >= 0) & (twin[twin] == e)):
+        raise DegenerateTriangle("faces do not form a closed oriented surface")
+    across = faces[:, [2, 0, 1]].ravel()[twin]    # apex of the face across each edge
+    height = dot3(normals[e // 3], P[across] - a[e // 3])
+    return twin, bool(np.all(height <= tol.geom))
 
 
 def is_convex(q: PolyhedronQ) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
     sharing an edge, the apex of each lies weakly behind the other's plane.
     DegenerateTriangle unless the faces form a closed oriented surface."""
-    P, faces = q.vertices[None], q.faces[None]
-    a, normals, _ = _face_planes(P, faces)
-    return bool(single(_edge_table, P, faces, a, normals, q.tol)[1])
-
-
-def wachspress_weights_batch(
-    P: np.ndarray, faces: np.ndarray, tol: Tolerances, require_convex: bool, errors: list
-) -> np.ndarray:
-    """Rational polar-dual weights of the origin in each stacked polyhedron
-    P[r] (shape (m, N, 3)) with shared (F, 3) or per-row (m, F, 3) faces;
-    see :func:`wachspress_weights`."""
-    m, N = P.shape[:2]
-    faces = np.broadcast_to(faces, (m,) + faces.shape[-2:])
-    a, normals, _ = _face_planes(P, faces)
-    offsets = dot3(normals, a)
-    refuse(errors, np.any(offsets <= UNIT, axis=1),
-           lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
-    twin, convex = _edge_table(P, faces, a, normals, tol, errors)
-    if require_convex:
-        refuse(errors, ~convex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
-    rows = np.arange(m)[:, None]
-    own = np.repeat(np.arange(faces.shape[1]), 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dual = normals / offsets[..., None]
-        # Edge s of face f leaves vertex faces[r, f, s]; the face across it
-        # precedes f anti-clockwise around that vertex.
-        cells = cross3(dual[rows, twin // 3], dual[:, own]).reshape(-1, 3)
-        slot = (rows * N + faces.reshape(m, -1)).ravel()
-        area = np.stack([np.bincount(slot, weights=cells[:, k], minlength=m * N) for k in range(3)], axis=-1)
-        return dot3(P, area.reshape(m, N, 3)) / dot3(P, P)
+    a, normals, _ = _face_planes(q.vertices, q.faces)
+    return _edge_table(q.vertices, q.faces, a, normals, q.tol)[1]
 
 
 def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarray:
@@ -347,12 +287,25 @@ def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarra
     convex spherical polygon is very often non-convex in the strict
     dihedral sense; the spherical quotient therefore evaluates these
     weights on the hull (build_q(..., hull=True)), and only the extended
-    mode, whose ring is unvalidated, uses the relaxed mode on the fan.  The
-    m = 1 call of :func:`wachspress_weights_batch`; NEW_WC sums the same
-    weights on the hull edge by edge from its rays x cross v_i, without
-    building q.
+    mode, whose ring is unvalidated, uses the relaxed mode on the fan.
+    NEW_WC sums the same weights on the hull edge by edge from its rays
+    x cross v_i, without building q.
     """
-    return single(wachspress_weights_batch, q.vertices[None], q.faces, q.tol, require_convex)
+    P, faces = q.vertices, q.faces
+    a, normals, _ = _face_planes(P, faces)
+    offsets = dot3(normals, a)
+    if np.any(offsets <= UNIT):
+        raise FaceThroughPoint("a face plane passes through the evaluation point")
+    twin, convex = _edge_table(P, faces, a, normals, q.tol)
+    if require_convex and not convex:
+        raise NotConvex("polyhedron has a reflex dihedral angle")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dual = normals / offsets[:, None]
+        # Edge s of face f leaves vertex faces[f, s]; the face across it
+        # precedes f anti-clockwise around that vertex.
+        cells = cross3(dual[twin // 3], dual[np.arange(len(twin)) // 3])
+        area = np.stack([np.bincount(faces.ravel(), weights=cells[:, k], minlength=len(P)) for k in range(3)], axis=-1)
+        return dot3(P, area) / dot3(P, P)
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
@@ -377,4 +330,7 @@ def coords_at_origin(q: PolyhedronQ, backend: str = "MV", require_convex: bool =
         weights = wachspress_weights(q, require_convex=require_convex)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return single(normalized_weights, weights[None])
+    total = weights.sum()
+    if total <= 0.0:
+        raise KernelViolation("weight sum is not positive; configuration invalid for this backend")
+    return weights / total

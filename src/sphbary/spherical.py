@@ -424,10 +424,12 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     answer the boundary and the exterior for every row, and call the
     method's interior kernel once on the interior rows, all within the
     polygon's band."""
-    X, short = unit_rows(X)
+    raw = np.asarray(X, dtype=float).reshape(-1, 3)
+    X, short = unit_rows(raw)
     m, n = len(X), polygon.n
     errors = [None] * m
-    refuse(errors, short, lambda _: ZeroVector("cannot normalize a vector this short"))
+    refuse(errors, short, lambda r: ZeroVector(
+        "cannot normalize a vector " + ("this short" if np.isfinite(raw[r]).all() else "that is not finite")))
     locations = locate_points(polygon, X)
     values = np.full((m, n), np.nan)
     denom = np.full(m, np.nan)

@@ -131,6 +131,11 @@ class TestUnparseableInput:
         # A NaN band matches no value; it is refused as --tol refuses NaN.
         assert_usage_error(["grid", octant_file, "--resolution", "8", "--levels", levels], capsys)
 
+    @pytest.mark.parametrize("point", [["nan", "1", "1"], ["1", "inf", "1"], ["0", "NaN", "-1"], ["1e400", "0", "1"]])
+    @pytest.mark.parametrize("command", [["coords"], ["oracle"], ["--extended", "coords"]], ids=" ".join)
+    def test_point_must_be_finite(self, octant_file, command, point, capsys):
+        assert_usage_error([*command, octant_file, "--point", *point], capsys)
+
     def test_missing_polygon_file(self, tmp_path, capsys):
         assert_usage_error(["validate", str(tmp_path / "missing.json")], capsys)
 

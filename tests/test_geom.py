@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sphbary.errors import (
     WrongOrientation,
     ZeroVector,
 )
-from sphbary.geom import Triangulation, _min_norm_direction, find_hemisphere_witness, winding_angle
+from sphbary.geom import Triangulation, _min_norm_direction, find_hemisphere_witness, unit_rows, winding_angle
 
 from conftest import crossing_hexagon, random_rotation
 
@@ -38,6 +39,23 @@ class TestNormalize:
             v = rng.normal(size=3) * rng.uniform(0.1, 100)
             once = sb.normalize(v)
             assert np.max(np.abs(sb.normalize(once) - once)) <= 1e-15
+
+    def test_overflowing_norm(self):
+        # The squared norm of 1e308 (1, 1, 1) overflows; the direction does not.
+        for v in ([1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.5, -0.25]):
+            big = 1e308 * np.array(v)
+            assert sb.normalize(big).tobytes() == sb.normalize(v).tobytes()
+            assert unit_rows(big)[0].tobytes() == unit_rows(np.array(v))[0].tobytes()
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0, 1.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0], [np.inf, np.nan, 1.0]])
+    def test_not_finite(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVector, match="not finite"):
+                sb.normalize(v)
+            X, short = unit_rows([v, [1.0, 2.0, 2.0]])
+        assert short.tolist() == [True, False] and np.isnan(X[0]).all()
+        assert X[1].tolist() == [1 / 3, 2 / 3, 2 / 3]
 
 
 class TestAngleBetween:

@@ -154,22 +154,21 @@ class TestGrid:
         # NEW_MV's kernel works on the fan's own (m, n) arrays; the general
         # polyhedral route stays in use for build_q and mv_weights.
         polygon = sb.demo_quadrilateral()
-        stacks = count_calls(monkeypatch, sb.polyhedron.stack_bipyramids)
-        weights = count_calls(monkeypatch, sb.polyhedron.mv_weights_batch)
+        counts = [count_calls(monkeypatch, f) for f in (sb.polyhedron.bipyramid, sb.polyhedron.mv_weights)]
         sb.grid_rows(polygon, 0, 16, "NEW_MV")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_MV")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_MV")
-        assert (stacks[0], weights[0]) == (0, 0)
+        assert [c[0] for c in counts] == [0, 0]
         sb.mv_weights(sb.build_q(polygon, [0.0, 0.0, 1.0]))
-        assert stacks[0] > 0 and weights[0] == 1
+        assert [c[0] for c in counts] == [1, 1]
 
     def test_new_wc_builds_no_stacked_hulls(self, monkeypatch):
         # NEW_WC's kernel sums the hull's edge terms from x cross v_i and the
         # polygon's cached triangulation; build_q(hull=True) and
-        # wachspress_weights keep the stacked route.
+        # wachspress_weights keep the general polyhedral route.
         polygon = sb.demo_quadrilateral()
         counts = [count_calls(monkeypatch, f) for f in (
-            sb.polyhedron.stack_bipyramids, sb.polyhedron.hull_faces, sb.polyhedron.wachspress_weights_batch)]
+            sb.polyhedron.bipyramid, sb.polyhedron.hull_faces, sb.polyhedron.wachspress_weights)]
         sb.grid_rows(polygon, 0, 16, "NEW_WC")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_WC")

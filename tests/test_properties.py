@@ -1,0 +1,85 @@
+"""Relabelling and rotation: a polygon whose vertices are cyclically
+relabelled by k and rotated gives the same coordinates, rolled by k, in
+every method and in the general polyhedral route."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import sphbary as sb  # noqa: E402
+from sphbary.errors import SphBaryError  # noqa: E402
+from sphbary.spherical import evaluate_batch  # noqa: E402
+
+from conftest import random_rotation  # noqa: E402
+
+POINTS = 12
+
+
+@st.composite
+def moved_polygons(draw):
+    """(polygon, its relabelled and rotated copy, k, rotation, interior
+    points of the polygon)."""
+    n = draw(st.integers(3, 39))
+    cap = draw(st.floats(0.2, 1.45))
+    # Star rings past n = 24 rarely keep random_polygon's azimuth gaps.
+    mode = "nonconvex" if 3 < n <= 24 and draw(st.booleans()) else "convex"
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(0, n - 1))
+    polygon = sb.random_polygon(n, cap, seed, mode)
+    rng = np.random.default_rng(seed)
+    rotation = random_rotation(rng)
+    moved = sb.validate_polygon(np.roll(polygon.vertices, -k, axis=0) @ rotation.T)
+    return polygon, moved, k, rotation, sb.interior_points(polygon, POINTS, rng)
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except SphBaryError as exc:
+        return exc.name
+
+
+def assert_same(got, expected, tol):
+    """The same error tag, or values within tol of each other."""
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.max(np.abs(got - expected)) <= tol
+
+
+SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@SETTINGS
+@given(moved_polygons())
+def test_every_method_commutes_with_relabelling_and_rotation(case):
+    polygon, moved, k, rotation, X = case
+    for method in sb.METHODS:
+        before = evaluate_batch(polygon, X, method)
+        after = evaluate_batch(moved, X @ rotation.T, method)
+        for i in range(POINTS):
+            tags = [e if e is None else e.name for e in (before.errors[i], after.errors[i])]
+            assert tags[0] == tags[1], method
+            if tags[0] is None:
+                assert_same(after.values[i], np.roll(before.values[i], -k), 1e-11)
+
+
+@SETTINGS
+@given(moved_polygons())
+def test_the_polyhedral_route_commutes_with_relabelling_and_rotation(case):
+    polygon, moved, k, rotation, X = case
+    n = polygon.n
+    order = np.concatenate([(np.arange(n) + k) % n, [n, n + 1]])   # ring rolled, x and -x kept
+    routes = [
+        lambda p, x: sb.mv_weights(sb.build_q(p, x)),
+        lambda p, x: sb.wachspress_weights(sb.build_q(p, x), require_convex=False),
+        lambda p, x: sb.wachspress_weights(sb.build_q(p, x, hull=True)),
+    ]
+    for x in X[:POINTS // 3]:
+        for route in routes:
+            before = outcome(route, polygon, x)
+            after = outcome(route, moved, rotation @ x)
+            scale = 0.0 if isinstance(before, str) else np.max(np.abs(before))
+            assert_same(after, before if isinstance(before, str) else before[order], 1e-10 * scale)

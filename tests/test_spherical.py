@@ -1,5 +1,7 @@
 """The quotient construction: interior formula, boundary behavior, closed form."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sphbary.errors import (
     NotConvexForWC,
     ProjectionUndefined,
     SphBaryError,
+    ZeroVector,
     single,
 )
 from sphbary.geom import INTERIOR, unit_rows
@@ -259,6 +262,20 @@ class TestContracts:
         cv = sb.spherical_coords(octant, CENTER, "MV")
         assert cv.denom is not None and cv.denom > 1e-12
 
+    @pytest.mark.parametrize("method", sb.METHODS)
+    def test_overflowing_direction_is_its_unit_vector(self, octant, method):
+        big, unit = sb.evaluate(octant, 1e308 * np.ones(3), method), sb.evaluate(octant, np.ones(3), method)
+        assert str(big.location) == str(unit.location) == "interior"
+        assert big.values.tobytes() == unit.values.tobytes() and big.denom == unit.denom
+
+    @pytest.mark.parametrize("method", sb.METHODS)
+    @pytest.mark.parametrize("x", [[np.inf, 1.0, 1.0], [1.0, 1.0, -np.inf], [np.nan, 0.0, 0.0]])
+    def test_non_finite_direction_refused(self, octant, method, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVector, match="not finite"):
+                sb.evaluate(octant, x, method)
+
 
 # Two samples of the acceptance corpus (criterion 3) where polar-dual
 # weights on the fan gave psi down to -3.16e-4 and -4.75e-5.
@@ -458,7 +475,7 @@ class TestPolarDualKernel:
     @pytest.mark.parametrize("case", range(len(HULL_RINGS)))
     def test_matches_the_general_route(self, case):
         # Every interior row gets the same error tag from NEW_WC's edge-form
-        # kernel and from the general route over the stacked hull, and
+        # kernel and from the general route over the hull, and
         # where both succeed the same psi to 1e-12 at points at least 1e-4
         # from the boundary.
         n, cap, kind = HULL_RINGS[case]
