@@ -85,13 +85,15 @@ def normalize(v) -> np.ndarray:
     input; a finite v whose squared norm overflows is first divided by its
     largest |component|."""
     v = np.asarray(v, dtype=float)
-    if not sum(map(abs, v.ravel().tolist())) <= 1e150:     # huge or not finite
+    if sum(map(abs, v.ravel().tolist())) <= 1e150:     # ||v||^2 cannot overflow
+        n = float(np.linalg.norm(v))
+    else:                                              # it may, or v is not finite
         if not np.isfinite(v).all():
             raise ZeroVector("cannot normalize a vector that is not finite")
-        with np.errstate(over="ignore"):
-            if np.linalg.norm(v) == np.inf:
-                return normalize(v / np.abs(v).max())
-    n = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):               # np.linalg.norm warns on overflow
+            n = float(np.linalg.norm(v))
+        if n == np.inf:
+            return normalize(v / np.abs(v).max())
     if n <= TINY:
         raise ZeroVector(f"cannot normalize vector with norm {n!r}")
     return v / n
@@ -142,7 +144,7 @@ def unit_rows(X) -> tuple[np.ndarray, np.ndarray]:
     ZeroVector.  A finite row whose squared norm overflows is first divided
     by its largest |component|, as :func:`normalize` does."""
     X = np.asarray(X, dtype=float).reshape(-1, 3)
-    if not np.abs(X).max(initial=0.0) <= 1e150:             # huge or not finite
+    if not np.abs(X).max(initial=0.0) <= 1e150:    # ||X_r||^2 may overflow, or X is not finite
         with np.errstate(over="ignore"):
             over = dot3(X, X) == np.inf
         finite = np.isfinite(X).all(axis=1)

@@ -245,15 +245,15 @@ def _edge_table(P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.nda
     """Twin table (3F,) and dihedral convexity of the faces (F, 3) of the
     polyhedron with vertices P (N, 3), given its face planes: half-edge
     3f + s runs from corner s of face f to corner s+1, and its twin, found
-    in an (N, N) lookup table as in Triangulation.of, runs the other way.
+    by one argsort of edge keys tail * N + head, runs the other way.
     DegenerateTriangle unless the faces form a closed oriented surface."""
     e = np.arange(3 * len(faces))
     tail, head = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-    lookup = np.full((len(P), len(P)), -1)
-    lookup[tail, head] = e
-    twin = lookup[head, tail]
-    # A repeated directed edge leaves some twin pair unreciprocated.
-    if not np.all((twin >= 0) & (twin[twin] == e)):
+    key, reverse = tail * len(P) + head, head * len(P) + tail
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
+    # A missing or repeated directed edge leaves some twin pair unreciprocated.
+    if not np.all((key[twin] == reverse) & (twin[twin] == e)):
         raise DegenerateTriangle("faces do not form a closed oriented surface")
     across = faces[:, [2, 0, 1]].ravel()[twin]    # apex of the face across each edge
     height = dot3(normals[e // 3], P[across] - a[e // 3])

@@ -208,6 +208,25 @@ class TestWachspressWeights:
                 hit += 1
         assert hit > 0   # the sample really exercises non-convex polyhedra
 
+    def test_memory_grows_linearly_with_vertices(self):
+        # A bipyramid over a regular 5000-gon: an (N, N) twin table would
+        # take 200 MB, the edge keys take a few hundred kB.
+        import tracemalloc
+
+        n = 5000
+        t = 2 * np.pi * np.arange(n) / n
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+        q = PolyhedronQ(vertices=np.vstack([ring, [[0, 0, 1], [0, 0, -1]]]), faces=fan_faces(n), kernel_ok=True)
+        tracemalloc.start()
+        try:
+            assert is_convex(q)
+            w = sb.wachspress_weights(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert np.all(w > 0) and np.linalg.norm(w @ q.vertices) <= 1e-10 * w.sum()
+
 
 class TestCoordsAtOrigin:
     def test_partition_of_unity(self, octant_q):
