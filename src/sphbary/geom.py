@@ -9,8 +9,9 @@ gate reads it from there; the fixed guards are the constants UNIT, TINY,
 DENOM and PROJ.
 
 Point location is batched: :func:`locate_points` classifies an (m, 3)
-block of directions with (m, n) arrays for the vertex band, the edge band
-and the winding, and :func:`locate_point` is its m = 1 call.  Row-wise dot
+block of directions from the (m, n) arrays of :func:`ring_rays`, which it
+hands on to the interior kernels, and :func:`locate_point` is its m = 1
+call.  Row-wise dot
 products go through :func:`dot3`, which adds the three products in a fixed
 order instead of calling BLAS, so a row's result does not depend on the
 batch it is evaluated in.
@@ -46,6 +47,8 @@ __all__ = [
     "tangent_basis",
     "tangent_frames",
     "winding_angle",
+    "Rays",
+    "ring_rays",
     "PointLocation",
     "Locations",
     "SphericalPolygon",
@@ -186,11 +189,31 @@ def gnomonic_image(vertices: np.ndarray, center) -> tuple[np.ndarray, np.ndarray
     return b1, b2, np.column_stack([(vertices @ b1) / scale, (vertices @ b2) / scale])
 
 
-def _winding(sin_terms: np.ndarray, cx: np.ndarray) -> np.ndarray:
-    """Winding sums from <x, v_i x v_{i+1}> and x x v_i, shapes (m, n) and
-    (m, n, 3)."""
-    cos_terms = dot3(cx, roll1(cx, -1))
-    return np.sum(np.arctan2(sin_terms, cos_terms), axis=1)
+class Rays(NamedTuple):
+    """The rays of a ring seen from m directions x, one (m, n) row per
+    direction: what point location and the interior kernels all read.
+    For unit x, c_i x c_{i+1} = tau_i x, so tau_i and d_i are
+    |c_i||c_{i+1}| times the sine and the cosine of alpha_i."""
+
+    c: np.ndarray        # (m, n, 3) x cross v_i
+    cos: np.ndarray      # (m, n) <v_i, x>
+    tau: np.ndarray      # (m, n) <x, v_i x v_{i+1}>
+    d: np.ndarray        # (m, n) <c_i, c_{i+1}>
+    alpha: np.ndarray    # (m, n) arctan2(tau, d), the signed angle from c_i to c_{i+1}
+
+    def take(self, rows: np.ndarray, fields: tuple) -> "Rays":
+        """The given rows of the named fields, None in the others."""
+        return Rays(*(getattr(self, f)[rows] if f in fields else None for f in self._fields))
+
+
+def ring_rays(vertices: np.ndarray, normals: np.ndarray, X: np.ndarray) -> Rays:
+    """The rays of the ring `vertices` (n, 3), with edge normals
+    v_i x v_{i+1} (n, 3), from the rows of X (m, 3), in one pass."""
+    x = X[:, None, :]
+    c = cross3(x, vertices)
+    tau = dot3(x, normals)
+    d = dot3(c, roll1(c, -1))
+    return Rays(c=c, cos=dot3(x, vertices), tau=tau, d=d, alpha=np.arctan2(tau, d))
 
 
 def winding_angle(vertices: np.ndarray, x) -> float:
@@ -201,9 +224,8 @@ def winding_angle(vertices: np.ndarray, x) -> float:
     vertex (the caller is expected to have excluded that).
     """
     vertices = np.asarray(vertices, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(1, 1, 3)
     normals = cross3(vertices, np.roll(vertices, -1, axis=0))
-    return float(_winding(dot3(x, normals), cross3(x, vertices))[0])
+    return float(np.sum(ring_rays(vertices, normals, np.asarray(x, dtype=float).reshape(1, 3)).alpha))
 
 
 @dataclass(frozen=True)
@@ -240,12 +262,13 @@ INTERIOR, EDGE, VERTEX, EXTERIOR = range(len(KINDS))
 class Locations:
     """:class:`PointLocation` of m directions as arrays: kind (codes into
     KINDS), index (-1 unless edge or vertex) and the edge coefficients a, b
-    (0 unless edge)."""
+    (0 unless edge), with the rays the classification was read from."""
 
     kind: np.ndarray
     index: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    rays: Rays = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -553,34 +576,33 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
 
 def locate_points(polygon: SphericalPolygon, X) -> Locations:
     """Classify each row of X, an (m, 3) block of unit directions, as
-    interior / edge / vertex / exterior for the polygon.
+    interior / edge / vertex / exterior for the polygon; the result carries
+    the rays (:func:`ring_rays`) it was read from.
 
     Vertex and edge bands are checked first so that ambiguous points are
     never classified interior: a vertex when the angle to the nearest
     vertex is at most tol.angle; an edge j (the lowest such index) when
-    |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
+    |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
     x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
-    interior when the signed winding of the ring about x is 2*pi to
-    tol.angle; tol is the polygon's band.
+    interior when the signed winding of the ring about x, the sum of the
+    rays' alpha_i, is 2*pi to tol.angle; tol is the polygon's band.
     """
     tol = polygon.tol
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     V = polygon.vertices
     m, n = len(X), polygon.n
     rows = np.arange(m)
-    x = X[:, None, :]
-    cosines = dot3(x, V)                                # (m, n) <v_i, x>
+    rays = ring_rays(V, polygon.edge_normals, X)
+    cosines, trips = rays.cos, rays.tau
     kind = np.full(m, EXTERIOR)
     index = np.full(m, -1)
     a = np.zeros(m)
     b = np.zeros(m)
 
-    cx = cross3(x, V)                                   # (m, n, 3) x cross v_i
     near = np.argmax(cosines, axis=1)
-    c = cx[rows, near]
+    c = rays.c[rows, near]
     vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= tol.angle
 
-    trips = dot3(x, polygon.edge_normals)                # (m, n) <x, v_j x v_{j+1}>
     r, j = np.nonzero((np.abs(trips) <= tol.geom) & ~vertex[:, None])
     if len(r):
         k = (j + 1) % n
@@ -601,11 +623,27 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     kind[vertex] = VERTEX
     index[vertex] = near[vertex]
     rest = kind == EXTERIOR
-    winding = _winding(trips[rest], cx[rest])
+    winding = np.sum(rays.alpha[rest], axis=1)
     kind[rest] = np.where(np.abs(winding - 2 * np.pi) <= tol.angle, INTERIOR, kind[rest])
-    return Locations(kind=kind, index=index, a=a, b=b)
+    return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
+
+
+def zero_vector(raw: np.ndarray) -> ZeroVector:
+    """The error of a raw row that :func:`unit_rows` cannot normalize."""
+    return ZeroVector("cannot normalize a vector " + ("this short" if np.isfinite(raw).all() else "that is not finite"))
+
+
+def unit_row(x) -> np.ndarray:
+    """One direction x as a (1, 3) unit row, normalized by :func:`unit_rows`
+    as :func:`sphbary.spherical.evaluate` normalizes it; ZeroVector when it
+    cannot be."""
+    X, short = unit_rows(x)
+    if short[0]:
+        raise zero_vector(np.asarray(x, dtype=float))
+    return X[:1]
 
 
 def locate_point(polygon: SphericalPolygon, x) -> PointLocation:
-    """Location of one direction x: the m = 1 call of :func:`locate_points`."""
-    return locate_points(polygon, x).at(0)
+    """Location of one direction x (see :func:`unit_row`): the m = 1 call
+    of :func:`locate_points`."""
+    return locate_points(polygon, unit_row(x)).at(0)

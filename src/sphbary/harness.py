@@ -152,13 +152,21 @@ def _random_convex_ring(rng, n: int, rho: float) -> np.ndarray:
     return np.array([_lift(center, b1, b2, uv) for uv in verts2d])
 
 
+def _min_azimuth_gap(n: int) -> float:
+    """Smallest azimuth gap of a star ring, min(0.05, 30 / n^2) rad: the
+    smallest of n uniform gaps is about 2 pi / n^2, so a fixed bound would
+    reject almost every draw for large n; 0.05 up to n = 24."""
+    return min(0.05, 30.0 / n**2)
+
+
 def _random_star_ring(rng, n: int, rho: float) -> np.ndarray:
     """Star-shaped ring around a random cap center: sorted azimuths, random
-    polar angles up to rho."""
+    polar angles up to rho; empty when some azimuth gap is below
+    :func:`_min_azimuth_gap`."""
     center = _random_unit(rng)
     b1, b2 = tangent_basis(center)
     azimuth = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
-    if np.min(np.diff(np.concatenate([azimuth, [azimuth[0] + 2 * np.pi]]))) < 0.05:
+    if np.min(np.diff(np.concatenate([azimuth, [azimuth[0] + 2 * np.pi]]))) < _min_azimuth_gap(n):
         return np.empty((0, 3))
     polar = rng.uniform(0.25, 1.0, size=n) * rho
     ring = (

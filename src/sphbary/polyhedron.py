@@ -53,7 +53,7 @@ from .errors import (
     refuse,
 )
 from .geom import (
-    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, locate_point, normalize,
+    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, locate_points, normalize,
 )
 
 __all__ = [
@@ -155,7 +155,7 @@ def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
     if hull and not polygon.convex:
         raise NotConvex("the hull faces are built for convex polygons only")
     x = normalize(x)
-    loc = locate_point(polygon, x)
+    loc = locate_points(polygon, x).at(0)
     if loc.kind == "vertex":
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:

@@ -16,8 +16,8 @@ the per-face formula of :func:`sphbary.polyhedron.mv_weights` is
 evaluated on (m, n) arrays of those.  The hull is the lower fan, the
 triangles of the polygon's cached Delaunay triangulation that x does not
 see and x joined to the outline of those it sees; its polar-dual weights
-are summed edge by edge, from the rays x cross v_i and terms cached with
-the triangulation.
+are summed edge by edge, from the rays c_i = x cross v_i and terms cached
+with the triangulation.
 
 On an edge the same limit collapses to the two-vertex decomposition
 x = a v_j + b v_{j+1}: because x, -x, v_j, v_{j+1} and the origin are all
@@ -27,7 +27,8 @@ solution (a, b), which is how the edge case is evaluated here.
 
 For the mean value backend the quotient also has a closed form built from
 the angles theta_i = angle(x, v_i) and the signed angles alpha_i between
-x cross v_i and x cross v_{i+1}; see :func:`closed_form_mv_weights`.
+c_i and c_{i+1}, the terms whose sum is the winding that locates x; see
+:func:`closed_form_mv_weights`.
 
 All five methods share one evaluation path, :func:`evaluate_batch`, over
 an (m, 3) block of directions: it locates the block once, answers the
@@ -35,13 +36,16 @@ boundary and the exterior the same way for every method (the Kronecker
 delta and the edge vector for the NEW_* methods, which extend to the
 boundary, OriginOnBoundary for the tangent-plane CC_* methods,
 ExteriorPoint for all) and calls the method's interior kernel, looked up
-in :data:`KERNELS`, once on the interior rows.  The kernels are numpy code
-over the whole block, with no loop over its rows.  A kernel records per
-row the error the single-point call raises (see
-:func:`sphbary.errors.refuse`), so one failing row leaves the others
-evaluated.  :func:`evaluate` and the public single-point functions are
-m = 1 calls of the same code (see :func:`sphbary.errors.single`), and a
-row's result does not depend on the batch it came in.
+in :data:`KERNELS`, once on the interior rows X: kernel(polygon, X, rays,
+errors), with those rows of the rays point location read
+(:class:`sphbary.geom.Rays`), so no kernel crosses x with the ring again
+and its 1/tau terms read the tau the interior decision read.  The
+kernels are numpy code over the whole block, with no loop over its rows.
+A kernel records per row, in `errors`, the error the single-point call
+raises (see :func:`sphbary.errors.refuse`), so one failing row leaves the
+others evaluated.  :func:`evaluate` and the public single-point functions
+are m = 1 calls of the same code (see :func:`sphbary.errors.single`), and
+a row's result does not depend on the batch it came in.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .errors import (
     OriginOnBoundary,
     PointOnVertexOrAntipode,
     UnknownMethod,
-    ZeroVector,
     check_row,
     refuse,
     single,
@@ -80,14 +83,17 @@ from .geom import (
     VERTEX,
     Locations,
     PointLocation,
+    Rays,
     SphericalPolygon,
     Tolerances,
-    cross3,
     dot3,
     locate_points,
     normalize,
+    ring_rays,
     roll1,
+    unit_row,
     unit_rows,
+    zero_vector,
 )
 from .polyhedron import build_ring_q, coords_at_origin, hull_cavity, normalized_weights
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
@@ -136,8 +142,9 @@ def reconstruction_residual(values, vertices, x) -> float:
 
 @dataclass(frozen=True)
 class AngleCache:
-    """Per-(polygon, x) angles: theta[i] = angle(x, v_i) and
-    alpha[i] = angle(x cross v_i, x cross v_{i+1}), cyclic."""
+    """Per-(polygon, x) angles: theta[i] = angle(x, v_i) and alpha[i] the
+    signed angle from x cross v_i to x cross v_{i+1} (signed by
+    <x, v_i x v_{i+1}>; the winding terms of point location), cyclic."""
 
     theta: np.ndarray
     alpha: np.ndarray
@@ -147,46 +154,45 @@ class AngleCache:
         self.alpha.setflags(write=False)
 
 
-def _fan_angles(polygon: SphericalPolygon, X: np.ndarray, aligned_error: Callable, errors: list):
-    """c_i = x cross v_i (m, n, 3), sin theta_i = |c_i|, cos theta_i =
-    <v_i, x> and theta_i (m, n) for the unit rows of X; rows with x aligned
-    with or opposite to some vertex k are refused with
-    aligned_error(k, theta_k), each kernel with its own tag."""
-    x = X[:, None, :]
-    c = cross3(x, polygon.vertices)
-    sin_theta = np.sqrt(dot3(c, c))
-    cos_theta = dot3(x, polygon.vertices)
-    theta = np.arctan2(sin_theta, cos_theta)
-    aligned = (theta <= polygon.tol.angle) | (theta >= np.pi - polygon.tol.angle)
-    refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
-        int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
-    return c, sin_theta, cos_theta, theta
+def _sines(polygon: SphericalPolygon, rays: Rays, aligned_error: Callable, errors: list) -> np.ndarray:
+    """sin theta_i = |c_i| (m, n) from the rays; rows with x aligned with
+    or opposite to some vertex k, theta_k within the angle band of 0 or pi,
+    are refused with aligned_error(k, theta_k), each kernel with its own
+    tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta =
+    arctan2(sin, cos) is taken only when some entry is that close."""
+    band = polygon.tol.angle
+    sin_theta = np.sqrt(dot3(rays.c, rays.c))
+    if np.any(sin_theta <= 2.0 * band * np.abs(rays.cos)):
+        theta = np.arctan2(sin_theta, rays.cos)
+        aligned = (theta <= band) | (theta >= np.pi - band)
+        refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
+            int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
+    return sin_theta
 
 
 def _angle_degenerate(k: int, theta: float) -> AngleDegenerate:
     return AngleDegenerate(f"x is aligned with vertex {k} (theta = {theta:.3e})")
 
 
+def _rays_at(polygon: SphericalPolygon, x) -> Rays:
+    return ring_rays(polygon.vertices, polygon.edge_normals, unit_row(x))
+
+
 def angles(polygon: SphericalPolygon, x) -> AngleCache:
-    """Angle cache for the closed-form weights; x must not coincide with or
-    oppose any vertex (AngleDegenerate otherwise)."""
-    c, _, _, theta = single(_fan_angles, polygon, np.asarray(x, dtype=float).reshape(1, 3), _angle_degenerate)
-    c_next = np.roll(c, -1, axis=0)
-    s = cross3(c, c_next)
-    alpha = np.arctan2(np.sqrt(dot3(s, s)), dot3(c, c_next))
-    return AngleCache(theta=theta, alpha=alpha)
+    """Angle cache for the closed-form weights at the unit row of x; x must
+    not coincide with or oppose any vertex (AngleDegenerate otherwise)."""
+    rays = _rays_at(polygon, x)
+    sin_theta = single(_sines, polygon, rays, _angle_degenerate)
+    return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=rays.alpha[0])
 
 
-def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, errors: list):
+def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
-    at the unit rows of X; see :func:`closed_form_mv_weights`."""
-    c, sin_theta, cos_theta, _ = _fan_angles(polygon, X, _angle_degenerate, errors)
-    c_next = roll1(c, -1)
-    s = dot3(cross3(c, c_next), X[:, None, :])      # |c_i||c_{i+1}| sin(alpha_i)
-    d = dot3(c, c_next)                              # |c_i||c_{i+1}| cos(alpha_i)
-    # Near |alpha| = pi the tangent genuinely blows up; refuse to evaluate.
-    refuse(errors, np.any(np.arctan2(np.abs(s), d) >= np.pi - polygon.tol.angle, axis=1),
-           lambda _: AlphaNearPi("some alpha is too close to pi for the closed form"))
+    from the rays of m unit directions; see :func:`closed_form_mv_weights`."""
+    sin_theta = _sines(polygon, rays, _angle_degenerate, errors)
+    # c_i x c_{i+1} = tau_i x: tau_i and d_i are |c_i||c_{i+1}| times
+    # sin(alpha_i) and cos(alpha_i).
+    s, d = rays.tau, rays.d
     cc = sin_theta * roll1(sin_theta, -1)
     # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
     # for |alpha| > pi/2, the second for |alpha| < pi/2.
@@ -194,32 +200,35 @@ def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, errors: list):
         t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
         pair = t + roll1(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
         omega = np.pi * pair / (2.0 * sin_theta)
-        denom = np.pi / 2.0 * np.sum(pair * cos_theta / sin_theta, axis=1)
+        denom = np.pi / 2.0 * np.sum(pair * rays.cos / sin_theta, axis=1)
     refuse(errors, ~(np.all(np.isfinite(omega), axis=1) & np.isfinite(denom)),
            lambda _: AlphaNearPi("the closed form is not finite at x"))
     return omega, denom
 
 
 def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, float]:
-    """Closed-form mean value weights (omega, denom) for interior x.
+    """Closed-form mean value weights (omega, denom) for interior x, taken
+    as its unit row (see :func:`sphbary.geom.unit_row`).
 
     omega_i = pi (tan(alpha_i/2) + tan(alpha_{i-1}/2)) / (2 sin theta_i)
     denom   = pi/2 * sum_i cot(theta_i) (tan(alpha_i/2) + tan(alpha_{i-1}/2))
 
     with alpha_i signed by <x, v_i x v_{i+1}>, so that the weights hold on
-    non-convex polygons too.  Without trigonometry, from c_i = x cross v_i:
-    tan(alpha_i/2) = <x, c_i x c_{i+1}> / (|c_i||c_{i+1}| + <c_i, c_{i+1}>),
+    non-convex polygons too.  Without trigonometry, from c_i = x cross v_i
+    and tau_i = <x, v_i x v_{i+1}>, since c_i x c_{i+1} = tau_i x:
+    tan(alpha_i/2) = tau_i / (|c_i||c_{i+1}| + <c_i, c_{i+1}>),
     sin theta_i = |c_i| and cos theta_i = <v_i, x>.  The spherical
     coordinates follow as psi_i = omega_i / denom and agree with the generic
     polyhedral mean value pipeline.  The m = 1 call of the batched kernel
     of NEW_MV_CLOSED.
     """
-    omega, denom = single(closed_form_batch, polygon, np.asarray(x, dtype=float).reshape(1, 3))
+    omega, denom = single(closed_form_batch, polygon, _rays_at(polygon, x))
     return omega, float(denom)
 
 
 # --------------------------------------------------------------------------
-# interior kernels: (polygon, unit interior rows X (m, 3), errors)
+# interior kernels: (polygon, unit interior rows X (m, 3), their rays
+# (the fields the kernel's KERNELS row names, None in the others), errors)
 # -> (values (m, n), denominators (m,), NaN where a method has none);
 # every band comes from polygon.tol
 # --------------------------------------------------------------------------
@@ -232,7 +241,7 @@ def _quotient(phi: np.ndarray, n: int, errors: list):
         return phi[:, :n] / denom[:, None], denom
 
 
-def _mean_value(polygon: SphericalPolygon, X: np.ndarray, errors: list):
+def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     # The mean value weights of the origin in [v_1..v_n, x, -x] on the fan,
     # face by face as in sphbary.polyhedron.mv_weights, from (m, n) arrays:
     # the upper face (x, v_i, v_{i+1}) has edges c_i, N_i and -c_{i+1} at
@@ -240,13 +249,15 @@ def _mean_value(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and c_i at pi - theta_{i+1},
     # beta_i and pi - theta_i, with c_i = x cross v_i and N_i the polygon's
     # unit edge normals.
-    c, sin_theta, _, theta = _fan_angles(polygon, X, _on_vertex, errors)
+    c, trips = rays.c, rays.tau
+    sin_theta = _sines(polygon, rays, _on_vertex, errors)
+    theta = np.arctan2(sin_theta, rays.cos)
     N, beta = polygon.unit_edge_normals, polygon.edge_angles
     c_next, sin_next, theta_next = roll1(c, -1), roll1(sin_theta, -1), roll1(theta, -1)
-    h = dot3(X[:, None, :], N)
-    # <x, v_i x v_{i+1}> from the same h: near edge i every term that grows
-    # like 1/h then shares its rounding, and they cancel in the quotient.
-    trips = h * polygon.edge_sines
+    # <x, N_i> from the tau_i = <x, v_i x v_{i+1}> that located x: near
+    # edge i every term that grows like 1/tau_i then shares its rounding,
+    # and they cancel in the quotient.
+    h = trips / polygon.edge_sines
     with np.errstate(divide="ignore", invalid="ignore"):
         # Kernel certificate: the face normals are +-(v_i x v_{i+1}) + c_i -
         # c_{i+1}, and both planes lie trips / |normal| from the origin.
@@ -283,7 +294,7 @@ def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
     return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
 
-def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
+def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they use the hull
     # of [v_1..v_n, x, -x]: the lower fan (-x, v_{i+1}, v_i), the Delaunay
@@ -299,10 +310,10 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     # like 1 / tau_i cancel in the quotient.
     n, tol, d, V = polygon.n, polygon.tol, polygon.delaunay, polygon.vertices
     m, N = len(X), n + 2
-    c, _, cos_theta, _ = _fan_angles(polygon, X, _on_vertex, errors)
+    c, cos_theta, tau = rays.c, rays.cos, rays.tau
+    _sines(polygon, rays, _on_vertex, errors)
     rho, seen, outline = hull_cavity(polygon, X, errors)
     x = X[:, None, :]
-    tau = dot3(x, polygon.edge_normals)
     lower = c - roll1(c, -1) - polygon.edge_normals       # normals of the lower faces
     size_low = np.sqrt(dot3(lower, lower))
     # The faces (x, a, b), one per outline half-edge: t, normal, its size.
@@ -359,18 +370,18 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, errors: list):
         return _quotient(normalized_weights(w, errors), n, errors)
 
 
-def _closed_form(polygon: SphericalPolygon, X: np.ndarray, errors: list):
-    omega, denom = closed_form_batch(polygon, X, errors)
+def _closed_form(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
+    omega, denom = closed_form_batch(polygon, rays, errors)
     refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
         f"closed-form denominator {denom[r]:.3e} <= {DENOM}"))
     with np.errstate(divide="ignore", invalid="ignore"):
         return omega / denom[:, None], denom
 
 
-def _tangent(polygon: SphericalPolygon, X: np.ndarray, errors: list, wachspress: bool):
+def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, wachspress: bool):
     # Planar coordinates of the gnomonic image, divided by <v_i, x> to
     # restore linear precision on the sphere.
-    _, points2d, dots = project_batch(polygon.vertices, X, errors)
+    _, points2d, dots = project_batch(polygon.vertices, X, rays.cos, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         planar = (planar_wachspress_batch(points2d, polygon.tol, errors) if wachspress
                   else planar_mv_batch(points2d, errors))
@@ -380,17 +391,18 @@ def _tangent(polygon: SphericalPolygon, X: np.ndarray, errors: list, wachspress:
 class Method(NamedTuple):
     """One row of :data:`KERNELS`."""
 
-    kernel: Callable     # (polygon, unit interior rows X, errors) -> (values, denominators)
+    kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (values, denominators)
+    rays: tuple          # the fields of the rays the kernel reads
     boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
     convex_only: bool    # NotConvexForWC on a non-convex polygon
 
 
 KERNELS = {
-    "NEW_MV": Method(_mean_value, True, False),
-    "NEW_WC": Method(_polar_dual, True, True),
-    "NEW_MV_CLOSED": Method(_closed_form, True, False),
-    "CC_MV": Method(partial(_tangent, wachspress=False), False, False),
-    "CC_WC": Method(partial(_tangent, wachspress=True), False, False),
+    "NEW_MV": Method(_mean_value, ("c", "cos", "tau"), True, False),
+    "NEW_WC": Method(_polar_dual, ("c", "cos", "tau"), True, True),
+    "NEW_MV_CLOSED": Method(_closed_form, ("c", "cos", "tau", "d"), True, False),
+    "CC_MV": Method(partial(_tangent, wachspress=False), ("cos",), False, False),
+    "CC_WC": Method(partial(_tangent, wachspress=True), ("cos",), False, False),
 }
 METHODS = tuple(KERNELS)
 
@@ -422,21 +434,21 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     """Evaluate one of the five coordinate methods at the rows of X, an
     (m, 3) block of directions: normalize, locate the whole block once,
     answer the boundary and the exterior for every row, and call the
-    method's interior kernel once on the interior rows, all within the
-    polygon's band."""
+    method's interior kernel once on the interior rows, with the interior
+    rows of the rays it reads from the location, all within the polygon's
+    band."""
     raw = np.asarray(X, dtype=float).reshape(-1, 3)
     X, short = unit_rows(raw)
     m, n = len(X), polygon.n
     errors = [None] * m
-    refuse(errors, short, lambda r: ZeroVector(
-        "cannot normalize a vector " + ("this short" if np.isfinite(raw[r]).all() else "that is not finite")))
+    refuse(errors, short, lambda r: zero_vector(raw[r]))
     locations = locate_points(polygon, X)
     values = np.full((m, n), np.nan)
     denom = np.full(m, np.nan)
     if method not in KERNELS:
         refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
         return Evaluations(method, locations, values, denom, errors)
-    kernel, boundary, convex_only = KERNELS[method]
+    kernel, reads, boundary, convex_only = KERNELS[method]
     if convex_only and not polygon.convex:
         refuse(errors, ~short, lambda _: NotConvexForWC("the polar-dual backend requires a convex polygon"))
         return Evaluations(method, locations, values, denom, errors)
@@ -455,7 +467,7 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
     if len(rows):
         kernel_errors = [None] * len(rows)
-        values[rows], denom[rows] = kernel(polygon, X[rows], kernel_errors)
+        values[rows], denom[rows] = kernel(polygon, X[rows], locations.rays.take(rows, reads), kernel_errors)
         for r, error in zip(rows, kernel_errors):
             if error is not None:
                 errors[r] = error

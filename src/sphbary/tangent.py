@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
-from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, normalize, roll1, tangent_frames
+from .geom import (
+    DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, ring_rays, roll1, tangent_frames, unit_row,
+)
 
 __all__ = [
     "TangentPolygon",
@@ -51,12 +53,12 @@ class TangentPolygon:
         self.dots.setflags(write=False)
 
 
-def project_batch(V: np.ndarray, X: np.ndarray, errors: list):
-    """Batched gnomonic projection of the ring V at the unit rows of X:
-    bases (m, 2, 3), points2d (m, n, 2) and dots (m, n); rows with some
-    <v_i, x> <= PROJ are refused with ProjectionUndefined."""
+def project_batch(V: np.ndarray, X: np.ndarray, dots: np.ndarray, errors: list):
+    """Batched gnomonic projection of the ring V at the unit rows of X,
+    given dots (m, n) = <v_i, x> (the rays' cos theta): bases (m, 2, 3),
+    points2d (m, n, 2) and dots; rows with some <v_i, x> <= PROJ are
+    refused with ProjectionUndefined."""
     x = X[:, None, :]
-    dots = dot3(x, V)
     low = dots <= PROJ
     refuse(errors, low.any(axis=1), lambda r: ProjectionUndefined(
         f"<v[{np.argmin(dots[r])}], x> = {dots[r].min():.3e} is not positive"))
@@ -68,12 +70,15 @@ def project_batch(V: np.ndarray, X: np.ndarray, errors: list):
 
 
 def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
-    """Project the polygon's vertices into the tangent plane at x.
+    """Project the polygon's vertices into the tangent plane at the unit
+    row of x (see :func:`sphbary.geom.unit_row`).
 
     Raises ProjectionUndefined when some <v_i, x> <= PROJ; the radial
     planar distance of a vertex at angle theta from x is tan(theta).
     """
-    basis, points2d, dots = single(project_batch, polygon.vertices, normalize(x)[None])
+    X = unit_row(x)
+    rays = ring_rays(polygon.vertices, polygon.edge_normals, X)
+    basis, points2d, dots = single(project_batch, polygon.vertices, X, rays.cos)
     return TangentPolygon(basis=basis, points2d=points2d, dots=dots)
 
 

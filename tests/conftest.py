@@ -73,6 +73,14 @@ def locate_calls(monkeypatch):
     return count
 
 
+def _patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace the function `original` in every sphbary module that binds
+    it (its own module's calls by name included)."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sphbary") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 def count_calls(monkeypatch, original) -> list:
     """Counts the calls of the function `original` from every sphbary
     module that binds it (and from its own module's calls by name); read
@@ -83,7 +91,19 @@ def count_calls(monkeypatch, original) -> list:
         count[0] += 1
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sphbary") and getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, counting)
+    _patch_everywhere(monkeypatch, original, counting)
     return count
+
+
+def result_shapes(monkeypatch, original) -> list:
+    """Records the shape of each array the function `original` returns,
+    called from any sphbary module, in call order."""
+    shapes = []
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    _patch_everywhere(monkeypatch, original, recording)
+    return shapes

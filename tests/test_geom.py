@@ -17,6 +17,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import Triangulation, _min_norm_direction, find_hemisphere_witness, unit_rows, winding_angle
+from sphbary.spherical import evaluate_batch
 
 from conftest import crossing_hexagon, random_rotation
 
@@ -383,6 +384,26 @@ class TestLocatePoint:
         pole = sb.normalize(np.cross(E1, E2))
         x = np.cos(1e-5) * mid + np.sin(1e-5) * pole
         assert sb.locate_point(octant, x).kind == "interior"
+
+    def test_classifies_what_evaluate_classifies(self, rng):
+        # Directions 1e-10 inside an edge, as given (near unit, and scaled):
+        # locate_point normalizes them as evaluate does, so both agree.
+        for k in range(20):
+            polygon = sb.random_polygon(int(rng.integers(3, 12)), 1.0, seed=300 + k)
+            poles = polygon.edge_normals / polygon.edge_sines[:, None]
+            for j in range(polygon.n):
+                vj, vk = polygon.edge(j)
+                t, length = rng.uniform(0.25, 0.75), sb.angle_between(vj, vk)
+                foot = (np.sin((1 - t) * length) * vj + np.sin(t * length) * vk) / np.sin(length)
+                x = np.cos(1e-10) * foot + np.sin(1e-10) * poles[j]
+                for scale in (1.0, 2.5):
+                    located = evaluate_batch(polygon, scale * x, "CC_MV").locations.at(0)
+                    assert sb.locate_point(polygon, scale * x) == located
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+    def test_direction_that_cannot_be_normalized(self, octant, x):
+        with pytest.raises(ZeroVector):
+            sb.locate_point(octant, x)
 
 
 def test_winding_angle_signs(octant):

@@ -67,6 +67,23 @@ class TestRandomPolygon:
         assert min(trips) < 0
         assert not polygon.convex
 
+    @pytest.mark.parametrize("n", [28, 32, 40, 48, 64])
+    def test_nonconvex_for_large_n(self, n):
+        for seed in range(10):
+            polygon = sb.random_polygon(n, 1.0, seed, mode="nonconvex")
+            assert polygon.n == n and not polygon.convex
+
+    def test_small_star_rings_keep_the_fixed_gap(self, monkeypatch):
+        # Up to n = 24 the azimuth gap bound is 0.05 rad, as it was before it
+        # scaled with n, so the rings the property tests draw keep their bytes.
+        def drawn():
+            return [sb.random_polygon(n, cap, seed, mode="nonconvex").vertices.tobytes()
+                    for n in range(4, 25) for seed in range(3) for cap in (0.3, 1.2)]
+
+        scaled = drawn()
+        monkeypatch.setattr(sb.harness, "_min_azimuth_gap", lambda n: 0.05)
+        assert scaled == drawn()
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(GenerationFailed):
             sb.random_polygon(2, 0.8, seed=1)

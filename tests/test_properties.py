@@ -1,6 +1,7 @@
 """Relabelling and rotation: a polygon whose vertices are cyclically
 relabelled by k and rotated gives the same coordinates, rolled by k, in
-every method and in the general polyhedral route."""
+every method and in the general polyhedral route.  Batches: each row of a
+permuted block is the single-point evaluation, bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import sphbary as sb  # noqa: E402
 from sphbary.errors import SphBaryError  # noqa: E402
-from sphbary.spherical import evaluate_batch  # noqa: E402
+from sphbary.spherical import evaluate, evaluate_batch  # noqa: E402
 
 from conftest import random_rotation  # noqa: E402
 
@@ -23,7 +24,7 @@ def moved_polygons(draw):
     points of the polygon)."""
     n = draw(st.integers(3, 39))
     cap = draw(st.floats(0.2, 1.45))
-    # Star rings past n = 24 rarely keep random_polygon's azimuth gaps.
+    # Star rings up to n = 24, the draws TestRandomPolygon pins byte for byte.
     mode = "nonconvex" if 3 < n <= 24 and draw(st.booleans()) else "convex"
     seed = draw(st.integers(0, 2**32 - 1))
     k = draw(st.integers(0, n - 1))
@@ -83,3 +84,43 @@ def test_the_polyhedral_route_commutes_with_relabelling_and_rotation(case):
             after = outcome(route, moved, rotation @ x)
             scale = 0.0 if isinstance(before, str) else np.max(np.abs(before))
             assert_same(after, before if isinstance(before, str) else before[order], 1e-10 * scale)
+
+
+@st.composite
+def permuted_blocks(draw):
+    """(polygon, a permuted block of its interior points, vertices, edge
+    points, exterior points and one zero row)."""
+    n = draw(st.integers(3, 39))
+    cap = draw(st.floats(0.2, 1.45))
+    mode = "nonconvex" if 3 < n <= 24 and draw(st.booleans()) else "convex"
+    seed = draw(st.integers(0, 2**32 - 1))
+    polygon = sb.random_polygon(n, cap, seed, mode)
+    rng = np.random.default_rng(seed)
+    inner = sb.interior_points(polygon, POINTS, rng)
+    V = polygon.vertices
+    ends = rng.integers(n, size=3)
+    on_edges = V[ends] + V[(ends + 1) % n] * rng.uniform(0.2, 5.0, size=(3, 1))
+    X = np.vstack([inner, V[ends], on_edges, -inner[:2], np.zeros((1, 3))])
+    return polygon, X[rng.permutation(len(X))]
+
+
+def single_outcome(polygon, x, method):
+    """The m = 1 call's error tag, or its location and value bits."""
+    try:
+        cv = evaluate(polygon, x, method)
+    except SphBaryError as exc:
+        return exc.name
+    denom = np.float64(np.nan if cv.denom is None else cv.denom)
+    return cv.location, cv.values.tobytes(), denom.tobytes()
+
+
+@SETTINGS
+@given(permuted_blocks())
+def test_block_rows_are_single_point_calls(case):
+    polygon, X = case
+    for method in sb.METHODS:
+        batch = evaluate_batch(polygon, X, method)
+        for i, x in enumerate(X):
+            got = batch.errors[i].name if batch.errors[i] else (
+                batch.locations.at(i), batch.values[i].tobytes(), batch.denom[i].tobytes())
+            assert got == single_outcome(polygon, x, method), (method, i)

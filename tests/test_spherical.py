@@ -7,7 +7,6 @@ import pytest
 
 import sphbary as sb
 from sphbary.errors import (
-    AlphaNearPi,
     AngleDegenerate,
     ExteriorPoint,
     NonPositiveDenominator,
@@ -21,7 +20,7 @@ from sphbary.geom import INTERIOR, unit_rows
 from sphbary.polyhedron import bipyramid, hull_faces
 from sphbary.spherical import _quotient, evaluate_batch
 
-from conftest import jittered_ring, random_rotation
+from conftest import jittered_ring, random_rotation, result_shapes
 
 CENTER = sb.normalize([1, 1, 1])
 INV_SQRT3 = 1 / np.sqrt(3)
@@ -137,6 +136,13 @@ class TestClosedForm:
         assert denom > 0
         np.testing.assert_allclose(omega / denom, INV_SQRT3, atol=1e-12)
 
+    def test_direction_taken_as_its_unit_row(self, octant):
+        # As evaluate takes it: the weights of 2.5 x are those of x.
+        omega, denom = sb.closed_form_mv_weights(octant, 2.5 * CENTER)
+        assert omega / denom == pytest.approx(sb.evaluate(octant, 2.5 * CENTER, "NEW_MV_CLOSED").values, abs=1e-15)
+        with pytest.raises(ZeroVector):
+            sb.closed_form_mv_weights(octant, [0.0, 0.0, 0.0])
+
     def test_agrees_with_generic_pipeline(self, rng):
         for k in range(30):
             polygon = sb.random_polygon(int(rng.integers(3, 13)), 1.0, seed=600 + k)
@@ -171,14 +177,18 @@ class TestClosedForm:
                 against_cc += 1
         assert evaluated == 30 * 28 and against_cc > evaluated // 2
 
-    def test_alpha_near_pi_refused(self, octant):
-        t = 4e-10
+    def test_alpha_near_pi_evaluated(self, octant):
+        # Points the edge band leaves interior, with alpha_0 within 3 t of
+        # pi: the closed form reproduces x and agrees with NEW_WC.
         mid = sb.normalize([1, 1, 0])
         pole = sb.normalize(np.cross(octant.vertex(0), octant.vertex(1)))
-        x = np.cos(t) * mid + np.sin(t) * pole
-        assert sb.locate_point(octant, x).kind == "interior"
-        with pytest.raises(AlphaNearPi):
-            sb.closed_form_mv_weights(octant, x)
+        for t in (1.5e-10, 2e-10, 4e-10, 1e-9, 1e-8):
+            x = np.cos(t) * mid + np.sin(t) * pole
+            assert sb.locate_point(octant, x).kind == "interior"
+            assert np.pi - abs(sb.angles(octant, x).alpha[0]) <= 3 * t
+            cv = sb.evaluate(octant, x, "NEW_MV_CLOSED")
+            assert sb.reconstruction_residual(cv.values, octant.vertices, x) <= 1e-8
+            assert np.max(np.abs(cv.values - sb.evaluate(octant, x, "NEW_WC").values)) <= 1e-12
 
 
 class TestBoundaryBehavior:
@@ -356,14 +366,13 @@ class TestBatchInvariance:
         rotated = sb.validate_polygon(polygon.vertices @ R.T)
         points = batch_points(polygon, rng)
         for poly, X in ((polygon, points), (rotated, points @ R.T)):
-            unit = unit_rows(X)[0]
             for method in sb.METHODS:
                 batch = evaluate_batch(poly, X, method)
                 perm = rng.permutation(len(X))
                 permuted = evaluate_batch(poly, X[perm], method)
                 for i, x in enumerate(X):
                     if np.any(x):
-                        assert batch.locations.at(i) == sb.locate_point(poly, unit[i])
+                        assert batch.locations.at(i) == sb.locate_point(poly, x)
                     assert row_outcome(batch, i) == single_outcome(poly, x, method)
                 for k, i in enumerate(perm):
                     assert row_outcome(permuted, k) == row_outcome(batch, i)
@@ -373,6 +382,20 @@ class TestBatchInvariance:
                     assert any(e is None for e in batch.errors)
                 elif method == "NEW_WC":
                     assert {e.name for e in batch.errors} == {"ZeroVector", "NotConvexForWC"}
+
+    @pytest.mark.parametrize("method", sb.METHODS)
+    def test_one_ray_pass(self, method, monkeypatch):
+        # Point location crosses x with the ring once for the whole block;
+        # the kernel reads those rays instead of crossing again.
+        polygon = sb.random_polygon(7, 1.0, seed=31)
+        polygon.delaunay                                 # cached per polygon
+        rng = np.random.default_rng(31)
+        inner = sb.interior_points(polygon, 9, rng)
+        X = np.vstack([inner, polygon.vertices[:2], edge_point(polygon, 3, 0.4), -inner[:1], np.zeros(3)])
+        shapes = result_shapes(monkeypatch, sb.geom.cross3)
+        batch = evaluate_batch(polygon, X, method)
+        assert sum(e is None for e in batch.errors) >= 9
+        assert [s for s in shapes if len(s) == 3] == [(len(X), polygon.n, 3)]
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_empty_batch(self, octant, method):
