@@ -37,6 +37,6 @@ for probe in ([1, 0, 0], [1, 1, 0]):
 # its two apexes being the point and its antipode, evaluated at the origin.
 q = sb.build_q(triangle, x)
 phi = sb.coords_at_origin(q, "MV")
-print("\npolyhedron: ", len(q.vertices), "vertices,", len(q.faces), "faces, kernel_ok =", q.kernel_ok)
+print("\npolyhedron: ", len(q.vertices), "vertices,", len(q.faces), "faces (the fan)")
 print("3D coordinates of the origin:", np.round(phi, 6))
 print("quotient phi[:3] / (phi[4] - phi[3]):", np.round(phi[:3] / (phi[4] - phi[3]), 12))

@@ -99,9 +99,8 @@ def cmd_coords(args, tol: Tolerances) -> int:
         if args.method != "NEW_MV":
             print("error: --extended evaluation supports only NEW_MV", file=sys.stderr)
             return 2
-        ring = np.array([normalize(v) for v in np.asarray(args.file.vertices, dtype=float)])
-        cv = extended_spherical_coords(ring, x, "MV", tol)
-        vertices = ring
+        vertices = np.array([normalize(v) for v in np.asarray(args.file.vertices, dtype=float)])
+        cv = extended_spherical_coords(vertices, x, "MV", tol)
     else:
         polygon = args.file.validated(tol)
         cv = evaluate(polygon, x, args.method)

@@ -32,6 +32,7 @@ from .errors import (
     TooFewVertices,
     WrongOrientation,
     ZeroVector,
+    refuse,
 )
 
 __all__ = [
@@ -49,8 +50,10 @@ __all__ = [
     "winding_angle",
     "Rays",
     "ring_rays",
+    "ray_sines",
     "PointLocation",
     "Locations",
+    "Ring",
     "SphericalPolygon",
     "validate_polygon",
     "locate_points",
@@ -216,6 +219,22 @@ def ring_rays(vertices: np.ndarray, normals: np.ndarray, X: np.ndarray) -> Rays:
     return Rays(c=c, cos=dot3(x, vertices), tau=tau, d=d, alpha=np.arctan2(tau, d))
 
 
+def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
+    """sin theta_i = |c_i| (m, n) from the rays; rows with x aligned with
+    or opposite to some vertex k, theta_k within the ring's angle band of
+    0 or pi, are refused with aligned_error(k, theta_k), each kernel with
+    its own tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta
+    = arctan2(sin, cos) is taken only when some entry is that close."""
+    band = ring.tol.angle
+    sin_theta = np.sqrt(dot3(rays.c, rays.c))
+    if np.any(sin_theta <= 2.0 * band * np.abs(rays.cos)):
+        theta = np.arctan2(sin_theta, rays.cos)
+        aligned = (theta <= band) | (theta >= np.pi - band)
+        refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
+            int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
+    return sin_theta
+
+
 def winding_angle(vertices: np.ndarray, x) -> float:
     """Sum of signed turning angles of the ring seen from direction x.
 
@@ -223,9 +242,8 @@ def winding_angle(vertices: np.ndarray, x) -> float:
     reversed ring, ~0 for x outside. Undefined when x coincides with a
     vertex (the caller is expected to have excluded that).
     """
-    vertices = np.asarray(vertices, dtype=float)
-    normals = cross3(vertices, np.roll(vertices, -1, axis=0))
-    return float(np.sum(ring_rays(vertices, normals, np.asarray(x, dtype=float).reshape(1, 3)).alpha))
+    ring = Ring(np.array(vertices, dtype=float))
+    return float(np.sum(ring_rays(ring.vertices, ring.edge_normals, np.asarray(x, dtype=float).reshape(1, 3)).alpha))
 
 
 @dataclass(frozen=True)
@@ -283,23 +301,20 @@ class Locations:
 
 
 @dataclass(frozen=True)
-class SphericalPolygon:
-    """Validated anti-clockwise vertex ring contained in an open hemisphere.
+class Ring:
+    """A ring of unit vertices with its band and its cached edge tables,
+    not validated: the base of :class:`SphericalPolygon`, and the ring of
+    the extended evaluation mode.
 
     vertices  : (n, 3) unit rows, cyclically indexed (v[i + n] = v[i])
-    witness   : direction w with <w, v_i> > 0 for every vertex
-    convex    : True iff every consecutive vertex triple turns left
     tol       : the band of every predicate and kernel gate evaluated on it
     """
 
     vertices: np.ndarray
-    witness: np.ndarray
-    convex: bool
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.vertices.setflags(write=False)
-        self.witness.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -335,6 +350,33 @@ class SphericalPolygon:
     def unit_edge_normals(self) -> np.ndarray:
         """(n, 3) rows (v_j x v_{j+1}) / |v_j x v_{j+1}|."""
         return self.edge_normals / self.edge_sines[:, None]
+
+    @cached_property
+    def turns(self) -> np.ndarray:
+        """(n, 3) rows (v_{j-1} - v_j) x (v_{j+1} - v_j)."""
+        V = self.vertices
+        edges = np.concatenate([V[1:], V[:1]]) - V                      # v_{j+1} - v_j
+        return cross3(edges, np.concatenate([edges[-1:], edges[:-1]]))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SphericalPolygon(Ring):
+    """Validated anti-clockwise vertex ring contained in an open hemisphere.
+
+    witness   : direction w with <w, v_i> > 0 for every vertex
+    convex    : True iff every consecutive vertex triple turns left,
+                <v_j, v_{j+1} x v_{j+2}> >= -tol.geom (set on construction)
+    """
+
+    witness: np.ndarray
+    convex: bool = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.witness.setflags(write=False)
+        N = self.edge_normals
+        object.__setattr__(self, "convex", bool(np.all(dot3(self.vertices, np.concatenate([N[1:], N[:1]]))
+                                                       >= -self.tol.geom)))
 
     @cached_property
     def delaunay(self) -> "Triangulation":
@@ -383,7 +425,6 @@ class Triangulation(NamedTuple):
     cross: np.ndarray       # (3n-6, 3) v_tail x v_head
     cosines: np.ndarray     # (3n-6,) <v_tail, v_head>
     rim: np.ndarray         # (n,) the triangle on the ring edge from v_i to v_{i+1}
-    turns: np.ndarray       # (n, 3) (v_{i-1} - v_i) x (v_{i+1} - v_i)
     ends: np.ndarray        # (n-3, 2) the ends p, q of each edge between two triangles,
     sides: np.ndarray       # (n-3, 2) the triangles left and right of p -> q,
     kappa: np.ndarray       # (n-3,) its polar-dual term when both are on the hull,
@@ -399,13 +440,10 @@ class Triangulation(NamedTuple):
         after = corners[:, [1, 2, 0]]                     # the head of each half-edge
         a = corners[:, 0]
         i, j, e = np.arange(n), np.arange(1, n + 1) % n, np.arange(3 * n - 6)
-        edges = V[j] - V                                   # v_{i+1} - v_i
-        # One pass for the triangles' normals (v_1 - v_0) x (v_2 - v_0), each
-        # half-edge's v_tail x v_head and each vertex's turn (v_{i-1} - v_i) x
-        # (v_{i+1} - v_i) = (v_{i+1} - v_i) x (v_i - v_{i-1}).
-        normals, cross, turns = np.split(cross3(
-            np.concatenate([corners[:, 1] - a, corners.reshape(-1, 3), edges]),
-            np.concatenate([corners[:, 2] - a, after.reshape(-1, 3), edges[i - 1]])), [n - 2, 4 * n - 8])
+        # One pass for the triangles' normals (v_1 - v_0) x (v_2 - v_0) and
+        # each half-edge's v_tail x v_head.
+        normals, cross = np.split(cross3(np.concatenate([corners[:, 1] - a, corners.reshape(-1, 3)]),
+                                         np.concatenate([corners[:, 2] - a, after.reshape(-1, 3)])), [n - 2])
         sizes = np.sqrt(dot3(normals, normals))
         normals = normals / sizes[:, None]
         offsets = dot3(normals, a)
@@ -427,7 +465,7 @@ class Triangulation(NamedTuple):
             triangles=triangles, normals=np.concatenate([normals, np.zeros((1, 3))]),
             offsets=np.concatenate([offsets, [np.inf]]), sizes=np.concatenate([sizes, [0.0]]), own=e // 3,
             across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head, cross=cross, cosines=cosines,
-            rim=lookup[i, j] // 3, turns=turns, ends=np.column_stack([tail[h], head[h]]), sides=sides,
+            rim=lookup[i, j] // 3, ends=np.column_stack([tail[h], head[h]]), sides=sides,
             kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0)
             / (planes[sides[:, 0]] * planes[sides[:, 1]]),
             reflex=(height > tol.geom).reshape(2, -1).any(axis=0))
@@ -522,8 +560,9 @@ def _segments_cross(points2d: np.ndarray) -> bool:
 
 
 def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
-    """Normalize, certify hemisphere containment and orientation, classify
-    convexity; the only constructor of :class:`SphericalPolygon`.
+    """Normalize, certify hemisphere containment and orientation; the only
+    constructor of :class:`SphericalPolygon`, whose edge tables the checks
+    read.
 
     Raises TooFewVertices, ZeroVector, DegenerateEdge (also when the angle
     band is at least half the shortest edge), NotInHemisphere,
@@ -538,16 +577,15 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
 
     # Hemisphere first: a ring containing an antipodal pair has no witness,
     # and that is the more informative failure than the degenerate edge.
-    witness = find_hemisphere_witness(vertices)
+    polygon = SphericalPolygon(vertices=vertices, witness=find_hemisphere_witness(vertices), tol=tol)
 
-    succ = np.roll(vertices, -1, axis=0)
-    dots = np.einsum("ij,ij->i", vertices, succ)
+    dots = polygon.edge_cosines
     if np.any(np.abs(dots) >= 1.0 - UNIT):
         j = int(np.argmax(np.abs(dots)))
         raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % len(vertices)} are equal or antipodal")
     # Neighbouring vertex bands must not overlap, or they swallow the points
     # between them.
-    lengths = np.arctan2(np.linalg.norm(np.cross(vertices, succ), axis=1), dots)
+    lengths = polygon.edge_angles
     if 2.0 * tol.angle >= lengths.min():
         j = int(np.argmin(lengths))
         raise DegenerateEdge(
@@ -557,21 +595,14 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # projection is defined since every <w, v_i> > 0, maps arcs to segments
     # and keeps orientation, so the ring is simple and anti-clockwise iff
     # its image is, by the sign of the shoelace area.
-    _, _, planar = gnomonic_image(vertices, witness)
+    _, _, planar = gnomonic_image(vertices, polygon.witness)
     if _segments_cross(planar):
         raise SelfIntersecting("two edges of the ring cross")
     nxt = np.roll(planar, -1, axis=0)
     area = 0.5 * float(np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]))
     if area <= 0.0:
         raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
-
-    trips = np.einsum(
-        "ij,ij->i",
-        vertices,
-        np.cross(succ, np.roll(vertices, -2, axis=0)),
-    )
-    convex = bool(np.all(trips >= -tol.geom))
-    return SphericalPolygon(vertices=vertices, witness=witness, convex=convex, tol=tol)
+    return polygon
 
 
 def locate_points(polygon: SphericalPolygon, X) -> Locations:

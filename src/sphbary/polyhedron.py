@@ -1,44 +1,33 @@
-"""The bipyramid-style polyhedron over a spherical polygon and two families
-of 3D generalized barycentric coordinates of the origin inside it.
+"""The polyhedron [v_1..v_n, x, -x] over a ring and a direction x, and two
+families of 3D generalized barycentric coordinates of the origin inside it.
 
-Given a polygon ring v_1..v_n and an interior direction x, the polyhedron
-has vertex list [v_1, ..., v_n, x, -x] and 2n triangular faces.  The
-default triangulation is the fan: an upper fan (x, v_i, v_{i+1}) and a
-lower fan (-x, v_{i+1}, v_i).  With the ring anti-clockwise, all face
-normals point away from the origin, and the origin lies in the kernel (it
-sees every face from the inner side) whenever every face plane keeps a
-strictly positive distance from it.
+A :class:`PolyhedronQ` is the fan or the convex hull of those n+2 points.
+The fan has the faces (x, v_i, v_{i+1}) and (-x, v_{i+1}, v_i); over an
+anti-clockwise ring the origin lies in its kernel whenever every face plane
+keeps a positive distance from it, and it is usually not convex, even over
+a convex polygon.  The hull, over a convex polygon, is the lower fan and
+the polygon's Delaunay triangulation with x inserted (:func:`hull_faces`).
 
-The fan is usually not convex, even over a convex polygon.  With
-hull=True, :func:`build_q` takes the faces of the convex hull of the same
-n+2 points instead (:func:`hull_faces`: the lower fan, and the polygon's
-Delaunay triangulation with x inserted).  The mean value backend uses the
-fan; the polar-dual backend of the spherical quotient uses the hull.  The
-NEW_MV and NEW_WC methods evaluate these weights from the rays
-x cross v_i instead (see :mod:`sphbary.spherical`); the kernels here serve
-any polyhedron: :func:`mv_weights`, :func:`wachspress_weights` and the
-extended mode.
-
-Two weight backends are provided:
-
-* mean value weights: per-face angle sums divided by the distance to each
-  vertex (valid whenever the origin is in the kernel),
-* rational polar-dual weights: per-vertex vector areas of the cells of the
-  dual points n_f / <n_f, y_f> (positive on convex polyhedra).
-
-Both produce raw weights w of the origin with sum(w_i * p_i) = 0;
-normalizing by sum(w) gives its 3D barycentric coordinates.
-
-Both are numpy code over one polyhedron, vertices (N, 3) and faces
-(F, 3), that raises each error as it finds it.  Only :func:`hull_cavity`,
-:func:`hull_faces` and :func:`normalized_weights` take a block of m
-directions or weight rows and record per-row errors (see
-:func:`sphbary.errors.refuse`), for the NEW_WC and NEW_MV kernels.
+Each face holds x or -x or is a triangle of the cached triangulation, so
+the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
+(:class:`sphbary.geom.Rays`) and tables cached with the ring, by one
+kernel per backend and shape, kernel(ring, X, rays, errors) on m unit rows:
+mean value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers
+2005), and polar-dual weights on the hull and on the fan, :func:`hull_wc`
+and :func:`fan_wc` (Warren, Schaefer, Hirani & Desbrun 2007), which also
+return the rows with a reflex edge.  Each returns raw weights w (m, n+2)
+with sum(w_i * p_i) = 0, and records per-row errors (see
+:func:`sphbary.errors.refuse`).  NEW_MV and NEW_WC run fan_mv and hull_wc
+on a block of directions; :func:`mv_weights`, :func:`wachspress_weights`,
+:func:`is_convex` and :func:`coords_at_origin` run the same kernels on one
+PolyhedronQ, m = 1, and raise the errors, as does the extended mode on the
+fan over an unvalidated :class:`sphbary.geom.Ring`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,16 +40,17 @@ from .errors import (
     PointOnVertexOrAntipode,
     check_row,
     refuse,
+    single,
 )
 from .geom import (
-    DEFAULT_TOL, UNIT, SphericalPolygon, Tolerances, cross3, dot3, locate_points, normalize,
+    DEFAULT_TOL, UNIT, Rays, Ring, SphericalPolygon, Tolerances, dot3, locate_points, ray_sines, ring_rays,
+    roll1, unit_row,
 )
 
 __all__ = [
     "PolyhedronQ",
     "build_q",
     "build_ring_q",
-    "bipyramid",
     "is_convex",
     "mv_weights",
     "wachspress_weights",
@@ -70,43 +60,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolyhedronQ:
-    """Closed oriented triangulated polyhedron [v_1..v_n, x, -x].
+    """The fan or the convex hull of [v_1..v_n, x, -x] over a ring and a
+    unit direction x, as :func:`build_q` and :func:`build_ring_q` build it.
 
-    vertices  : (n+2, 3); rows 0..n-1 are the ring, row n is x, row n+1 is -x
-    faces     : (2n, 3) int, anti-clockwise viewed from outside; in the fan
-                faces[i] = (n, i, i+1) upper, (n+1, i+1, i) lower
-    kernel_ok : True iff the origin is strictly inside every face plane
-    tol       : the band of its kernel gates (the polygon's, under build_q)
+    ring  : the ring (the validated polygon, under build_q), whose band
+            its gates read
+    X     : (1, 3) the unit row x
+    rays  : the rays of x (one row)
+    faces : (2n, 3) int, anti-clockwise viewed from outside; in the fan
+            faces[i] = (n, i, i+1) upper, (n+1, i+1, i) lower
+    hull  : True for the faces of the convex hull, False for the fan
     """
 
-    vertices: np.ndarray
+    ring: Ring
+    X: np.ndarray
+    rays: Rays = field(repr=False)
     faces: np.ndarray
-    kernel_ok: bool
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
+    hull: bool = False
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.vertices) - 2
+        return self.ring.n
 
     @property
     def x(self) -> np.ndarray:
-        return self.vertices[self.n]
+        return self.X[0]
 
-    def face_normals(self) -> np.ndarray:
-        """(F, 3) unit face normals."""
-        return _face_planes(self.vertices, self.faces)[1]
+    @property
+    def tol(self) -> Tolerances:
+        return self.ring.tol
 
-
-def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> PolyhedronQ:
-    """Assemble the polyhedron from a raw unit-vector ring, skipping polygon
-    validation.  Used by the extended evaluation mode where the ring may not
-    bound a valid hemisphere polygon (e.g. all vertices on a great circle).
-    """
-    return bipyramid(np.asarray(ring, dtype=float), normalize(x), tol)
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """(n+2, 3): rows 0..n-1 are the ring, row n is x, row n+1 is -x."""
+        P = np.concatenate([self.ring.vertices, self.X, -self.X])
+        P.setflags(write=False)
+        return P
 
 
 def fan_faces(n: int) -> np.ndarray:
@@ -117,53 +109,35 @@ def fan_faces(n: int) -> np.ndarray:
     return np.vstack([upper, lower]).astype(np.intp)
 
 
-def _face_planes(P: np.ndarray, faces: np.ndarray):
-    """First vertices (F, 3), unit normals (F, 3) and normal lengths (F,)
-    of the faces (F, 3) of the polyhedron with vertices P (N, 3)."""
-    a = P[faces[:, 0]]
-    nrm = cross3(P[faces[:, 1]] - a, P[faces[:, 2]] - a)
-    norms = np.sqrt(dot3(nrm, nrm))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a, nrm / norms[:, None], norms
-
-
-def bipyramid(ring: np.ndarray, x: np.ndarray, tol: Tolerances, faces: np.ndarray | None = None) -> PolyhedronQ:
-    """[ring, x, -x] for a unit x with the given faces (by default the fan)
-    and their origin-in-kernel certificate: every face plane keeps a
-    distance > tol.geom.  No point location; PointOnVertexOrAntipode where
-    x or -x coincides with a vertex."""
-    x = np.asarray(x, dtype=float)
-    c = cross3(x, ring)
-    theta = np.arctan2(np.sqrt(dot3(c, c)), dot3(x, ring))
-    near = (theta <= tol.angle) | (theta >= np.pi - tol.angle)
-    if near.any():
-        raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {int(np.argmax(near))}")
-    P = np.concatenate([ring, x[None], -x[None]])
-    faces = fan_faces(len(ring)) if faces is None else faces
-    a, normals, norms = _face_planes(P, faces)
-    kernel_ok = bool(np.all(norms > UNIT) and np.all(dot3(normals, a) > tol.geom))
-    return PolyhedronQ(vertices=P, faces=faces, kernel_ok=kernel_ok, tol=tol)
+def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> PolyhedronQ:
+    """The fan over a raw unit-vector ring and the unit row of x, skipping
+    polygon validation and point location.  Used by the extended
+    evaluation mode where the ring may not bound a valid hemisphere polygon
+    (e.g. all vertices on a great circle)."""
+    ring = Ring(np.array(ring, dtype=float), tol)
+    X = unit_row(x)
+    return PolyhedronQ(ring, X, ring_rays(ring.vertices, ring.edge_normals, X), fan_faces(ring.n))
 
 
 def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
-    """Validated construction: x must be strictly interior to the polygon;
-    the polyhedron carries the polygon's band.
+    """Validated construction at the unit row of x (see
+    :func:`sphbary.geom.unit_row`), which must be strictly interior to the
+    polygon; the polyhedron carries the polygon's band.
 
     With hull=True the faces are those of the convex hull of
     [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`); the
     polygon must then be convex (NotConvex otherwise)."""
     if hull and not polygon.convex:
         raise NotConvex("the hull faces are built for convex polygons only")
-    x = normalize(x)
-    loc = locate_points(polygon, x).at(0)
+    X = unit_row(x)
+    located = locate_points(polygon, X)
+    loc = located.at(0)
     if loc.kind == "vertex":
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    errors = [None]
-    faces = hull_faces(polygon, x[None], errors)[0] if hull else None
-    check_row(errors)
-    return bipyramid(polygon.vertices, x, polygon.tol, faces)
+    faces = single(hull_faces, polygon, X) if hull else fan_faces(polygon.n)
+    return PolyhedronQ(polygon, X, located.rays, faces, hull)
 
 
 def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
@@ -199,138 +173,241 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
-def mv_weights(q: PolyhedronQ) -> np.ndarray:
-    """Mean value weights of the origin with respect to q's vertices.
+# --------------------------------------------------------------------------
+# the weight kernels: (ring, unit rows X (m, 3), their rays, errors) ->
+# raw weights (m, n+2) of the origin in [v_1..v_n, x, -x]; every band
+# comes from ring.tol
+# --------------------------------------------------------------------------
 
-    For each face (i, j, k), taken in its oriented order, the contribution
-    to the distinguished vertex i is
+def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
+    return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
-        mu = (b_jk + b_ij <n_ij, n_jk> + b_ki <n_ki, n_jk>) / (2 <e_i, n_jk>)
 
-    where e_i is the unit vector from the origin to vertex i, b_rs the angle
-    between e_r and e_s and n_rs the unit normal of span(e_r, e_s).  The
-    weight of a vertex is the sum of its mu over incident faces divided by
-    its distance from the origin.  NEW_MV evaluates the same face terms on
-    the fan from its rays x cross v_i, without building q.
+def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
+    """Mean value weights of the origin in the fan: each face (i, j, k)
+    adds to its vertex i
+
+        mu = (b_jk + b_ij <n_ij, n_jk> + b_ki <n_ki, n_jk>) / (2 <e_i, n_jk>),
+
+    e_i the unit vector to vertex i, b_rs the angle between e_r and e_s and
+    n_rs the unit normal of span(e_r, e_s).  The upper face (x, v_i, v_{i+1})
+    has edges c_i, N_i and -c_{i+1} at angles theta_i, beta_i and
+    theta_{i+1}, the lower face (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and
+    c_i at pi - theta_{i+1}, beta_i and pi - theta_i, N_i the ring's unit
+    edge normals.  Rows that fail the kernel certificate: KernelViolation.
     """
-    if not q.kernel_ok:
-        raise KernelViolation("polyhedron failed the origin-in-kernel certificate")
-    P, faces = q.vertices, q.faces
+    c, trips = rays.c, rays.tau
+    sin_theta = ray_sines(ring, rays, _on_vertex, errors)
+    theta = np.arctan2(sin_theta, rays.cos)
+    N, beta = ring.unit_edge_normals, ring.edge_angles
+    c_next, sin_next, theta_next = roll1(c, -1), roll1(sin_theta, -1), roll1(theta, -1)
+    # <x, N_i> from the tau_i = <x, v_i x v_{i+1}> that located x: near
+    # edge i every term that grows like 1/tau_i then shares its rounding,
+    # and they cancel in the quotient.
+    h = trips / ring.edge_sines
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(dot3(P, P))
-        e = P / r[:, None]
-        # Once per face: the unit rays e[s] to its corners and, per edge
-        # s -> s+1, the unit normal n[s] of span(e[s], e[s+1]) and the angle b[s].
-        e = [e[faces[:, s]] for s in range(3)]
-        n, b = [], []
-        for s in range(3):
-            cr = cross3(e[s], e[(s + 1) % 3])
-            nn = np.sqrt(dot3(cr, cr))
-            if np.any(nn <= UNIT):
-                raise DegenerateTriangle("two rays of a face are collinear")
-            n.append(cr / nn[:, None])
-            b.append(np.arctan2(nn, dot3(e[s], e[(s + 1) % 3])))
-        mus = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            denom = 2.0 * dot3(e[i], n[j])
-            if np.any(np.abs(denom) <= UNIT):
-                raise DegenerateTriangle("face is flat as seen from the evaluation point")
-            mus.append((b[j] + b[i] * dot3(n[i], n[j]) + b[k] * dot3(n[k], n[j])) / denom)
-        # Sum each vertex's contributions in face order, rotation by rotation.
-        return np.bincount(faces.T.ravel(), weights=np.concatenate(mus), minlength=len(P)) / r
+        # Kernel certificate: the face normals are +-(v_i x v_{i+1}) + c_i -
+        # c_{i+1}, and both planes lie trips / |normal| from the origin.
+        d = c - c_next
+        ok = np.ones(len(X), bool)
+        for normal in (ring.edge_normals + d, d - ring.edge_normals):
+            length = np.sqrt(dot3(normal, normal))
+            ok &= np.all(length > UNIT, axis=1) & np.all(trips / length > ring.tol.geom, axis=1)
+        refuse(errors, ~ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
+        refuse(errors, np.any(sin_theta <= UNIT, axis=1) | np.any(ring.edge_sines <= UNIT),
+               lambda _: DegenerateTriangle("two rays of a face are collinear"))
+        # Twice <e, n> at each corner, against the opposite edge: at x and -x
+        # (edge +-N_i), at v_i (edge v_{i+1}, +-x) and at v_{i+1} (edge +-x, v_i).
+        h2, h2_i, h2_next = 2.0 * h, 2.0 * trips / sin_next, 2.0 * trips / sin_theta
+        refuse(errors, np.any((np.abs(h2) <= UNIT) | (np.abs(h2_i) <= UNIT) | (np.abs(h2_next) <= UNIT), axis=1),
+               lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
+        # Cosines between the edge normals: <c_i, N_i>, <c_{i+1}, N_i> and
+        # <c_i, c_{i+1}>, normalized.
+        a = dot3(c, N) / sin_theta
+        b = dot3(c_next, N) / sin_next
+        cc = dot3(c, c_next) / (sin_theta * sin_next)
+        up_x = (beta + theta * a - theta_next * b) / h2
+        up_i = (theta_next - beta * b - theta * cc) / h2_i
+        up_next = (theta + beta * a - theta_next * cc) / h2_next
+        low_x = (beta + (np.pi - theta_next) * b - (np.pi - theta) * a) / h2
+        low_i = ((np.pi - theta_next) + beta * b - (np.pi - theta) * cc) / h2_i
+        low_next = ((np.pi - theta) - beta * a - (np.pi - theta_next) * cc) / h2_next
+        return np.concatenate([up_i + low_i + roll1(up_next + low_next, 1),
+                               up_x.sum(axis=1)[:, None], low_x.sum(axis=1)[:, None]], axis=1)
 
 
-def _edge_table(P: np.ndarray, faces: np.ndarray, a: np.ndarray, normals: np.ndarray, tol: Tolerances):
-    """Twin table (3F,) and dihedral convexity of the faces (F, 3) of the
-    polyhedron with vertices P (N, 3), given its face planes: half-edge
-    3f + s runs from corner s of face f to corner s+1, and its twin, found
-    by one argsort of edge keys tail * N + head, runs the other way.
-    DegenerateTriangle unless the faces form a closed oriented surface."""
-    e = np.arange(3 * len(faces))
-    tail, head = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-    key, reverse = tail * len(P) + head, head * len(P) + tail
-    order = np.argsort(key)
-    twin = order[np.minimum(np.searchsorted(key, reverse, sorter=order), len(key) - 1)]
-    # A missing or repeated directed edge leaves some twin pair unreciprocated.
-    if not np.all((key[twin] == reverse) & (twin[twin] == e)):
-        raise DegenerateTriangle("faces do not form a closed oriented surface")
-    across = faces[:, [2, 0, 1]].ravel()[twin]    # apex of the face across each edge
-    height = dot3(normals[e // 3], P[across] - a[e // 3])
-    return twin, bool(np.all(height <= tol.geom))
+# Polar-dual weights in edge product form: an edge p -> q with the face
+# f = (p, q, r) on its left and g = (q, p, s) on its right adds the same
+#     kappa = vol (<p, q> - 1) / (t_f t_g),  vol = det(q - p, r - p, s - p),
+# with t_f = det(p, q, r), to w_p and to w_q; vol > tol.geom times the
+# smaller normal |(q - p) x (r - p)| is a reflex edge.  A face with corners
+# x or -x has t = +-<x, v_a x v_b>, rounded once: both faces on ring edge i
+# have tau_i, so near the edge all the terms that grow like 1 / tau_i
+# cancel in the quotient.
+
+def _lower_fan(ring: Ring, x: np.ndarray, rays: Rays, through: np.ndarray, errors: list):
+    """The lower fan (-x, v_{i+1}, v_i), which the fan and the hull share:
+    rows where one of its face planes or another (`through`, (m,)) passes
+    within UNIT of the origin are refused with FaceThroughPoint; returns the
+    terms of the spokes of -x (m, n), the rows where one is reflex (m,) and
+    the sizes of the lower normals (m, n).  Call under np.errstate."""
+    c, tau = rays.c, rays.tau
+    lower = c - roll1(c, -1) - ring.edge_normals
+    size_low = np.sqrt(dot3(lower, lower))
+    refuse(errors, (tau / size_low <= UNIT).any(axis=1) | through,
+           lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
+    # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on the
+    # right; vol from the base v_i, with its short edges to v_{i-1} and
+    # v_{i+1} crossed once per ring.
+    vol = dot3(ring.turns, ring.vertices + x)
+    spoke = -vol * (1.0 + rays.cos) / (roll1(tau, 1) * tau)
+    reflex = (vol > ring.tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
+    return spoke, reflex, size_low
 
 
-def is_convex(q: PolyhedronQ) -> bool:
-    """True iff every dihedral angle of q is convex: for each pair of faces
-    sharing an edge, the apex of each lies weakly behind the other's plane.
-    DegenerateTriangle unless the faces form a closed oriented surface."""
-    a, normals, _ = _face_planes(q.vertices, q.faces)
-    return _edge_table(q.vertices, q.faces, a, normals, q.tol)[1]
-
-
-def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarray:
-    """Rational polar-dual weights of the origin.
-
-    Every face f contributes a dual point p_f = n_f / <n_f, y_f>; the
-    weight of a vertex p is twice the signed area of its dual cell, the
-    polygon of the dual points of its incident faces in their order around
-    p.  Those points all lie on the plane <y, p> = 1, so the cell's vector
-    area S_p = sum of p_f x p_g over consecutive faces f, g is normal to it
-    and the weight is <p, S_p> / |p|^2.
-
-    By default this is restricted to convex polyhedra (NotConvex otherwise),
-    where all weights are positive.  With require_convex=False the same
-    formula is evaluated whenever every face plane keeps the origin strictly
-    on its inner side; weights may then change sign, but the linear-precision
-    identity sum(w_p p) = sum(S_p) = 0 survives, because each
-    oriented dual edge appears twice with opposite signs.  The fan over a
-    convex spherical polygon is very often non-convex in the strict
-    dihedral sense; the spherical quotient therefore evaluates these
-    weights on the hull (build_q(..., hull=True)), and only the extended
-    mode, whose ring is unvalidated, uses the relaxed mode on the fan.
-    NEW_WC sums the same weights on the hull edge by edge from its rays
-    x cross v_i, without building q.
-    """
-    P, faces = q.vertices, q.faces
-    a, normals, _ = _face_planes(P, faces)
-    offsets = dot3(normals, a)
-    if np.any(offsets <= UNIT):
-        raise FaceThroughPoint("a face plane passes through the evaluation point")
-    twin, convex = _edge_table(P, faces, a, normals, q.tol)
-    if require_convex and not convex:
-        raise NotConvex("polyhedron has a reflex dihedral angle")
+def fan_wc(ring: Ring, X: np.ndarray, rays: Rays, errors: list):
+    """Polar-dual weights of the origin in the fan (m, n+2), and the rows
+    (m,) with a reflex edge.  Ring edge i, between the upper face
+    (v_i, v_{i+1}, x) and the lower one (v_{i+1}, v_i, -x), has vol =
+    -2 tau_i and adds 2 (1 - <v_i, v_{i+1}>) / tau_i; the spoke x -> v_i,
+    between the upper faces (x, v_i, v_{i+1}) and (v_i, x, v_{i-1}), adds
+    vol (<x, v_i> - 1) / (tau_{i-1} tau_i); the spokes of -x are those of
+    the hull."""
+    c, tau, tol = rays.c, rays.tau, ring.tol
+    ray_sines(ring, rays, _on_vertex, errors)
+    x = X[:, None, :]
+    upper = ring.edge_normals + c - roll1(c, -1)            # (v_i - x) x (v_{i+1} - x)
+    size_up = np.sqrt(dot3(upper, upper))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dual = normals / offsets[:, None]
-        # Edge s of face f leaves vertex faces[f, s]; the face across it
-        # precedes f anti-clockwise around that vertex.
-        cells = cross3(dual[twin // 3], dual[np.arange(len(twin)) // 3])
-        area = np.stack([np.bincount(faces.ravel(), weights=cells[:, k], minlength=len(P)) for k in range(3)], axis=-1)
-        return dot3(P, area) / dot3(P, P)
+        spoke_low, reflex, size_low = _lower_fan(ring, x, rays, (tau / size_up <= UNIT).any(axis=1), errors)
+        vol = dot3(upper, np.roll(ring.vertices, 1, axis=0) - x)
+        spoke_up = vol * (rays.cos - 1.0) / (roll1(tau, 1) * tau)
+        edge = 2.0 * (1.0 - ring.edge_cosines) / tau
+        reflex |= ((vol > tol.geom * np.minimum(roll1(size_up, 1), size_up))
+                   | (-2.0 * tau > tol.geom * np.minimum(size_up, size_low))).any(axis=1)
+        w = np.concatenate([edge + roll1(edge, 1) + spoke_up + spoke_low,
+                            spoke_up.sum(axis=1)[:, None], spoke_low.sum(axis=1)[:, None]], axis=1)
+    return w, reflex
+
+
+def hull_wc(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
+    """Polar-dual weights of the origin in the convex hull (m, n+2), and the
+    rows (m,) with a reflex edge (where the polygon's band decided the
+    triangulation or x's cavity).  The hull is the lower fan, the Delaunay
+    triangles x does not see and a face (x, a, b) on each outline
+    half-edge a -> b of the ones it sees (see :func:`hull_cavity`)."""
+    n, tol, d, V = polygon.n, polygon.tol, polygon.delaunay, polygon.vertices
+    m, N = len(X), n + 2
+    c, cos_theta, tau = rays.c, rays.cos, rays.tau
+    ray_sines(polygon, rays, _on_vertex, errors)
+    rho, seen, outline = hull_cavity(polygon, X, errors)
+    x = X[:, None, :]
+    # The faces (x, a, b), one per outline half-edge: t, normal, its size.
+    r, h = np.divmod(np.flatnonzero(outline), outline.shape[1])
+    a, b, across = d.tail[h], d.head[h], d.across[h]
+    on_ring = across == n - 2
+    t = np.where(on_ring, tau[r, a], dot3(X[r], d.cross[h]))
+    upper = d.cross[h] + c[r, a] - c[r, b]               # (v_a - x) x (v_b - x)
+    size_up = np.sqrt(dot3(upper, upper))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spoke_low, reflex, size_low = _lower_fan(
+            polygon, x, rays, (np.bincount(r, t / size_up <= UNIT, m) > 0)
+            | (~seen[:, :-1] & (d.offsets[:-1] <= UNIT)).any(axis=1), errors)
+        # Spokes of x: (x, a, b) on the left, (x, z, a) on the right, z -> a
+        # the outline half-edge before.
+        into = np.zeros((m, n), np.intp)
+        into[r, b] = np.arange(len(h))
+        z = into[r, a]
+        vol = dot3(upper, V[a[z]] - X[r])
+        spoke_up = vol * (cos_theta[r, a] - 1.0) / (t * t[z])
+        bent = vol > tol.geom * np.minimum(size_up, size_up[z])
+        # Outline edges: on the ring the lower face is across and
+        # vol = -2 tau_i, negative on every row the face gate passed, so
+        # never reflex; elsewhere an unseen triangle U, vol = its size
+        # times the height of x over it.
+        offset, size, cos_edge = d.offsets[across], d.sizes[across], d.cosines[h]
+        rise = rho[r, across] - offset
+        edge_up = np.where(on_ring, 2.0 * (1.0 - cos_edge) / t, rise * (cos_edge - 1.0) / (t * offset))
+        bent |= rise * size > tol.geom * np.minimum(size, size_up)
+        # A ring edge whose triangle x does not see: its triangle on the
+        # left, the lower face on the right, vol = -(height of -x over it).
+        unseen, offset, size = ~seen[:, d.rim], d.offsets[d.rim], d.sizes[d.rim]
+        fall = rho[:, d.rim] + offset
+        ring = np.where(unseen, fall * (1.0 - polygon.edge_cosines) / (offset * tau), 0.0)
+        reflex |= (unseen & (-fall * size > tol.geom * np.minimum(size, size_low))).any(axis=1)
+        # An edge between two unseen triangles: a per-polygon term.
+        both = ~seen[:, d.sides].any(axis=2)
+        inner = np.where(both, d.kappa, 0.0)
+        reflex |= (both & d.reflex).any(axis=1) | (np.bincount(r, bent, m) > 0)
+        # Each term to both ends of its edge, in a fixed order per row.
+        row = r * N
+        slots = np.concatenate([(np.arange(m)[:, None, None] * N + d.ends).ravel(), row + a, row + b, row + a, row + n])
+        w = np.bincount(slots, np.concatenate([np.repeat(inner.ravel(), 2), edge_up, edge_up, spoke_up, spoke_up]),
+                        m * N).reshape(m, N)
+        w[:, :n] += ring + roll1(ring, 1) + spoke_low
+        w[:, n + 1] += spoke_low.sum(axis=1)
+    return w, reflex
+
+
+def refuse_reflex(errors: list, reflex: np.ndarray) -> None:
+    """The strict polar-dual mode: NotConvex on the reflex rows (m,)."""
+    refuse(errors, reflex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
     """Rows of raw weights (m, N) divided by their sums; rows whose sum is
     not positive are refused with KernelViolation."""
-    total = w.sum(axis=1)
-    refuse(errors, total <= 0.0, lambda _: KernelViolation(
-        "weight sum is not positive; configuration invalid for this backend"))
     with np.errstate(divide="ignore", invalid="ignore"):
+        total = w.sum(axis=1)
+        refuse(errors, total <= 0.0, lambda _: KernelViolation(
+            "weight sum is not positive; configuration invalid for this backend"))
         return w / total[:, None]
+
+
+def _weights(q: PolyhedronQ, backend: str, require_convex: bool = True) -> np.ndarray:
+    """Raw weights of the origin in q, its kernel at m = 1: "MV" on the
+    fan, "WC" on the fan or the hull, strict when require_convex."""
+    errors = [None]
+    if backend == "MV" and not q.hull:
+        w = fan_mv(q.ring, q.X, q.rays, errors)
+    elif backend == "WC":
+        w, reflex = (hull_wc if q.hull else fan_wc)(q.ring, q.X, q.rays, errors)
+        if require_convex:
+            refuse_reflex(errors, reflex)
+    else:
+        raise ValueError(f"no {backend!r} weights on the {'hull' if q.hull else 'fan'}")
+    check_row(errors)
+    return w[0]
+
+
+def mv_weights(q: PolyhedronQ) -> np.ndarray:
+    """Mean value weights of the origin in the fan q, from NEW_MV's kernel
+    :func:`fan_mv`; ValueError on a hull."""
+    return _weights(q, "MV")
+
+
+def is_convex(q: PolyhedronQ) -> bool:
+    """True iff every dihedral angle of q is convex: for each pair of faces
+    sharing an edge, the apex of each lies at most the band in front of the
+    other's plane; read from the reflex test of q's polar-dual kernel."""
+    return not (hull_wc if q.hull else fan_wc)(q.ring, q.X, q.rays, [None])[1][0]
+
+
+def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarray:
+    """Rational polar-dual weights of the origin: on the hull from NEW_WC's
+    kernel :func:`hull_wc`, on the fan from :func:`fan_wc`.  Every face
+    plane must keep the origin strictly inside (FaceThroughPoint otherwise).
+    By default q must be convex (NotConvex otherwise), where all weights are
+    positive; with require_convex=False a reflex edge is summed as well, and
+    weights may change sign, but sum(w_p p) = 0 survives.  The extended
+    mode, whose ring is unvalidated, takes them relaxed on the fan."""
+    return _weights(q, "WC", require_convex)
 
 
 def coords_at_origin(q: PolyhedronQ, backend: str = "MV", require_convex: bool = True) -> np.ndarray:
     """Normalized 3D barycentric coordinates phi of the origin in q (length
-    n+2).
+    n+2), from the weights of the backend ("MV" or "WC") on q.
 
     Satisfies sum(phi) = 1 and sum(phi_i * p_i) = 0 up to roundoff.
     """
-    if backend == "MV":
-        weights = mv_weights(q)
-    elif backend == "WC":
-        weights = wachspress_weights(q, require_convex=require_convex)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    total = weights.sum()
-    if total <= 0.0:
-        raise KernelViolation("weight sum is not positive; configuration invalid for this backend")
-    return weights / total
+    return single(normalized_weights, _weights(q, backend, require_convex)[None])

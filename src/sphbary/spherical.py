@@ -9,15 +9,8 @@ polyhedron [v_1..v_n, x, -x] (indices n+1 for x, n+2 for -x).  The psi are
 non-negative on convex polygons, reproduce x as sum(psi_i v_i), restrict
 linearly to the edges and are the Kronecker delta at the vertices.  The
 mean value backend takes phi on the fan triangulation of the polyhedron,
-the polar-dual backend on its convex hull.  Neither kernel builds the
-polyhedron.  Every fan face holds x or -x, so each face edge is a ring
-edge, whose normal and angle the polygon caches, or +-(x cross v_i), and
-the per-face formula of :func:`sphbary.polyhedron.mv_weights` is
-evaluated on (m, n) arrays of those.  The hull is the lower fan, the
-triangles of the polygon's cached Delaunay triangulation that x does not
-see and x joined to the outline of those it sees; its polar-dual weights
-are summed edge by edge, from the rays c_i = x cross v_i and terms cached
-with the triangulation.
+the polar-dual backend on its convex hull, each from the kernel
+(:mod:`sphbary.polyhedron`) that the functions on one polyhedron run too.
 
 On an edge the same limit collapses to the two-vertex decomposition
 x = a v_j + b v_{j+1}: because x, -x, v_j, v_{j+1} and the origin are all
@@ -59,15 +52,10 @@ import numpy as np
 from .errors import (
     AlphaNearPi,
     AngleDegenerate,
-    DegenerateTriangle,
     ExteriorPoint,
-    FaceThroughPoint,
-    KernelViolation,
     NonPositiveDenominator,
-    NotConvex,
     NotConvexForWC,
     OriginOnBoundary,
-    PointOnVertexOrAntipode,
     UnknownMethod,
     check_row,
     refuse,
@@ -79,23 +67,22 @@ from .geom import (
     EDGE,
     EXTERIOR,
     INTERIOR,
-    UNIT,
     VERTEX,
     Locations,
     PointLocation,
     Rays,
     SphericalPolygon,
     Tolerances,
-    dot3,
     locate_points,
     normalize,
+    ray_sines,
     ring_rays,
     roll1,
     unit_row,
     unit_rows,
     zero_vector,
 )
-from .polyhedron import build_ring_q, coords_at_origin, hull_cavity, normalized_weights
+from .polyhedron import build_ring_q, coords_at_origin, fan_mv, hull_wc, normalized_weights, refuse_reflex
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
 __all__ = [
@@ -154,22 +141,6 @@ class AngleCache:
         self.alpha.setflags(write=False)
 
 
-def _sines(polygon: SphericalPolygon, rays: Rays, aligned_error: Callable, errors: list) -> np.ndarray:
-    """sin theta_i = |c_i| (m, n) from the rays; rows with x aligned with
-    or opposite to some vertex k, theta_k within the angle band of 0 or pi,
-    are refused with aligned_error(k, theta_k), each kernel with its own
-    tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta =
-    arctan2(sin, cos) is taken only when some entry is that close."""
-    band = polygon.tol.angle
-    sin_theta = np.sqrt(dot3(rays.c, rays.c))
-    if np.any(sin_theta <= 2.0 * band * np.abs(rays.cos)):
-        theta = np.arctan2(sin_theta, rays.cos)
-        aligned = (theta <= band) | (theta >= np.pi - band)
-        refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
-            int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
-    return sin_theta
-
-
 def _angle_degenerate(k: int, theta: float) -> AngleDegenerate:
     return AngleDegenerate(f"x is aligned with vertex {k} (theta = {theta:.3e})")
 
@@ -182,14 +153,14 @@ def angles(polygon: SphericalPolygon, x) -> AngleCache:
     """Angle cache for the closed-form weights at the unit row of x; x must
     not coincide with or oppose any vertex (AngleDegenerate otherwise)."""
     rays = _rays_at(polygon, x)
-    sin_theta = single(_sines, polygon, rays, _angle_degenerate)
+    sin_theta = single(ray_sines, polygon, rays, _angle_degenerate)
     return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=rays.alpha[0])
 
 
 def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
     from the rays of m unit directions; see :func:`closed_form_mv_weights`."""
-    sin_theta = _sines(polygon, rays, _angle_degenerate, errors)
+    sin_theta = ray_sines(polygon, rays, _angle_degenerate, errors)
     # c_i x c_{i+1} = tau_i x: tau_i and d_i are |c_i||c_{i+1}| times
     # sin(alpha_i) and cos(alpha_i).
     s, d = rays.tau, rays.d
@@ -234,140 +205,25 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
 # --------------------------------------------------------------------------
 
 def _quotient(phi: np.ndarray, n: int, errors: list):
-    denom = phi[:, n + 1] - phi[:, n]
-    refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
-        f"phi[-x] - phi[x] = {denom[r]:.3e} <= {DENOM}; invalid input or broken backend"))
     with np.errstate(divide="ignore", invalid="ignore"):
+        denom = phi[:, n + 1] - phi[:, n]
+        refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
+            f"phi[-x] - phi[x] = {denom[r]:.3e} <= {DENOM}; invalid input or broken backend"))
         return phi[:, :n] / denom[:, None], denom
 
 
 def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
-    # The mean value weights of the origin in [v_1..v_n, x, -x] on the fan,
-    # face by face as in sphbary.polyhedron.mv_weights, from (m, n) arrays:
-    # the upper face (x, v_i, v_{i+1}) has edges c_i, N_i and -c_{i+1} at
-    # angles theta_i, beta_i and theta_{i+1}, the lower face
-    # (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and c_i at pi - theta_{i+1},
-    # beta_i and pi - theta_i, with c_i = x cross v_i and N_i the polygon's
-    # unit edge normals.
-    c, trips = rays.c, rays.tau
-    sin_theta = _sines(polygon, rays, _on_vertex, errors)
-    theta = np.arctan2(sin_theta, rays.cos)
-    N, beta = polygon.unit_edge_normals, polygon.edge_angles
-    c_next, sin_next, theta_next = roll1(c, -1), roll1(sin_theta, -1), roll1(theta, -1)
-    # <x, N_i> from the tau_i = <x, v_i x v_{i+1}> that located x: near
-    # edge i every term that grows like 1/tau_i then shares its rounding,
-    # and they cancel in the quotient.
-    h = trips / polygon.edge_sines
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Kernel certificate: the face normals are +-(v_i x v_{i+1}) + c_i -
-        # c_{i+1}, and both planes lie trips / |normal| from the origin.
-        d = c - c_next
-        ok = np.ones(len(X), bool)
-        for normal in (polygon.edge_normals + d, d - polygon.edge_normals):
-            length = np.sqrt(dot3(normal, normal))
-            ok &= np.all(length > UNIT, axis=1) & np.all(trips / length > polygon.tol.geom, axis=1)
-        refuse(errors, ~ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
-        refuse(errors, np.any(sin_theta <= UNIT, axis=1) | np.any(polygon.edge_sines <= UNIT),
-               lambda _: DegenerateTriangle("two rays of a face are collinear"))
-        # Twice <e, n> at each corner, against the opposite edge: at x and -x
-        # (edge +-N_i), at v_i (edge v_{i+1}, +-x) and at v_{i+1} (edge +-x, v_i).
-        h2, h2_i, h2_next = 2.0 * h, 2.0 * trips / sin_next, 2.0 * trips / sin_theta
-        refuse(errors, np.any((np.abs(h2) <= UNIT) | (np.abs(h2_i) <= UNIT) | (np.abs(h2_next) <= UNIT), axis=1),
-               lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
-        # Cosines between the edge normals: <c_i, N_i>, <c_{i+1}, N_i> and
-        # <c_i, c_{i+1}>, normalized.
-        a = dot3(c, N) / sin_theta
-        b = dot3(c_next, N) / sin_next
-        cc = dot3(c, c_next) / (sin_theta * sin_next)
-        up_x = (beta + theta * a - theta_next * b) / h2
-        up_i = (theta_next - beta * b - theta * cc) / h2_i
-        up_next = (theta + beta * a - theta_next * cc) / h2_next
-        low_x = (beta + (np.pi - theta_next) * b - (np.pi - theta) * a) / h2
-        low_i = ((np.pi - theta_next) + beta * b - (np.pi - theta) * cc) / h2_i
-        low_next = ((np.pi - theta) - beta * a - (np.pi - theta_next) * cc) / h2_next
-        w = np.concatenate([up_i + low_i + roll1(up_next + low_next, 1),
-                            up_x.sum(axis=1)[:, None], low_x.sum(axis=1)[:, None]], axis=1)
-    return _quotient(normalized_weights(w, errors), polygon.n, errors)
-
-
-def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
-    return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
+    # The mean value weights of the origin in [v_1..v_n, x, -x] on the fan.
+    return _quotient(normalized_weights(fan_mv(polygon, X, rays, errors), errors), polygon.n, errors)
 
 
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
-    # fan over a convex polygon is usually not convex, so they use the hull
-    # of [v_1..v_n, x, -x]: the lower fan (-x, v_{i+1}, v_i), the Delaunay
-    # triangles x does not see and a face (x, a, b) on each outline
-    # half-edge a -> b of the ones it sees.  They are summed edge by edge
-    # (the product form): a hull edge p -> q with the face f = (p, q, r) on
-    # its left and g = (q, p, s) on its right adds the same
-    #     kappa = vol (<p, q> - 1) / (t_f t_g),  vol = det(q - p, r - p, s - p),
-    # with t_f = det(p, q, r), to w_p and to w_q; vol > tol.geom times the
-    # smaller normal |(q - p) x (r - p)| is a reflex edge.  A face with
-    # corners x or -x has t = +-<x, v_a x v_b>, rounded once: both faces
-    # on ring edge i have tau_i, so near the edge all the terms that grow
-    # like 1 / tau_i cancel in the quotient.
-    n, tol, d, V = polygon.n, polygon.tol, polygon.delaunay, polygon.vertices
-    m, N = len(X), n + 2
-    c, cos_theta, tau = rays.c, rays.cos, rays.tau
-    _sines(polygon, rays, _on_vertex, errors)
-    rho, seen, outline = hull_cavity(polygon, X, errors)
-    x = X[:, None, :]
-    lower = c - roll1(c, -1) - polygon.edge_normals       # normals of the lower faces
-    size_low = np.sqrt(dot3(lower, lower))
-    # The faces (x, a, b), one per outline half-edge: t, normal, its size.
-    r, h = np.divmod(np.flatnonzero(outline), outline.shape[1])
-    a, b, across = d.tail[h], d.head[h], d.across[h]
-    on_ring = across == n - 2
-    t = np.where(on_ring, tau[r, a], dot3(X[r], d.cross[h]))
-    upper = d.cross[h] + c[r, a] - c[r, b]               # (v_a - x) x (v_b - x)
-    size_up = np.sqrt(dot3(upper, upper))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        refuse(errors, (tau / size_low <= UNIT).any(axis=1) | (np.bincount(r, t / size_up <= UNIT, m) > 0)
-               | (~seen[:, :-1] & (d.offsets[:-1] <= UNIT)).any(axis=1),
-               lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
-        # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on
-        # the right; vol from the base v_i, with its short edges to v_{i-1}
-        # and v_{i+1} crossed once per polygon.
-        vol = dot3(d.turns, V + x)
-        spoke_low = -vol * (1.0 + cos_theta) / (roll1(tau, 1) * tau)
-        reflex = (vol > tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
-        # Spokes of x: (x, a, b) on the left, (x, z, a) on the right, z -> a
-        # the outline half-edge before.
-        into = np.zeros((m, n), np.intp)
-        into[r, b] = np.arange(len(h))
-        z = into[r, a]
-        vol = dot3(upper, V[a[z]] - X[r])
-        spoke_up = vol * (cos_theta[r, a] - 1.0) / (t * t[z])
-        bent = vol > tol.geom * np.minimum(size_up, size_up[z])
-        # Outline edges: on the ring the lower face is across and
-        # vol = -2 tau_i, negative on every row the face gate passed, so
-        # never reflex; elsewhere an unseen triangle U, vol = its size
-        # times the height of x over it.
-        offset, size, cos_edge = d.offsets[across], d.sizes[across], d.cosines[h]
-        rise = rho[r, across] - offset
-        edge_up = np.where(on_ring, 2.0 * (1.0 - cos_edge) / t, rise * (cos_edge - 1.0) / (t * offset))
-        bent |= rise * size > tol.geom * np.minimum(size, size_up)
-        # A ring edge whose triangle x does not see: its triangle on the
-        # left, the lower face on the right, vol = -(height of -x over it).
-        unseen, offset, size = ~seen[:, d.rim], d.offsets[d.rim], d.sizes[d.rim]
-        fall = rho[:, d.rim] + offset
-        ring = np.where(unseen, fall * (1.0 - polygon.edge_cosines) / (offset * tau), 0.0)
-        reflex |= (unseen & (-fall * size > tol.geom * np.minimum(size, size_low))).any(axis=1)
-        # An edge between two unseen triangles: a per-polygon term.
-        both = ~seen[:, d.sides].any(axis=2)
-        inner = np.where(both, d.kappa, 0.0)
-        reflex |= (both & d.reflex).any(axis=1) | (np.bincount(r, bent, m) > 0)
-        refuse(errors, reflex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
-        # Each term to both ends of its edge, in a fixed order per row.
-        row = r * N
-        slots = np.concatenate([(np.arange(m)[:, None, None] * N + d.ends).ravel(), row + a, row + b, row + a, row + n])
-        w = np.bincount(slots, np.concatenate([np.repeat(inner.ravel(), 2), edge_up, edge_up, spoke_up, spoke_up]),
-                        m * N).reshape(m, N)
-        w[:, :n] += ring + roll1(ring, 1) + spoke_low
-        w[:, n + 1] += spoke_low.sum(axis=1)
-        return _quotient(normalized_weights(w, errors), n, errors)
+    # fan over a convex polygon is usually not convex, so they are taken on
+    # the hull of [v_1..v_n, x, -x], strictly.
+    w, reflex = hull_wc(polygon, X, rays, errors)
+    refuse_reflex(errors, reflex)
+    return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 
 def _closed_form(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
@@ -502,15 +358,12 @@ def spherical_coords_classical(polygon: SphericalPolygon, x, backend: str = "MV"
 
 
 def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> CoordinateVector:
-    """Evaluation mode for configurations outside the default contracts.
-
-    Accepts a raw unit-vector ring (no hemisphere or orientation
-    validation) and skips the interior check; the origin-in-kernel
-    certificate on the polyhedron is still enforced.  Both backends use the
-    fan, since an unvalidated ring has no convex-polygon contract: "WC"
-    runs the polar-dual weights in their relaxed mode, which keeps linear
-    precision but not the sign.  Returns the quotient coordinates with
-    location kind "extended"."""
+    """Evaluation mode for configurations outside the default contracts: a
+    raw unit-vector ring (no hemisphere or orientation validation) and no
+    interior check.  Both backends take the fan (see
+    :func:`origin_coords_on_ring`), so "MV" keeps the origin-in-kernel
+    certificate and "WC" keeps linear precision but not the sign.  Returns
+    the quotient coordinates with location kind "extended"."""
     phi = origin_coords_on_ring(ring, x, backend, tol)
     values, denom = single(_quotient, phi[None], len(phi) - 2)
     return CoordinateVector(
@@ -519,11 +372,10 @@ def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DE
 
 
 def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """3D barycentric coordinates of the origin in the polyhedron over a raw
-    ring (length n+2); the finite object the construction always produces,
-    even when the spherical quotient degenerates (e.g. all vertices on a
-    great circle, where phi[-x] = phi[x] identically).  Like
-    :func:`extended_spherical_coords` it uses the fan, with the polar-dual
-    backend in its relaxed mode."""
+    """3D barycentric coordinates of the origin in the fan over a raw ring
+    (length n+2), from the fan's kernels, the polar-dual one relaxed: the
+    finite object the construction always produces, even when the spherical
+    quotient degenerates (e.g. all vertices on a great circle, where
+    phi[-x] = phi[x] identically)."""
     ring = np.array([normalize(v) for v in np.asarray(ring, dtype=float)])
-    return coords_at_origin(build_ring_q(ring, normalize(x), tol), backend, require_convex=False)
+    return coords_at_origin(build_ring_q(ring, x, tol), backend, require_convex=False)

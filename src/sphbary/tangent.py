@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
 from .geom import (
-    DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, ring_rays, roll1, tangent_frames, unit_row,
+    DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, roll1, tangent_frames, unit_row,
 )
 
 __all__ = [
@@ -77,8 +77,8 @@ def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     X = unit_row(x)
-    rays = ring_rays(polygon.vertices, polygon.edge_normals, X)
-    basis, points2d, dots = single(project_batch, polygon.vertices, X, rays.cos)
+    dots = dot3(X[:, None, :], polygon.vertices)                 # the rays' cos theta
+    basis, points2d, dots = single(project_batch, polygon.vertices, X, dots)
     return TangentPolygon(basis=basis, points2d=points2d, dots=dots)
 
 

@@ -193,6 +193,15 @@ class TestExtendedFlag:
         residual = float([l for l in out.splitlines() if l.startswith("residual")][0].split("=")[1])
         assert residual <= 1e-8
 
+    def test_near_edge_point_of_the_demo_quad(self, capsys):
+        # A point next to an edge of the shipped quadrilateral, where the
+        # extended mode once summed the fan face by face and missed x by 4.8e-8.
+        point = ["0.19190957228871533", "0.5427662849576953", "0.8176646476258982"]
+        assert main(["--extended", "coords", str(DATA_DIR / "demo_quad.json"), "--point", *point]) == 0
+        out = capsys.readouterr().out
+        residual = float([l for l in out.splitlines() if l.startswith("residual")][0].split("=")[1])
+        assert residual <= 1e-8
+
     def test_great_circle_denominator_error(self, tmp_path, capsys):
         ring, x = sb.great_circle_ring()
         path = write_polygon(tmp_path, [[float(c) for c in v] for v in ring])

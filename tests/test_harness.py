@@ -168,30 +168,33 @@ class TestGrid:
         assert locate_calls[0] == 16 * 16
 
     def test_new_mv_builds_no_stacked_polyhedra(self, monkeypatch):
-        # NEW_MV's kernel works on the fan's own (m, n) arrays; the general
-        # polyhedral route stays in use for build_q and mv_weights.
+        # NEW_MV runs the fan kernel once per block, on the fan's own (m, n)
+        # arrays; mv_weights on one polyhedron runs the same kernel at m = 1.
         polygon = sb.demo_quadrilateral()
-        counts = [count_calls(monkeypatch, f) for f in (sb.polyhedron.bipyramid, sb.polyhedron.mv_weights)]
+        calls = count_calls(monkeypatch, sb.polyhedron.fan_mv)
         sb.grid_rows(polygon, 0, 16, "NEW_MV")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_MV")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_MV")
-        assert [c[0] for c in counts] == [0, 0]
+        assert calls[0] == 3
         sb.mv_weights(sb.build_q(polygon, [0.0, 0.0, 1.0]))
-        assert [c[0] for c in counts] == [1, 1]
+        assert calls[0] == 4
 
     def test_new_wc_builds_no_stacked_hulls(self, monkeypatch):
-        # NEW_WC's kernel sums the hull's edge terms from x cross v_i and the
-        # polygon's cached triangulation; build_q(hull=True) and
-        # wachspress_weights keep the general polyhedral route.
+        # NEW_WC sums the hull's edge terms from x cross v_i and the
+        # polygon's cached triangulation, once per block;
+        # wachspress_weights on one hull runs the same kernel at m = 1, and
+        # neither builds the hull's faces.
         polygon = sb.demo_quadrilateral()
         counts = [count_calls(monkeypatch, f) for f in (
-            sb.polyhedron.bipyramid, sb.polyhedron.hull_faces, sb.polyhedron.wachspress_weights)]
+            sb.polyhedron.hull_wc, sb.polyhedron.fan_wc, sb.polyhedron.hull_faces)]
         sb.grid_rows(polygon, 0, 16, "NEW_WC")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_WC")
-        assert [c[0] for c in counts] == [0, 0, 0]
-        sb.wachspress_weights(sb.build_q(polygon, [0.0, 0.0, 1.0], hull=True))
-        assert [c[0] for c in counts] == [1, 1, 1]
+        assert [c[0] for c in counts] == [3, 0, 0]
+        q = sb.build_q(polygon, [0.0, 0.0, 1.0], hull=True)
+        assert [c[0] for c in counts] == [3, 0, 1]
+        sb.wachspress_weights(q)
+        assert [c[0] for c in counts] == [4, 0, 1]
 
     def test_error_rows_recorded_not_fatal(self, octant):
         rows = sb.grid_rows(octant, 0, 12, "CC_MV")

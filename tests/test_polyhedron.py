@@ -1,4 +1,7 @@
-"""Polyhedron assembly and the two 3D weight backends."""
+"""Polyhedron assembly and the two 3D weight backends, against references
+that sum the weights face by face."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from sphbary.errors import (
     SphBaryError,
 )
 from sphbary.geom import UNIT
-from sphbary.polyhedron import PolyhedronQ, build_ring_q, fan_faces, is_convex
+from sphbary.polyhedron import build_ring_q, fan_faces, is_convex
 
 from conftest import jittered_ring, random_rotation
 
@@ -30,7 +33,7 @@ class TestBuildQ:
     def test_octant_shape(self, octant_q):
         assert octant_q.vertices.shape == (5, 3)
         assert octant_q.faces.shape == (6, 3)
-        assert octant_q.kernel_ok
+        assert kernel_ok_loop(octant_q)
 
     def test_incidence_counts(self, rng):
         polygon = sb.random_polygon(7, 0.9, seed=11)
@@ -51,7 +54,7 @@ class TestBuildQ:
         assert all((b, a) in directed for (a, b) in directed)
 
     def test_outward_normals(self, octant_q):
-        normals = octant_q.face_normals()
+        normals = face_normals_loop(octant_q)
         anchors = octant_q.vertices[octant_q.faces[:, 0]]
         assert np.all(np.einsum("ij,ij->i", normals, anchors) > 0)
 
@@ -62,12 +65,6 @@ class TestBuildQ:
     def test_exterior_rejected(self):
         with pytest.raises(NotInterior):
             sb.build_q(sb.octant_triangle(), sb.normalize([-1, -1, -1]))
-
-    def test_open_surface_rejected(self, octant_q):
-        q = PolyhedronQ(vertices=octant_q.vertices.copy(), faces=octant_q.faces[1:].copy(),
-                        kernel_ok=True)
-        with pytest.raises(DegenerateTriangle):
-            is_convex(q)
 
 
 class TestHull:
@@ -81,7 +78,7 @@ class TestHull:
             polygon = sb.random_polygon(n, rho, seed=int(rng.integers(0, 2**32)))
             x = sb.interior_points(polygon, 1, rng)[0]
             q = sb.build_q(polygon, x, hull=True)
-            assert q.kernel_ok and is_convex(q)
+            assert kernel_ok_loop(q) and is_convex(q)
             expected = {tuple(sorted(f)) for f in spatial.ConvexHull(q.vertices).simplices.tolist()}
             assert {tuple(sorted(f)) for f in q.faces.tolist()} == expected
             assert np.all(sb.wachspress_weights(q) > 0)
@@ -144,23 +141,6 @@ class TestMeanValueWeights:
         np.testing.assert_allclose(w[:3], omega, atol=1e-9)
         assert w[4] - w[3] == pytest.approx(denom, abs=1e-9)
 
-    def test_kernel_gate(self, octant_q):
-        bad = PolyhedronQ(
-            vertices=octant_q.vertices.copy(),
-            faces=octant_q.faces.copy(),
-            kernel_ok=False,
-        )
-        with pytest.raises(KernelViolation):
-            sb.mv_weights(bad)
-
-    def test_degenerate_face_guard(self):
-        # A face with two collinear rays from the evaluation point.
-        vertices = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
-        q = PolyhedronQ(vertices=vertices, faces=faces, kernel_ok=True)
-        with pytest.raises(DegenerateTriangle):
-            sb.mv_weights(q)
-
     def test_linear_precision_random(self, rng):
         for k in range(30):
             polygon = sb.random_polygon(int(rng.integers(3, 13)), 1.0, seed=300 + k)
@@ -170,18 +150,7 @@ class TestMeanValueWeights:
             assert np.linalg.norm(w @ q.vertices) <= 1e-9
 
 
-def regular_tetrahedron() -> PolyhedronQ:
-    vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
-    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
-    return PolyhedronQ(vertices=vertices, faces=faces, kernel_ok=True)
-
-
 class TestWachspressWeights:
-    def test_tetrahedron_symmetry(self):
-        w = sb.wachspress_weights(regular_tetrahedron())
-        assert np.all(w > 0)
-        np.testing.assert_allclose(w, w[0], rtol=1e-12)
-
     def test_octant_linear_precision(self, octant_q):
         w = sb.wachspress_weights(octant_q)
         assert np.all(w > 0)
@@ -209,14 +178,14 @@ class TestWachspressWeights:
         assert hit > 0   # the sample really exercises non-convex polyhedra
 
     def test_memory_grows_linearly_with_vertices(self):
-        # A bipyramid over a regular 5000-gon: an (N, N) twin table would
-        # take 200 MB, the edge keys take a few hundred kB.
+        # A bipyramid over a regular 5000-gon: an (N, N) table would take
+        # 200 MB, the kernel's (1, n) arrays take a few hundred kB.
         import tracemalloc
 
         n = 5000
         t = 2 * np.pi * np.arange(n) / n
         ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
-        q = PolyhedronQ(vertices=np.vstack([ring, [[0, 0, 1], [0, 0, -1]]]), faces=fan_faces(n), kernel_ok=True)
+        q = build_ring_q(ring, [0.0, 0.0, 1.0])
         tracemalloc.start()
         try:
             assert is_convex(q)
@@ -278,15 +247,27 @@ class TestCoordsAtOrigin:
 def test_build_ring_q_skips_validation():
     ring, x = sb.great_circle_ring()
     q = build_ring_q(ring, x)
-    assert q.kernel_ok
+    assert kernel_ok_loop(q)
     assert q.faces.shape == (10, 3)
 
 
 # --------------------------------------------------------------------------
-# reference: the polar-dual weights one polyhedron at a time
+# references: the weights of one polyhedron face by face, from any object
+# with its vertices (N, 3) and faces (F, 3)
 # --------------------------------------------------------------------------
 
-def twin_loop(q: PolyhedronQ) -> np.ndarray:
+def polyhedron_over(polygon, x, faces) -> SimpleNamespace:
+    """[v_1..v_n, x, -x] with the given faces, as it is, without locating
+    x; PointOnVertexOrAntipode where x or -x lies within the polygon's
+    angle band of a vertex."""
+    theta = np.arctan2(np.linalg.norm(np.cross(x, polygon.vertices), axis=1), polygon.vertices @ x)
+    near = (theta <= polygon.tol.angle) | (theta >= np.pi - polygon.tol.angle)
+    if near.any():
+        raise PointOnVertexOrAntipode(f"x or -x coincides with vertex {int(np.argmax(near))}")
+    return SimpleNamespace(vertices=np.vstack([polygon.vertices, x, -x]), faces=np.asarray(faces))
+
+
+def twin_loop(q) -> np.ndarray:
     """Directed-edge table (F, 3): twin[f, r] = 3 g + s when edge s of face
     g runs the other way to edge r of face f."""
     F = q.faces
@@ -303,13 +284,52 @@ def twin_loop(q: PolyhedronQ) -> np.ndarray:
     return order[pos].reshape(F.shape)
 
 
-def face_normals_loop(q: PolyhedronQ) -> np.ndarray:
+def face_normals_loop(q) -> np.ndarray:
     a, b, c = (q.vertices[q.faces[:, k]] for k in range(3))
     nrm = np.cross(b - a, c - a)
     return nrm / np.linalg.norm(nrm, axis=1)[:, None]
 
 
-def is_convex_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL) -> bool:
+def kernel_ok_loop(q, tol=sb.DEFAULT_TOL) -> bool:
+    """The origin-in-kernel certificate: every face plane lies more than
+    the band from the origin."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(np.all(np.einsum("ij,ij->i", face_normals_loop(q), q.vertices[q.faces[:, 0]]) > tol.geom))
+
+
+def mv_weights_loop(q, tol=sb.DEFAULT_TOL) -> np.ndarray:
+    """Mean value weights of the origin: for each face (i, j, k) the
+    contribution to its vertex i is
+
+        mu = (b_jk + b_ij <n_ij, n_jk> + b_ki <n_ki, n_jk>) / (2 <e_i, n_jk>)
+
+    with e_i the unit vector to vertex i, b_rs the angle between e_r and e_s
+    and n_rs the unit normal of span(e_r, e_s); a vertex sums its mu over
+    its faces and divides by its distance.  KernelViolation unless every
+    face plane lies more than the band from the origin."""
+    V, F = q.vertices, q.faces
+    if not kernel_ok_loop(q, tol):
+        raise KernelViolation("polyhedron failed the origin-in-kernel certificate")
+    r = np.linalg.norm(V, axis=1)
+    e = [(V / r[:, None])[F[:, s]] for s in range(3)]
+    cross = [np.cross(e[s], e[(s + 1) % 3]) for s in range(3)]
+    size = [np.linalg.norm(c, axis=1) for c in cross]
+    if any(np.any(length <= UNIT) for length in size):
+        raise DegenerateTriangle("two rays of a face are collinear")
+    n = [c / length[:, None] for c, length in zip(cross, size)]
+    b = [np.arctan2(size[s], np.einsum("ij,ij->i", e[s], e[(s + 1) % 3])) for s in range(3)]
+    w = np.zeros(len(V))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        denom = 2.0 * np.einsum("ij,ij->i", e[i], n[j])
+        if np.any(np.abs(denom) <= UNIT):
+            raise DegenerateTriangle("face is flat as seen from the evaluation point")
+        mu = (b[j] + b[i] * np.einsum("ij,ij->i", n[i], n[j]) + b[k] * np.einsum("ij,ij->i", n[k], n[j])) / denom
+        w += np.bincount(F[:, i], mu, len(V))
+    return w / r
+
+
+def is_convex_loop(q, tol=sb.DEFAULT_TOL) -> bool:
     V, F = q.vertices, q.faces
     normals = face_normals_loop(q)
     apex = np.roll(F, -2, axis=1).ravel()
@@ -319,7 +339,10 @@ def is_convex_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL) -> bool:
     return bool(np.all(height <= tol.geom))
 
 
-def wachspress_weights_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL, require_convex=True) -> np.ndarray:
+def wachspress_weights_loop(q, tol=sb.DEFAULT_TOL, require_convex=True) -> np.ndarray:
+    """Polar-dual weights of the origin: twice the signed area of each
+    vertex's dual cell, the polygon of the dual points n_f / <n_f, y_f> of
+    its faces."""
     V, F = q.vertices, q.faces
     normals = face_normals_loop(q)
     offsets = np.einsum("ij,ij->i", normals, V[F[:, 0]])
@@ -329,8 +352,8 @@ def wachspress_weights_loop(q: PolyhedronQ, tol=sb.DEFAULT_TOL, require_convex=T
         raise NotConvex("polyhedron has a reflex dihedral angle")
     dual = normals / offsets[:, None]
     own = np.repeat(np.arange(len(F)), 3)
-    area = np.zeros((len(V), 3))
-    np.add.at(area, F.ravel(), np.cross(dual[twin_loop(q).ravel() // 3], dual[own]))
+    cells = np.cross(dual[twin_loop(q).ravel() // 3], dual[own])
+    area = np.column_stack([np.bincount(F.ravel(), cells[:, k], len(V)) for k in range(3)])
     return np.einsum("ij,ij->i", V, area) / np.einsum("ij,ij->i", V, V)
 
 
@@ -341,12 +364,41 @@ def outcome(call, *args, **kwargs):
         return exc.name
 
 
+class TestMeanValueReference:
+    def test_kernel_matches_the_face_sums(self):
+        # The fan kernel behind mv_weights against the per-face sum on the
+        # same polyhedron: convex and non-convex rings, n 3..64, caps up to
+        # 1.5; the same error tag, and weights equal up to float64 roundoff.
+        rng = np.random.default_rng(20261021)
+        tags, compared = set(), 0
+        for k in range(40):
+            polygon = jittered_ring(rng, int(rng.integers(3, 65)), float(rng.uniform(0.2, 1.5)), k % 2 == 1)
+            for x in sb.interior_points(polygon, 2, rng):
+                q = sb.build_q(polygon, x)
+                expected, got = outcome(mv_weights_loop, q), outcome(sb.mv_weights, q)
+                if isinstance(expected, str) or isinstance(got, str):
+                    assert got == expected
+                    tags.add(got)
+                    continue
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+                compared += 1
+        assert compared > 40 and "KernelViolation" in tags
+
+    def test_hull_has_no_mean_value_weights(self, octant_q):
+        with pytest.raises(ValueError):
+            sb.mv_weights(sb.build_q(sb.octant_triangle(), CENTER, hull=True))
+        with pytest.raises(ValueError):
+            sb.coords_at_origin(octant_q, "XX")
+
+
 class TestPolarDualReference:
     def test_batched_kernel_matches_one_polyhedron_code(self):
         # Fan and hull, strict and relaxed, on convex and non-convex rings
-        # with n 3..64 and caps up to 1.5: the same convexity verdict, the
-        # same error tag, and weights equal up to float64 roundoff.  The
-        # hull is built over convex rings only; a non-convex one is refused.
+        # with n 3..64 and caps up to 1.5: the edge-form kernels against
+        # the dual-cell sums on the same polyhedron, with the same
+        # convexity verdict, the same error tag, and weights equal up to
+        # float64 roundoff.  The hull is built over convex rings only; a
+        # non-convex one is refused.
         rng = np.random.default_rng(20261018)
         tags, convex, judged, compared = set(), 0, 0, 0
         for k in range(80):
@@ -373,9 +425,3 @@ class TestPolarDualReference:
                     compared += 1
         assert compared > 170 and 0 < convex < judged
         assert {"NotConvex", "FaceThroughPoint"} <= tags
-
-    def test_open_surface_rejected_by_both(self, octant_q):
-        q = PolyhedronQ(vertices=octant_q.vertices.copy(), faces=octant_q.faces[1:].copy(), kernel_ok=True)
-        for strict in (False, True):
-            assert outcome(sb.wachspress_weights, q, require_convex=strict) == "DegenerateTriangle"
-            assert outcome(wachspress_weights_loop, q, require_convex=strict) == "DegenerateTriangle"

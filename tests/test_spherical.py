@@ -9,6 +9,7 @@ import sphbary as sb
 from sphbary.errors import (
     AngleDegenerate,
     ExteriorPoint,
+    KernelViolation,
     NonPositiveDenominator,
     NotConvexForWC,
     ProjectionUndefined,
@@ -17,10 +18,11 @@ from sphbary.errors import (
     single,
 )
 from sphbary.geom import INTERIOR, unit_rows
-from sphbary.polyhedron import bipyramid, hull_faces
+from sphbary.polyhedron import fan_faces, hull_faces, normalized_weights
 from sphbary.spherical import _quotient, evaluate_batch
 
 from conftest import jittered_ring, random_rotation, result_shapes
+from test_polyhedron import kernel_ok_loop, mv_weights_loop, polyhedron_over, wachspress_weights_loop
 
 CENTER = sb.normalize([1, 1, 1])
 INV_SQRT3 = 1 / np.sqrt(3)
@@ -253,12 +255,11 @@ class TestContracts:
         # the points whose polyhedron keeps the origin in its kernel; from
         # the rest it refuses loudly instead of returning garbage.
         from sphbary.polyhedron import build_ring_q
-        from sphbary.errors import KernelViolation
 
         polygon = sb.random_polygon(5, 1.0, seed=31, mode="nonconvex")
         seen_ok = seen_violation = 0
         for x in sb.interior_points(polygon, 30, rng):
-            if build_ring_q(polygon.vertices, x).kernel_ok:
+            if kernel_ok_loop(build_ring_q(polygon.vertices, x)):
                 cv = sb.spherical_coords(polygon, x, "MV")
                 assert sb.reconstruction_residual(cv.values, polygon.vertices, x) <= 1e-8
                 seen_ok += 1
@@ -412,12 +413,18 @@ def near_edge_points(polygon, gap, rng):
     return unit_rows(np.cos(gap) * feet + np.sin(gap) * poles)[0]
 
 
+def quotient_of(w, n):
+    """psi from raw weights w (n+2): the quotient of the normalized
+    weights, with the errors of the evaluation path."""
+    return single(_quotient, single(normalized_weights, w[None])[None], n)[0]
+
+
 def general_mv_outcome(polygon, x):
-    """NEW_MV by the general polyhedral route: the fan polyhedron, the mean
-    value coordinates of the origin in it, the quotient; (error tag, psi)."""
+    """NEW_MV face by face: the fan polyhedron, the mean value weights of the
+    origin in it summed per face (mv_weights_loop), the quotient; (error
+    tag, psi)."""
     try:
-        phi = sb.coords_at_origin(sb.build_q(polygon, x), "MV")
-        return None, single(_quotient, phi[None], polygon.n)[0]
+        return None, quotient_of(mv_weights_loop(sb.build_q(polygon, x)), polygon.n)
     except SphBaryError as exc:
         return exc.name, None
 
@@ -433,9 +440,9 @@ class TestFanKernel:
     @pytest.mark.parametrize("case", range(len(FAN_RINGS)))
     def test_matches_the_general_route(self, case):
         # Every interior row gets the same error tag from NEW_MV's fan kernel
-        # and from the general route, and where both succeed the same psi
+        # and from the per-face sum, and where both succeed the same psi
         # to 1e-12 at points at least 1e-4 from the boundary; nearer to it
-        # the general route loses accuracy, so only the tags are compared.
+        # the per-face sum loses accuracy, so only the tags are compared.
         n, cap, star = FAN_RINGS[case]
         rng = np.random.default_rng(7100 + case)
         polygon = jittered_ring(rng, n, cap, star)
@@ -457,20 +464,21 @@ class TestFanKernel:
 
 
 def general_wc_outcome(polygon, x):
-    """NEW_WC by the general polyhedral route at the unit x: the convex hull
-    of [v_1..v_n, x, -x] as build_q(polygon, x, hull=True) builds it (here
-    without normalizing and locating x again, which can move a point near a
-    vertex onto an edge), the polar-dual coordinates of the origin in it,
-    the quotient; (error tag, psi, whether a face (x, a, b) stands on a
+    """NEW_WC face by face at the unit x: the convex hull of
+    [v_1..v_n, x, -x] with the faces build_q(polygon, x, hull=True) takes
+    (here without normalizing and locating x again, which can move a point
+    near a vertex onto an edge), the strict polar-dual weights of the
+    origin in it summed per dual cell (wachspress_weights_loop), the
+    quotient; (error tag, psi, whether a face (x, a, b) stands on a
     diagonal, that is, x sees a proper sub-disc of the triangulation)."""
+    n = polygon.n
     try:
-        q = bipyramid(polygon.vertices, x, polygon.tol, single(hull_faces, polygon, x[None]))
-        phi = sb.coords_at_origin(q, "WC")
+        q = polyhedron_over(polygon, x, single(hull_faces, polygon, x[None]))
+        psi = quotient_of(wachspress_weights_loop(q, polygon.tol), n)
     except SphBaryError as exc:
         return exc.name, None, False
-    n = polygon.n
     ends = np.array([np.roll(f, -int(np.argmax(f == n)))[1:] for f in q.faces if n in f])
-    return None, single(_quotient, phi[None], n)[0], bool(np.any((ends[:, 1] - ends[:, 0]) % n != 1))
+    return None, psi, bool(np.any((ends[:, 1] - ends[:, 0]) % n != 1))
 
 
 def nudged_ring(rng, n: int, cap: float):
@@ -498,7 +506,7 @@ class TestPolarDualKernel:
     @pytest.mark.parametrize("case", range(len(HULL_RINGS)))
     def test_matches_the_general_route(self, case):
         # Every interior row gets the same error tag from NEW_WC's edge-form
-        # kernel and from the general route over the hull, and
+        # kernel and from the dual-cell sum over the hull, and
         # where both succeed the same psi to 1e-12 at points at least 1e-4
         # from the boundary.
         n, cap, kind = HULL_RINGS[case]
@@ -536,8 +544,32 @@ class TestPolarDualKernel:
 SWEEP_GAPS = tuple(10.0 ** -k for k in range(4, 14))
 
 
+# The public functions on one polyhedron, at one direction x (m = 1): psi
+# of x, or its error raised.
+Q_ROUTES = {
+    "q:MV": lambda p, x: single(_quotient, sb.coords_at_origin(sb.build_q(p, x), "MV")[None], p.n)[0],
+    "q:WC": lambda p, x: single(_quotient, sb.coords_at_origin(sb.build_q(p, x, hull=True), "WC")[None], p.n)[0],
+    "extended:MV": lambda p, x: sb.extended_spherical_coords(p.vertices, x, "MV").values,
+    "extended:WC": lambda p, x: sb.extended_spherical_coords(p.vertices, x, "WC").values,
+}
+
+
+def sweep_rows(method, polygon, X) -> tuple[np.ndarray, list]:
+    """Values (m, n) and errors of one method or q-route at the rows of X."""
+    if method in sb.METHODS:
+        batch = evaluate_batch(polygon, X, method)
+        return batch.values, batch.errors
+    values, errors = np.full((len(X), polygon.n), np.nan), [None] * len(X)
+    for i, x in enumerate(X):
+        try:
+            values[i] = Q_ROUTES[method](polygon, x)
+        except SphBaryError as exc:
+            errors[i] = exc
+    return values, errors
+
+
 class TestNearBoundarySweep:
-    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED", "CC_MV", "CC_WC"])
+    @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED", "CC_MV", "CC_WC", *Q_ROUTES])
     def test_small_residual_or_named_error(self, method):
         # Seeded convex and star rings, one point per edge at each gap from
         # 1e-4 to 1e-13: each row is within 1e-8 of x or a named error.
@@ -547,11 +579,98 @@ class TestNearBoundarySweep:
             polygon = jittered_ring(rng, int(rng.integers(3, 20)), rng.uniform(0.3, 1.4), star=k % 2 == 1)
             for gap in SWEEP_GAPS:
                 X = near_edge_points(polygon, gap, rng)
-                batch = evaluate_batch(polygon, X, method)
-                residual = np.linalg.norm(batch.values @ polygon.vertices - X, axis=1)
-                wrong += [(k, gap, i, residual[i]) for i, error in enumerate(batch.errors)
+                values, errors = sweep_rows(method, polygon, X)
+                residual = np.linalg.norm(values @ polygon.vertices - X, axis=1)
+                wrong += [(k, gap, i, residual[i]) for i, error in enumerate(errors)
                           if not (isinstance(error, SphBaryError) or residual[i] <= 1e-8)]
         assert wrong == []
+
+
+def mp_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def mp_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def mp_mean_value(mp, P, faces):
+    """Mean value weights of the origin in the polyhedron P (lists of mpf
+    rows) with the given faces, face by face as mv_weights_loop sums
+    them."""
+    r = [mp.sqrt(mp_dot(p, p)) for p in P]
+    E = [[c / length for c in p] for p, length in zip(P, r)]
+    spans = {}                      # (a, b), a < b: the unit normal of span(e_a, e_b) and the angle
+
+    def span(a, b):
+        if (min(a, b), max(a, b)) not in spans:
+            cross = mp_cross(E[min(a, b)], E[max(a, b)])
+            size = mp.sqrt(mp_dot(cross, cross))
+            spans[min(a, b), max(a, b)] = [c / size for c in cross], mp.atan2(size, mp_dot(E[a], E[b]))
+        normal, angle = spans[min(a, b), max(a, b)]
+        return (normal if a < b else [-c for c in normal]), angle
+
+    w = [mp.mpf(0)] * len(P)
+    for f in faces:
+        normals, angles = zip(*(span(f[s], f[(s + 1) % 3]) for s in range(3)))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            w[f[i]] += ((angles[j] + angles[i] * mp_dot(normals[i], normals[j])
+                         + angles[k] * mp_dot(normals[k], normals[j])) / (2 * mp_dot(E[f[i]], normals[j])))
+    return [wi / ri for wi, ri in zip(w, r)]
+
+
+def mp_polar_dual(mp, P, faces):
+    """Polar-dual weights of the origin in the polyhedron P with the given
+    faces, per dual cell as wachspress_weights_loop sums them."""
+    dual = []
+    for a, b, c in ([P[v] for v in f] for f in faces):
+        normal = mp_cross([b[k] - a[k] for k in range(3)], [c[k] - a[k] for k in range(3)])
+        offset = mp_dot(normal, a)
+        dual.append([v / offset for v in normal])
+    face_of = {(f[s], f[(s + 1) % 3]): g for g, f in enumerate(faces) for s in range(3)}
+    area = [[mp.mpf(0)] * 3 for _ in P]
+    for g, f in enumerate(faces):
+        for s in range(3):
+            cell = mp_cross(dual[face_of[f[(s + 1) % 3], f[s]]], dual[g])
+            area[f[s]] = [area[f[s]][k] + cell[k] for k in range(3)]
+    return [mp_dot(p, S) / mp_dot(p, p) for p, S in zip(P, area)]
+
+
+class TestHighPrecisionOracle:
+    def test_near_edge_rows_match_50_digits(self):
+        # Convex rings with n <= 8, one point per edge at gaps 1e-7 ... 1e-13:
+        # NEW_MV, NEW_WC and the q-route against the per-face mean value sum
+        # on the fan and the dual-cell polar-dual sum on the hull (the faces
+        # build_q(..., hull=True) takes), both in 50-digit arithmetic at the
+        # same unit row x; every row that returns values is within 1e-8.
+        mpmath = pytest.importorskip("mpmath")
+        rows, compared, far = 0, {}, []
+        with mpmath.workdps(50):
+            for k, (n, cap) in enumerate(((3, 1.4), (5, 0.6), (8, 1.5))):
+                rng = np.random.default_rng(8700 + k)
+                polygon = jittered_ring(rng, n, cap, star=False)
+                X = unit_rows(np.vstack([near_edge_points(polygon, gap, rng) for gap in (1e-7, 1e-9, 1e-11, 1e-13)]))[0]
+                rows += len(X)
+                routes = {method: sweep_rows(method, polygon, X)
+                          for method in ("NEW_MV", "NEW_WC", "q:MV", "q:WC", "extended:MV")}
+                V = [[mpmath.mpf(float(c)) for c in v] for v in polygon.vertices]
+                for i, x in enumerate(X):
+                    P = V + [[mpmath.mpf(float(c)) for c in x], [-mpmath.mpf(float(c)) for c in x]]
+                    oracle = {}
+                    for backend, weights, faces in (
+                            ("MV", mp_mean_value, fan_faces(n)),
+                            ("WC", mp_polar_dual, single(hull_faces, polygon, x[None]))):
+                        w = weights(mpmath, P, faces.tolist())
+                        oracle[backend] = np.array([float(w[j] / (w[n + 1] - w[n])) for j in range(n)])
+                    for method, (values, errors) in routes.items():
+                        if errors[i] is None:
+                            gap = np.max(np.abs(values[i] - oracle[method[-2:]]))
+                            compared[method] = compared.get(method, 0) + 1
+                            if not gap <= 1e-8:
+                                far.append((k, i, method, gap))
+        assert rows <= 300 and far == []
+        assert min(compared.values()) >= 20 and len(compared) == 5
 
 
 class TestExtendedDomain:
