@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import SphBaryError
-from .geom import DEFAULT_TOL, Tolerances, normalize
+from .geom import DEFAULT_TOL, Tolerances, unit_row, unit_vertices
 from .harness import (
     DEFAULT_BANDS,
     PolygonFile,
@@ -94,23 +94,22 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 
 def cmd_coords(args, tol: Tolerances) -> int:
-    x = normalize(np.array(args.point, dtype=float))
     if args.extended:
         if args.method != "NEW_MV":
             print("error: --extended evaluation supports only NEW_MV", file=sys.stderr)
             return 2
-        vertices = np.array([normalize(v) for v in np.asarray(args.file.vertices, dtype=float)])
-        cv = extended_spherical_coords(vertices, x, "MV", tol)
+        cv = extended_spherical_coords(args.file.vertices, args.point, "MV", tol)
+        vertices = unit_vertices(args.file.vertices)
     else:
         polygon = args.file.validated(tol)
-        cv = evaluate(polygon, x, args.method)
+        cv = evaluate(polygon, args.point, args.method)
         vertices = polygon.vertices
     print(f"location: {cv.location}")
     print(f"method: {cv.method}")
     for i, v in enumerate(cv.values):
         print(f"psi[{i}] = {_fmt(v)}")
     print(f"sum = {_fmt(cv.total)}")
-    print(f"residual = {_fmt(reconstruction_residual(cv.values, vertices, x))}")
+    print(f"residual = {_fmt(reconstruction_residual(cv.values, vertices, unit_row(args.point)[0]))}")
     if cv.denom is not None:
         print(f"denominator = {_fmt(cv.denom)}")
     return 0
@@ -155,12 +154,12 @@ def cmd_oracle(args, tol: Tolerances) -> int:
     if len(pf.vertices) != 3:
         print(f"error: oracle needs a triangle file, got n={len(pf.vertices)}", file=sys.stderr)
         return 2
-    v = [normalize(np.asarray(row, dtype=float)) for row in pf.vertices]
-    x = normalize(np.array(args.point, dtype=float))
-    psi = oracle_triangle(v[0], v[1], v[2], x)
+    V = unit_vertices(pf.vertices)
+    x = unit_row(args.point)[0]
+    psi = oracle_triangle(V[0], V[1], V[2], x)
     for i, val in enumerate(psi):
         print(f"psi[{i}] = {_fmt(val)}")
-    print(f"residual = {_fmt(float(np.linalg.norm(psi @ np.array(v) - x)))}")
+    print(f"residual = {_fmt(reconstruction_residual(psi, V, x))}")
     return 0
 
 

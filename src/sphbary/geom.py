@@ -8,13 +8,13 @@ wider), is carried by the validated polygon, and every predicate and kernel
 gate reads it from there; the fixed guards are the constants UNIT, TINY,
 DENOM and PROJ.
 
-Point location is batched: :func:`locate_points` classifies an (m, 3)
-block of directions from the (m, n) arrays of :func:`ring_rays`, which it
-hands on to the interior kernels, and :func:`locate_point` is its m = 1
-call.  Row-wise dot
-products go through :func:`dot3`, which adds the three products in a fixed
-order instead of calling BLAS, so a row's result does not depend on the
-batch it is evaluated in.
+Each primitive is batched once, and the scalar helpers are its m = 1
+calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects and
+:func:`locate_points` classifies an (m, 3) block of directions from the
+(m, n) arrays of :func:`ring_rays`, which it hands on to the interior
+kernels.  Dot and cross products go through :func:`dot3` and
+:func:`cross3`, which add the products in a fixed order instead of calling
+BLAS, so a row's bits depend neither on BLAS nor on its batch.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "cross3",
     "roll1",
     "unit_rows",
-    "tangent_basis",
     "tangent_frames",
     "winding_angle",
     "Rays",
@@ -62,7 +61,7 @@ __all__ = [
 
 
 UNIT = 1e-12      # guard at unit scale: cosines this near +-1, sines, lengths and offsets this near 0
-TINY = 1e-14      # smallest vector norm accepted by :func:`normalize`
+TINY = 1e-14      # smallest vector norm accepted by :func:`unit_rows`
 DENOM = 1e-12     # positivity threshold for coordinate denominators
 PROJ = 1e-10      # smallest admissible <v, x> for the gnomonic projection
 
@@ -87,22 +86,9 @@ DEFAULT_TOL = Tolerances()
 
 
 def normalize(v) -> np.ndarray:
-    """Return v / ||v||. Raises ZeroVector for vanishing or non-finite
-    input; a finite v whose squared norm overflows is first divided by its
-    largest |component|."""
-    v = np.asarray(v, dtype=float)
-    if sum(map(abs, v.ravel().tolist())) <= 1e150:     # ||v||^2 cannot overflow
-        n = float(np.linalg.norm(v))
-    else:                                              # it may, or v is not finite
-        if not np.isfinite(v).all():
-            raise ZeroVector("cannot normalize a vector that is not finite")
-        with np.errstate(over="ignore"):               # np.linalg.norm warns on overflow
-            n = float(np.linalg.norm(v))
-        if n == np.inf:
-            return normalize(v / np.abs(v).max())
-    if n <= TINY:
-        raise ZeroVector(f"cannot normalize vector with norm {n!r}")
-    return v / n
+    """v / ||v||, the m = 1 call of :func:`unit_rows` (see
+    :func:`unit_row`); ZeroVector for vanishing or non-finite input."""
+    return unit_row(v)[0]
 
 def angle_between(a, b) -> float:
     """Principal angle between two unit vectors, in [0, pi].
@@ -112,12 +98,12 @@ def angle_between(a, b) -> float:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.cross(a, b)
-    return float(np.arctan2(np.linalg.norm(c), np.dot(a, b)))
+    c = cross3(a, b)
+    return float(np.arctan2(np.sqrt(dot3(c, c)), dot3(a, b)))
 
 def triple_product(a, b, c) -> float:
     """Signed volume <a, b x c> of the parallelepiped spanned by a, b, c."""
-    return float(np.dot(np.asarray(a, dtype=float), np.cross(b, c)))
+    return float(dot3(np.asarray(a, dtype=float), cross3(np.asarray(b, dtype=float), np.asarray(c, dtype=float))))
 
 
 def dot3(a, b) -> np.ndarray:
@@ -148,7 +134,7 @@ def unit_rows(X) -> tuple[np.ndarray, np.ndarray]:
     """(X / ||X|| row-wise, mask of rows too short to normalize or not
     finite); those rows come back as NaN, for the caller to refuse with
     ZeroVector.  A finite row whose squared norm overflows is first divided
-    by its largest |component|, as :func:`normalize` does."""
+    by its largest |component|."""
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     if not np.abs(X).max(initial=0.0) <= 1e150:    # ||X_r||^2 may overflow, or X is not finite
         with np.errstate(over="ignore"):
@@ -177,19 +163,23 @@ def tangent_frames(X) -> tuple[np.ndarray, np.ndarray]:
     return B1, cross3(X, B1)
 
 
-def tangent_basis(x) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (b1, b2) of the plane tangent at the unit x; the
-    m = 1 call of :func:`tangent_frames`."""
-    B1, B2 = tangent_frames(x)
-    return B1[0], B2[0]
+def gnomonic_images(V: np.ndarray, X: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gnomonic images of the ring V (n, 3) in the planes tangent at the
+    unit rows of X (m, 3), given dots (m, n) = <v_i, x>: the frames
+    (m, 2, 3) of :func:`tangent_frames` and the coordinates (m, n, 2) of
+    v_i / <v_i, x> - x in them; not finite where some <v_i, x> = 0."""
+    B1, B2 = tangent_frames(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        images = V / dots[..., None] - X[:, None, :]
+    return np.stack([B1, B2], axis=1), np.stack([dot3(images, B1[:, None, :]), dot3(images, B2[:, None, :])], axis=-1)
 
 
-def gnomonic_image(vertices: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent basis (b1, b2) at the unit `center` and the (n, 2) planar
-    coordinates of v_i / <v_i, center> in it."""
-    b1, b2 = tangent_basis(center)
-    scale = vertices @ center
-    return b1, b2, np.column_stack([(vertices @ b1) / scale, (vertices @ b2) / scale])
+def gnomonic_image(vertices: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent basis (2, 3) at the unit `center` (3,) and the (n, 2)
+    planar coordinates of the vertices' gnomonic images in it: the m = 1
+    call of :func:`gnomonic_images`."""
+    bases, points2d = gnomonic_images(vertices, center[None], dot3(center, vertices)[None])
+    return bases[0], points2d[0]
 
 
 class Rays(NamedTuple):
@@ -532,10 +522,10 @@ def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:
     search over the vertex hull.
     """
     s = vertices.sum(axis=0)
-    ns = float(np.linalg.norm(s))
+    ns = np.sqrt(dot3(s, s))                 # a sum of n unit rows: no overflow screen
     if ns > TINY:
         w = s / ns
-        if float(np.min(vertices @ w)) > 0.0:
+        if dot3(vertices, w).min() > 0.0:
             return w
     w, margin = _min_norm_direction(vertices)
     if w is None or margin <= 0.0:
@@ -559,21 +549,42 @@ def _segments_cross(points2d: np.ndarray) -> bool:
     return bool(np.any(straddles & straddles.T))
 
 
-def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
-    """Normalize, certify hemisphere containment and orientation; the only
-    constructor of :class:`SphericalPolygon`, whose edge tables the checks
-    read.
+def _refuse_touching(polygon: SphericalPolygon) -> None:
+    """SelfIntersecting when a vertex v_k lies within the polygon's band of
+    a vertex v_i other than its neighbours (by the chord |v_k - v_i|, as a
+    cosine near 1 cannot resolve an angle of tol.angle) or of an edge i it
+    is not an end of (|<v_k, v_i x v_{i+1}>| <= tol.geom, Gram coefficients
+    a, b > 0): the bands of :func:`locate_points`."""
+    V, n, tol = polygon.vertices, polygon.n, polygon.tol
+    D = V[:, None, :] - V
+    chord2 = dot3(D, D)                                       # (n, n) |v_k - v_i|^2
+    tau = dot3(V[:, None, :], polygon.edge_normals)           # (n, n) <v_k, v_i x v_{i+1}>
+    cos, g = 1.0 - 0.5 * chord2, polygon.edge_cosines
+    cos_next = roll1(cos, -1)                                 # <v_k, v_{i+1}>
+    step = (np.arange(n)[:, None] - np.arange(n)) % n        # k - i
+    vertex = (chord2 <= (2.0 * np.sin(0.5 * tol.angle)) ** 2) & (1 < step) & (step < n - 1)
+    edge = (np.abs(tau) <= tol.geom) & (cos - g * cos_next > 0.0) & (cos_next - g * cos > 0.0) & (1 < step)
+    for touch, what in ((vertex, "vertex"), (edge, "edge")):
+        if touch.any():
+            k, i = np.argwhere(touch)[0]
+            raise SelfIntersecting(f"vertex {k} lies within the band of {what} {i}")
 
-    Raises TooFewVertices, ZeroVector, DegenerateEdge (also when the angle
-    band is at least half the shortest edge), NotInHemisphere,
-    SelfIntersecting or WrongOrientation.
+
+def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
+    """Normalize, certify hemisphere containment, orientation and
+    simplicity; the only constructor of :class:`SphericalPolygon`, whose
+    edge tables the checks read.
+
+    Raises TooFewVertices, ZeroVector (naming the vertex), DegenerateEdge
+    (also when the angle band is at least half the shortest edge),
+    NotInHemisphere, SelfIntersecting or WrongOrientation.
     """
     raw = np.asarray(raw_vertices, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 3:
         raise TooFewVertices("expected an (n, 3) array of vertices")
     if len(raw) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(raw)}")
-    vertices = np.array([normalize(v) for v in raw])
+    vertices = unit_vertices(raw)
 
     # Hemisphere first: a ring containing an antipodal pair has no witness,
     # and that is the more informative failure than the degenerate edge.
@@ -595,13 +606,14 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # projection is defined since every <w, v_i> > 0, maps arcs to segments
     # and keeps orientation, so the ring is simple and anti-clockwise iff
     # its image is, by the sign of the shoelace area.
-    _, _, planar = gnomonic_image(vertices, polygon.witness)
+    _, planar = gnomonic_image(vertices, polygon.witness)
     if _segments_cross(planar):
         raise SelfIntersecting("two edges of the ring cross")
     nxt = np.roll(planar, -1, axis=0)
     area = 0.5 * float(np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]))
     if area <= 0.0:
         raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
+    _refuse_touching(polygon)
     return polygon
 
 
@@ -672,6 +684,16 @@ def unit_row(x) -> np.ndarray:
     if short[0]:
         raise zero_vector(np.asarray(x, dtype=float))
     return X[:1]
+
+
+def unit_vertices(raw) -> np.ndarray:
+    """The rows of a raw ring as unit rows, by one :func:`unit_rows` call;
+    ZeroVector naming the first row that cannot be normalized."""
+    V, short = unit_rows(raw)
+    if short.any():
+        k = int(np.argmax(short))
+        raise ZeroVector(f"vertex {k}: {zero_vector(np.asarray(raw, dtype=float).reshape(-1, 3)[k])}")
+    return V
 
 
 def locate_point(polygon: SphericalPolygon, x) -> PointLocation:

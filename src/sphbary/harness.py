@@ -25,10 +25,11 @@ from .geom import (
     PROJ,
     SphericalPolygon,
     Tolerances,
+    dot3,
     gnomonic_image,
     locate_points,
     normalize,
-    tangent_basis,
+    tangent_frames,
     unit_rows,
     validate_polygon,
 )
@@ -123,24 +124,12 @@ def save_polygon_file(path, pf: PolygonFile) -> None:
 # random instances
 # --------------------------------------------------------------------------
 
-def _random_unit(rng) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            return v / n
-
-
-def _lift(center, b1, b2, uv) -> np.ndarray:
-    return normalize(center + uv[0] * b1 + uv[1] * b2)
-
-
 def _random_convex_ring(rng, n: int, rho: float) -> np.ndarray:
     """Convex ring by construction: random planar edge vectors sorted by
     direction, chained tip to tail, then lifted through the tangent plane of
     a random cap center (central projection preserves convexity)."""
-    center = _random_unit(rng)
-    b1, b2 = tangent_basis(center)
+    center = normalize(rng.normal(size=3))
+    (b1,), (b2,) = tangent_frames(center)
     edges = rng.normal(size=(n, 2))
     edges -= edges.mean(axis=0)
     order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]))
@@ -149,7 +138,7 @@ def _random_convex_ring(rng, n: int, rho: float) -> np.ndarray:
     radius = np.linalg.norm(verts2d, axis=1).max()
     target = np.tan(rho * rng.uniform(0.75, 1.0))
     verts2d *= target / radius
-    return np.array([_lift(center, b1, b2, uv) for uv in verts2d])
+    return unit_rows(center + verts2d[:, :1] * b1 + verts2d[:, 1:] * b2)[0]
 
 
 def _min_azimuth_gap(n: int) -> float:
@@ -163,8 +152,8 @@ def _random_star_ring(rng, n: int, rho: float) -> np.ndarray:
     """Star-shaped ring around a random cap center: sorted azimuths, random
     polar angles up to rho; empty when some azimuth gap is below
     :func:`_min_azimuth_gap`."""
-    center = _random_unit(rng)
-    b1, b2 = tangent_basis(center)
+    center = normalize(rng.normal(size=3))
+    (b1,), (b2,) = tangent_frames(center)
     azimuth = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
     if np.min(np.diff(np.concatenate([azimuth, [azimuth[0] + 2 * np.pi]]))) < _min_azimuth_gap(n):
         return np.empty((0, 3))
@@ -220,16 +209,16 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
     and locates them in one batch, so the rng advances exactly as it would
     one candidate at a time.
     """
-    b1, b2, planar = gnomonic_image(polygon.vertices, polygon.witness)
+    (b1, b2), planar = gnomonic_image(polygon.vertices, polygon.witness)
     lo, hi = planar.min(axis=0), planar.max(axis=0)
     out = []
     while len(out) < count:
         need = count - len(out)
         if polygon.convex:
-            uv = [lam @ planar for lam in rng.dirichlet(np.ones(polygon.n), size=need)]
+            uv = np.array([lam @ planar for lam in rng.dirichlet(np.ones(polygon.n), size=need)])
         else:
             uv = rng.uniform(lo, hi, size=(need, 2))
-        candidates = np.array([_lift(polygon.witness, b1, b2, p) for p in uv])
+        candidates = unit_rows(polygon.witness + uv[:, :1] * b1 + uv[:, 1:] * b2)[0]
         out += list(candidates[locate_points(polygon, candidates).kind == INTERIOR])
     return np.array(out)
 
@@ -246,15 +235,9 @@ def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     image's bounding box is lifted back to the sphere.  Row-major order,
     x fastest; includes points that land outside the polygon.
     """
-    center = polygon.vertices.sum(axis=0)
-    nc = np.linalg.norm(center)
-    if nc > 1e-12:
-        center = center / nc
-        if np.min(polygon.vertices @ center) <= PROJ:
-            center = polygon.witness
-    else:
-        center = polygon.witness
-    b1, b2, planar = gnomonic_image(polygon.vertices, center)
+    C, short = unit_rows(polygon.vertices.sum(axis=0))
+    center = polygon.witness if short[0] or dot3(polygon.vertices, C).min() <= PROJ else C[0]
+    (b1, b2), planar = gnomonic_image(polygon.vertices, center)
     lo = planar.min(axis=0)
     hi = planar.max(axis=0)
     x = np.tile(np.linspace(lo[0], hi[0], resolution), resolution)[:, None]

@@ -74,12 +74,12 @@ from .geom import (
     SphericalPolygon,
     Tolerances,
     locate_points,
-    normalize,
     ray_sines,
     ring_rays,
     roll1,
     unit_row,
     unit_rows,
+    unit_vertices,
     zero_vector,
 )
 from .polyhedron import build_ring_q, coords_at_origin, fan_mv, hull_wc, normalized_weights, refuse_reflex
@@ -237,11 +237,11 @@ def _closed_form(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: l
 def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, wachspress: bool):
     # Planar coordinates of the gnomonic image, divided by <v_i, x> to
     # restore linear precision on the sphere.
-    _, points2d, dots = project_batch(polygon.vertices, X, rays.cos, errors)
+    _, points2d = project_batch(polygon.vertices, X, rays.cos, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         planar = (planar_wachspress_batch(points2d, polygon.tol, errors) if wachspress
                   else planar_mv_batch(points2d, errors))
-        return planar / dots, np.full(len(X), np.nan)
+        return planar / rays.cos, np.full(len(X), np.nan)
 
 
 class Method(NamedTuple):
@@ -377,5 +377,4 @@ def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAUL
     finite object the construction always produces, even when the spherical
     quotient degenerates (e.g. all vertices on a great circle, where
     phi[-x] = phi[x] identically)."""
-    ring = np.array([normalize(v) for v in np.asarray(ring, dtype=float)])
-    return coords_at_origin(build_ring_q(ring, x, tol), backend, require_convex=False)
+    return coords_at_origin(build_ring_q(unit_vertices(ring), x, tol), backend, require_convex=False)

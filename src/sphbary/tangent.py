@@ -10,21 +10,20 @@ attempted at <v_i, x> = 0.  The CC_MV and CC_WC methods of
 :func:`sphbary.spherical.evaluate` are built from these pieces.
 
 Each piece is batched over m evaluation points (an (m, 3) block of
-directions, (m, n, 2) planar rings) and records a per-row error instead of
-raising (see :func:`sphbary.errors.refuse`); the public functions are its
-m = 1 calls.
+directions, (m, n, 2) planar rings), the projection being
+:func:`sphbary.geom.gnomonic_images`, and records a per-row error instead
+of raising (see :func:`sphbary.errors.refuse`); the public functions are
+its m = 1 calls, and a :class:`TangentPolygon` carries the polygon's band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
-from .geom import (
-    DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, roll1, tangent_frames, unit_row,
-)
+from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, gnomonic_images, roll1, unit_row
 
 __all__ = [
     "TangentPolygon",
@@ -41,11 +40,13 @@ class TangentPolygon:
     basis    : (2, 3) orthonormal rows spanning the tangent plane
     points2d : (n, 2) planar coordinates of v_i / <v_i, x> relative to x
     dots     : (n,) the projection scales d_i = <v_i, x>
+    tol      : the band of the convexity gate of planar_wachspress
     """
 
     basis: np.ndarray
     points2d: np.ndarray
     dots: np.ndarray
+    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -54,32 +55,27 @@ class TangentPolygon:
 
 
 def project_batch(V: np.ndarray, X: np.ndarray, dots: np.ndarray, errors: list):
-    """Batched gnomonic projection of the ring V at the unit rows of X,
-    given dots (m, n) = <v_i, x> (the rays' cos theta): bases (m, 2, 3),
-    points2d (m, n, 2) and dots; rows with some <v_i, x> <= PROJ are
+    """:func:`sphbary.geom.gnomonic_images` of the ring V at the unit rows
+    of X, given dots (m, n) = <v_i, x> (the rays' cos theta): bases
+    (m, 2, 3) and points2d (m, n, 2); rows with some <v_i, x> <= PROJ are
     refused with ProjectionUndefined."""
-    x = X[:, None, :]
-    low = dots <= PROJ
-    refuse(errors, low.any(axis=1), lambda r: ProjectionUndefined(
+    refuse(errors, (dots <= PROJ).any(axis=1), lambda r: ProjectionUndefined(
         f"<v[{np.argmin(dots[r])}], x> = {dots[r].min():.3e} is not positive"))
-    B1, B2 = tangent_frames(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        images = V / dots[..., None] - x
-    points2d = np.stack([dot3(images, B1[:, None, :]), dot3(images, B2[:, None, :])], axis=-1)
-    return np.stack([B1, B2], axis=1), points2d, dots
+    return gnomonic_images(V, X, dots)
 
 
 def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
     """Project the polygon's vertices into the tangent plane at the unit
-    row of x (see :func:`sphbary.geom.unit_row`).
+    row of x (see :func:`sphbary.geom.unit_row`); the image carries the
+    polygon's band.
 
     Raises ProjectionUndefined when some <v_i, x> <= PROJ; the radial
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     X = unit_row(x)
     dots = dot3(X[:, None, :], polygon.vertices)                 # the rays' cos theta
-    basis, points2d, dots = single(project_batch, polygon.vertices, X, dots)
-    return TangentPolygon(basis=basis, points2d=points2d, dots=dots)
+    basis, points2d = single(project_batch, polygon.vertices, X, dots)
+    return TangentPolygon(basis=basis, points2d=points2d, dots=dots[0], tol=polygon.tol)
 
 
 def planar_mv_batch(u: np.ndarray, errors: list) -> np.ndarray:
@@ -129,8 +125,8 @@ def planar_mv(t: TangentPolygon) -> np.ndarray:
     return single(planar_mv_batch, np.asarray(t.points2d, dtype=float)[None])
 
 
-def planar_wachspress(t: TangentPolygon, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def planar_wachspress(t: TangentPolygon) -> np.ndarray:
     """Normalized planar Wachspress coordinates of the origin in the
-    projected polygon (see :func:`planar_wachspress_batch`); requires a convex
-    planar polygon."""
-    return single(planar_wachspress_batch, np.asarray(t.points2d, dtype=float)[None], tol)
+    projected polygon (see :func:`planar_wachspress_batch`) within its
+    band; requires a convex planar polygon."""
+    return single(planar_wachspress_batch, np.asarray(t.points2d, dtype=float)[None], t.tol)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import io
+import tokenize
 import warnings
 
 import numpy as np
@@ -16,10 +18,12 @@ from sphbary.errors import (
     WrongOrientation,
     ZeroVector,
 )
-from sphbary.geom import Triangulation, _min_norm_direction, find_hemisphere_witness, unit_rows, winding_angle
+from sphbary.geom import (
+    Triangulation, _min_norm_direction, find_hemisphere_witness, unit_row, unit_rows, winding_angle,
+)
 from sphbary.spherical import evaluate_batch
 
-from conftest import crossing_hexagon, random_rotation
+from conftest import SRC, count_calls, crossing_hexagon, random_rotation
 
 E1, E2, E3 = np.eye(3)
 
@@ -57,6 +61,42 @@ class TestNormalize:
             X, short = unit_rows([v, [1.0, 2.0, 2.0]])
         assert short.tolist() == [True, False] and np.isnan(X[0]).all()
         assert X[1].tolist() == [1 / 3, 2 / 3, 2 / 3]
+
+    def test_one_normalizer_bit_for_bit(self, monkeypatch, rng):
+        # normalize, unit_row, validate_polygon and the x that build_q and
+        # locate_point read are unit_rows rows, byte for byte, overflowing
+        # rows included; the rows unit_rows cannot normalize are ZeroVector.
+        rows = np.concatenate([rng.normal(size=(300, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1)),
+                               rng.uniform(0.2, 1.7, size=(20, 3)) * 1e308,
+                               [[np.inf, 1.0, 1.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]]])
+        X, short = unit_rows(rows)
+        assert short.sum() == 4
+        for v, unit, bad in zip(rows, X, short):
+            if bad:
+                with pytest.raises(ZeroVector):
+                    sb.normalize(v)
+                continue
+            assert sb.normalize(v).tobytes() == unit.tobytes()
+            assert unit_row(v)[0].tobytes() == unit.tobytes()
+
+        polygon = sb.random_polygon(7, 0.9, seed=5)
+        raw = polygon.vertices * np.array([1e308, 3.0, 0.25, 1e308, 7.5, 1.0, 1e-3])[:, None]
+        assert sb.validate_polygon(raw).vertices.tobytes() == unit_rows(raw)[0].tobytes()
+        located = []
+        original = sb.geom.locate_points
+        monkeypatch.setattr(sb.geom, "locate_points", lambda p, X: located.append(X) or original(p, X))
+        for x in sb.interior_points(polygon, 5, rng) * np.array([1.0, 1e308, 3e-5, 7.0, 1e300])[:, None]:
+            unit = unit_rows(x)[0]
+            assert sb.build_q(polygon, x).X.tobytes() == unit.tobytes()
+            sb.locate_point(polygon, x)
+            assert located.pop().tobytes() == unit.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_validate_polygon_normalizes_in_one_call(self, monkeypatch, n):
+        ring = sb.random_polygon(n, 0.9, seed=n).vertices * 3.0
+        calls = count_calls(monkeypatch, unit_rows)
+        sb.validate_polygon(ring)
+        assert calls[0] == 1
 
 
 class TestAngleBetween:
@@ -134,6 +174,24 @@ class TestValidatePolygon:
         for candidate in (ring, ring[::-1]):
             with pytest.raises(SelfIntersecting):
                 sb.validate_polygon(candidate)
+
+    @pytest.mark.parametrize("uv", [
+        [(0, 0), (0.3, -0.1), (0.3, 0.1), (0, 0), (-0.3, 0.1), (-0.3, -0.1)],    # two triangles sharing vertex 0 = 3
+        [(-0.3, 0), (0.3, 0), (0.3, 0.3), (0, 0), (-0.3, 0.3)],                  # vertex 3 on edge 0
+    ], ids=["pinched", "T-touch"])
+    def test_touching_ring_rejected(self, uv):
+        # No two edges cross properly, but a vertex lies on the ring away
+        # from its own edges; 1e-6 inside, it is simple.
+        ring = np.column_stack([np.array(uv, dtype=float), np.ones(len(uv))])
+        with pytest.raises(SelfIntersecting, match="vertex (0|3) lies within the band of (vertex 3|edge 0)"):
+            sb.validate_polygon(ring)
+        ring[3, 1] += 1e-6
+        assert sb.validate_polygon(ring).n == len(uv)
+
+    @pytest.mark.parametrize("row,why", [([0.0, 0.0, 0.0], "this short"), ([np.nan, 1.0, 0.0], "that is not finite")])
+    def test_zero_vertex_named(self, row, why):
+        with pytest.raises(ZeroVector, match=f"^vertex 1: cannot normalize a vector {why}$"):
+            sb.validate_polygon([E1, row, E3])
 
     def test_nonconvex_flagged(self):
         polygon = sb.random_polygon(4, 0.9, seed=7, mode="nonconvex")
@@ -427,3 +485,23 @@ def test_one_band_carried_by_the_polygon():
             carriers += 1
             assert "tol" not in [p.name for p in params], name
     assert carriers >= 13
+
+
+def test_row_algebra_goes_through_dot3_cross3_unit_rows():
+    """No np.cross, np.linalg.norm, np.dot or matmul in the geometry
+    modules: a row's bits must depend neither on BLAS nor on its batch."""
+    banned = ("np.cross(", "np.linalg.norm(", "np.dot(")
+    for name in ("geom.py", "tangent.py", "polyhedron.py"):
+        source = (SRC / "sphbary" / name).read_text()
+        lines, statement_start = {}, True
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT):
+                statement_start = True
+            elif tok.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER, tokenize.STRING):
+                code = "" if tok.type == tokenize.STRING else tok.string
+                if tok.string in ("@", "@=") and not (tok.string == "@" and statement_start):
+                    code = "<matmul>"                  # a decorator's @ opens a statement
+                lines[tok.start[0]] = lines.get(tok.start[0], "") + code
+                statement_start = False
+        for number, code in lines.items():
+            assert not any(b in code for b in banned + ("<matmul>",)), f"{name}:{number}: {code}"

@@ -102,9 +102,7 @@ def interior_points_loop(polygon, count, rng):
     """The sampler one candidate at a time: a Dirichlet combination of the
     gnomonic vertex images (convex) or a uniform point of their bounding
     box, lifted to the sphere and kept when located interior."""
-    b1, b2 = sb.geom.tangent_basis(polygon.witness)
-    scale = polygon.vertices @ polygon.witness
-    planar = np.column_stack([(polygon.vertices @ b1) / scale, (polygon.vertices @ b2) / scale])
+    (b1, b2), planar = sb.geom.gnomonic_image(polygon.vertices, polygon.witness)
     out = []
     while len(out) < count:
         if polygon.convex:

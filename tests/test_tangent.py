@@ -5,6 +5,7 @@ import pytest
 
 import sphbary as sb
 from sphbary.errors import NotConvex, OriginOnBoundary, ProjectionUndefined
+from sphbary.spherical import evaluate_batch
 from sphbary.tangent import TangentPolygon
 
 CENTER = sb.normalize([1, 1, 1])
@@ -50,6 +51,35 @@ class TestGnomonicProject:
             np.testing.assert_allclose(
                 lifted, polygon.vertices / t.dots[:, None], atol=1e-10
             )
+
+    def test_kernel_projection_bit_for_bit(self, monkeypatch, rng):
+        # The CC_* kernels and gnomonic_project read one projection.
+        recorded = []
+        original = sb.spherical.project_batch
+
+        def recording(*args):
+            out = original(*args)
+            recorded.append(out[1])
+            return out
+
+        monkeypatch.setattr(sb.spherical, "project_batch", recording)
+        for k in range(5):
+            polygon = sb.random_polygon(int(rng.integers(3, 13)), 0.9, seed=1400 + k)
+            X = sb.interior_points(polygon, 6, rng) * rng.uniform(0.5, 4.0, size=(6, 1))
+            for method in ("CC_MV", "CC_WC"):
+                evaluate_batch(polygon, X, method)
+                points2d = recorded.pop()
+                assert len(points2d) == len(X)
+                for x, row in zip(X, points2d):
+                    assert sb.gnomonic_project(polygon, x).points2d.tobytes() == row.tobytes()
+
+    def test_image_carries_the_polygon_band(self):
+        # Convex within the polygon's band of 1e-6, not within the default.
+        uv = np.array([(-0.3, -0.3), (0.0, -0.3 + 1e-8), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)])
+        polygon = sb.validate_polygon(np.column_stack([uv, np.ones(5)]), sb.Tolerances(geom=1e-6))
+        t = sb.gnomonic_project(polygon, POLE)
+        assert t.tol == polygon.tol
+        assert np.array_equal(sb.planar_wachspress(t) / t.dots, sb.evaluate(polygon, POLE, "CC_WC").values)
 
 
 def square_tangent() -> TangentPolygon:
