@@ -485,10 +485,9 @@ def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]
 
     def consider(W):
         nonlocal best_w, best_margin
-        nw = np.sqrt(dot3(W, W))
-        W = W[nw > 1e-14] / nw[nw > 1e-14, None]
+        W, short = unit_rows(W)
+        W = W[~short]
         margins = np.min(dot3(W[:, None, :], V), axis=1)
-        margins[np.isnan(margins)] = -np.inf
         if len(W) and margins.max() > best_margin:
             k = int(np.argmax(margins))
             best_w, best_margin = W[k], float(margins[k])
@@ -553,17 +552,19 @@ def _refuse_touching(polygon: SphericalPolygon) -> None:
     """SelfIntersecting when a vertex v_k lies within the polygon's band of
     a vertex v_i other than its neighbours (by the chord |v_k - v_i|, as a
     cosine near 1 cannot resolve an angle of tol.angle) or of an edge i it
-    is not an end of (|<v_k, v_i x v_{i+1}>| <= tol.geom, Gram coefficients
-    a, b > 0): the bands of :func:`locate_points`."""
+    is not an end of (a distance of at most tol.geom from the edge's plane,
+    |<v_k, v_i x v_{i+1}>| <= tol.geom |v_i x v_{i+1}|, with Gram
+    coefficients a, b > 0): the bands of :func:`locate_points`, whose
+    reconstruction check bounds that distance."""
     V, n, tol = polygon.vertices, polygon.n, polygon.tol
     D = V[:, None, :] - V
     chord2 = dot3(D, D)                                       # (n, n) |v_k - v_i|^2
     tau = dot3(V[:, None, :], polygon.edge_normals)           # (n, n) <v_k, v_i x v_{i+1}>
-    cos, g = 1.0 - 0.5 * chord2, polygon.edge_cosines
+    cos, g, sin = 1.0 - 0.5 * chord2, polygon.edge_cosines, polygon.edge_sines
     cos_next = roll1(cos, -1)                                 # <v_k, v_{i+1}>
     step = (np.arange(n)[:, None] - np.arange(n)) % n        # k - i
     vertex = (chord2 <= (2.0 * np.sin(0.5 * tol.angle)) ** 2) & (1 < step) & (step < n - 1)
-    edge = (np.abs(tau) <= tol.geom) & (cos - g * cos_next > 0.0) & (cos_next - g * cos > 0.0) & (1 < step)
+    edge = (np.abs(tau) <= tol.geom * sin) & (cos - g * cos_next > 0.0) & (cos_next - g * cos > 0.0) & (1 < step)
     for touch, what in ((vertex, "vertex"), (edge, "edge")):
         if touch.any():
             k, i = np.argwhere(touch)[0]
@@ -650,9 +651,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     if len(r):
         k = (j + 1) % n
         gram = polygon.edge_cosines[j]
-        det = 1.0 - gram * gram
-        if np.any(det <= 1e-14):
-            raise DegenerateEdge("edge endpoints are collinear")
+        det = 1.0 - gram * gram                           # > 1e-12: |gram| < 1 - UNIT on a valid polygon
         ea = (cosines[r, j] - gram * cosines[r, k]) / det
         eb = (cosines[r, k] - gram * cosines[r, j]) / det
         miss = ea[:, None] * V[j] + eb[:, None] * V[k] - X[r]
@@ -676,14 +675,21 @@ def zero_vector(raw: np.ndarray) -> ZeroVector:
     return ZeroVector("cannot normalize a vector " + ("this short" if np.isfinite(raw).all() else "that is not finite"))
 
 
+def direction(x) -> np.ndarray:
+    """x as a float array, ZeroVector unless it holds exactly 3 numbers."""
+    if (x := np.asarray(x, dtype=float)).size != 3:
+        raise ZeroVector(f"cannot normalize x: expected 3 numbers, got {x.size}")
+    return x
+
+
 def unit_row(x) -> np.ndarray:
-    """One direction x as a (1, 3) unit row, normalized by :func:`unit_rows`
-    as :func:`sphbary.spherical.evaluate` normalizes it; ZeroVector when it
-    cannot be."""
-    X, short = unit_rows(x)
+    """One direction x (see :func:`direction`) as a (1, 3) unit row,
+    normalized by :func:`unit_rows` as :func:`sphbary.spherical.evaluate`
+    normalizes it; ZeroVector when it cannot be."""
+    X, short = unit_rows(x := direction(x))
     if short[0]:
-        raise zero_vector(np.asarray(x, dtype=float))
-    return X[:1]
+        raise zero_vector(x)
+    return X
 
 
 def unit_vertices(raw) -> np.ndarray:

@@ -22,10 +22,8 @@ from .geom import (
     DEFAULT_TOL,
     INTERIOR,
     KINDS,
-    PROJ,
     SphericalPolygon,
     Tolerances,
-    dot3,
     gnomonic_image,
     locate_points,
     normalize,
@@ -158,11 +156,10 @@ def _random_star_ring(rng, n: int, rho: float) -> np.ndarray:
     if np.min(np.diff(np.concatenate([azimuth, [azimuth[0] + 2 * np.pi]]))) < _min_azimuth_gap(n):
         return np.empty((0, 3))
     polar = rng.uniform(0.25, 1.0, size=n) * rho
-    ring = (
+    return (
         np.cos(polar)[:, None] * center
         + np.sin(polar)[:, None] * (np.cos(azimuth)[:, None] * b1 + np.sin(azimuth)[:, None] * b2)
     )
-    return ring
 
 
 def random_polygon(
@@ -192,11 +189,8 @@ def random_polygon(
             polygon = validate_polygon(ring, tol)
         except SphBaryError:
             continue
-        if mode == "convex" and not polygon.convex:
-            continue
-        if mode == "nonconvex" and polygon.convex:
-            continue
-        return polygon
+        if polygon.convex == (mode == "convex"):
+            return polygon
     raise GenerationFailed(f"no valid {mode} polygon after {MAX_TRIES} tries")
 
 
@@ -230,19 +224,18 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
 def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     """resolution x resolution directions covering the polygon.
 
-    The polygon is projected into the tangent plane at its spherical
-    centroid (witness direction as fallback), a regular grid over the
-    image's bounding box is lifted back to the sphere.  Row-major order,
-    x fastest; includes points that land outside the polygon.
+    The polygon is projected into the tangent plane at its witness
+    direction (its spherical centroid, unless that leaves the hemisphere),
+    a regular grid over the image's bounding box is lifted back to the
+    sphere.  Row-major order, x fastest; includes points that land outside
+    the polygon.
     """
-    C, short = unit_rows(polygon.vertices.sum(axis=0))
-    center = polygon.witness if short[0] or dot3(polygon.vertices, C).min() <= PROJ else C[0]
-    (b1, b2), planar = gnomonic_image(polygon.vertices, center)
+    (b1, b2), planar = gnomonic_image(polygon.vertices, polygon.witness)
     lo = planar.min(axis=0)
     hi = planar.max(axis=0)
     x = np.tile(np.linspace(lo[0], hi[0], resolution), resolution)[:, None]
     y = np.repeat(np.linspace(lo[1], hi[1], resolution), resolution)[:, None]
-    return unit_rows(center + x * b1 + y * b2)[0]
+    return unit_rows(polygon.witness + x * b1 + y * b2)[0]
 
 
 @dataclass

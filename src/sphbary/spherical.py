@@ -73,6 +73,7 @@ from .geom import (
     Rays,
     SphericalPolygon,
     Tolerances,
+    direction,
     locate_points,
     ray_sines,
     ring_rays,
@@ -332,9 +333,9 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
 
 
 def evaluate(polygon: SphericalPolygon, x, method: str) -> CoordinateVector:
-    """Evaluate one of the five coordinate methods at x: the m = 1 call of
-    :func:`evaluate_batch`."""
-    return evaluate_batch(polygon, x, method).result(0)
+    """Evaluate one of the five coordinate methods at x (see
+    :func:`sphbary.geom.direction`): the m = 1 call of :func:`evaluate_batch`."""
+    return evaluate_batch(polygon, direction(x), method).result(0)
 
 
 def spherical_coords(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:

@@ -62,6 +62,14 @@ class TestNormalize:
         assert short.tolist() == [True, False] and np.isnan(X[0]).all()
         assert X[1].tolist() == [1 / 3, 2 / 3, 2 / 3]
 
+    @pytest.mark.parametrize("v", [np.arange(1.0, 7.0), [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["6", "2", "4"])
+    def test_not_three_numbers(self, octant, v):
+        # Refused, not read as the unit row of its first three numbers.
+        for call in (sb.normalize, unit_row, lambda x: sb.locate_point(octant, x), lambda x: sb.build_q(octant, x),
+                     lambda x: sb.gnomonic_project(octant, x), lambda x: sb.evaluate(octant, x, "NEW_MV")):
+            with pytest.raises(ZeroVector, match=f"expected 3 numbers, got {np.size(v)}$"):
+                call(v)
+
     def test_one_normalizer_bit_for_bit(self, monkeypatch, rng):
         # normalize, unit_row, validate_polygon and the x that build_q and
         # locate_point read are unit_rows rows, byte for byte, overflowing
@@ -187,6 +195,17 @@ class TestValidatePolygon:
             sb.validate_polygon(ring)
         ring[3, 1] += 1e-6
         assert sb.validate_polygon(ring).n == len(uv)
+
+    @pytest.mark.parametrize("apex", [2e-5, 5e-5])
+    def test_thin_triangle_is_simple(self, apex):
+        # A 2e-6 rad base: each vertex lies about 2e-6 rad from the plane of
+        # the edge it is not an end of, far outside the band tol.geom, while
+        # the triple product, that distance times the edge's sine, is at
+        # most tol.geom.
+        ring = np.array([(-1e-6, 0.0, 1.0), (1e-6, 0.0, 1.0), (0.0, apex, 1.0)])
+        polygon = sb.validate_polygon(ring)
+        V = polygon.vertices
+        assert min(abs(sb.triple_product(V[k], V[k - 2], V[k - 1])) for k in range(3)) <= polygon.tol.geom
 
     @pytest.mark.parametrize("row,why", [([0.0, 0.0, 0.0], "this short"), ([np.nan, 1.0, 0.0], "that is not finite")])
     def test_zero_vertex_named(self, row, why):
