@@ -12,7 +12,8 @@ Each primitive is batched once, and the scalar helpers are its m = 1
 calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects and
 :func:`locate_points` classifies an (m, 3) block of directions from the
 (m, n) arrays of :func:`ring_rays`, which it hands on to the interior
-kernels.  Dot and cross products go through :func:`dot3` and
+kernels; :func:`validate_polygon` reads the same arrays of the ring seen
+from its own vertices.  Dot and cross products go through :func:`dot3` and
 :func:`cross3`, which add the products in a fixed order instead of calling
 BLAS, so a row's bits depend neither on BLAS nor on its batch.
 """
@@ -46,7 +47,6 @@ __all__ = [
     "roll1",
     "unit_rows",
     "tangent_frames",
-    "winding_angle",
     "Rays",
     "ring_rays",
     "ray_sines",
@@ -194,10 +194,6 @@ class Rays(NamedTuple):
     d: np.ndarray        # (m, n) <c_i, c_{i+1}>
     alpha: np.ndarray    # (m, n) arctan2(tau, d), the signed angle from c_i to c_{i+1}
 
-    def take(self, rows: np.ndarray, fields: tuple) -> "Rays":
-        """The given rows of the named fields, None in the others."""
-        return Rays(*(getattr(self, f)[rows] if f in fields else None for f in self._fields))
-
 
 def ring_rays(vertices: np.ndarray, normals: np.ndarray, X: np.ndarray) -> Rays:
     """The rays of the ring `vertices` (n, 3), with edge normals
@@ -223,17 +219,6 @@ def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarr
         refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
             int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
     return sin_theta
-
-
-def winding_angle(vertices: np.ndarray, x) -> float:
-    """Sum of signed turning angles of the ring seen from direction x.
-
-    +2*pi for x strictly inside an anti-clockwise ring, -2*pi for the
-    reversed ring, ~0 for x outside. Undefined when x coincides with a
-    vertex (the caller is expected to have excluded that).
-    """
-    ring = Ring(np.array(vertices, dtype=float))
-    return float(np.sum(ring_rays(ring.vertices, ring.edge_normals, np.asarray(x, dtype=float).reshape(1, 3)).alpha))
 
 
 @dataclass(frozen=True)
@@ -506,10 +491,10 @@ def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]
         g00, g01, g11 = dot3(u, u), dot3(u, v), dot3(v, v)
         r0, r1 = -dot3(a, u), -dot3(a, v)
         det = g00 * g11 - g01 * g01
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):       # s + t is inf - inf on a repeated vertex
             s = (r0 * g11 - r1 * g01) / det
             t = (r1 * g00 - r0 * g01) / det
-        keep = (np.abs(det) > 1e-28) & (s > 0.0) & (t > 0.0) & (s + t < 1.0)
+            keep = (np.abs(det) > 1e-28) & (s > 0.0) & (t > 0.0) & (s + t < 1.0)
         consider(a + s[keep, None] * u[keep] + t[keep, None] * v[keep])
     return best_w, best_margin
 
@@ -532,45 +517,6 @@ def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:
     return w
 
 
-def _segments_cross(points2d: np.ndarray) -> bool:
-    """True iff two edges of the closed planar ring cross properly.
-
-    orient[i, k] is the side of point k relative to edge i; edges i and j
-    cross iff each one's endpoints lie strictly on opposite sides of the
-    other.  Edges sharing an endpoint get an exact 0 there, so adjacent
-    edges never count.
-    """
-    nxt = np.roll(points2d, -1, axis=0)
-    d = nxt - points2d
-    rel = points2d[None, :, :] - points2d[:, None, :]          # point k - start of edge i
-    orient = d[:, None, 0] * rel[:, :, 1] - d[:, None, 1] * rel[:, :, 0]
-    straddles = orient * np.roll(orient, -1, axis=1) < 0.0     # edge j's ends on both sides of edge i
-    return bool(np.any(straddles & straddles.T))
-
-
-def _refuse_touching(polygon: SphericalPolygon) -> None:
-    """SelfIntersecting when a vertex v_k lies within the polygon's band of
-    a vertex v_i other than its neighbours (by the chord |v_k - v_i|, as a
-    cosine near 1 cannot resolve an angle of tol.angle) or of an edge i it
-    is not an end of (a distance of at most tol.geom from the edge's plane,
-    |<v_k, v_i x v_{i+1}>| <= tol.geom |v_i x v_{i+1}|, with Gram
-    coefficients a, b > 0): the bands of :func:`locate_points`, whose
-    reconstruction check bounds that distance."""
-    V, n, tol = polygon.vertices, polygon.n, polygon.tol
-    D = V[:, None, :] - V
-    chord2 = dot3(D, D)                                       # (n, n) |v_k - v_i|^2
-    tau = dot3(V[:, None, :], polygon.edge_normals)           # (n, n) <v_k, v_i x v_{i+1}>
-    cos, g, sin = 1.0 - 0.5 * chord2, polygon.edge_cosines, polygon.edge_sines
-    cos_next = roll1(cos, -1)                                 # <v_k, v_{i+1}>
-    step = (np.arange(n)[:, None] - np.arange(n)) % n        # k - i
-    vertex = (chord2 <= (2.0 * np.sin(0.5 * tol.angle)) ** 2) & (1 < step) & (step < n - 1)
-    edge = (np.abs(tau) <= tol.geom * sin) & (cos - g * cos_next > 0.0) & (cos_next - g * cos > 0.0) & (1 < step)
-    for touch, what in ((vertex, "vertex"), (edge, "edge")):
-        if touch.any():
-            k, i = np.argwhere(touch)[0]
-            raise SelfIntersecting(f"vertex {k} lies within the band of {what} {i}")
-
-
 def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
     """Normalize, certify hemisphere containment, orientation and
     simplicity; the only constructor of :class:`SphericalPolygon`, whose
@@ -590,11 +536,12 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # Hemisphere first: a ring containing an antipodal pair has no witness,
     # and that is the more informative failure than the degenerate edge.
     polygon = SphericalPolygon(vertices=vertices, witness=find_hemisphere_witness(vertices), tol=tol)
+    n = polygon.n
 
     dots = polygon.edge_cosines
     if np.any(np.abs(dots) >= 1.0 - UNIT):
         j = int(np.argmax(np.abs(dots)))
-        raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % len(vertices)} are equal or antipodal")
+        raise DegenerateEdge(f"consecutive vertices {j} and {(j + 1) % n} are equal or antipodal")
     # Neighbouring vertex bands must not overlap, or they swallow the points
     # between them.
     lengths = polygon.edge_angles
@@ -603,18 +550,46 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
         raise DegenerateEdge(
             f"the angle band {tol.angle!r} is at least half of edge {j}, {float(lengths[j])!r} rad long")
 
-    # Simplicity and orientation in the gnomonic image at the witness: the
-    # projection is defined since every <w, v_i> > 0, maps arcs to segments
-    # and keeps orientation, so the ring is simple and anti-clockwise iff
-    # its image is, by the sign of the shoelace area.
-    _, planar = gnomonic_image(vertices, polygon.witness)
-    if _segments_cross(planar):
+    # Simplicity and orientation from the ring seen from its own vertices,
+    # tau[k, i] = <v_k, v_i x v_{i+1}>, and from the witness w.  With
+    # <a, b x c> w = (a x b)<c, w> + (b x c)<a, w> + (c x a)<b, w>, the side
+    # of v_k's gnomonic image at w about edge i's is tau[k, i] over the
+    # positive <v_i, w><v_{i+1}, w><v_k, w>, and the image's shoelace area
+    # is half the sum of tau_w,i / (<v_i, w><v_{i+1}, w>).  That projection
+    # maps arcs to segments and keeps orientation, so the ring is simple
+    # and anti-clockwise iff its image is.  Edges i and j cross iff each
+    # one's ends lie strictly on opposite sides of the other; edges that
+    # share an end never count.
+    rays = ring_rays(vertices, polygon.edge_normals, np.concatenate([vertices, polygon.witness[None]]))
+    tau, cos, tau_w, cos_w = rays.tau[:n], rays.cos[:n], rays.tau[n:], rays.cos[n:]
+    step = (np.arange(n)[:, None] - np.arange(n)) % n          # k - i
+    apart = (1 < step) & (step < n - 1)
+    straddles = tau * np.roll(tau, -1, axis=0) < 0.0           # [j, i]: edge j's ends on both sides of edge i
+    if np.any(straddles & straddles.T & apart):
         raise SelfIntersecting("two edges of the ring cross")
-    nxt = np.roll(planar, -1, axis=0)
-    area = 0.5 * float(np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]))
+    area = 0.5 * float(np.sum(tau_w / (cos_w * roll1(cos_w, -1))))
     if area <= 0.0:
         raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
-    _refuse_touching(polygon)
+
+    # Touching: a vertex v_k within the polygon's band of a vertex v_i other
+    # than its neighbours (the angle arctan2(|v_k x v_i|, <v_k, v_i>)) or of
+    # an edge i it is not an end of (a distance of at most tol.geom from the
+    # edge's plane, |tau[k, i]| <= tol.geom |v_i x v_{i+1}|, with Gram
+    # coefficients a, b > 0): the bands of :func:`locate_points`, whose
+    # reconstruction check bounds that distance.
+    g, cos_next = polygon.edge_cosines, roll1(cos, -1)         # <v_k, v_{i+1}>
+    sin = np.sqrt(dot3(rays.c[:n], rays.c[:n]))
+    # arctan2(sin, cos) <= tol.angle < pi / 2 needs sin <= tan(tol.angle) cos;
+    # this filter, with a factor 2 for rounding, spares most entries the arctan2.
+    vertex = apart & (sin <= 2.0 * np.tan(tol.angle) * cos)
+    if vertex.any():
+        vertex &= np.arctan2(sin, cos) <= tol.angle
+    edge = ((np.abs(tau) <= tol.geom * polygon.edge_sines) & (cos - g * cos_next > 0.0)
+            & (cos_next - g * cos > 0.0) & (1 < step))
+    for touch, what in ((vertex, "vertex"), (edge, "edge")):
+        if touch.any():
+            k, i = np.argwhere(touch)[0]
+            raise SelfIntersecting(f"vertex {k} lies within the band of {what} {i}")
     return polygon
 
 

@@ -228,8 +228,10 @@ def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     direction (its spherical centroid, unless that leaves the hemisphere),
     a regular grid over the image's bounding box is lifted back to the
     sphere.  Row-major order, x fastest; includes points that land outside
-    the polygon.
+    the polygon.  ValueError for a resolution below 1.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     (b1, b2), planar = gnomonic_image(polygon.vertices, polygon.witness)
     lo = planar.min(axis=0)
     hi = planar.max(axis=0)
@@ -317,7 +319,10 @@ def grid_rows(
     failures become rows with an error tag; a linear-precision defect above
     1e-8 is refused at emission.  The whole grid is located and evaluated
     in one batch, and the location column comes from that same locate.
+    ValueError for a vertex index outside [0, n) or a resolution below 1.
     """
+    if not 0 <= vertex_index < polygon.n:
+        raise ValueError(f"vertex index {vertex_index} out of range for n={polygon.n}")
     return _evaluate_grid(polygon, resolution, method).rows(vertex_index, bands)
 
 
@@ -365,7 +370,8 @@ def compare_methods(polygon: SphericalPolygon, method_a: str, method_b: str, res
     """Grid-evaluate two methods and report the largest per-vertex gap over
     the points where both succeed: the first largest in row-major order,
     none when every gap is 0, and the mean gap.  One evaluation per point
-    and method; the report keeps both grids for its CSV."""
+    and method; the report keeps both grids for its CSV.  ValueError for a
+    resolution below 1."""
     grids = _evaluate_grid(polygon, resolution, method_a), _evaluate_grid(polygon, resolution, method_b)
     ok_a, ok_b = (np.array([e is None for e in grid.errors], dtype=bool) for grid in grids)
     both = ok_a & ok_b

@@ -199,9 +199,8 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
 
 
 # --------------------------------------------------------------------------
-# interior kernels: (polygon, unit interior rows X (m, 3), their rays
-# (the fields the kernel's KERNELS row names, None in the others), errors)
-# -> (values (m, n), denominators (m,), NaN where a method has none);
+# interior kernels: (polygon, unit interior rows X (m, 3), their rays,
+# errors) -> (values (m, n), denominators (m,), NaN where a method has none);
 # every band comes from polygon.tol
 # --------------------------------------------------------------------------
 
@@ -249,17 +248,16 @@ class Method(NamedTuple):
     """One row of :data:`KERNELS`."""
 
     kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (values, denominators)
-    rays: tuple          # the fields of the rays the kernel reads
     boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
     convex_only: bool    # NotConvexForWC on a non-convex polygon
 
 
 KERNELS = {
-    "NEW_MV": Method(_mean_value, ("c", "cos", "tau"), True, False),
-    "NEW_WC": Method(_polar_dual, ("c", "cos", "tau"), True, True),
-    "NEW_MV_CLOSED": Method(_closed_form, ("c", "cos", "tau", "d"), True, False),
-    "CC_MV": Method(partial(_tangent, wachspress=False), ("cos",), False, False),
-    "CC_WC": Method(partial(_tangent, wachspress=True), ("cos",), False, False),
+    "NEW_MV": Method(_mean_value, True, False),
+    "NEW_WC": Method(_polar_dual, True, True),
+    "NEW_MV_CLOSED": Method(_closed_form, True, False),
+    "CC_MV": Method(partial(_tangent, wachspress=False), False, False),
+    "CC_WC": Method(partial(_tangent, wachspress=True), False, False),
 }
 METHODS = tuple(KERNELS)
 
@@ -291,9 +289,8 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     """Evaluate one of the five coordinate methods at the rows of X, an
     (m, 3) block of directions: normalize, locate the whole block once,
     answer the boundary and the exterior for every row, and call the
-    method's interior kernel once on the interior rows, with the interior
-    rows of the rays it reads from the location, all within the polygon's
-    band."""
+    method's interior kernel once on the interior rows, with those rows of
+    the location's rays, all within the polygon's band."""
     raw = np.asarray(X, dtype=float).reshape(-1, 3)
     X, short = unit_rows(raw)
     m, n = len(X), polygon.n
@@ -305,7 +302,7 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     if method not in KERNELS:
         refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
         return Evaluations(method, locations, values, denom, errors)
-    kernel, reads, boundary, convex_only = KERNELS[method]
+    kernel, boundary, convex_only = KERNELS[method]
     if convex_only and not polygon.convex:
         refuse(errors, ~short, lambda _: NotConvexForWC("the polar-dual backend requires a convex polygon"))
         return Evaluations(method, locations, values, denom, errors)
@@ -323,8 +320,8 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
         values[rows[edge], (i[edge] + 1) % n] = locations.b[rows[edge]]
     rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
     if len(rows):
-        kernel_errors = [None] * len(rows)
-        values[rows], denom[rows] = kernel(polygon, X[rows], locations.rays.take(rows, reads), kernel_errors)
+        kernel_errors, rays = [None] * len(rows), Rays._make(f[rows] for f in locations.rays)
+        values[rows], denom[rows] = kernel(polygon, X[rows], rays, kernel_errors)
         for r, error in zip(rows, kernel_errors):
             if error is not None:
                 errors[r] = error

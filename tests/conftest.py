@@ -55,6 +55,51 @@ def crossing_hexagon() -> np.ndarray:
     )
 
 
+def segments_cross(points2d: np.ndarray) -> bool:
+    """True iff two edges of the closed planar ring cross properly.
+
+    orient[i, k] is the side of point k relative to edge i; edges i and j
+    cross iff each one's endpoints lie strictly on opposite sides of the
+    other.  Edges sharing an endpoint get an exact 0 there, so adjacent
+    edges never count.
+    """
+    nxt = np.roll(points2d, -1, axis=0)
+    d = nxt - points2d
+    rel = points2d[None, :, :] - points2d[:, None, :]          # point k - start of edge i
+    orient = d[:, None, 0] * rel[:, :, 1] - d[:, None, 1] * rel[:, :, 0]
+    straddles = orient * np.roll(orient, -1, axis=1) < 0.0     # edge j's ends on both sides of edge i
+    return bool(np.any(straddles & straddles.T))
+
+
+def planar_verdict(raw) -> str | None:
+    """Reference for validate_polygon's last three checks on a ring that
+    passes its edge checks, decided in the gnomonic image at the witness
+    and by chords: SelfIntersecting when two image segments cross, else
+    WrongOrientation unless the image's shoelace area is positive, else
+    SelfIntersecting when a vertex v_k lies within the band of a vertex
+    other than its neighbours (the chord |v_k - v_i| <= 2 sin(tol.angle / 2))
+    or of an edge it is not an end of; None when the ring is valid."""
+    V = sb.geom.unit_vertices(raw)
+    polygon = sb.SphericalPolygon(vertices=V, witness=sb.geom.find_hemisphere_witness(V))
+    _, planar = sb.geom.gnomonic_image(V, polygon.witness)
+    if segments_cross(planar):
+        return "SelfIntersecting"
+    nxt = np.roll(planar, -1, axis=0)
+    if np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]) <= 0.0:
+        return "WrongOrientation"
+    n, tol = polygon.n, polygon.tol
+    D = V[:, None, :] - V
+    chord2 = sb.geom.dot3(D, D)                               # (n, n) |v_k - v_i|^2
+    tau = sb.geom.dot3(V[:, None, :], polygon.edge_normals)   # (n, n) <v_k, v_i x v_{i+1}>
+    cos, g = 1.0 - 0.5 * chord2, polygon.edge_cosines
+    cos_next = np.roll(cos, -1, axis=1)                       # <v_k, v_{i+1}>
+    step = (np.arange(n)[:, None] - np.arange(n)) % n        # k - i
+    vertex = (chord2 <= (2.0 * np.sin(0.5 * tol.angle)) ** 2) & (1 < step) & (step < n - 1)
+    edge = ((np.abs(tau) <= tol.geom * polygon.edge_sines) & (cos - g * cos_next > 0.0)
+            & (cos_next - g * cos > 0.0) & (1 < step))
+    return "SelfIntersecting" if (vertex | edge).any() else None
+
+
 @pytest.fixture()
 def locate_calls(monkeypatch):
     """Counts the directions located by locate_points, m per batched call

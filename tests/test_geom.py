@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    Triangulation, _min_norm_direction, find_hemisphere_witness, unit_row, unit_rows, winding_angle,
+    Triangulation, _min_norm_direction, cross3, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
 
@@ -196,6 +196,35 @@ class TestValidatePolygon:
         ring[3, 1] += 1e-6
         assert sb.validate_polygon(ring).n == len(uv)
 
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_pinched_ring_uses_the_vertex_band_of_locate_point(self, factor):
+        # Vertex 3 at tol.angle * factor from vertex 0: touching iff
+        # locate_point puts it in vertex 0's band.
+        theta = sb.DEFAULT_TOL.angle * factor
+        ring = np.column_stack([[0, 0.3, 0.3, 0, -0.3, -0.3], [0, -0.1, 0.1, 0, 0.1, -0.1], np.ones(6)])
+        ring[3] = [0.0, np.sin(theta), np.cos(theta)]
+        triangle = sb.validate_polygon(ring[:3])
+        assert sb.geom.angle_between(triangle.vertices[0], sb.normalize(ring[3])) == pytest.approx(theta, rel=1e-6)
+        touching = str(sb.locate_point(triangle, ring[3])) == "vertex(0)"
+        assert touching == (factor < 1)
+        if touching:
+            with pytest.raises(SelfIntersecting, match="^vertex 0 lies within the band of vertex 3$"):
+                sb.validate_polygon(ring)
+        else:
+            assert sb.validate_polygon(ring).n == 6
+
+    def test_decided_on_the_sphere(self, monkeypatch):
+        # Crossing, orientation and touching read the ring's own triple
+        # products: validation projects nothing.
+        counts = [count_calls(monkeypatch, f) for f in (sb.geom.gnomonic_images, sb.geom.tangent_frames)]
+        quad = sb.demo_quadrilateral().vertices
+        for ring in (quad, quad[::-1], crossing_hexagon(), np.array([E1, E2, E3, (E1 + E2) / 2])):
+            try:
+                sb.validate_polygon(ring)
+            except (SelfIntersecting, WrongOrientation):
+                pass
+        assert [c[0] for c in counts] == [0, 0]
+
     @pytest.mark.parametrize("apex", [2e-5, 5e-5])
     def test_thin_triangle_is_simple(self, apex):
         # A 2e-6 rad base: each vertex lies about 2e-6 rad from the plane of
@@ -238,6 +267,15 @@ class TestWitnessSearch:
         assert np.min(vertices @ s) <= 0.0
         w = find_hemisphere_witness(vertices)
         assert np.min(vertices @ w) > 0.0
+
+    def test_repeated_vertex_raises_no_warning(self):
+        # Two vertices 6e-11 apart make a triple's Cramer quotients +-inf;
+        # the search skips that triple without a RuntimeWarning.
+        V = np.array([[0.5240543186347093, 0.33610892214468036, 0.7825585368360963],
+                      [0.8939632681781616, -0.413478570137658, 0.17281535575618978],
+                      [0.8939632681917039, -0.4134785701346866, 0.17281535569324483]])
+        w, margin = _min_norm_direction(V)
+        assert margin > 0.0 and np.all(V @ w > 0.0)
 
     def test_no_witness_for_spread_ring(self):
         azim = np.linspace(0, 2 * np.pi, 6, endpoint=False)
@@ -484,11 +522,16 @@ class TestLocatePoint:
 
 
 def test_winding_angle_signs(octant):
-    inner = sb.normalize([1, 1, 1])
-    assert winding_angle(octant.vertices, inner) == pytest.approx(2 * np.pi, abs=1e-12)
-    assert winding_angle(octant.vertices[::-1], inner) == pytest.approx(-2 * np.pi, abs=1e-12)
-    outside = sb.normalize([-1, -1, 1])
-    assert abs(winding_angle(octant.vertices, outside)) <= 1e-9
+    """The winding locate_points takes, the sum of the rays' alpha about x:
+    2 pi inside an anti-clockwise ring, -2 pi for the reversed ring, 0
+    outside."""
+    def winding(V, x):
+        return float(ring_rays(V, cross3(V, np.roll(V, -1, axis=0)), sb.normalize(x)[None]).alpha.sum())
+
+    inner = [1, 1, 1]
+    assert winding(octant.vertices, inner) == pytest.approx(2 * np.pi, abs=1e-12)
+    assert winding(octant.vertices[::-1], inner) == pytest.approx(-2 * np.pi, abs=1e-12)
+    assert abs(winding(octant.vertices, [-1, -1, 1])) <= 1e-9
 
 
 def test_one_band_carried_by_the_polygon():

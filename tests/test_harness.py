@@ -200,6 +200,19 @@ class TestGrid:
         assert "ExteriorPoint" in errors
         assert any(r.value is not None for r in rows)
 
+    @pytest.mark.parametrize("vertex", [-1, 3, 4])
+    def test_vertex_index_out_of_range(self, octant, vertex):
+        # -1 was read as vertex n - 1's values, labelled -1.
+        with pytest.raises(ValueError, match=f"vertex index {vertex} out of range for n=3"):
+            sb.grid_rows(octant, vertex, 8, "NEW_MV")
+
+    @pytest.mark.parametrize("resolution", [0, -2])
+    def test_resolution_below_one(self, octant, resolution):
+        for call in (lambda: sb.grid_rows(octant, 0, resolution, "NEW_MV"),
+                     lambda: grid_directions(octant, resolution)):
+            with pytest.raises(ValueError, match=f"resolution must be at least 1, got {resolution}"):
+                call()
+
     def test_default_bands(self):
         assert len(sb.DEFAULT_BANDS) == 6
         assert all(lo <= hi for lo, hi in sb.DEFAULT_BANDS)
@@ -221,6 +234,12 @@ class TestCompare:
     def test_report_text(self, octant):
         text = sb.compare_methods(octant, "NEW_MV", "CC_MV", resolution=10).to_text()
         assert "max |diff|" in text and "coverage" in text
+
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one(self, octant, resolution):
+        # 0 died with ZeroDivisionError on the empty grid's coverage.
+        with pytest.raises(ValueError, match=f"resolution must be at least 1, got {resolution}"):
+            sb.compare_methods(octant, "NEW_MV", "CC_MV", resolution)
 
 
 # --------------------------------------------------------------------------

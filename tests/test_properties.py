@@ -1,19 +1,20 @@
 """Relabelling and rotation: a polygon whose vertices are cyclically
 relabelled by k and rotated gives the same coordinates, rolled by k, in
 every method and in the general polyhedral route.  Batches: each row of a
-permuted block is the single-point evaluation, bit for bit."""
+permuted block is the single-point evaluation, bit for bit.  Validation:
+the ring's own triple products decide as its gnomonic image does."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import sphbary as sb  # noqa: E402
 from sphbary.errors import SphBaryError  # noqa: E402
 from sphbary.spherical import evaluate, evaluate_batch  # noqa: E402
 
-from conftest import random_rotation  # noqa: E402
+from conftest import crossing_hexagon, planar_verdict, random_rotation  # noqa: E402
 
 POINTS = 12
 
@@ -124,3 +125,43 @@ def test_block_rows_are_single_point_calls(case):
             got = batch.errors[i].name if batch.errors[i] else (
                 batch.locations.at(i), batch.values[i].tobytes(), batch.denom[i].tobytes())
             assert got == single_outcome(polygon, x, method), (method, i)
+
+
+@st.composite
+def raw_rings(draw):
+    """A convex, star or shuffled ring about the north pole, or the crossing
+    hexagon; maybe reversed, maybe with two neighbours swapped, then
+    cyclically relabelled and rotated."""
+    kind = draw(st.sampled_from(("convex", "star", "shuffled", "hexagon")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "hexagon":
+        ring = crossing_hexagon()
+    else:
+        n, cap = draw(st.integers(3, 40)), draw(st.floats(0.05, 1.5))
+        azimuth = np.sort(rng.uniform(0.0, 2 * np.pi, size=n))
+        polar = cap * (np.ones(n) if kind == "convex" else rng.uniform(0.3, 1.0, size=n))
+        ring = np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+        if kind == "shuffled":
+            ring = ring[rng.permutation(n)]
+    n = len(ring)
+    if draw(st.booleans()):
+        ring = ring[::-1].copy()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        ring[[i, (i + 1) % n]] = ring[[(i + 1) % n, i]]
+    return np.roll(ring, -draw(st.integers(0, n - 1)), axis=0) @ random_rotation(rng).T
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw_rings())
+def test_validation_decides_as_the_gnomonic_image(ring):
+    try:
+        polygon, tag = sb.validate_polygon(ring), None
+    except SphBaryError as exc:
+        polygon, tag = None, exc.name
+    assume(tag not in ("DegenerateEdge", "NotInHemisphere"))
+    assert tag == planar_verdict(ring)
+    if polygon is not None:
+        V, n = polygon.vertices, polygon.n
+        turns = [sb.triple_product(V[j], V[(j + 1) % n], V[(j + 2) % n]) for j in range(n)]
+        assert polygon.convex == (min(turns) >= -polygon.tol.geom)
