@@ -124,9 +124,9 @@ class UnknownMethod(SphBaryError):
 
 def refuse(errors: list, mask, make) -> None:
     """Record make(i) as the error of each row i in `mask` still unrefused."""
-    for i in mask.nonzero()[0]:
+    for i in mask.nonzero()[0].tolist():
         if errors[i] is None:
-            errors[i] = make(int(i))
+            errors[i] = make(i)
 
 
 def check_row(errors: list, i: int = 0) -> None:

@@ -12,10 +12,12 @@ Each primitive is batched once, and the scalar helpers are its m = 1
 calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects and
 :func:`locate_points` classifies an (m, 3) block of directions from the
 (m, n) arrays of :func:`ring_rays`, which it hands on to the interior
-kernels; :func:`validate_polygon` reads the same arrays of the ring seen
-from its own vertices.  Dot and cross products go through :func:`dot3` and
-:func:`cross3`, which add the products in a fixed order instead of calling
-BLAS, so a row's bits depend neither on BLAS nor on its batch.
+kernels; :func:`validate_polygon` reads their first half,
+:func:`ring_products`, of the ring seen from its own vertices; what they
+read of the ring alone is cached with it.  Dot and cross products go
+through :func:`dot3` and :func:`cross3`, which add the products in a fixed
+order instead of calling BLAS, so a row's bits depend neither on BLAS nor
+on its batch.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "unit_rows",
     "tangent_frames",
     "Rays",
+    "ring_products",
     "ring_rays",
     "ray_sines",
     "PointLocation",
@@ -157,8 +160,9 @@ def tangent_frames(X) -> tuple[np.ndarray, np.ndarray]:
     repeated runs produce bit-identical output.
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
-    k = np.argmin(np.abs(X), axis=1)
-    B1 = np.eye(3)[k] - X[np.arange(len(X)), k][:, None] * X     # e_k - <e_k, x> x
+    rows, k = np.arange(len(X)), np.argmin(np.abs(X), axis=1)
+    B1 = 0.0 - X[rows, k][:, None] * X                             # e_k - <e_k, x> x: 0 - p off axis k,
+    B1[rows, k] += 1.0                                             # (0 - p) + 1 = 1 - p, bit for bit, on it
     B1 /= np.sqrt(dot3(B1, B1))[:, None]
     return B1, cross3(X, B1)
 
@@ -186,7 +190,8 @@ class Rays(NamedTuple):
     """The rays of a ring seen from m directions x, one (m, n) row per
     direction: what point location and the interior kernels all read.
     For unit x, c_i x c_{i+1} = tau_i x, so tau_i and d_i are
-    |c_i||c_{i+1}| times the sine and the cosine of alpha_i."""
+    |c_i||c_{i+1}| times the sine and the cosine of alpha_i.  The first
+    three are :func:`ring_products`, d and alpha are built from them."""
 
     c: np.ndarray        # (m, n, 3) x cross v_i
     cos: np.ndarray      # (m, n) <v_i, x>
@@ -195,14 +200,20 @@ class Rays(NamedTuple):
     alpha: np.ndarray    # (m, n) arctan2(tau, d), the signed angle from c_i to c_{i+1}
 
 
-def ring_rays(vertices: np.ndarray, normals: np.ndarray, X: np.ndarray) -> Rays:
-    """The rays of the ring `vertices` (n, 3), with edge normals
-    v_i x v_{i+1} (n, 3), from the rows of X (m, 3), in one pass."""
-    x = X[:, None, :]
-    c = cross3(x, vertices)
-    tau = dot3(x, normals)
+def ring_products(ring: "Ring", X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = x cross v_i (m, n, 3), <v_i, x> and <x, v_i x v_{i+1}> (m, n)
+    for the rows of X (m, 3): the first three fields of :class:`Rays`, the
+    last two from one pass over the ring's cached [V; N] columns."""
+    p = X.T[:, :, None] * ring.products_table      # (3, m, 2n): dot3's products, in loops of 2n, not of 3
+    both = p[0] + p[1] + p[2]                      # added in dot3's order
+    return cross3(X[:, None, :], ring.vertices), both[:, :ring.n], both[:, ring.n:]
+
+
+def ring_rays(ring: "Ring", X: np.ndarray) -> Rays:
+    """The rays of the ring from the rows of X (m, 3), in one pass."""
+    c, cos, tau = ring_products(ring, X)
     d = dot3(c, roll1(c, -1))
-    return Rays(c=c, cos=dot3(x, vertices), tau=tau, d=d, alpha=np.arctan2(tau, d))
+    return Rays(c=c, cos=cos, tau=tau, d=d, alpha=np.arctan2(tau, d))
 
 
 def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
@@ -240,11 +251,7 @@ class PointLocation:
         return self.kind == "interior"
 
     def __str__(self) -> str:
-        if self.kind == "edge":
-            return f"edge({self.index})"
-        if self.kind == "vertex":
-            return f"vertex({self.index})"
-        return self.kind
+        return self.kind if self.index < 0 else f"{self.kind}({self.index})"
 
 
 KINDS = ("interior", "edge", "vertex", "exterior")
@@ -266,6 +273,10 @@ class Locations:
     def __len__(self) -> int:
         return len(self.kind)
 
+    def labels(self) -> list[str]:
+        """str(self.at(i)) of every row: index >= 0 only on an edge or a vertex."""
+        return [KINDS[k] if i < 0 else f"{KINDS[k]}({i})" for k, i in zip(self.kind.tolist(), self.index.tolist())]
+
     def at(self, i: int) -> PointLocation:
         kind = KINDS[self.kind[i]]
         if kind == "edge":
@@ -277,9 +288,9 @@ class Locations:
 
 @dataclass(frozen=True)
 class Ring:
-    """A ring of unit vertices with its band and its cached edge tables,
-    not validated: the base of :class:`SphericalPolygon`, and the ring of
-    the extended evaluation mode.
+    """A ring of unit vertices with its band and its cached tables (of its
+    edges, and the one :func:`ring_products` reads), not validated: the
+    base of :class:`SphericalPolygon`, and the ring of the extended mode.
 
     vertices  : (n, 3) unit rows, cyclically indexed (v[i + n] = v[i])
     tol       : the band of every predicate and kernel gate evaluated on it
@@ -305,6 +316,11 @@ class Ring:
     def edge_normals(self) -> np.ndarray:
         """(n, 3) rows v_j x v_{j+1}."""
         return cross3(self.vertices, np.roll(self.vertices, -1, axis=0))
+
+    @cached_property
+    def products_table(self) -> np.ndarray:
+        """(3, 1, 2n) columns of the rows v_j, then v_j x v_{j+1}, for :func:`ring_products`."""
+        return np.ascontiguousarray(np.concatenate([self.vertices, self.edge_normals]).T)[:, None, :]
 
     @cached_property
     def edge_cosines(self) -> np.ndarray:
@@ -380,6 +396,13 @@ class SphericalPolygon(Ring):
                 triangles.append((i, k, j))
                 chords += [(i, k), (k, j)]
         return Triangulation.of(V, np.array(triangles, dtype=np.intp), self.tol)
+
+    @cached_property
+    def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The gnomonic image at the witness that grids and samples are drawn over: the
+        tangent basis (2, 3), the (n, 2) planar vertices and their bounding box lo, hi (2,)."""
+        basis, planar = gnomonic_image(self.vertices, self.witness)
+        return basis, planar, planar.min(axis=0), planar.max(axis=0)
 
 
 class Triangulation(NamedTuple):
@@ -560,8 +583,8 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # and anti-clockwise iff its image is.  Edges i and j cross iff each
     # one's ends lie strictly on opposite sides of the other; edges that
     # share an end never count.
-    rays = ring_rays(vertices, polygon.edge_normals, np.concatenate([vertices, polygon.witness[None]]))
-    tau, cos, tau_w, cos_w = rays.tau[:n], rays.cos[:n], rays.tau[n:], rays.cos[n:]
+    c, cos, tau = ring_products(polygon, np.concatenate([vertices, polygon.witness[None]]))
+    c, cos, tau, cos_w, tau_w = c[:n], cos[:n], tau[:n], cos[n:], tau[n:]
     step = (np.arange(n)[:, None] - np.arange(n)) % n          # k - i
     apart = (1 < step) & (step < n - 1)
     straddles = tau * np.roll(tau, -1, axis=0) < 0.0           # [j, i]: edge j's ends on both sides of edge i
@@ -578,7 +601,7 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # coefficients a, b > 0): the bands of :func:`locate_points`, whose
     # reconstruction check bounds that distance.
     g, cos_next = polygon.edge_cosines, roll1(cos, -1)         # <v_k, v_{i+1}>
-    sin = np.sqrt(dot3(rays.c[:n], rays.c[:n]))
+    sin = np.sqrt(dot3(c, c))
     # arctan2(sin, cos) <= tol.angle < pi / 2 needs sin <= tan(tol.angle) cos;
     # this filter, with a factor 2 for rounding, spares most entries the arctan2.
     vertex = apart & (sin <= 2.0 * np.tan(tol.angle) * cos)
@@ -611,14 +634,14 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     V = polygon.vertices
     m, n = len(X), polygon.n
     rows = np.arange(m)
-    rays = ring_rays(V, polygon.edge_normals, X)
+    rays = ring_rays(polygon, X)
     cosines, trips = rays.cos, rays.tau
     kind = np.full(m, EXTERIOR)
     index = np.full(m, -1)
     a = np.zeros(m)
     b = np.zeros(m)
 
-    near = np.argmax(cosines, axis=1)
+    near = cosines.argmax(axis=1)
     c = rays.c[rows, near]
     vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= tol.angle
 
@@ -639,9 +662,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     kind[vertex] = VERTEX
     index[vertex] = near[vertex]
-    rest = kind == EXTERIOR
-    winding = np.sum(rays.alpha[rest], axis=1)
-    kind[rest] = np.where(np.abs(winding - 2 * np.pi) <= tol.angle, INTERIOR, kind[rest])
+    kind[(kind == EXTERIOR) & (np.abs(rays.alpha.sum(axis=1) - 2 * np.pi) <= tol.angle)] = INTERIOR
     return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
 
 

@@ -21,10 +21,8 @@ from .errors import GenerationFailed, ResidualTooLarge, SingularMatrix, SphBaryE
 from .geom import (
     DEFAULT_TOL,
     INTERIOR,
-    KINDS,
     SphericalPolygon,
     Tolerances,
-    gnomonic_image,
     locate_points,
     normalize,
     tangent_frames,
@@ -199,12 +197,11 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
 
     Convex polygons use random convex combinations of the tangent-plane
     vertex images; general polygons use rejection sampling over the image's
-    bounding box.  Each round draws as many candidates as are still missing
-    and locates them in one batch, so the rng advances exactly as it would
-    one candidate at a time.
+    bounding box (the polygon's cached witness image).  Each round draws as
+    many candidates as are still missing and locates them in one batch, so
+    the rng advances exactly as it would one candidate at a time.
     """
-    (b1, b2), planar = gnomonic_image(polygon.vertices, polygon.witness)
-    lo, hi = planar.min(axis=0), planar.max(axis=0)
+    (b1, b2), planar, lo, hi = polygon.witness_image
     out = []
     while len(out) < count:
         need = count - len(out)
@@ -224,20 +221,17 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
 def grid_directions(polygon: SphericalPolygon, resolution: int) -> np.ndarray:
     """resolution x resolution directions covering the polygon.
 
-    The polygon is projected into the tangent plane at its witness
-    direction (its spherical centroid, unless that leaves the hemisphere),
-    a regular grid over the image's bounding box is lifted back to the
-    sphere.  Row-major order, x fastest; includes points that land outside
-    the polygon.  ValueError for a resolution below 1.
+    A regular grid over the bounding box of the polygon's gnomonic image at
+    its witness (its spherical centroid, unless that leaves the hemisphere;
+    projected once, :attr:`sphbary.geom.SphericalPolygon.witness_image`),
+    lifted back to the sphere.  Row-major order, x fastest; includes points
+    that land outside the polygon.  ValueError for a resolution below 1.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    (b1, b2), planar = gnomonic_image(polygon.vertices, polygon.witness)
-    lo = planar.min(axis=0)
-    hi = planar.max(axis=0)
-    x = np.tile(np.linspace(lo[0], hi[0], resolution), resolution)[:, None]
-    y = np.repeat(np.linspace(lo[1], hi[1], resolution), resolution)[:, None]
-    return unit_rows(polygon.witness + x * b1 + y * b2)[0]
+    (b1, b2), _, lo, hi = polygon.witness_image
+    steps = np.linspace(lo, hi, resolution)                      # (resolution, 2): x, y
+    return unit_rows(polygon.witness + steps[None, :, :1] * b1 + steps[:, None, 1:] * b2)[0]
 
 
 @dataclass
@@ -285,10 +279,10 @@ class _Grid(NamedTuple):
 
     def rows(self, k: int, bands=DEFAULT_BANDS) -> list[GridRow]:
         """One GridRow per point, with vertex k's value and band selected."""
-        value = self.values[:, k]
+        value, method = self.values[:, k], self.method
         return [
-            GridRow(p, label, self.method, k, error=e) if e
-            else GridRow(p, label, self.method, k, v, r, b, None, row)
+            GridRow(p, label, method, k, None, None, None, e) if e
+            else GridRow(p, label, method, k, v, r, b, None, row)
             for p, label, row, v, r, b, e in zip(
                 self.points, self.labels, self.values, value.tolist(), self.residuals.tolist(),
                 _band_index(value, bands).tolist(), self.errors)
@@ -296,8 +290,7 @@ class _Grid(NamedTuple):
 
 
 def _evaluate_grid(polygon: SphericalPolygon, resolution: int, method: str) -> _Grid:
-    """Evaluate `method` at the grid directions in one batch; the location
-    labels are formatted once per distinct location."""
+    """Evaluate `method` at the grid directions in one batch."""
     points = grid_directions(polygon, resolution)
     batch = evaluate_batch(polygon, points, method)
     residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
@@ -305,10 +298,7 @@ def _evaluate_grid(polygon: SphericalPolygon, resolution: int, method: str) -> _
         error.name if error is not None else ResidualTooLarge.__name__ if r > 1e-8 else None
         for error, r in zip(batch.errors, residuals.tolist())
     ]
-    loc = batch.locations
-    _, first, which = np.unique(loc.index * len(KINDS) + loc.kind, return_index=True, return_inverse=True)
-    text = [str(loc.at(i)) for i in first]
-    return _Grid(method, points, [text[j] for j in which.tolist()], batch.values, residuals, errors)
+    return _Grid(method, points, batch.locations.labels(), batch.values, residuals, errors)
 
 
 def grid_rows(

@@ -116,7 +116,7 @@ def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> Polyhedr
     (e.g. all vertices on a great circle)."""
     ring = Ring(np.array(ring, dtype=float), tol)
     X = unit_row(x)
-    return PolyhedronQ(ring, X, ring_rays(ring.vertices, ring.edge_normals, X), fan_faces(ring.n))
+    return PolyhedronQ(ring, X, ring_rays(ring, X), fan_faces(ring.n))
 
 
 def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:

@@ -147,7 +147,7 @@ def _angle_degenerate(k: int, theta: float) -> AngleDegenerate:
 
 
 def _rays_at(polygon: SphericalPolygon, x) -> Rays:
-    return ring_rays(polygon.vertices, polygon.edge_normals, unit_row(x))
+    return ring_rays(polygon, unit_row(x))
 
 
 def angles(polygon: SphericalPolygon, x) -> AngleCache:
@@ -269,7 +269,8 @@ METHODS = tuple(KERNELS)
 class Evaluations(NamedTuple):
     """One method at m directions: locations, values (m, n) and interior
     denominators (m,), NaN where absent, and per row the error its
-    single-point evaluation raises (None where it succeeds)."""
+    single-point evaluation raises (None where it succeeds); rows refused
+    with one message may share the error instance."""
 
     method: str
     locations: Locations
@@ -306,8 +307,8 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     if convex_only and not polygon.convex:
         refuse(errors, ~short, lambda _: NotConvexForWC("the polar-dual backend requires a convex polygon"))
         return Evaluations(method, locations, values, denom, errors)
-    kind = locations.kind
-    refuse(errors, kind == EXTERIOR, lambda _: ExteriorPoint("x lies outside the polygon"))
+    kind, exterior = locations.kind, ExteriorPoint("x lies outside the polygon")
+    refuse(errors, kind == EXTERIOR, lambda _: exterior)     # one message: the rows share it
     on_boundary = (kind == VERTEX) | (kind == EDGE)
     if not boundary:
         refuse(errors, on_boundary, lambda r: OriginOnBoundary(
@@ -320,12 +321,14 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
         values[rows[edge], (i[edge] + 1) % n] = locations.b[rows[edge]]
     rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
     if len(rows):
-        kernel_errors, rays = [None] * len(rows), Rays._make(f[rows] for f in locations.rays)
-        values[rows], denom[rows] = kernel(polygon, X[rows], rays, kernel_errors)
-        for r, error in zip(rows, kernel_errors):
-            if error is not None:
-                errors[r] = error
-                values[r] = denom[r] = np.nan
+        # No kernel writes into them: an all-interior block (m = 1) goes as it is.
+        rays, X = (locations.rays, X) if len(rows) == m else (Rays._make(f[rows] for f in locations.rays), X[rows])
+        kernel_errors = [None] * len(rows)
+        values[rows], denom[rows] = kernel(polygon, X, rays, kernel_errors)
+        failed = rows[[error is not None for error in kernel_errors]]
+        values[failed] = denom[failed] = np.nan
+        for r, error in zip(rows.tolist(), kernel_errors):     # no earlier check refused an interior row
+            errors[r] = error
     return Evaluations(method, locations, values, denom, errors)
 
 

@@ -58,9 +58,10 @@ def project_batch(V: np.ndarray, X: np.ndarray, dots: np.ndarray, errors: list):
     """:func:`sphbary.geom.gnomonic_images` of the ring V at the unit rows
     of X, given dots (m, n) = <v_i, x> (the rays' cos theta): bases
     (m, 2, 3) and points2d (m, n, 2); rows with some <v_i, x> <= PROJ are
-    refused with ProjectionUndefined."""
-    refuse(errors, (dots <= PROJ).any(axis=1), lambda r: ProjectionUndefined(
-        f"<v[{np.argmin(dots[r])}], x> = {dots[r].min():.3e} is not positive"))
+    refused with ProjectionUndefined (the first least <v_i, x>, per block)."""
+    low = np.argmin(dots, axis=1)
+    least = dots[np.arange(len(dots)), low]
+    refuse(errors, least <= PROJ, lambda r: ProjectionUndefined(f"<v[{low[r]}], x> = {least[r]:.3e} is not positive"))
     return gnomonic_images(V, X, dots)
 
 

@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    Triangulation, _min_norm_direction, cross3, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
+    Ring, Triangulation, _min_norm_direction, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
 
@@ -526,7 +526,7 @@ def test_winding_angle_signs(octant):
     2 pi inside an anti-clockwise ring, -2 pi for the reversed ring, 0
     outside."""
     def winding(V, x):
-        return float(ring_rays(V, cross3(V, np.roll(V, -1, axis=0)), sb.normalize(x)[None]).alpha.sum())
+        return float(ring_rays(Ring(V), sb.normalize(x)[None]).alpha.sum())
 
     inner = [1, 1, 1]
     assert winding(octant.vertices, inner) == pytest.approx(2 * np.pi, abs=1e-12)

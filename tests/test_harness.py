@@ -160,6 +160,18 @@ class TestGrid:
             checked += 1
         assert checked > 50
 
+    def test_witness_image_is_projected_once_per_polygon(self, monkeypatch, rng):
+        # Grids, comparisons and interior samples all read the gnomonic image
+        # at the witness that the polygon caches.
+        polygon = sb.random_polygon(9, 1.0, seed=5)
+        counts = [count_calls(monkeypatch, f) for f in (sb.geom.gnomonic_image, sb.geom.gnomonic_images)]
+        sb.grid_rows(polygon, 0, 8, "NEW_MV")
+        assert [c[0] for c in counts] == [1, 1]
+        sb.grid_rows(polygon, 1, 12, "NEW_MV_CLOSED")
+        sb.compare_methods(polygon, "NEW_MV", "NEW_WC", 6)
+        assert len(sb.interior_points(polygon, 5, rng)) == 5
+        assert [c[0] for c in counts] == [1, 1]
+
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_one_locate_per_grid_point(self, method, locate_calls):
         sb.grid_rows(sb.demo_quadrilateral(), 0, 16, method)

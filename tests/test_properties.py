@@ -106,11 +106,12 @@ def permuted_blocks(draw):
 
 
 def single_outcome(polygon, x, method):
-    """The m = 1 call's error tag, or its location and value bits."""
+    """The m = 1 call's error tag and message, or its location and value
+    bits."""
     try:
         cv = evaluate(polygon, x, method)
     except SphBaryError as exc:
-        return exc.name
+        return exc.name, str(exc)
     denom = np.float64(np.nan if cv.denom is None else cv.denom)
     return cv.location, cv.values.tobytes(), denom.tobytes()
 
@@ -122,7 +123,7 @@ def test_block_rows_are_single_point_calls(case):
     for method in sb.METHODS:
         batch = evaluate_batch(polygon, X, method)
         for i, x in enumerate(X):
-            got = batch.errors[i].name if batch.errors[i] else (
+            got = (batch.errors[i].name, str(batch.errors[i])) if batch.errors[i] else (
                 batch.locations.at(i), batch.values[i].tobytes(), batch.denom[i].tobytes())
             assert got == single_outcome(polygon, x, method), (method, i)
 

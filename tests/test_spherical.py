@@ -340,9 +340,11 @@ def batch_points(polygon, rng):
 
 
 def row_outcome(batch, i):
+    """A row's error tag and message (the CLI prints both), or its location
+    and value bits."""
     error = batch.errors[i]
     if error is not None:
-        return error.name, None, None, None
+        return error.name, str(error), None, None
     return None, batch.locations.at(i), batch.values[i].tobytes(), batch.denom[i].tobytes()
 
 
@@ -350,7 +352,7 @@ def single_outcome(polygon, x, method):
     try:
         cv = sb.evaluate(polygon, x, method)
     except SphBaryError as exc:
-        return exc.name, None, None, None
+        return exc.name, str(exc), None, None
     denom = np.float64(np.nan if cv.denom is None else cv.denom)
     return None, cv.location, cv.values.tobytes(), denom.tobytes()
 
@@ -358,8 +360,9 @@ def single_outcome(polygon, x, method):
 class TestBatchInvariance:
     @pytest.mark.parametrize("case", range(len(BATCH_POLYGONS)))
     def test_rows_equal_single_point_calls(self, case):
-        # Each row of a batch: the same location, error tag and bits as the
-        # m = 1 call, also with the rows permuted, rotated copies included.
+        # Each row of a batch: the same location, error tag and message and
+        # bits as the m = 1 call, also with the rows permuted, rotated
+        # copies included.
         rng = np.random.default_rng(20261018 + case)
         n, rho, mode = BATCH_POLYGONS[case]
         polygon = sb.random_polygon(n, rho, seed=4000 + case, mode=mode)
