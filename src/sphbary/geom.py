@@ -344,10 +344,10 @@ class Ring:
 
     @cached_property
     def turns(self) -> np.ndarray:
-        """(n, 3) rows (v_{j-1} - v_j) x (v_{j+1} - v_j)."""
+        """(3, 1, n) columns of the rows (v_{j-1} - v_j) x (v_{j+1} - v_j)."""
         V = self.vertices
         edges = np.concatenate([V[1:], V[:1]]) - V                      # v_{j+1} - v_j
-        return cross3(edges, np.concatenate([edges[-1:], edges[:-1]]))
+        return np.ascontiguousarray(cross3(edges, np.concatenate([edges[-1:], edges[:-1]])).T)[:, None, :]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -413,7 +413,7 @@ class Triangulation(NamedTuple):
     nothing lies in front of."""
 
     triangles: np.ndarray   # (n-2, 3), anti-clockwise seen from outside
-    normals: np.ndarray     # (n-1, 3) unit normals of their planes <normal, y> = offset,
+    normals: np.ndarray     # (3, 1, n-1) columns of the unit normals of their planes <normal, y> = offset,
     offsets: np.ndarray     # (n-1,) and offsets; a zero normal and an infinite offset below
     sizes: np.ndarray       # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
     own: np.ndarray         # (3n-6,) the triangle of each half-edge
@@ -460,7 +460,7 @@ class Triangulation(NamedTuple):
         planes = offsets * sizes
         sides = both.reshape(2, -1).T // 3
         return cls(
-            triangles=triangles, normals=np.concatenate([normals, np.zeros((1, 3))]),
+            triangles=triangles, normals=np.ascontiguousarray(np.concatenate([normals, np.zeros((1, 3))]).T)[:, None],
             offsets=np.concatenate([offsets, [np.inf]]), sizes=np.concatenate([sizes, [0.0]]), own=e // 3,
             across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head, cross=cross, cosines=cosines,
             rim=lookup[i, j] // 3, ends=np.column_stack([tail[h], head[h]]), sides=sides,

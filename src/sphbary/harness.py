@@ -260,10 +260,12 @@ class GridRow:
 
 def _band_index(values, bands) -> np.ndarray:
     """Index of the first band lo <= value <= hi of each value, else -1."""
-    index = np.full(np.shape(values), -1)
-    for i, (lo, hi) in reversed(list(enumerate(bands))):
-        index[(lo <= values) & (values <= hi)] = i
-    return index
+    if not len(bands):                  # argmax over an empty axis raises
+        return np.full(np.shape(values), -1)
+    lo, hi = np.asarray(bands, dtype=float).T
+    values = np.asarray(values)[..., None]
+    inside = (lo <= values) & (values <= hi)
+    return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
 
 
 class _Grid(NamedTuple):

@@ -2,11 +2,12 @@
 families of 3D generalized barycentric coordinates of the origin inside it.
 
 A :class:`PolyhedronQ` is the fan or the convex hull of those n+2 points.
-The fan has the faces (x, v_i, v_{i+1}) and (-x, v_{i+1}, v_i); over an
-anti-clockwise ring the origin lies in its kernel whenever every face plane
-keeps a positive distance from it, and it is usually not convex, even over
-a convex polygon.  The hull, over a convex polygon, is the lower fan and
-the polygon's Delaunay triangulation with x inserted (:func:`hull_faces`).
+The fan has the faces (x, v_i, v_{i+1}) and (-x, v_{i+1}, v_i); it is
+usually not convex, even over a convex polygon, and over a non-convex one
+the origin need not lie in its kernel, which mean value weights do not ask
+for (Ju, Schaefer & Warren 2005).  The hull, over a convex polygon, is the
+lower fan and the polygon's Delaunay triangulation with x inserted
+(:func:`hull_faces`).
 
 Each face holds x or -x or is a triangle of the cached triangulation, so
 the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
@@ -151,7 +152,8 @@ def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     exactly when there are two more outline half-edges than seen
     triangles; other rows: NotConvex."""
     d = polygon.delaunay
-    rho = dot3(X[:, None, :], d.normals)
+    p = X.T[:, :, None] * d.normals                    # (3, m, n-1), added in dot3's order
+    rho = p[0] + p[1] + p[2]
     seen = rho > d.offsets + polygon.tol.geom
     outline = d.outline(seen)
     refuse(errors, outline.sum(axis=1) != seen.sum(axis=1) + 2, lambda _: NotConvex(
@@ -194,26 +196,20 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
     has edges c_i, N_i and -c_{i+1} at angles theta_i, beta_i and
     theta_{i+1}, the lower face (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and
     c_i at pi - theta_{i+1}, beta_i and pi - theta_i, N_i the ring's unit
-    edge normals.  Rows that fail the kernel certificate: KernelViolation.
+    edge normals.  At v_i and at v_{i+1} the two faces share the opposite
+    edge up to sign, so their theta and beta parts cancel and the pair adds
+    pi (1 - cos alpha_i) / (2 <e, n>), alpha_i the angle from c_i to c_{i+1}.
     """
     c, trips = rays.c, rays.tau
     sin_theta = ray_sines(ring, rays, _on_vertex, errors)
     theta = np.arctan2(sin_theta, rays.cos)
     N, beta = ring.unit_edge_normals, ring.edge_angles
-    c_next, sin_next, theta_next = roll1(c, -1), roll1(sin_theta, -1), roll1(theta, -1)
+    sin_next, theta_next = roll1(sin_theta, -1), roll1(theta, -1)
     # <x, N_i> from the tau_i = <x, v_i x v_{i+1}> that located x: near
     # edge i every term that grows like 1/tau_i then shares its rounding,
     # and they cancel in the quotient.
     h = trips / ring.edge_sines
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Kernel certificate: the face normals are +-(v_i x v_{i+1}) + c_i -
-        # c_{i+1}, and both planes lie trips / |normal| from the origin.
-        d = c - c_next
-        ok = np.ones(len(X), bool)
-        for normal in (ring.edge_normals + d, d - ring.edge_normals):
-            length = np.sqrt(dot3(normal, normal))
-            ok &= np.all(length > UNIT, axis=1) & np.all(trips / length > ring.tol.geom, axis=1)
-        refuse(errors, ~ok, lambda _: KernelViolation("polyhedron failed the origin-in-kernel certificate"))
         refuse(errors, np.any(sin_theta <= UNIT, axis=1) | np.any(ring.edge_sines <= UNIT),
                lambda _: DegenerateTriangle("two rays of a face are collinear"))
         # Twice <e, n> at each corner, against the opposite edge: at x and -x
@@ -221,18 +217,14 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
         h2, h2_i, h2_next = 2.0 * h, 2.0 * trips / sin_next, 2.0 * trips / sin_theta
         refuse(errors, np.any((np.abs(h2) <= UNIT) | (np.abs(h2_i) <= UNIT) | (np.abs(h2_next) <= UNIT), axis=1),
                lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
-        # Cosines between the edge normals: <c_i, N_i>, <c_{i+1}, N_i> and
-        # <c_i, c_{i+1}>, normalized.
+        # Cosines between the edge normals: <c_i, N_i> and <c_{i+1}, N_i>,
+        # normalized, and pi (1 - cos alpha_i) with <c_i, c_{i+1}> = d_i.
         a = dot3(c, N) / sin_theta
-        b = dot3(c_next, N) / sin_next
-        cc = dot3(c, c_next) / (sin_theta * sin_next)
+        b = dot3(roll1(c, -1), N) / sin_next
+        pair = np.pi * (1.0 - rays.d / (sin_theta * sin_next))
         up_x = (beta + theta * a - theta_next * b) / h2
-        up_i = (theta_next - beta * b - theta * cc) / h2_i
-        up_next = (theta + beta * a - theta_next * cc) / h2_next
         low_x = (beta + (np.pi - theta_next) * b - (np.pi - theta) * a) / h2
-        low_i = ((np.pi - theta_next) + beta * b - (np.pi - theta) * cc) / h2_i
-        low_next = ((np.pi - theta) - beta * a - (np.pi - theta_next) * cc) / h2_next
-        return np.concatenate([up_i + low_i + roll1(up_next + low_next, 1),
+        return np.concatenate([pair / h2_i + roll1(pair / h2_next, 1),
                                up_x.sum(axis=1)[:, None], low_x.sum(axis=1)[:, None]], axis=1)
 
 
@@ -245,7 +237,7 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
 # have tau_i, so near the edge all the terms that grow like 1 / tau_i
 # cancel in the quotient.
 
-def _lower_fan(ring: Ring, x: np.ndarray, rays: Rays, through: np.ndarray, errors: list):
+def _lower_fan(ring: Ring, X: np.ndarray, rays: Rays, through: np.ndarray, errors: list):
     """The lower fan (-x, v_{i+1}, v_i), which the fan and the hull share:
     rows where one of its face planes or another (`through`, (m,)) passes
     within UNIT of the origin are refused with FaceThroughPoint; returns the
@@ -259,7 +251,8 @@ def _lower_fan(ring: Ring, x: np.ndarray, rays: Rays, through: np.ndarray, error
     # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on the
     # right; vol from the base v_i, with its short edges to v_{i-1} and
     # v_{i+1} crossed once per ring.
-    vol = dot3(ring.turns, ring.vertices + x)
+    p = (ring.products_table[:, :, :ring.n] + X.T[:, :, None]) * ring.turns     # (3, m, n), as in hull_cavity
+    vol = p[0] + p[1] + p[2]
     spoke = -vol * (1.0 + rays.cos) / (roll1(tau, 1) * tau)
     reflex = (vol > ring.tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
     return spoke, reflex, size_low
@@ -279,7 +272,7 @@ def fan_wc(ring: Ring, X: np.ndarray, rays: Rays, errors: list):
     upper = ring.edge_normals + c - roll1(c, -1)            # (v_i - x) x (v_{i+1} - x)
     size_up = np.sqrt(dot3(upper, upper))
     with np.errstate(divide="ignore", invalid="ignore"):
-        spoke_low, reflex, size_low = _lower_fan(ring, x, rays, (tau / size_up <= UNIT).any(axis=1), errors)
+        spoke_low, reflex, size_low = _lower_fan(ring, X, rays, (tau / size_up <= UNIT).any(axis=1), errors)
         vol = dot3(upper, np.roll(ring.vertices, 1, axis=0) - x)
         spoke_up = vol * (rays.cos - 1.0) / (roll1(tau, 1) * tau)
         edge = 2.0 * (1.0 - ring.edge_cosines) / tau
@@ -301,7 +294,6 @@ def hull_wc(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     c, cos_theta, tau = rays.c, rays.cos, rays.tau
     ray_sines(polygon, rays, _on_vertex, errors)
     rho, seen, outline = hull_cavity(polygon, X, errors)
-    x = X[:, None, :]
     # The faces (x, a, b), one per outline half-edge: t, normal, its size.
     r, h = np.divmod(np.flatnonzero(outline), outline.shape[1])
     a, b, across = d.tail[h], d.head[h], d.across[h]
@@ -311,7 +303,7 @@ def hull_wc(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     size_up = np.sqrt(dot3(upper, upper))
     with np.errstate(divide="ignore", invalid="ignore"):
         spoke_low, reflex, size_low = _lower_fan(
-            polygon, x, rays, (np.bincount(r, t / size_up <= UNIT, m) > 0)
+            polygon, X, rays, (np.bincount(r, t / size_up <= UNIT, m) > 0)
             | (~seen[:, :-1] & (d.offsets[:-1] <= UNIT)).any(axis=1), errors)
         # Spokes of x: (x, a, b) on the left, (x, z, a) on the right, z -> a
         # the outline half-edge before.

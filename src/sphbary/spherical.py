@@ -340,9 +340,9 @@ def evaluate(polygon: SphericalPolygon, x, method: str) -> CoordinateVector:
 
 def spherical_coords(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:
     """Spherical barycentric coordinates of x with the given backend:
-    "MV" (mean value, any simple polygon whose polyhedron keeps the origin
-    in its kernel) or "WC" (rational polar-dual weights, convex polygons
-    only); the NEW_MV and NEW_WC methods of :func:`evaluate`."""
+    "MV" (mean value, any simple polygon) or "WC" (rational polar-dual
+    weights, convex polygons only); the NEW_MV and NEW_WC methods of
+    :func:`evaluate`."""
     return evaluate(polygon, x, "NEW_" + backend)
 
 
@@ -362,9 +362,10 @@ def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DE
     """Evaluation mode for configurations outside the default contracts: a
     raw unit-vector ring (no hemisphere or orientation validation) and no
     interior check.  Both backends take the fan (see
-    :func:`origin_coords_on_ring`), so "MV" keeps the origin-in-kernel
-    certificate and "WC" keeps linear precision but not the sign.  Returns
-    the quotient coordinates with location kind "extended"."""
+    :func:`origin_coords_on_ring`): "MV" runs NEW_MV's kernel, which needs
+    only faces that are not flat, and "WC" keeps linear precision but not
+    the sign.  Returns the quotient coordinates with location kind
+    "extended"."""
     phi = origin_coords_on_ring(ring, x, backend, tol)
     values, denom = single(_quotient, phi[None], len(phi) - 2)
     return CoordinateVector(

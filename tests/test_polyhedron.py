@@ -10,7 +10,6 @@ import sphbary as sb
 from sphbary.errors import (
     DegenerateTriangle,
     FaceThroughPoint,
-    KernelViolation,
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
@@ -297,7 +296,7 @@ def kernel_ok_loop(q, tol=sb.DEFAULT_TOL) -> bool:
         return bool(np.all(np.einsum("ij,ij->i", face_normals_loop(q), q.vertices[q.faces[:, 0]]) > tol.geom))
 
 
-def mv_weights_loop(q, tol=sb.DEFAULT_TOL) -> np.ndarray:
+def mv_weights_loop(q) -> np.ndarray:
     """Mean value weights of the origin: for each face (i, j, k) the
     contribution to its vertex i is
 
@@ -305,11 +304,8 @@ def mv_weights_loop(q, tol=sb.DEFAULT_TOL) -> np.ndarray:
 
     with e_i the unit vector to vertex i, b_rs the angle between e_r and e_s
     and n_rs the unit normal of span(e_r, e_s); a vertex sums its mu over
-    its faces and divides by its distance.  KernelViolation unless every
-    face plane lies more than the band from the origin."""
+    its faces and divides by its distance."""
     V, F = q.vertices, q.faces
-    if not kernel_ok_loop(q, tol):
-        raise KernelViolation("polyhedron failed the origin-in-kernel certificate")
     r = np.linalg.norm(V, axis=1)
     e = [(V / r[:, None])[F[:, s]] for s in range(3)]
     cross = [np.cross(e[s], e[(s + 1) % 3]) for s in range(3)]
@@ -370,7 +366,7 @@ class TestMeanValueReference:
         # same polyhedron: convex and non-convex rings, n 3..64, caps up to
         # 1.5; the same error tag, and weights equal up to float64 roundoff.
         rng = np.random.default_rng(20261021)
-        tags, compared = set(), 0
+        compared = 0
         for k in range(40):
             polygon = jittered_ring(rng, int(rng.integers(3, 65)), float(rng.uniform(0.2, 1.5)), k % 2 == 1)
             for x in sb.interior_points(polygon, 2, rng):
@@ -378,11 +374,10 @@ class TestMeanValueReference:
                 expected, got = outcome(mv_weights_loop, q), outcome(sb.mv_weights, q)
                 if isinstance(expected, str) or isinstance(got, str):
                     assert got == expected
-                    tags.add(got)
                     continue
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
                 compared += 1
-        assert compared > 40 and "KernelViolation" in tags
+        assert compared > 40
 
     def test_hull_has_no_mean_value_weights(self, octant_q):
         with pytest.raises(ValueError):
