@@ -14,15 +14,17 @@ the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
 (:class:`sphbary.geom.Rays`) and tables cached with the ring, by one
 kernel per backend and shape, kernel(ring, X, rays, errors) on m unit rows:
 mean value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers
-2005), and polar-dual weights on the hull and on the fan, :func:`hull_wc`
-and :func:`fan_wc` (Warren, Schaefer, Hirani & Desbrun 2007), which also
-return the rows with a reflex edge.  Each returns raw weights w (m, n+2)
-with sum(w_i * p_i) = 0, and records per-row errors (see
-:func:`sphbary.errors.refuse`).  NEW_MV and NEW_WC run fan_mv and hull_wc
-on a block of directions; :func:`mv_weights`, :func:`wachspress_weights`,
-:func:`is_convex` and :func:`coords_at_origin` run the same kernels on one
-PolyhedronQ, m = 1, and raise the errors, as does the extended mode on the
-fan over an unvalidated :class:`sphbary.geom.Ring`.
+2005), whose ring weights and w_{-x} - w_x are NEW_MV_CLOSED's terms
+(:func:`mean_value_ring`), and polar-dual weights on the hull and on the
+fan, :func:`hull_wc` and :func:`fan_wc` (Warren, Schaefer, Hirani &
+Desbrun 2007), which also return the rows with a reflex edge.  Each
+returns raw weights w (m, n+2) with sum(w_i * p_i) = 0, and records
+per-row errors (see :func:`sphbary.errors.refuse`).  NEW_MV and NEW_WC
+run fan_mv and hull_wc on a block of directions; :func:`mv_weights`,
+:func:`wachspress_weights`, :func:`is_convex` and :func:`coords_at_origin`
+run the same kernels on one PolyhedronQ, m = 1, and raise the errors, as
+does the extended mode on the fan over an unvalidated
+:class:`sphbary.geom.Ring`.
 """
 
 from __future__ import annotations
@@ -185,6 +187,21 @@ def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
     return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
 
+def mean_value_ring(sin_theta: np.ndarray, rays: Rays):
+    """NEW_MV_CLOSED's weights omega (m, n) and denominator sum_i omega_i
+    cos theta_i (m,), which are also the fan's weights at the ring and
+    w_{-x} - w_x (:func:`fan_mv`), from sin theta_i = |c_i| and the rays.
+    Call under np.errstate."""
+    s, d = rays.tau, rays.d
+    cc = sin_theta * roll1(sin_theta, -1)
+    # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
+    # for |alpha| > pi/2, the second for |alpha| < pi/2.
+    t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
+    pair = t + roll1(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
+    omega = np.pi * pair / (2.0 * sin_theta)
+    return omega, np.pi / 2.0 * np.sum(pair * rays.cos / sin_theta, axis=1)
+
+
 def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
     """Mean value weights of the origin in the fan: each face (i, j, k)
     adds to its vertex i
@@ -194,38 +211,30 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
     e_i the unit vector to vertex i, b_rs the angle between e_r and e_s and
     n_rs the unit normal of span(e_r, e_s).  The upper face (x, v_i, v_{i+1})
     has edges c_i, N_i and -c_{i+1} at angles theta_i, beta_i and
-    theta_{i+1}, the lower face (-x, v_{i+1}, v_i) has -c_{i+1}, -N_i and
-    c_i at pi - theta_{i+1}, beta_i and pi - theta_i, N_i the ring's unit
-    edge normals.  At v_i and at v_{i+1} the two faces share the opposite
-    edge up to sign, so their theta and beta parts cancel and the pair adds
-    pi (1 - cos alpha_i) / (2 <e, n>), alpha_i the angle from c_i to c_{i+1}.
+    theta_{i+1}, N_i the ring's unit edge normals.  At v_i and v_{i+1} the
+    upper and the lower face on edge i share the opposite edge up to sign,
+    so their theta and beta parts cancel, and v_i gets the closed form's
+    omega_i = pi (tan(alpha_i/2) + tan(alpha_{i-1}/2)) / (2 sin theta_i)
+    (:func:`mean_value_ring`).  x gets w_x, summed over the upper faces, and
+    -x gets w_x + sum_i omega_i cos theta_i, by linear precision.
     """
-    c, trips = rays.c, rays.tau
     sin_theta = ray_sines(ring, rays, _on_vertex, errors)
     theta = np.arctan2(sin_theta, rays.cos)
-    N, beta = ring.unit_edge_normals, ring.edge_angles
-    sin_next, theta_next = roll1(sin_theta, -1), roll1(theta, -1)
-    # <x, N_i> from the tau_i = <x, v_i x v_{i+1}> that located x: near
-    # edge i every term that grows like 1/tau_i then shares its rounding,
-    # and they cancel in the quotient.
-    h = trips / ring.edge_sines
     with np.errstate(divide="ignore", invalid="ignore"):
+        N, beta = ring.unit_edge_normals, ring.edge_angles
         refuse(errors, np.any(sin_theta <= UNIT, axis=1) | np.any(ring.edge_sines <= UNIT),
                lambda _: DegenerateTriangle("two rays of a face are collinear"))
-        # Twice <e, n> at each corner, against the opposite edge: at x and -x
-        # (edge +-N_i), at v_i (edge v_{i+1}, +-x) and at v_{i+1} (edge +-x, v_i).
-        h2, h2_i, h2_next = 2.0 * h, 2.0 * trips / sin_next, 2.0 * trips / sin_theta
-        refuse(errors, np.any((np.abs(h2) <= UNIT) | (np.abs(h2_i) <= UNIT) | (np.abs(h2_next) <= UNIT), axis=1),
+        # Twice <x, N_i>, from the tau_i = <x, v_i x v_{i+1}> that located x:
+        # near edge i the terms that grow like 1/tau_i share its rounding.
+        h2 = 2.0 * rays.tau / ring.edge_sines
+        refuse(errors, np.any(np.abs(h2) <= UNIT, axis=1),
                lambda _: DegenerateTriangle("face is flat as seen from the evaluation point"))
-        # Cosines between the edge normals: <c_i, N_i> and <c_{i+1}, N_i>,
-        # normalized, and pi (1 - cos alpha_i) with <c_i, c_{i+1}> = d_i.
-        a = dot3(c, N) / sin_theta
-        b = dot3(roll1(c, -1), N) / sin_next
-        pair = np.pi * (1.0 - rays.d / (sin_theta * sin_next))
-        up_x = (beta + theta * a - theta_next * b) / h2
-        low_x = (beta + (np.pi - theta_next) * b - (np.pi - theta) * a) / h2
-        return np.concatenate([pair / h2_i + roll1(pair / h2_next, 1),
-                               up_x.sum(axis=1)[:, None], low_x.sum(axis=1)[:, None]], axis=1)
+        # Cosines between the edge normals: <c_i, N_i> and <c_{i+1}, N_i>, normalized.
+        a = dot3(rays.c, N) / sin_theta
+        b = dot3(roll1(rays.c, -1), N) / roll1(sin_theta, -1)
+        w_x = np.sum((beta + theta * a - roll1(theta, -1) * b) / h2, axis=1)
+        omega, total = mean_value_ring(sin_theta, rays)
+        return np.concatenate([omega, w_x[:, None], (w_x + total)[:, None]], axis=1)
 
 
 # Polar-dual weights in edge product form: an edge p -> q with the face
@@ -246,7 +255,7 @@ def _lower_fan(ring: Ring, X: np.ndarray, rays: Rays, through: np.ndarray, error
     c, tau = rays.c, rays.tau
     lower = c - roll1(c, -1) - ring.edge_normals
     size_low = np.sqrt(dot3(lower, lower))
-    refuse(errors, (tau / size_low <= UNIT).any(axis=1) | through,
+    refuse(errors, ~(tau / size_low > UNIT).all(axis=1) | through,
            lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
     # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on the
     # right; vol from the base v_i, with its short edges to v_{i-1} and
@@ -272,7 +281,7 @@ def fan_wc(ring: Ring, X: np.ndarray, rays: Rays, errors: list):
     upper = ring.edge_normals + c - roll1(c, -1)            # (v_i - x) x (v_{i+1} - x)
     size_up = np.sqrt(dot3(upper, upper))
     with np.errstate(divide="ignore", invalid="ignore"):
-        spoke_low, reflex, size_low = _lower_fan(ring, X, rays, (tau / size_up <= UNIT).any(axis=1), errors)
+        spoke_low, reflex, size_low = _lower_fan(ring, X, rays, ~(tau / size_up > UNIT).all(axis=1), errors)
         vol = dot3(upper, np.roll(ring.vertices, 1, axis=0) - x)
         spoke_up = vol * (rays.cos - 1.0) / (roll1(tau, 1) * tau)
         edge = 2.0 * (1.0 - ring.edge_cosines) / tau

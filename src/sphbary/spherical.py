@@ -21,7 +21,9 @@ solution (a, b), which is how the edge case is evaluated here.
 For the mean value backend the quotient also has a closed form built from
 the angles theta_i = angle(x, v_i) and the signed angles alpha_i between
 c_i and c_{i+1}, the terms whose sum is the winding that locates x; see
-:func:`closed_form_mv_weights`.
+:func:`closed_form_mv_weights`.  Its weights and denominator are the fan's
+weights at the ring and phi_{n+2} - phi_{n+1} before normalization, one
+term (:func:`sphbary.polyhedron.mean_value_ring`) for NEW_MV and NEW_MV_CLOSED.
 
 All five methods share one evaluation path, :func:`evaluate_batch`, over
 an (m, 3) block of directions: it locates the block once, answers the
@@ -77,13 +79,14 @@ from .geom import (
     locate_points,
     ray_sines,
     ring_rays,
-    roll1,
     unit_row,
     unit_rows,
     unit_vertices,
     zero_vector,
 )
-from .polyhedron import build_ring_q, coords_at_origin, fan_mv, hull_wc, normalized_weights, refuse_reflex
+from .polyhedron import (
+    build_ring_q, coords_at_origin, fan_mv, hull_wc, mean_value_ring, normalized_weights, refuse_reflex,
+)
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
 __all__ = [
@@ -146,14 +149,10 @@ def _angle_degenerate(k: int, theta: float) -> AngleDegenerate:
     return AngleDegenerate(f"x is aligned with vertex {k} (theta = {theta:.3e})")
 
 
-def _rays_at(polygon: SphericalPolygon, x) -> Rays:
-    return ring_rays(polygon, unit_row(x))
-
-
 def angles(polygon: SphericalPolygon, x) -> AngleCache:
     """Angle cache for the closed-form weights at the unit row of x; x must
     not coincide with or oppose any vertex (AngleDegenerate otherwise)."""
-    rays = _rays_at(polygon, x)
+    rays = ring_rays(polygon, unit_row(x))
     sin_theta = single(ray_sines, polygon, rays, _angle_degenerate)
     return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=rays.alpha[0])
 
@@ -162,17 +161,8 @@ def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
     from the rays of m unit directions; see :func:`closed_form_mv_weights`."""
     sin_theta = ray_sines(polygon, rays, _angle_degenerate, errors)
-    # c_i x c_{i+1} = tau_i x: tau_i and d_i are |c_i||c_{i+1}| times
-    # sin(alpha_i) and cos(alpha_i).
-    s, d = rays.tau, rays.d
-    cc = sin_theta * roll1(sin_theta, -1)
-    # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
-    # for |alpha| > pi/2, the second for |alpha| < pi/2.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(d >= 0.0, s / (cc + d), (cc - d) / s)
-        pair = t + roll1(t, 1)                       # tan(a_i/2) + tan(a_{i-1}/2)
-        omega = np.pi * pair / (2.0 * sin_theta)
-        denom = np.pi / 2.0 * np.sum(pair * rays.cos / sin_theta, axis=1)
+        omega, denom = mean_value_ring(sin_theta, rays)
     refuse(errors, ~(np.all(np.isfinite(omega), axis=1) & np.isfinite(denom)),
            lambda _: AlphaNearPi("the closed form is not finite at x"))
     return omega, denom
@@ -194,7 +184,7 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
     polyhedral mean value pipeline.  The m = 1 call of the batched kernel
     of NEW_MV_CLOSED.
     """
-    omega, denom = single(closed_form_batch, polygon, _rays_at(polygon, x))
+    omega, denom = single(closed_form_batch, polygon, ring_rays(polygon, unit_row(x)))
     return omega, float(denom)
 
 

@@ -100,6 +100,40 @@ def planar_verdict(raw) -> str | None:
     return "SelfIntersecting" if (vertex | edge).any() else None
 
 
+def mp_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def mp_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def mp_mean_value(mp, P, faces):
+    """Mean value weights of the origin in the polyhedron P (lists of mpf
+    rows) with the given faces, face by face as mv_weights_loop sums
+    them."""
+    r = [mp.sqrt(mp_dot(p, p)) for p in P]
+    E = [[c / length for c in p] for p, length in zip(P, r)]
+    spans = {}                      # (a, b), a < b: the unit normal of span(e_a, e_b) and the angle
+
+    def span(a, b):
+        if (min(a, b), max(a, b)) not in spans:
+            cross = mp_cross(E[min(a, b)], E[max(a, b)])
+            size = mp.sqrt(mp_dot(cross, cross))
+            spans[min(a, b), max(a, b)] = [c / size for c in cross], mp.atan2(size, mp_dot(E[a], E[b]))
+        normal, angle = spans[min(a, b), max(a, b)]
+        return (normal if a < b else [-c for c in normal]), angle
+
+    w = [mp.mpf(0)] * len(P)
+    for f in faces:
+        normals, angles = zip(*(span(f[s], f[(s + 1) % 3]) for s in range(3)))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            w[f[i]] += ((angles[j] + angles[i] * mp_dot(normals[i], normals[j])
+                         + angles[k] * mp_dot(normals[k], normals[j])) / (2 * mp_dot(E[f[i]], normals[j])))
+    return [wi / ri for wi, ri in zip(w, r)]
+
+
 @pytest.fixture()
 def locate_calls(monkeypatch):
     """Counts the directions located by locate_points, m per batched call

@@ -18,7 +18,7 @@ from sphbary.errors import (
 from sphbary.geom import UNIT
 from sphbary.polyhedron import build_ring_q, fan_faces, is_convex
 
-from conftest import jittered_ring, random_rotation
+from conftest import jittered_ring, mp_mean_value, random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 
@@ -364,19 +364,26 @@ class TestMeanValueReference:
     def test_kernel_matches_the_face_sums(self):
         # The fan kernel behind mv_weights against the per-face sum on the
         # same polyhedron: convex and non-convex rings, n 3..64, caps up to
-        # 1.5; the same error tag, and weights equal up to float64 roundoff.
+        # 1.5; the same error tag as the float64 sum mv_weights_loop, and
+        # weights within 1e-13 of the largest of the per-face sum's taken
+        # in 50 digits (the float64 sum itself misses that bound where a
+        # weight reaches 1e3).
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20261021)
         compared = 0
-        for k in range(40):
-            polygon = jittered_ring(rng, int(rng.integers(3, 65)), float(rng.uniform(0.2, 1.5)), k % 2 == 1)
-            for x in sb.interior_points(polygon, 2, rng):
-                q = sb.build_q(polygon, x)
-                expected, got = outcome(mv_weights_loop, q), outcome(sb.mv_weights, q)
-                if isinstance(expected, str) or isinstance(got, str):
-                    assert got == expected
-                    continue
-                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-                compared += 1
+        with mpmath.workdps(50):
+            for k in range(40):
+                polygon = jittered_ring(rng, int(rng.integers(3, 65)), float(rng.uniform(0.2, 1.5)), k % 2 == 1)
+                for x in sb.interior_points(polygon, 2, rng):
+                    q = sb.build_q(polygon, x)
+                    expected, got = outcome(mv_weights_loop, q), outcome(sb.mv_weights, q)
+                    if isinstance(expected, str) or isinstance(got, str):
+                        assert got == expected
+                        continue
+                    P = [[mpmath.mpf(float(c)) for c in p] for p in q.vertices]
+                    exact = np.array([float(w) for w in mp_mean_value(mpmath, P, q.faces.tolist())])
+                    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+                    compared += 1
         assert compared > 40
 
     def test_hull_has_no_mean_value_weights(self, octant_q):

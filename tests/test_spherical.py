@@ -8,7 +8,9 @@ import pytest
 import sphbary as sb
 from sphbary.errors import (
     AngleDegenerate,
+    DegenerateTriangle,
     ExteriorPoint,
+    FaceThroughPoint,
     NonPositiveDenominator,
     NotConvexForWC,
     ProjectionUndefined,
@@ -16,11 +18,11 @@ from sphbary.errors import (
     ZeroVector,
     single,
 )
-from sphbary.geom import INTERIOR, unit_rows
+from sphbary.geom import INTERIOR, locate_points, unit_rows
 from sphbary.polyhedron import fan_faces, hull_faces, normalized_weights
 from sphbary.spherical import _quotient, evaluate_batch
 
-from conftest import jittered_ring, random_rotation, result_shapes
+from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
 from test_polyhedron import mv_weights_loop, polyhedron_over, wachspress_weights_loop
 
 CENTER = sb.normalize([1, 1, 1])
@@ -573,56 +575,42 @@ def sweep_rows(method, polygon, X) -> tuple[np.ndarray, list]:
     return values, errors
 
 
+def edge_line_points(polygon, gap, rng):
+    """Points on each edge's great circle past either end, by 0.1 ... 1.0
+    times the edge's angle, moved gap off the circle to both sides: the
+    unit directions among them that locate_points calls interior (the
+    circle enters the polygon only past a reflex vertex)."""
+    V, lengths = polygon.vertices, polygon.edge_angles
+    poles = polygon.edge_normals / polygon.edge_sines[:, None]
+    t = rng.uniform(0.1, 1.0, size=(2, polygon.n))
+    phi = np.concatenate([(1.0 + t[0]) * lengths, -t[1] * lengths])[:, None]    # from v_j towards v_{j+1}
+    on_circle = np.cos(phi) * np.vstack([V, V]) + np.sin(phi) * np.vstack([np.cross(poles, V)] * 2)
+    off = np.sin(gap) * np.vstack([poles, poles])
+    X = unit_rows(np.vstack([np.cos(gap) * on_circle + off, np.cos(gap) * on_circle - off]))[0]
+    return X[locate_points(polygon, X).kind == INTERIOR]
+
+
 class TestNearBoundarySweep:
     @pytest.mark.parametrize("method", ["NEW_MV", "NEW_WC", "NEW_MV_CLOSED", "CC_MV", "CC_WC", *Q_ROUTES])
     def test_small_residual_or_named_error(self, method):
-        # Seeded convex and star rings, one point per edge at each gap from
-        # 1e-4 to 1e-13: each row is within 1e-8 of x or a named error.
-        wrong = []
+        # Seeded convex and star rings, at each gap from 1e-4 to 1e-13 one
+        # point per edge that far inside it, and the interior points that
+        # far off each edge's great circle past its ends (at least 1000 in
+        # all, from the star rings): each row is within 1e-8 of x or a
+        # named error.
+        wrong, edge_line = [], 0
         for k in range(20):
-            rng = np.random.default_rng(8300 + k)
+            rng, line_rng = np.random.default_rng(8300 + k), np.random.default_rng(8600 + k)
             polygon = jittered_ring(rng, int(rng.integers(3, 20)), rng.uniform(0.3, 1.4), star=k % 2 == 1)
             for gap in SWEEP_GAPS:
-                X = near_edge_points(polygon, gap, rng)
+                line = edge_line_points(polygon, gap, line_rng)
+                X = np.vstack([near_edge_points(polygon, gap, rng), line])
+                edge_line += len(line)
                 values, errors = sweep_rows(method, polygon, X)
                 residual = np.linalg.norm(values @ polygon.vertices - X, axis=1)
                 wrong += [(k, gap, i, residual[i]) for i, error in enumerate(errors)
                           if not (isinstance(error, SphBaryError) or residual[i] <= 1e-8)]
-        assert wrong == []
-
-
-def mp_cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def mp_dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def mp_mean_value(mp, P, faces):
-    """Mean value weights of the origin in the polyhedron P (lists of mpf
-    rows) with the given faces, face by face as mv_weights_loop sums
-    them."""
-    r = [mp.sqrt(mp_dot(p, p)) for p in P]
-    E = [[c / length for c in p] for p, length in zip(P, r)]
-    spans = {}                      # (a, b), a < b: the unit normal of span(e_a, e_b) and the angle
-
-    def span(a, b):
-        if (min(a, b), max(a, b)) not in spans:
-            cross = mp_cross(E[min(a, b)], E[max(a, b)])
-            size = mp.sqrt(mp_dot(cross, cross))
-            spans[min(a, b), max(a, b)] = [c / size for c in cross], mp.atan2(size, mp_dot(E[a], E[b]))
-        normal, angle = spans[min(a, b), max(a, b)]
-        return (normal if a < b else [-c for c in normal]), angle
-
-    w = [mp.mpf(0)] * len(P)
-    for f in faces:
-        normals, angles = zip(*(span(f[s], f[(s + 1) % 3]) for s in range(3)))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            w[f[i]] += ((angles[j] + angles[i] * mp_dot(normals[i], normals[j])
-                         + angles[k] * mp_dot(normals[k], normals[j])) / (2 * mp_dot(E[f[i]], normals[j])))
-    return [wi / ri for wi, ri in zip(w, r)]
+        assert wrong == [] and edge_line >= 1000
 
 
 def mp_polar_dual(mp, P, faces):
@@ -679,6 +667,20 @@ class TestHighPrecisionOracle:
 
 
 class TestExtendedDomain:
+    @pytest.mark.parametrize("backend, error", [("MV", DegenerateTriangle), ("WC", FaceThroughPoint)])
+    @pytest.mark.parametrize("neighbour", ["repeated", "antipodal"])
+    def test_repeated_or_antipodal_neighbour_is_refused(self, neighbour, backend, error):
+        # The quadrilateral with its last vertex repeated, or with the
+        # antipode of its first appended: a zero edge normal is 0/0 in the
+        # edge tables and in the face gates, and each route raises a named
+        # error, with no RuntimeWarning (an error in this suite) and no NaN.
+        V = sb.demo_quadrilateral().vertices
+        ring, x = np.vstack([V, V[-1:] if neighbour == "repeated" else -V[:1]]), sb.normalize(V.sum(axis=0))
+        with pytest.raises(error):
+            sb.extended_spherical_coords(ring, x, backend)
+        with pytest.raises(error):
+            sb.origin_coords_on_ring(ring, x, backend)
+
     def test_negative_dot_pair(self):
         polygon, x = sb.extended_pair()
         assert float(np.min(polygon.vertices @ x)) < 0.0
@@ -704,3 +706,39 @@ class TestExtendedDomain:
         # the in-plane constraint, so the denominator vanishes identically.
         with pytest.raises(NonPositiveDenominator):
             sb.extended_spherical_coords(ring, x)
+
+
+def lifted(planar, rho):
+    """The planar points (m, 2) at scale rho on the plane z = 1, as unit
+    directions: a cap of radius about rho about the pole."""
+    return unit_rows(np.column_stack([rho * planar, np.ones(len(planar))]))[0]
+
+
+class TestPlanarLimit:
+    def test_wachspress_tends_to_the_classical_one(self):
+        # Seeded convex shapes, n 4..12 (a triangle has one set of
+        # coordinates), affine images of sorted unit-circle angles, lifted
+        # at caps rho = 0.2 / 2^k with 4 interior points scaled along: both
+        # NEW_WC and CC_WC flatten to the planar Wachspress coordinates, so
+        # their gap falls like rho^2, 4x per halving, while NEW_WC stays as
+        # far from NEW_MV as the planar coordinates are apart.
+        for seed, n in enumerate((4, 5, 6, 7, 8, 10, 12)):
+            rng = np.random.default_rng(9100 + seed)
+            A = np.eye(2) + 0.5 * rng.normal(size=(2, 2))
+            A[:, 0] *= np.sign(np.linalg.det(A))                    # anti-clockwise
+            angles = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+            ring = np.column_stack([np.cos(angles), np.sin(angles)]) @ A.T
+            ring -= ring.mean(axis=0)
+            ring /= np.max(np.linalg.norm(ring, axis=1))
+            inner = rng.dirichlet(np.ones(n), size=4) @ ring
+            to_classical, to_mv = [], []
+            for rho in 0.2 * 2.0 ** -np.arange(6):
+                polygon = sb.validate_polygon(lifted(ring, rho))
+                assert polygon.convex
+                X = lifted(inner, rho)
+                wc, cc, mv = (evaluate_batch(polygon, X, m).values for m in ("NEW_WC", "CC_WC", "NEW_MV"))
+                to_classical.append(np.max(np.abs(wc - cc)))
+                to_mv.append(np.max(np.abs(wc - mv)))
+            ratios = np.array(to_classical[:-1]) / np.array(to_classical[1:])
+            assert np.all(np.abs(ratios - 4.0) <= 0.3), (n, ratios)
+            assert min(to_mv) >= 0.5 * to_mv[0], (n, to_mv)
