@@ -9,12 +9,14 @@ gate reads it from there; the fixed guards are the constants UNIT, TINY,
 DENOM and PROJ.
 
 Each primitive is batched once, and the scalar helpers are its m = 1
-calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects and
-:func:`locate_points` classifies an (m, 3) block of directions from the
-(m, n) arrays of :func:`ring_rays`, which it hands on to the interior
-kernels; :func:`validate_polygon` reads their first half,
-:func:`ring_products`, of the ring seen from its own vertices; what they
-read of the ring alone is cached with it.  Dot and cross products go
+calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects (the
+polygon's cached image at its witness too) and :func:`locate_points`
+classifies an (m, 3) block of directions from the (m, n) arrays of
+:func:`ring_rays`, which it hands on to the interior kernels;
+:func:`validate_polygon` reads their first half, :func:`ring_products`, of
+the ring seen from its own vertices and from the one witness that
+:func:`find_hemisphere_witness` finds; what they read of the ring alone is
+cached with it.  Dot and cross products go
 through :func:`dot3` and :func:`cross3`, which add the products in a fixed
 order instead of calling BLAS, so a row's bits depend neither on BLAS nor
 on its batch.
@@ -176,14 +178,6 @@ def gnomonic_images(V: np.ndarray, X: np.ndarray, dots: np.ndarray) -> tuple[np.
     with np.errstate(divide="ignore", invalid="ignore"):
         images = V / dots[..., None] - X[:, None, :]
     return np.stack([B1, B2], axis=1), np.stack([dot3(images, B1[:, None, :]), dot3(images, B2[:, None, :])], axis=-1)
-
-
-def gnomonic_image(vertices: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tangent basis (2, 3) at the unit `center` (3,) and the (n, 2)
-    planar coordinates of the vertices' gnomonic images in it: the m = 1
-    call of :func:`gnomonic_images`."""
-    bases, points2d = gnomonic_images(vertices, center[None], dot3(center, vertices)[None])
-    return bases[0], points2d[0]
 
 
 class Rays(NamedTuple):
@@ -400,9 +394,10 @@ class SphericalPolygon(Ring):
     @cached_property
     def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gnomonic image at the witness that grids and samples are drawn over: the
-        tangent basis (2, 3), the (n, 2) planar vertices and their bounding box lo, hi (2,)."""
-        basis, planar = gnomonic_image(self.vertices, self.witness)
-        return basis, planar, planar.min(axis=0), planar.max(axis=0)
+        tangent basis (2, 3), the (n, 2) planar vertices and their bounding box lo, hi (2,): the
+        m = 1 call of :func:`gnomonic_images`."""
+        bases, planar = gnomonic_images(self.vertices, self.witness[None], dot3(self.witness, self.vertices)[None])
+        return bases[0], planar[0], planar[0].min(axis=0), planar[0].max(axis=0)
 
 
 class Triangulation(NamedTuple):
@@ -475,69 +470,53 @@ class Triangulation(NamedTuple):
         return seen[:, self.own] & ~seen[:, self.across]
 
 
-def _min_norm_direction(vertices: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Best hemisphere witness via the nearest point of the vertex hull.
+def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:
+    """Direction w with <w, v_i> > 0 for every unit row v_i, or NotInHemisphere.
 
-    The direction of the minimum-norm point w* of conv{v_i} satisfies
-    <w*/||w*||, v_i> >= ||w*|| for every i, so it certifies an open
-    hemisphere whenever w* != 0.  w* lies on a face of the hull spanned by
-    at most three vertices, so enumerating singles, pairs and triples is an
-    exact search.  Candidates are evaluated as arrays, singles first, then
-    pairs and then triples in lexicographic order, the triples one first
-    vertex at a time to keep memory at O(n^3) per block; the first
-    candidate with the largest margin min_i <w, v_i> wins.
-    """
-    V = vertices
-    n = len(V)
-    best_w, best_margin = None, -np.inf
+    The normalized vertex sum when it certifies; else the direction of the
+    minimum-norm point w* of conv{v_i}, which satisfies <w*/||w*||, v_i> >=
+    ||w*|| for every i and so certifies an open hemisphere whenever w* != 0.
+    w* lies on a face of the hull spanned by at most three vertices: the
+    candidates are the vertices, the pair sums v_i + v_j (a chord between
+    unit rows is nearest the origin at its midpoint), then the feet of the
+    origin inside the triangles, lexicographically, one first vertex (O(n^2)
+    candidates) at a time.  The first with the largest margin
+    min_i <w, v_i> wins, if that margin is positive."""
+    V, n = vertices, len(vertices)
+    s = V.sum(axis=0)
+    ns = np.sqrt(dot3(s, s))                 # a sum of n unit rows: no overflow screen
+    if ns > TINY:
+        w = s / ns
+        if dot3(V, w).min() > 0.0:
+            return w
 
-    def consider(W):
-        nonlocal best_w, best_margin
+    def candidates():
+        yield V
+        i, j = np.triu_indices(n, 1)
+        yield V[i] + V[j]
+        for i in range(n - 2):
+            j, k = np.triu_indices(n - i - 1, 1)
+            a, u, v = V[i], V[j + i + 1] - V[i], V[k + i + 1] - V[i]
+            g00, g01, g11 = dot3(u, u), dot3(u, v), dot3(v, v)
+            r0, r1 = -dot3(a, u), -dot3(a, v)
+            det = g00 * g11 - g01 * g01
+            with np.errstate(divide="ignore", invalid="ignore"):   # s + t is inf - inf on a repeated vertex
+                s = (r0 * g11 - r1 * g01) / det
+                t = (r1 * g00 - r0 * g01) / det
+                keep = (np.abs(det) > 1e-28) & (s > 0.0) & (t > 0.0) & (s + t < 1.0)
+            yield a + s[keep, None] * u[keep] + t[keep, None] * v[keep]
+
+    best_w, best_margin = None, 0.0
+    for W in candidates():
         W, short = unit_rows(W)
         W = W[~short]
         margins = np.min(dot3(W[:, None, :], V), axis=1)
         if len(W) and margins.max() > best_margin:
             k = int(np.argmax(margins))
             best_w, best_margin = W[k], float(margins[k])
-
-    consider(V)
-    i, j = np.triu_indices(n, 1)
-    a, d = V[i], V[j] - V[i]
-    dd = dot3(d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -dot3(a, d) / dd
-    keep = (dd > 1e-28) & (0.0 < t) & (t < 1.0)
-    consider(a[keep] + t[keep, None] * d[keep])
-    for i in range(n - 2):
-        j, k = np.triu_indices(n - i - 1, 1)
-        a, u, v = V[i], V[j + i + 1] - V[i], V[k + i + 1] - V[i]
-        g00, g01, g11 = dot3(u, u), dot3(u, v), dot3(v, v)
-        r0, r1 = -dot3(a, u), -dot3(a, v)
-        det = g00 * g11 - g01 * g01
-        with np.errstate(divide="ignore", invalid="ignore"):       # s + t is inf - inf on a repeated vertex
-            s = (r0 * g11 - r1 * g01) / det
-            t = (r1 * g00 - r0 * g01) / det
-            keep = (np.abs(det) > 1e-28) & (s > 0.0) & (t > 0.0) & (s + t < 1.0)
-        consider(a + s[keep, None] * u[keep] + t[keep, None] * v[keep])
-    return best_w, best_margin
-
-
-def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:
-    """Direction w with <w, v_i> > 0 for all rows, or NotInHemisphere.
-
-    Fast path: the normalized vertex sum.  Fallback: exact min-norm-point
-    search over the vertex hull.
-    """
-    s = vertices.sum(axis=0)
-    ns = np.sqrt(dot3(s, s))                 # a sum of n unit rows: no overflow screen
-    if ns > TINY:
-        w = s / ns
-        if dot3(vertices, w).min() > 0.0:
-            return w
-    w, margin = _min_norm_direction(vertices)
-    if w is None or margin <= 0.0:
+    if best_w is None:
         raise NotInHemisphere("vertices admit no open hemisphere")
-    return w
+    return best_w
 
 
 def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPolygon:
@@ -549,12 +528,7 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     (also when the angle band is at least half the shortest edge),
     NotInHemisphere, SelfIntersecting or WrongOrientation.
     """
-    raw = np.asarray(raw_vertices, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 3:
-        raise TooFewVertices("expected an (n, 3) array of vertices")
-    if len(raw) < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {len(raw)}")
-    vertices = unit_vertices(raw)
+    vertices = unit_vertices(raw_vertices)
 
     # Hemisphere first: a ring containing an antipodal pair has no witness,
     # and that is the more informative failure than the degenerate edge.
@@ -689,12 +663,18 @@ def unit_row(x) -> np.ndarray:
 
 
 def unit_vertices(raw) -> np.ndarray:
-    """The rows of a raw ring as unit rows, by one :func:`unit_rows` call;
-    ZeroVector naming the first row that cannot be normalized."""
+    """The rows of a raw ring, an (n, 3) array with n >= 3 (TooFewVertices
+    otherwise), as unit rows, by one :func:`unit_rows` call; ZeroVector
+    naming the first row that cannot be normalized."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != 3:
+        raise TooFewVertices("expected an (n, 3) array of vertices")
+    if len(raw) < 3:
+        raise TooFewVertices(f"need at least 3 vertices, got {len(raw)}")
     V, short = unit_rows(raw)
     if short.any():
         k = int(np.argmax(short))
-        raise ZeroVector(f"vertex {k}: {zero_vector(np.asarray(raw, dtype=float).reshape(-1, 3)[k])}")
+        raise ZeroVector(f"vertex {k}: {zero_vector(raw[k])}")
     return V
 
 

@@ -34,7 +34,9 @@ ExteriorPoint for all) and calls the method's interior kernel, looked up
 in :data:`KERNELS`, once on the interior rows X: kernel(polygon, X, rays,
 errors), with those rows of the rays point location read
 (:class:`sphbary.geom.Rays`), so no kernel crosses x with the ring again
-and its 1/tau terms read the tau the interior decision read.  The
+and its 1/tau terms read the tau the interior decision read.  NEW_WC's
+kernel needs the convex hull over a convex polygon: on a non-convex one it
+refuses every interior row, and only those, with NotConvexForWC.  The
 kernels are numpy code over the whole block, with no loop over its rows.
 A kernel records per row, in `errors`, the error the single-point call
 raises (see :func:`sphbary.errors.refuse`), so one failing row leaves the
@@ -210,7 +212,11 @@ def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they are taken on
-    # the hull of [v_1..v_n, x, -x], strictly.
+    # the hull of [v_1..v_n, x, -x], strictly, and only over a convex polygon.
+    if not polygon.convex:
+        refuse(errors, np.ones(len(X), bool), lambda _: NotConvexForWC(
+            "the polar-dual backend requires a convex polygon"))
+        return np.full((len(X), polygon.n), np.nan), np.full(len(X), np.nan)
     w, reflex = hull_wc(polygon, X, rays, errors)
     refuse_reflex(errors, reflex)
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
@@ -239,15 +245,14 @@ class Method(NamedTuple):
 
     kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (values, denominators)
     boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
-    convex_only: bool    # NotConvexForWC on a non-convex polygon
 
 
 KERNELS = {
-    "NEW_MV": Method(_mean_value, True, False),
-    "NEW_WC": Method(_polar_dual, True, True),
-    "NEW_MV_CLOSED": Method(_closed_form, True, False),
-    "CC_MV": Method(partial(_tangent, wachspress=False), False, False),
-    "CC_WC": Method(partial(_tangent, wachspress=True), False, False),
+    "NEW_MV": Method(_mean_value, True),
+    "NEW_WC": Method(_polar_dual, True),
+    "NEW_MV_CLOSED": Method(_closed_form, True),
+    "CC_MV": Method(partial(_tangent, wachspress=False), False),
+    "CC_WC": Method(partial(_tangent, wachspress=True), False),
 }
 METHODS = tuple(KERNELS)
 
@@ -293,10 +298,7 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     if method not in KERNELS:
         refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
         return Evaluations(method, locations, values, denom, errors)
-    kernel, boundary, convex_only = KERNELS[method]
-    if convex_only and not polygon.convex:
-        refuse(errors, ~short, lambda _: NotConvexForWC("the polar-dual backend requires a convex polygon"))
-        return Evaluations(method, locations, values, denom, errors)
+    kernel, boundary = KERNELS[method]
     kind, exterior = locations.kind, ExteriorPoint("x lies outside the polygon")
     refuse(errors, kind == EXTERIOR, lambda _: exterior)     # one message: the rows share it
     on_boundary = (kind == VERTEX) | (kind == EDGE)
@@ -331,7 +333,7 @@ def evaluate(polygon: SphericalPolygon, x, method: str) -> CoordinateVector:
 def spherical_coords(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:
     """Spherical barycentric coordinates of x with the given backend:
     "MV" (mean value, any simple polygon) or "WC" (rational polar-dual
-    weights, convex polygons only); the NEW_MV and NEW_WC methods of
+    weights, inside convex polygons only); the NEW_MV and NEW_WC methods of
     :func:`evaluate`."""
     return evaluate(polygon, x, "NEW_" + backend)
 

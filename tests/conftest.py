@@ -81,7 +81,7 @@ def planar_verdict(raw) -> str | None:
     or of an edge it is not an end of; None when the ring is valid."""
     V = sb.geom.unit_vertices(raw)
     polygon = sb.SphericalPolygon(vertices=V, witness=sb.geom.find_hemisphere_witness(V))
-    _, planar = sb.geom.gnomonic_image(V, polygon.witness)
+    _, planar, _, _ = polygon.witness_image
     if segments_cross(planar):
         return "SelfIntersecting"
     nxt = np.roll(planar, -1, axis=0)

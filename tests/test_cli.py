@@ -118,7 +118,7 @@ def assert_usage_error(argv, capsys):
 
 
 class TestUnparseableInput:
-    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf", "abc"])
     def test_tol_must_be_positive_and_finite(self, eps, capsys):
         assert_usage_error(["--tol", eps, "validate", str(DATA_DIR / "demo_quad.json")], capsys)
 
@@ -131,7 +131,8 @@ class TestUnparseableInput:
         # A NaN band matches no value; it is refused as --tol refuses NaN.
         assert_usage_error(["grid", octant_file, "--resolution", "8", "--levels", levels], capsys)
 
-    @pytest.mark.parametrize("point", [["nan", "1", "1"], ["1", "inf", "1"], ["0", "NaN", "-1"], ["1e400", "0", "1"]])
+    @pytest.mark.parametrize("point", [["nan", "1", "1"], ["1", "inf", "1"], ["0", "NaN", "-1"], ["1e400", "0", "1"],
+                                       ["x", "0", "1"]])
     @pytest.mark.parametrize("command", [["coords"], ["oracle"], ["--extended", "coords"]], ids=" ".join)
     def test_point_must_be_finite(self, octant_file, command, point, capsys):
         assert_usage_error([*command, octant_file, "--point", *point], capsys)
@@ -210,6 +211,20 @@ class TestExtendedFlag:
         assert main(["--extended", "coords", path, "--point", "0", "0", "1"]) == 1
         assert "NonPositiveDenominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertices, code", [("[]", 1), ("[[1, 0, 0]]", 1), ("[[1, 0, 0], [0, 1, 0]]", 1),
+                                                ("[1, 0, 0, 0, 1, 0]", 2)], ids=["empty", "one", "two", "flat"])
+    def test_fewer_than_three_vertices(self, tmp_path, vertices, code, capsys):
+        # As validate answers: TooFewVertices, or a usage error when the
+        # file's vertices are not rows of three.
+        path = tmp_path / "few.json"
+        path.write_text('{"vertices": %s}\n' % vertices)
+        for argv in (["validate", str(path)], ["--extended", "coords", str(path), "--point", "0", "0", "1"]):
+            if code == 2:
+                assert_usage_error(argv, capsys)
+            else:
+                assert main(argv) == 1
+                assert "error: TooFewVertices" in capsys.readouterr().err
+
     def test_extended_limited_to_new_mv(self, octant_file, capsys):
         code = main(["--extended", "coords", octant_file, "--point", "1", "1", "1",
                      "--method", "CC_MV"])
@@ -224,6 +239,16 @@ class TestGrid:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 257
+
+    def test_vertex_out_of_range_usage_error(self, octant_file, capsys):
+        assert main(["grid", octant_file, "--vertex", "99"]) == 2
+        assert "out of range for n=3" in capsys.readouterr().err
+
+    def test_stdout_without_output(self, octant_file, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        assert main(["grid", octant_file, "--output", str(path)]) == 0
+        assert main(["grid", octant_file]) == 0
+        assert capsys.readouterr().out == path.read_text()
 
     def test_low_resolution_usage_error(self, octant_file):
         with pytest.raises(SystemExit) as exc:
@@ -308,6 +333,16 @@ class TestRandom:
 
     def test_usage_error_small_n(self, capsys):
         assert main(["random", "--n", "2", "--seed", "1"]) == 2
+
+    def test_usage_error_rho(self, capsys):
+        assert main(["random", "--n", "5", "--rho", "2"]) == 2
+        assert "rho must be in (0, pi/2)" in capsys.readouterr().err
+
+    def test_stdout_without_output(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["random", "--n", "5", "--seed", "3", "--output", str(path)]) == 0
+        assert main(["random", "--n", "5", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == path.read_text()
 
     def test_nonconvex_flag(self, tmp_path, capsys):
         path = tmp_path / "nc.json"

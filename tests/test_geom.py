@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    Ring, Triangulation, _min_norm_direction, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
+    Ring, Triangulation, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
 
@@ -270,12 +270,16 @@ class TestWitnessSearch:
 
     def test_repeated_vertex_raises_no_warning(self):
         # Two vertices 6e-11 apart make a triple's Cramer quotients +-inf;
-        # the search skips that triple without a RuntimeWarning.
+        # the search skips that triple without a RuntimeWarning.  The
+        # vertex q, twice, pulls the vertex sum off v_1, so the search runs.
         V = np.array([[0.5240543186347093, 0.33610892214468036, 0.7825585368360963],
                       [0.8939632681781616, -0.413478570137658, 0.17281535575618978],
                       [0.8939632681917039, -0.4134785701346866, 0.17281535569324483]])
-        w, margin = _min_norm_direction(V)
-        assert margin > 0.0 and np.all(V @ w > 0.0)
+        q = sb.normalize(0.3 * sb.normalize(V[0] + V[1]) - V[1])
+        ring = np.concatenate([V, [q, q]])
+        assert np.min(ring @ sb.normalize(ring.sum(axis=0))) <= 0.0
+        w = find_hemisphere_witness(ring)
+        assert np.all(ring @ w > 0.0)
 
     def test_no_witness_for_spread_ring(self):
         azim = np.linspace(0, 2 * np.pi, 6, endpoint=False)
@@ -309,14 +313,7 @@ def min_norm_direction_loop(vertices):
         consider(vertices[i])
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = vertices[i], vertices[j]
-            d = b - a
-            dd = dot(d, d)
-            if dd <= 1e-28:
-                continue
-            t = -dot(a, d) / dd
-            if 0.0 < t < 1.0:
-                consider(a + t * d)
+            consider(vertices[i] + vertices[j])     # the chord's midpoint, scaled by 2
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -350,12 +347,12 @@ class TestWitnessFallback:
             ring = lopsided_star_ring(rng, n)
             s = sb.normalize(ring.sum(axis=0))
             assert np.min(ring @ s) <= 0.0            # the fast path fails
-            w, margin = _min_norm_direction(ring)
+            w = find_hemisphere_witness(ring)
+            margin = float(np.min(sb.geom.dot3(ring, w)))
             w_loop, margin_loop = min_norm_direction_loop(ring)
             assert margin > 0.0
             assert np.max(np.abs(w - w_loop)) <= 1e-15
             assert abs(margin - margin_loop) <= 1e-15
-            np.testing.assert_array_equal(find_hemisphere_witness(ring), w)
 
 
 def delaunay_loop(polygon) -> set:

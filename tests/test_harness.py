@@ -90,6 +90,15 @@ class TestRandomPolygon:
         with pytest.raises(GenerationFailed):
             sb.random_polygon(5, 2.0, seed=1)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(GenerationFailed, match="unknown mode 'x'"):
+            sb.random_polygon(5, 0.8, seed=1, mode="x")
+
+    def test_gives_up_after_max_tries(self):
+        # A triangle never has a reflex vertex.
+        with pytest.raises(GenerationFailed, match="after 1000 tries"):
+            sb.random_polygon(3, 0.5, seed=1, mode="nonconvex")
+
     def test_vertices_within_cap(self):
         rho = 0.7
         polygon = sb.random_polygon(8, rho, seed=13)
@@ -102,7 +111,7 @@ def interior_points_loop(polygon, count, rng):
     """The sampler one candidate at a time: a Dirichlet combination of the
     gnomonic vertex images (convex) or a uniform point of their bounding
     box, lifted to the sphere and kept when located interior."""
-    (b1, b2), planar = sb.geom.gnomonic_image(polygon.vertices, polygon.witness)
+    (b1, b2), planar, _, _ = polygon.witness_image
     out = []
     while len(out) < count:
         if polygon.convex:
@@ -164,13 +173,13 @@ class TestGrid:
         # Grids, comparisons and interior samples all read the gnomonic image
         # at the witness that the polygon caches.
         polygon = sb.random_polygon(9, 1.0, seed=5)
-        counts = [count_calls(monkeypatch, f) for f in (sb.geom.gnomonic_image, sb.geom.gnomonic_images)]
+        count = count_calls(monkeypatch, sb.geom.gnomonic_images)
         sb.grid_rows(polygon, 0, 8, "NEW_MV")
-        assert [c[0] for c in counts] == [1, 1]
+        assert count[0] == 1
         sb.grid_rows(polygon, 1, 12, "NEW_MV_CLOSED")
         sb.compare_methods(polygon, "NEW_MV", "NEW_WC", 6)
         assert len(sb.interior_points(polygon, 5, rng)) == 5
-        assert [c[0] for c in counts] == [1, 1]
+        assert count[0] == 1
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_one_locate_per_grid_point(self, method, locate_calls):
@@ -231,6 +240,9 @@ class TestGrid:
         assert _band_index(0.095, sb.DEFAULT_BANDS) == 0
         assert _band_index(0.295, sb.DEFAULT_BANDS) == 4
         assert _band_index(0.5, sb.DEFAULT_BANDS) == -1
+
+    def test_no_bands(self):
+        assert _band_index([0.1, 0.5], ()).tolist() == [-1, -1]
 
 
 class TestCompare:

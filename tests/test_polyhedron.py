@@ -65,6 +65,19 @@ class TestBuildQ:
         with pytest.raises(NotInterior):
             sb.build_q(sb.octant_triangle(), sb.normalize([-1, -1, -1]))
 
+    def test_ring_x_and_band(self, octant_q):
+        assert octant_q.n == 3 and octant_q.tol is sb.DEFAULT_TOL
+        np.testing.assert_array_equal(octant_q.x, CENTER)
+
+
+@pytest.mark.parametrize("backend", ["MV", "WC"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_x_or_its_antipode_on_a_vertex_of_the_raw_ring(sign, backend):
+    # The fan kernels' own vertex check: the raw ring skips point location.
+    quad = sb.demo_quadrilateral().vertices
+    with pytest.raises(PointOnVertexOrAntipode, match="x or -x coincides with vertex 0"):
+        sb.origin_coords_on_ring(quad, sign * quad[0], backend)
+
 
 class TestHull:
     def test_matches_scipy_convex_hull(self):

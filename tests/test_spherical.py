@@ -15,6 +15,7 @@ from sphbary.errors import (
     NotConvexForWC,
     ProjectionUndefined,
     SphBaryError,
+    TooFewVertices,
     ZeroVector,
     single,
 )
@@ -251,6 +252,21 @@ class TestContracts:
         with pytest.raises(NotConvexForWC):
             sb.spherical_coords(polygon, x, "WC")
 
+    def test_wc_answers_the_boundary_and_exterior_of_a_nonconvex_polygon(self, rng):
+        # Only the interior needs the convex hull: at the vertices and on the
+        # edges NEW_WC gives NEW_MV's values, outside it raises ExteriorPoint.
+        polygon = sb.random_polygon(6, 0.9, seed=3, mode="nonconvex")
+        x = sb.interior_points(polygon, 1, rng)[0]
+        for j in range(polygon.n):
+            for p in (polygon.vertices[j], edge_point(polygon, j, 0.5)):
+                wc, mv = sb.evaluate(polygon, p, "NEW_WC"), sb.evaluate(polygon, p, "NEW_MV")
+                assert wc.location == mv.location and wc.location.kind in ("vertex", "edge")
+                np.testing.assert_array_equal(wc.values, mv.values)
+        with pytest.raises(ExteriorPoint):
+            sb.evaluate(polygon, -x, "NEW_WC")
+        with pytest.raises(NotConvexForWC):
+            sb.evaluate(polygon, x, "NEW_WC")
+
     def test_mv_on_nonconvex_polygons_matches_closed_and_classical(self):
         # The two spherical mean value coordinates coincide on non-convex
         # polygons too: NEW_MV answers at every interior point, reproduces
@@ -389,7 +405,10 @@ class TestBatchInvariance:
                 if poly.convex:
                     assert any(e is None for e in batch.errors)
                 elif method == "NEW_WC":
-                    assert {e.name for e in batch.errors} == {"ZeroVector", "NotConvexForWC"}
+                    # Only the interior is refused; every other row as NEW_MV answers it.
+                    mv, interior = evaluate_batch(poly, X, "NEW_MV"), batch.locations.kind == INTERIOR
+                    assert all(batch.errors[i].name == "NotConvexForWC" if interior[i]
+                               else row_outcome(batch, i) == row_outcome(mv, i) for i in range(len(X)))
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_one_ray_pass(self, method, monkeypatch):
@@ -680,6 +699,16 @@ class TestExtendedDomain:
             sb.extended_spherical_coords(ring, x, backend)
         with pytest.raises(error):
             sb.origin_coords_on_ring(ring, x, backend)
+
+    @pytest.mark.parametrize("backend", ["MV", "WC"])
+    @pytest.mark.parametrize("ring", [[], [[1, 0, 0]], [[1, 0, 0], [0, 1, 0]], [1, 0, 0, 0, 1, 0]],
+                             ids=["empty", "one", "two", "flat"])
+    def test_fewer_than_three_rows_are_too_few_vertices(self, ring, backend):
+        # Validation's shape checks: an (n, 3) array with n >= 3.
+        with pytest.raises(TooFewVertices):
+            sb.extended_spherical_coords(ring, [0, 0, 1], backend)
+        with pytest.raises(TooFewVertices):
+            sb.origin_coords_on_ring(ring, [0, 0, 1], backend)
 
     def test_negative_dot_pair(self):
         polygon, x = sb.extended_pair()
