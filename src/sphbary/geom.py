@@ -418,10 +418,12 @@ class Triangulation(NamedTuple):
     cross: np.ndarray       # (3n-6, 3) v_tail x v_head
     cosines: np.ndarray     # (3n-6,) <v_tail, v_head>
     rim: np.ndarray         # (n,) the triangle on the ring edge from v_i to v_{i+1}
-    ends: np.ndarray        # (n-3, 2) the ends p, q of each edge between two triangles,
-    sides: np.ndarray       # (n-3, 2) the triangles left and right of p -> q,
+    halves: np.ndarray      # (n-3, 2) the half-edges p -> q and q -> p of each edge between two triangles,
+    sides: np.ndarray       # (n-3, 2) and their triangles, left and right of p -> q,
     kappa: np.ndarray       # (n-3,) its polar-dual term when both are on the hull,
-    reflex: np.ndarray      # (n-3,) and whether an apex lies more than the band in front of the plane across
+    reflex: np.ndarray      # (n-3,) and whether an apex lies more than the band in front of the plane across;
+    star: np.ndarray        # (3n-6,) per vertex in ring order, 0 and then 1 + each such edge at it,
+    starts: np.ndarray      # (n,) where each vertex's run in star begins
 
     @classmethod
     def of(cls, V: np.ndarray, triangles: np.ndarray, tol: Tolerances) -> "Triangulation":
@@ -454,14 +456,18 @@ class Triangulation(NamedTuple):
         height = dot3(normals[both // 3], apex - a[both // 3])
         planes = offsets * sizes
         sides = both.reshape(2, -1).T // 3
+        at = np.concatenate([i, tail[h], head[h]])
+        order = np.argsort(at, kind="stable")
         return cls(
             triangles=triangles, normals=np.ascontiguousarray(np.concatenate([normals, np.zeros((1, 3))]).T)[:, None],
             offsets=np.concatenate([offsets, [np.inf]]), sizes=np.concatenate([sizes, [0.0]]), own=e // 3,
             across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head, cross=cross, cosines=cosines,
-            rim=lookup[i, j] // 3, ends=np.column_stack([tail[h], head[h]]), sides=sides,
+            rim=lookup[i, j] // 3, halves=both.reshape(2, -1).T, sides=sides,
             kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0)
             / (planes[sides[:, 0]] * planes[sides[:, 1]]),
-            reflex=(height > tol.geom).reshape(2, -1).any(axis=0))
+            reflex=(height > tol.geom).reshape(2, -1).any(axis=0),
+            star=np.concatenate([np.zeros(n, np.intp), np.tile(np.arange(1, n - 2), 2)])[order],
+            starts=np.searchsorted(at[order], i))
 
     def outline(self, seen: np.ndarray) -> np.ndarray:
         """Half-edges (m, 3n-6) from a seen triangle to an unseen one or to

@@ -12,15 +12,15 @@ lower fan and the polygon's Delaunay triangulation with x inserted
 Each face holds x or -x or is a triangle of the cached triangulation, so
 the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
 (:class:`sphbary.geom.Rays`) and tables cached with the ring, by one
-kernel per backend and shape, kernel(ring, X, rays, errors) on m unit rows:
-mean value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers
-2005), whose ring weights and w_{-x} - w_x are NEW_MV_CLOSED's terms
-(:func:`mean_value_ring`), and polar-dual weights on the hull and on the
-fan, :func:`hull_wc` and :func:`fan_wc` (Warren, Schaefer, Hirani &
-Desbrun 2007), which also return the rows with a reflex edge.  Each
+kernel per backend, kernel(ring, X, rays, errors) on m unit rows: mean
+value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers 2005),
+whose ring weights and w_{-x} - w_x are NEW_MV_CLOSED's terms
+(:func:`mean_value_ring`), and polar-dual weights, :func:`polar_dual`
+(Warren, Schaefer, Hirani & Desbrun 2007), on the fan and, patched where
+x's cavity in the triangulation makes the two differ, on the hull.  Each
 returns raw weights w (m, n+2) with sum(w_i * p_i) = 0, and records
 per-row errors (see :func:`sphbary.errors.refuse`).  NEW_MV and NEW_WC
-run fan_mv and hull_wc on a block of directions; :func:`mv_weights`,
+run fan_mv and polar_dual on a block of directions; :func:`mv_weights`,
 :func:`wachspress_weights`, :func:`is_convex` and :func:`coords_at_origin`
 run the same kernels on one PolyhedronQ, m = 1, and raise the errors, as
 does the extended mode on the fan over an unvalidated
@@ -148,19 +148,24 @@ def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     unit rows of X over a convex polygon: rho (m, n-1), <normal, x> of each
     triangle plane (and 0 below the ring); seen (m, n-1), the triangles x
     lies more than the polygon's band (the one the triangulation was built
-    with) in front of; outline (m, 3n-6), the half-edges from a seen
-    triangle to an unseen one or to the side below.  The seen triangles are
-    one edge-connected disc, bounded by its ring vertices in ring order,
-    exactly when there are two more outline half-edges than seen
-    triangles; other rows: NotConvex."""
+    with) in front of; and, unless x sees every triangle on every row (the
+    outline is then the ring), sides (m, n-3, 2), seen of the triangles
+    left and right of each edge between two.  The seen triangles are one
+    edge-connected disc, bounded by its ring vertices in ring order, exactly
+    when one fewer such edge than seen triangles joins two seen ones (then
+    the outline, from a seen triangle to an unseen one or to the side
+    below, has two more half-edges than seen triangles); other rows:
+    NotConvex."""
     d = polygon.delaunay
     p = X.T[:, :, None] * d.normals                    # (3, m, n-1), added in dot3's order
     rho = p[0] + p[1] + p[2]
     seen = rho > d.offsets + polygon.tol.geom
-    outline = d.outline(seen)
-    refuse(errors, outline.sum(axis=1) != seen.sum(axis=1) + 2, lambda _: NotConvex(
+    if seen[:, :-1].all():
+        return rho, seen, None
+    sides = seen[:, d.sides]
+    refuse(errors, sides.all(axis=2).sum(axis=1) != seen.sum(axis=1) - 1, lambda _: NotConvex(
         "x does not see a disc of the polygon's triangles"))
-    return rho, seen, outline
+    return rho, seen, sides
 
 
 def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.ndarray:
@@ -169,11 +174,10 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
     the projection from -x keeps the ring convex around x, the Delaunay
     triangles x does not see, and x joined to each outline half-edge of
     the ones it sees (see :func:`hull_cavity`)."""
-    n, d = polygon.n, polygon.delaunay
-    _, seen, outline = hull_cavity(polygon, X, errors)
+    n, d, seen = polygon.n, polygon.delaunay, hull_cavity(polygon, X, errors)[1]
     faces = np.concatenate([d.triangles, np.column_stack([np.full(3 * n - 6, n), d.tail, d.head]),
                             np.column_stack([np.full(n, n + 1), np.arange(1, n + 1) % n, np.arange(n)])])
-    drop = np.concatenate([seen[:, :-1], ~outline, np.zeros((len(X), n), bool)], axis=1)
+    drop = np.concatenate([seen[:, :-1], ~d.outline(seen), np.zeros((len(X), n), bool)], axis=1)
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
@@ -246,107 +250,94 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
 # have tau_i, so near the edge all the terms that grow like 1 / tau_i
 # cancel in the quotient.
 
-def _lower_fan(ring: Ring, X: np.ndarray, rays: Rays, through: np.ndarray, errors: list):
-    """The lower fan (-x, v_{i+1}, v_i), which the fan and the hull share:
-    rows where one of its face planes or another (`through`, (m,)) passes
-    within UNIT of the origin are refused with FaceThroughPoint; returns the
-    terms of the spokes of -x (m, n), the rows where one is reflex (m,) and
-    the sizes of the lower normals (m, n).  Call under np.errstate."""
-    c, tau = rays.c, rays.tau
-    lower = c - roll1(c, -1) - ring.edge_normals
-    size_low = np.sqrt(dot3(lower, lower))
-    refuse(errors, ~(tau / size_low > UNIT).all(axis=1) | through,
-           lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
-    # Spokes of -x: (-x, v_i, v_{i-1}) on the left, (v_i, -x, v_{i+1}) on the
-    # right; vol from the base v_i, with its short edges to v_{i-1} and
-    # v_{i+1} crossed once per ring.
-    p = (ring.products_table[:, :, :ring.n] + X.T[:, :, None]) * ring.turns     # (3, m, n), as in hull_cavity
-    vol = p[0] + p[1] + p[2]
-    spoke = -vol * (1.0 + rays.cos) / (roll1(tau, 1) * tau)
-    reflex = (vol > ring.tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
-    return spoke, reflex, size_low
-
-
-def fan_wc(ring: Ring, X: np.ndarray, rays: Rays, errors: list):
-    """Polar-dual weights of the origin in the fan (m, n+2), and the rows
-    (m,) with a reflex edge.  Ring edge i, between the upper face
-    (v_i, v_{i+1}, x) and the lower one (v_{i+1}, v_i, -x), has vol =
-    -2 tau_i and adds 2 (1 - <v_i, v_{i+1}>) / tau_i; the spoke x -> v_i,
-    between the upper faces (x, v_i, v_{i+1}) and (v_i, x, v_{i-1}), adds
-    vol (<x, v_i> - 1) / (tau_{i-1} tau_i); the spokes of -x are those of
-    the hull."""
-    c, tau, tol = rays.c, rays.tau, ring.tol
+def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool = False):
+    """Polar-dual weights of the origin (m, n+2) in the fan, or with
+    hull=True in the convex hull over a convex polygon, and the rows (m,)
+    with a reflex edge (on the hull, also where the polygon's band decided
+    the triangulation or x's cavity).  The hull is the lower fan, the
+    Delaunay triangles x does not see and a face (x, a, b) on each outline
+    half-edge a -> b of the ones it sees (see :func:`hull_cavity`): the
+    fan, where x sees every triangle.  Elsewhere the fan's entries are
+    patched where the hull differs: x's face on a chord a -> b of the
+    outline replaces the fan's face out of v_a, and the spokes of x at a
+    and b read it; a ring edge under a triangle x does not see takes that
+    triangle's term; a vertex off the outline has no spoke of x; and each
+    chord and each edge between two unseen triangles adds its term to its
+    ends."""
+    n, tol, V, c, tau = ring.n, ring.tol, ring.vertices, rays.c, rays.tau
     ray_sines(ring, rays, _on_vertex, errors)
-    x = X[:, None, :]
-    upper = ring.edge_normals + c - roll1(c, -1)            # (v_i - x) x (v_{i+1} - x)
-    size_up = np.sqrt(dot3(upper, upper))
+    rho, seen, sides = hull_cavity(ring, X, errors) if hull else (None, None, None)
+    patched = sides is not None
+    # Slot i: x's face on the outline half-edge out of v_i, its t, normal
+    # (v_i - x) x (v_j - x) and size, and the t and size of the one into
+    # v_i (in the fan, on ring edges i and i-1); and the lower normals.
+    after = roll1(c, -1)
+    upper = ring.edge_normals + c - after
+    lower = c - after - ring.edge_normals
+    size_up, size_low = np.sqrt(dot3(upper, upper)), np.sqrt(dot3(lower, lower))
+    del after, lower
+    t, t_in, size_in, gap = tau, roll1(tau, 1), roll1(size_up, 1), 1.0 - ring.edge_cosines
     with np.errstate(divide="ignore", invalid="ignore"):
-        spoke_low, reflex, size_low = _lower_fan(ring, X, rays, ~(tau / size_up > UNIT).all(axis=1), errors)
-        vol = dot3(upper, np.roll(ring.vertices, 1, axis=0) - x)
-        spoke_up = vol * (rays.cos - 1.0) / (roll1(tau, 1) * tau)
-        edge = 2.0 * (1.0 - ring.edge_cosines) / tau
-        reflex |= ((vol > tol.geom * np.minimum(roll1(size_up, 1), size_up))
-                   | (-2.0 * tau > tol.geom * np.minimum(size_up, size_low))).any(axis=1)
-        w = np.concatenate([edge + roll1(edge, 1) + spoke_up + spoke_low,
-                            spoke_up.sum(axis=1)[:, None], spoke_low.sum(axis=1)[:, None]], axis=1)
-    return w, reflex
-
-
-def hull_wc(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
-    """Polar-dual weights of the origin in the convex hull (m, n+2), and the
-    rows (m,) with a reflex edge (where the polygon's band decided the
-    triangulation or x's cavity).  The hull is the lower fan, the Delaunay
-    triangles x does not see and a face (x, a, b) on each outline
-    half-edge a -> b of the ones it sees (see :func:`hull_cavity`)."""
-    n, tol, d, V = polygon.n, polygon.tol, polygon.delaunay, polygon.vertices
-    m, N = len(X), n + 2
-    c, cos_theta, tau = rays.c, rays.cos, rays.tau
-    ray_sines(polygon, rays, _on_vertex, errors)
-    rho, seen, outline = hull_cavity(polygon, X, errors)
-    # The faces (x, a, b), one per outline half-edge: t, normal, its size.
-    r, h = np.divmod(np.flatnonzero(outline), outline.shape[1])
-    a, b, across = d.tail[h], d.head[h], d.across[h]
-    on_ring = across == n - 2
-    t = np.where(on_ring, tau[r, a], dot3(X[r], d.cross[h]))
-    upper = d.cross[h] + c[r, a] - c[r, b]               # (v_a - x) x (v_b - x)
-    size_up = np.sqrt(dot3(upper, upper))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spoke_low, reflex, size_low = _lower_fan(
-            polygon, X, rays, (np.bincount(r, t / size_up <= UNIT, m) > 0)
-            | (~seen[:, :-1] & (d.offsets[:-1] <= UNIT)).any(axis=1), errors)
-        # Spokes of x: (x, a, b) on the left, (x, z, a) on the right, z -> a
-        # the outline half-edge before.
-        into = np.zeros((m, n), np.intp)
-        into[r, b] = np.arange(len(h))
-        z = into[r, a]
-        vol = dot3(upper, V[a[z]] - X[r])
-        spoke_up = vol * (cos_theta[r, a] - 1.0) / (t * t[z])
-        bent = vol > tol.geom * np.minimum(size_up, size_up[z])
-        # Outline edges: on the ring the lower face is across and
-        # vol = -2 tau_i, negative on every row the face gate passed, so
-        # never reflex; elsewhere an unseen triangle U, vol = its size
-        # times the height of x over it.
-        offset, size, cos_edge = d.offsets[across], d.sizes[across], d.cosines[h]
-        rise = rho[r, across] - offset
-        edge_up = np.where(on_ring, 2.0 * (1.0 - cos_edge) / t, rise * (cos_edge - 1.0) / (t * offset))
-        bent |= rise * size > tol.geom * np.minimum(size, size_up)
-        # A ring edge whose triangle x does not see: its triangle on the
-        # left, the lower face on the right, vol = -(height of -x over it).
-        unseen, offset, size = ~seen[:, d.rim], d.offsets[d.rim], d.sizes[d.rim]
-        fall = rho[:, d.rim] + offset
-        ring = np.where(unseen, fall * (1.0 - polygon.edge_cosines) / (offset * tau), 0.0)
-        reflex |= (unseen & (-fall * size > tol.geom * np.minimum(size, size_low))).any(axis=1)
-        # An edge between two unseen triangles: a per-polygon term.
-        both = ~seen[:, d.sides].any(axis=2)
-        inner = np.where(both, d.kappa, 0.0)
-        reflex |= (both & d.reflex).any(axis=1) | (np.bincount(r, bent, m) > 0)
-        # Each term to both ends of its edge, in a fixed order per row.
-        row = r * N
-        slots = np.concatenate([(np.arange(m)[:, None, None] * N + d.ends).ravel(), row + a, row + b, row + a, row + n])
-        w = np.bincount(slots, np.concatenate([np.repeat(inner.ravel(), 2), edge_up, edge_up, spoke_up, spoke_up]),
-                        m * N).reshape(m, N)
-        w[:, :n] += ring + roll1(ring, 1) + spoke_low
-        w[:, n + 1] += spoke_low.sum(axis=1)
+        # The spokes to v_i: vol from the base v_i, with its short edges
+        # crossed once per ring, T_i; of -x, <v_i + x, T_i>; of x between two
+        # ring edges, <x - v_i, T_i>, else from a chord's face.
+        v = ring.products_table[:, :, :n]
+        p, q = (v + X.T[:, :, None]) * ring.turns, v * ring.turns                # (3, m, n), as in hull_cavity
+        vol = p[0] + p[1] + p[2]
+        pair = t_in * tau                                  # the t of a spoke's two faces
+        spoke_low = -vol * (1.0 + rays.cos) / pair
+        reflex = (vol > tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
+        vol = vol - 2.0 * (q[0] + q[1] + q[2])
+        # Ring edge i, between (v_i, v_{i+1}, x) and (v_{i+1}, v_i, -x), vol = -2 tau_i.
+        edge = 2.0 * gap / tau
+        flat = -2.0 * tau > tol.geom * np.minimum(size_up, size_low)
+        through = ~(tau / size_low > UNIT).all(axis=1)
+        if patched:
+            # The chords on the outline: a -> b from the seen side of an edge.
+            d = ring.delaunay
+            rim = seen[:, d.rim]                           # (m, n) the ring edges on the outline
+            r, e = np.nonzero(sides[..., 0] != sides[..., 1])
+            h = d.halves[e, sides[r, e, 1].astype(np.intp)]
+            a, b, across, cross, xr = d.tail[h], d.head[h], d.across[h], d.cross[h], X[r]
+            t_ch, face = dot3(xr, cross), cross + c[r, a] - c[r, b]
+            size_ch = np.sqrt(dot3(face, face))
+            t = tau.copy()
+            t[r, a] = t_in[r, b] = t_ch
+            upper[r, a], size_up[r, a], size_in[r, b] = face, size_ch, size_ch
+            vol[r, a] = dot3(face, V[a - 1] - xr)
+            vol[r, b] = dot3(upper[r, b], V[a] - xr)
+            pair = t_in * t
+            # A vertex off the outline has no spoke of x to sum or test, and
+            # its slot no face to gate.
+            on = rim.copy()
+            on[r, a] = True
+            vol, t = np.where(on, vol, 0.0), np.where(on, t, np.inf)
+            through |= (~seen & (d.offsets <= UNIT)).any(axis=1)
+            # A ring edge whose triangle x does not see: that triangle and the
+            # lower face, vol = -(height of -x over it).  A chord: an unseen
+            # triangle on the right, vol = its size times the height of x
+            # over it.  An edge between two unseen triangles: a per-polygon
+            # term.  Each to both ends, summed at a vertex in a fixed order.
+            offset, size = d.offsets[d.rim], d.sizes[d.rim]
+            fall = rho[:, d.rim] + offset
+            edge = np.where(rim, edge, fall * gap / (offset * tau))
+            flat = np.where(rim, flat, -fall * size > tol.geom * np.minimum(size, size_low))
+            offset, size = d.offsets[across], d.sizes[across]
+            rise = rho[r, across] - offset
+            touch = sides.any(axis=2)
+            reflex |= (~touch & d.reflex).any(axis=1)
+            reflex[r[rise * size > tol.geom * np.minimum(size, size_ch)]] = True
+            inner = np.concatenate([np.zeros((len(X), 1)), np.where(touch, 0.0, d.kappa)], axis=1)
+            inner[r, 1 + e] = rise * (d.cosines[h] - 1.0) / (t_ch * offset)
+            ends = np.add.reduceat(inner[:, d.star], d.starts, axis=1)
+        spoke_up = vol * (rays.cos - 1.0) / pair
+        reflex |= ((vol > tol.geom * np.minimum(size_in, size_up)) | flat).any(axis=1)
+        refuse(errors, through | ~(t / size_up > UNIT).all(axis=1),
+               lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
+        w = edge + roll1(edge, 1) + spoke_up + spoke_low
+        if patched:
+            w += ends
+        w = np.concatenate([w, spoke_up.sum(axis=1)[:, None], spoke_low.sum(axis=1)[:, None]], axis=1)
     return w, reflex
 
 
@@ -360,7 +351,7 @@ def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
     not positive are refused with KernelViolation."""
     with np.errstate(divide="ignore", invalid="ignore"):
         total = w.sum(axis=1)
-        refuse(errors, total <= 0.0, lambda _: KernelViolation(
+        refuse(errors, ~(total > 0.0), lambda _: KernelViolation(
             "weight sum is not positive; configuration invalid for this backend"))
         return w / total[:, None]
 
@@ -372,7 +363,7 @@ def _weights(q: PolyhedronQ, backend: str, require_convex: bool = True) -> np.nd
     if backend == "MV" and not q.hull:
         w = fan_mv(q.ring, q.X, q.rays, errors)
     elif backend == "WC":
-        w, reflex = (hull_wc if q.hull else fan_wc)(q.ring, q.X, q.rays, errors)
+        w, reflex = polar_dual(q.ring, q.X, q.rays, errors, q.hull)
         if require_convex:
             refuse_reflex(errors, reflex)
     else:
@@ -391,12 +382,12 @@ def is_convex(q: PolyhedronQ) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
     sharing an edge, the apex of each lies at most the band in front of the
     other's plane; read from the reflex test of q's polar-dual kernel."""
-    return not (hull_wc if q.hull else fan_wc)(q.ring, q.X, q.rays, [None])[1][0]
+    return not polar_dual(q.ring, q.X, q.rays, [None], q.hull)[1][0]
 
 
 def wachspress_weights(q: PolyhedronQ, require_convex: bool = True) -> np.ndarray:
-    """Rational polar-dual weights of the origin: on the hull from NEW_WC's
-    kernel :func:`hull_wc`, on the fan from :func:`fan_wc`.  Every face
+    """Rational polar-dual weights of the origin in q, from NEW_WC's
+    kernel :func:`polar_dual` on the fan or the hull.  Every face
     plane must keep the origin strictly inside (FaceThroughPoint otherwise).
     By default q must be convex (NotConvex otherwise), where all weights are
     positive; with require_convex=False a reflex edge is summed as well, and

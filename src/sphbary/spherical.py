@@ -87,7 +87,7 @@ from .geom import (
     zero_vector,
 )
 from .polyhedron import (
-    build_ring_q, coords_at_origin, fan_mv, hull_wc, mean_value_ring, normalized_weights, refuse_reflex,
+    build_ring_q, coords_at_origin, fan_mv, mean_value_ring, normalized_weights, polar_dual, refuse_reflex,
 )
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
@@ -199,7 +199,7 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
 def _quotient(phi: np.ndarray, n: int, errors: list):
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = phi[:, n + 1] - phi[:, n]
-        refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
+        refuse(errors, ~(denom > DENOM), lambda r: NonPositiveDenominator(
             f"phi[-x] - phi[x] = {denom[r]:.3e} <= {DENOM}; invalid input or broken backend"))
         return phi[:, :n] / denom[:, None], denom
 
@@ -217,7 +217,7 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
         refuse(errors, np.ones(len(X), bool), lambda _: NotConvexForWC(
             "the polar-dual backend requires a convex polygon"))
         return np.full((len(X), polygon.n), np.nan), np.full(len(X), np.nan)
-    w, reflex = hull_wc(polygon, X, rays, errors)
+    w, reflex = polar_dual(polygon, X, rays, errors, hull=True)
     refuse_reflex(errors, reflex)
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
 

@@ -199,21 +199,25 @@ class TestGrid:
         assert calls[0] == 4
 
     def test_new_wc_builds_no_stacked_hulls(self, monkeypatch):
-        # NEW_WC sums the hull's edge terms from x cross v_i and the
-        # polygon's cached triangulation, once per block;
-        # wachspress_weights on one hull runs the same kernel at m = 1, and
-        # neither builds the hull's faces.
+        # NEW_WC runs the one polar-dual kernel once per block, on the fan's
+        # (m, n) arrays patched by x's cavity in the polygon's cached
+        # triangulation; wachspress_weights, is_convex and coords_at_origin
+        # on one polyhedron run the same kernel at m = 1, and only build_q
+        # builds the hull's faces.
         polygon = sb.demo_quadrilateral()
-        counts = [count_calls(monkeypatch, f) for f in (
-            sb.polyhedron.hull_wc, sb.polyhedron.fan_wc, sb.polyhedron.hull_faces)]
+        calls = count_calls(monkeypatch, sb.polyhedron.polar_dual)
+        faces = count_calls(monkeypatch, sb.polyhedron.hull_faces)
         sb.grid_rows(polygon, 0, 16, "NEW_WC")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_WC")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_WC")
-        assert [c[0] for c in counts] == [3, 0, 0]
+        assert (calls[0], faces[0]) == (3, 0)
         q = sb.build_q(polygon, [0.0, 0.0, 1.0], hull=True)
-        assert [c[0] for c in counts] == [3, 0, 1]
+        assert (calls[0], faces[0]) == (3, 1)
         sb.wachspress_weights(q)
-        assert [c[0] for c in counts] == [4, 0, 1]
+        sb.polyhedron.is_convex(q)
+        sb.coords_at_origin(q, "WC")
+        sb.extended_spherical_coords(polygon.vertices, [0.0, 0.0, 1.0], "WC")
+        assert (calls[0], faces[0]) == (7, 1)
 
     def test_error_rows_recorded_not_fatal(self, octant):
         rows = sb.grid_rows(octant, 0, 12, "CC_MV")

@@ -10,13 +10,14 @@ import sphbary as sb
 from sphbary.errors import (
     DegenerateTriangle,
     FaceThroughPoint,
+    KernelViolation,
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
     SphBaryError,
 )
 from sphbary.geom import UNIT
-from sphbary.polyhedron import build_ring_q, fan_faces, is_convex
+from sphbary.polyhedron import build_ring_q, fan_faces, is_convex, normalized_weights
 
 from conftest import jittered_ring, mp_mean_value, random_rotation
 
@@ -223,6 +224,17 @@ class TestCoordsAtOrigin:
     def test_positive_on_convex(self, octant_q):
         phi = sb.coords_at_origin(octant_q, "WC")
         assert np.all(phi > 0)
+
+    def test_nan_weight_sum_is_refused(self):
+        # NaN is not a positive sum: its row gets KernelViolation, the other
+        # rows of the block are normalized as they are alone.
+        w = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, np.nan, 3.0, 4.0, 5.0], [0.5, 0.25, 2.0, 1.0, 3.0]])
+        errors = [None] * 3
+        phi = normalized_weights(w, errors)
+        assert isinstance(errors[1], KernelViolation) and errors[0] is None and errors[2] is None
+        for r in (0, 2):
+            np.testing.assert_array_equal(phi[r], normalized_weights(w[r:r + 1], [None])[0])
+            np.testing.assert_array_equal(phi[r], w[r] / w[r].sum())
 
     def test_rotation_equivariance(self, rng):
         polygon = sb.random_polygon(6, 1.0, seed=5)

@@ -20,7 +20,7 @@ from sphbary.errors import (
     single,
 )
 from sphbary.geom import INTERIOR, locate_points, unit_rows
-from sphbary.polyhedron import fan_faces, hull_faces, normalized_weights
+from sphbary.polyhedron import fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import _quotient, evaluate_batch
 
 from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
@@ -565,6 +565,38 @@ class TestPolarDualKernel:
         assert kind != "nudged" or {"x does not see a disc of the polygon's triangles",
                                     "polyhedron has a reflex dihedral angle"} <= refusals
 
+    @pytest.mark.parametrize("n", [3, 6, 16, 64])
+    def test_hull_is_the_fan_where_x_sees_every_triangle(self, n):
+        # Where x sees every Delaunay triangle of a convex polygon, the hull
+        # of [v_1..v_n, x, -x] is the fan, so NEW_WC equals the relaxed
+        # polar-dual route on the fan; where the outline has a chord, the
+        # hull is not the fan and the two differ.
+        def fan_route(polygon, x):
+            phi = sb.coords_at_origin(sb.build_q(polygon, x), "WC", require_convex=False)
+            return single(_quotient, phi[None], polygon.n)[0]
+
+        rng = np.random.default_rng(9400 + n)
+        polygon = jittered_ring(rng, n, float(rng.uniform(0.3, 1.4)), star=False)
+        X = unit_rows(np.vstack([sb.interior_points(polygon, 30, rng)]
+                                + [near_edge_points(polygon, gap, rng) for gap in (1e-4, 1e-8, 1e-11)]))[0]
+        X = X[locate_points(polygon, X).kind == INTERIOR]
+        batch = evaluate_batch(polygon, X, "NEW_WC")
+        _, seen, _ = hull_cavity(polygon, X, [None] * len(X))
+        compared = 0
+        for i in np.flatnonzero(seen[:, :-1].all(axis=1)):
+            if batch.errors[i] is None:
+                np.testing.assert_allclose(batch.values[i], fan_route(polygon, X[i]), rtol=0, atol=1e-14)
+                compared += 1
+        assert compared >= 30
+        for polygon in (sb.demo_quadrilateral(), sb.random_polygon(12, 0.9, seed=4)):
+            X = sb.interior_points(polygon, 40, rng)
+            batch = evaluate_batch(polygon, X, "NEW_WC")
+            _, _, sides = hull_cavity(polygon, X, [None] * len(X))
+            chord = (sides[..., 0] != sides[..., 1]).any(axis=1)
+            gaps = [np.max(np.abs(batch.values[i] - fan_route(polygon, X[i])))
+                    for i in np.flatnonzero(chord) if batch.errors[i] is None]
+            assert max(gaps) > 1e-6
+
 
 # ROADMAP item 1's sweep.
 SWEEP_GAPS = tuple(10.0 ** -k for k in range(4, 14))
@@ -723,6 +755,19 @@ class TestExtendedDomain:
         a = sb.extended_spherical_coords(polygon.vertices, x).values
         b = sb.spherical_coords(polygon, x, "MV").values
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_nan_denominator_is_refused(self):
+        # NaN is not above the denominator's threshold: its row gets
+        # NonPositiveDenominator, the other rows of the block are divided as
+        # they are alone.
+        phi = np.array([[0.2, 0.3, 0.1, 0.4], [0.2, 0.3, np.nan, 0.4], [0.1, 0.1, 0.3, 0.5]])
+        errors = [None] * 3
+        values, denom = _quotient(phi, 2, errors)
+        assert isinstance(errors[1], NonPositiveDenominator) and errors[0] is None and errors[2] is None
+        assert np.isnan(denom[1])
+        for r in (0, 2):
+            np.testing.assert_array_equal(values[r], single(_quotient, phi[r:r + 1], 2)[0])
+            np.testing.assert_array_equal(values[r], phi[r, :2] / (phi[r, 3] - phi[r, 2]))
 
     def test_great_circle_ring(self):
         ring, x = sb.great_circle_ring()
