@@ -14,17 +14,17 @@ the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
 (:class:`sphbary.geom.Rays`) and tables cached with the ring, by one
 kernel per backend, kernel(ring, X, rays, errors) on m unit rows: mean
 value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers 2005),
-whose ring weights and w_{-x} - w_x are NEW_MV_CLOSED's terms
-(:func:`mean_value_ring`), and polar-dual weights, :func:`polar_dual`
-(Warren, Schaefer, Hirani & Desbrun 2007), on the fan and, patched where
-x's cavity in the triangulation makes the two differ, on the hull.  Each
-returns raw weights w (m, n+2) with sum(w_i * p_i) = 0, and records
-per-row errors (see :func:`sphbary.errors.refuse`).  NEW_MV and NEW_WC
-run fan_mv and polar_dual on a block of directions; :func:`mv_weights`,
+and polar-dual weights, :func:`polar_dual` (Warren, Schaefer, Hirani &
+Desbrun 2007), on the fan and, patched where x's cavity in the
+triangulation makes the two differ, on the hull.  Each returns raw weights
+w (m, n+2) with sum(w_i * p_i) = 0, and records per-row errors (see
+:func:`sphbary.errors.refuse`).  :func:`mv_weights`,
 :func:`wachspress_weights`, :func:`is_convex` and :func:`coords_at_origin`
-run the same kernels on one PolyhedronQ, m = 1, and raise the errors, as
-does the extended mode on the fan over an unvalidated
-:class:`sphbary.geom.Ring`.
+run them on one PolyhedronQ, m = 1, and raise the errors, as does the
+extended mode on the fan over an unvalidated :class:`sphbary.geom.Ring`;
+NEW_WC runs polar_dual on a block of directions.  NEW_MV needs only the
+fan's ring weights and w_{-x} - w_x (:func:`mean_value_ring`), so fan_mv
+is the kernel of the 3D weights alone.
 """
 
 from __future__ import annotations
@@ -187,15 +187,15 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
 # comes from ring.tol
 # --------------------------------------------------------------------------
 
-def _on_vertex(k: int, _) -> PointOnVertexOrAntipode:
+def on_vertex(k: int, _) -> PointOnVertexOrAntipode:
     return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
 
 def mean_value_ring(sin_theta: np.ndarray, rays: Rays):
-    """NEW_MV_CLOSED's weights omega (m, n) and denominator sum_i omega_i
-    cos theta_i (m,), which are also the fan's weights at the ring and
-    w_{-x} - w_x (:func:`fan_mv`), from sin theta_i = |c_i| and the rays.
-    Call under np.errstate."""
+    """The mean value weights omega (m, n) and denominator sum_i omega_i
+    cos theta_i (m,) of NEW_MV and NEW_MV_CLOSED, which are also the fan's
+    weights at the ring and w_{-x} - w_x (:func:`fan_mv`), from
+    sin theta_i = |c_i| and the rays.  Call under np.errstate."""
     s, d = rays.tau, rays.d
     cc = sin_theta * roll1(sin_theta, -1)
     # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
@@ -222,7 +222,7 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
     (:func:`mean_value_ring`).  x gets w_x, summed over the upper faces, and
     -x gets w_x + sum_i omega_i cos theta_i, by linear precision.
     """
-    sin_theta = ray_sines(ring, rays, _on_vertex, errors)
+    sin_theta = ray_sines(ring, rays, on_vertex, errors)
     theta = np.arctan2(sin_theta, rays.cos)
     with np.errstate(divide="ignore", invalid="ignore"):
         N, beta = ring.unit_edge_normals, ring.edge_angles
@@ -265,7 +265,7 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
     chord and each edge between two unseen triangles adds its term to its
     ends."""
     n, tol, V, c, tau = ring.n, ring.tol, ring.vertices, rays.c, rays.tau
-    ray_sines(ring, rays, _on_vertex, errors)
+    ray_sines(ring, rays, on_vertex, errors)
     rho, seen, sides = hull_cavity(ring, X, errors) if hull else (None, None, None)
     patched = sides is not None
     # Slot i: x's face on the outline half-edge out of v_i, its t, normal
@@ -373,7 +373,7 @@ def _weights(q: PolyhedronQ, backend: str, require_convex: bool = True) -> np.nd
 
 
 def mv_weights(q: PolyhedronQ) -> np.ndarray:
-    """Mean value weights of the origin in the fan q, from NEW_MV's kernel
+    """Mean value weights of the origin in the fan q, from the fan kernel
     :func:`fan_mv`; ValueError on a hull."""
     return _weights(q, "MV")
 

@@ -8,8 +8,8 @@ where phi are any 3D barycentric coordinates of the origin inside the
 polyhedron [v_1..v_n, x, -x] (indices n+1 for x, n+2 for -x).  The psi are
 non-negative on convex polygons, reproduce x as sum(psi_i v_i), restrict
 linearly to the edges and are the Kronecker delta at the vertices.  The
-mean value backend takes phi on the fan triangulation of the polyhedron,
-the polar-dual backend on its convex hull, each from the kernel
+mean value backend takes phi on the fan triangulation of the polyhedron
+(below), the polar-dual backend on its convex hull, from the kernel
 (:mod:`sphbary.polyhedron`) that the functions on one polyhedron run too.
 
 On an edge the same limit collapses to the two-vertex decomposition
@@ -18,12 +18,14 @@ contained in span(v_j, v_{j+1}), the boundary-extended ratios
 phi_j(0)/phi_{n+2}(0) and phi_{j+1}(0)/phi_{n+2}(0) equal exactly the Gram
 solution (a, b), which is how the edge case is evaluated here.
 
-For the mean value backend the quotient also has a closed form built from
-the angles theta_i = angle(x, v_i) and the signed angles alpha_i between
-c_i and c_{i+1}, the terms whose sum is the winding that locates x; see
-:func:`closed_form_mv_weights`.  Its weights and denominator are the fan's
-weights at the ring and phi_{n+2} - phi_{n+1} before normalization, one
-term (:func:`sphbary.polyhedron.mean_value_ring`) for NEW_MV and NEW_MV_CLOSED.
+The mean value quotient has a closed form built from the angles theta_i =
+angle(x, v_i) and the signed angles alpha_i between c_i and c_{i+1}, the
+terms whose sum is the winding that locates x (:func:`closed_form_mv_weights`):
+its weights omega_i are the fan's at the ring and its denominator
+sum_i omega_i cos theta_i is w_{-x} - w_x, by linear precision, so the
+weight w_x of x cancels.  NEW_MV and NEW_MV_CLOSED run this one kernel
+(:func:`sphbary.polyhedron.mean_value_ring`), each naming its own errors;
+the fan kernel that also forms w_x serves the functions that return 3D weights.
 
 All five methods share one evaluation path, :func:`evaluate_batch`, over
 an (m, 3) block of directions: it locates the block once, answers the
@@ -57,6 +59,7 @@ from .errors import (
     AlphaNearPi,
     AngleDegenerate,
     ExteriorPoint,
+    KernelViolation,
     NonPositiveDenominator,
     NotConvexForWC,
     OriginOnBoundary,
@@ -66,28 +69,11 @@ from .errors import (
     single,
 )
 from .geom import (
-    DEFAULT_TOL,
-    DENOM,
-    EDGE,
-    EXTERIOR,
-    INTERIOR,
-    VERTEX,
-    Locations,
-    PointLocation,
-    Rays,
-    SphericalPolygon,
-    Tolerances,
-    direction,
-    locate_points,
-    ray_sines,
-    ring_rays,
-    unit_row,
-    unit_rows,
-    unit_vertices,
-    zero_vector,
+    DEFAULT_TOL, DENOM, EDGE, EXTERIOR, INTERIOR, VERTEX, Locations, PointLocation, Rays, SphericalPolygon,
+    Tolerances, direction, locate_points, ray_sines, ring_rays, unit_row, unit_rows, unit_vertices, zero_vector,
 )
 from .polyhedron import (
-    build_ring_q, coords_at_origin, fan_mv, mean_value_ring, normalized_weights, polar_dual, refuse_reflex,
+    build_ring_q, coords_at_origin, mean_value_ring, normalized_weights, on_vertex, polar_dual, refuse_reflex,
 )
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
@@ -112,8 +98,9 @@ __all__ = [
 class CoordinateVector:
     """Length-n coordinate values with their method tag and the location
     classification that selected the evaluation formula.  `denom` captures
-    the interior-formula denominator phi_{n+2} - phi_{n+1} when one was
-    computed (None on the boundary and for the tangent-plane methods)."""
+    the interior-formula denominator when one was computed (None on the
+    boundary and for the tangent-plane methods): phi_{n+2} - phi_{n+1},
+    or for NEW_MV and NEW_MV_CLOSED the unnormalized w_{-x} - w_x."""
 
     values: np.ndarray
     method: str
@@ -159,14 +146,16 @@ def angles(polygon: SphericalPolygon, x) -> AngleCache:
     return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=rays.alpha[0])
 
 
-def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list):
+def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list,
+                      aligned=_angle_degenerate, not_finite=AlphaNearPi):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
-    from the rays of m unit directions; see :func:`closed_form_mv_weights`."""
-    sin_theta = ray_sines(polygon, rays, _angle_degenerate, errors)
+    from the rays of m unit directions; see :func:`closed_form_mv_weights`.
+    Errors: aligned(k, theta_k) at vertex k (see ray_sines), not_finite."""
+    sin_theta = ray_sines(polygon, rays, aligned, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega, denom = mean_value_ring(sin_theta, rays)
     refuse(errors, ~(np.all(np.isfinite(omega), axis=1) & np.isfinite(denom)),
-           lambda _: AlphaNearPi("the closed form is not finite at x"))
+           lambda _: not_finite("the closed form is not finite at x"))
     return omega, denom
 
 
@@ -183,8 +172,8 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
     tan(alpha_i/2) = tau_i / (|c_i||c_{i+1}| + <c_i, c_{i+1}>),
     sin theta_i = |c_i| and cos theta_i = <v_i, x>.  The spherical
     coordinates follow as psi_i = omega_i / denom and agree with the generic
-    polyhedral mean value pipeline.  The m = 1 call of the batched kernel
-    of NEW_MV_CLOSED.
+    polyhedral mean value pipeline.  The m = 1 call of
+    :func:`closed_form_batch`, which NEW_MV_CLOSED's kernel runs.
     """
     omega, denom = single(closed_form_batch, polygon, ring_rays(polygon, unit_row(x)))
     return omega, float(denom)
@@ -204,11 +193,6 @@ def _quotient(phi: np.ndarray, n: int, errors: list):
         return phi[:, :n] / denom[:, None], denom
 
 
-def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
-    # The mean value weights of the origin in [v_1..v_n, x, -x] on the fan.
-    return _quotient(normalized_weights(fan_mv(polygon, X, rays, errors), errors), polygon.n, errors)
-
-
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
     # Polar-dual weights are positive only on a convex polyhedron, and the
     # fan over a convex polygon is usually not convex, so they are taken on
@@ -222,8 +206,11 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
     return _quotient(normalized_weights(w, errors), polygon.n, errors)
 
 
-def _closed_form(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
-    omega, denom = closed_form_batch(polygon, rays, errors)
+def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, aligned, not_finite):
+    # psi_i = omega_i / sum_j omega_j cos theta_j: the fan's weights at the
+    # ring over w_{-x} - w_x, so w_x, which cancels, is never formed.  NEW_MV
+    # and NEW_MV_CLOSED differ only in the errors they name.
+    omega, denom = closed_form_batch(polygon, rays, errors, aligned, not_finite)
     refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
         f"closed-form denominator {denom[r]:.3e} <= {DENOM}"))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -248,9 +235,9 @@ class Method(NamedTuple):
 
 
 KERNELS = {
-    "NEW_MV": Method(_mean_value, True),
+    "NEW_MV": Method(partial(_mean_value, aligned=on_vertex, not_finite=KernelViolation), True),
     "NEW_WC": Method(_polar_dual, True),
-    "NEW_MV_CLOSED": Method(_closed_form, True),
+    "NEW_MV_CLOSED": Method(partial(_mean_value, aligned=_angle_degenerate, not_finite=AlphaNearPi), True),
     "CC_MV": Method(partial(_tangent, wachspress=False), False),
     "CC_WC": Method(partial(_tangent, wachspress=True), False),
 }
@@ -354,7 +341,7 @@ def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DE
     """Evaluation mode for configurations outside the default contracts: a
     raw unit-vector ring (no hemisphere or orientation validation) and no
     interior check.  Both backends take the fan (see
-    :func:`origin_coords_on_ring`): "MV" runs NEW_MV's kernel, which needs
+    :func:`origin_coords_on_ring`): "MV" runs the fan kernel, which needs
     only faces that are not flat, and "WC" keeps linear precision but not
     the sign.  Returns the quotient coordinates with location kind
     "extended"."""

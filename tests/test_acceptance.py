@@ -15,16 +15,21 @@ README.
 """
 
 import dataclasses
+import importlib.util
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 import sphbary as sb
 from sphbary.cli import main
-from sphbary.errors import ProjectionUndefined, SphBaryError
+from sphbary.errors import ExteriorPoint, ProjectionUndefined, SphBaryError
+from sphbary.geom import EXTERIOR, KINDS, unit_rows
 from sphbary.spherical import evaluate_batch
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT, random_rotation
+from test_spherical import edge_line_points, near_edge_points
 
 MASTER_SEED = 20260808
 N_POLYGONS = 200
@@ -311,3 +316,79 @@ def test_criterion_11_determinism(capsys, tmp_path):
         report(11, "byte-identical reruns", identical,
                f"random --seed 42 then grid twice: {g1.stat().st_size} bytes each")
     assert identical
+
+
+def bench_check():
+    """The benchmark's output checker, bench/check.py, loaded as it is."""
+    spec = importlib.util.spec_from_file_location("bench_check", REPO_ROOT / "bench" / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DOMAIN_N = (3, 5, 8, 16, 32, 64)
+DOMAIN_CAPS = (0.3, 1.0, 1.4, 1.55, 1.565)
+DOMAIN_EDGE_GAPS = tuple(10.0 ** -k for k in range(4, 14))        # 1e-4 ... 1e-13
+DOMAIN_VERTEX_GAPS = tuple(10.0 ** -k for k in range(5, 14))      # 1e-5 ... 1e-13
+
+
+def near_vertex_points(polygon, gap, count, rng):
+    """count points at geodesic distance gap from random vertices v_k,
+    towards v_{k-1} + v_{k+1}."""
+    V, k = polygon.vertices, rng.integers(polygon.n, size=count)
+    u = V[k - 1] + V[(k + 1) % polygon.n]
+    t = unit_rows(u - np.sum(u * V[k], axis=1)[:, None] * V[k])[0]
+    return np.cos(gap) * V[k] + np.sin(gap) * t
+
+
+def domain_points(polygon, rng):
+    """Interior samples, and at each gap three points that far inside an
+    edge, up to three that far off an edge's great circle past its ends,
+    and three that far from a vertex."""
+    rows = [sb.interior_points(polygon, 10, rng)]
+    for gap in DOMAIN_EDGE_GAPS:
+        rows.append(rng.permutation(near_edge_points(polygon, gap, rng))[:3])
+        rows.append(rng.permutation(edge_line_points(polygon, gap, rng))[:3])
+    rows += [near_vertex_points(polygon, gap, 3, rng) for gap in DOMAIN_VERTEX_GAPS]
+    return unit_rows(np.vstack(rows))[0]
+
+
+def test_domain_sweep_answers_or_refuses_by_name(capsys):
+    # The whole domain of the contract: convex and star rings with n 3..64
+    # and caps up to 1.565, each also rotated and cyclically relabelled, at
+    # interior samples, near edges, just off edges' great circles and near
+    # vertices.  Every row of every method is a named error (ExteriorPoint
+    # where the row is located outside) or values that pass the benchmark's
+    # checker for the row's own location.
+    check = bench_check()
+    refusals, wrong, rows = Counter(), [], 0
+    for case, (n, cap, mode) in enumerate(product(DOMAIN_N, DOMAIN_CAPS, ("convex", "nonconvex"))):
+        if n == 3 and mode == "nonconvex":
+            continue                                    # every triangle is convex
+        rng = np.random.default_rng(9900 + case)
+        polygon = sb.random_polygon(n, cap, seed=9900 + case, mode=mode)
+        X = domain_points(polygon, rng)
+        R, shift = random_rotation(rng), int(rng.integers(n))
+        copy = sb.validate_polygon(np.roll(polygon.vertices, -shift, axis=0) @ R.T)
+        for poly, Y in ((polygon, X), (copy, unit_rows(X @ R.T)[0])):
+            rows += len(Y)
+            for method in sb.METHODS:
+                batch = evaluate_batch(poly, Y, method)
+                loc = batch.locations
+                for i, error in enumerate(batch.errors):
+                    kind = KINDS[loc.kind[i]]
+                    if error is not None:
+                        refusals[method, error.name] += 1
+                        named = type(error) is not SphBaryError
+                        failed = None if named and (kind != "exterior" or isinstance(error, ExteriorPoint)) else "name"
+                    elif loc.kind[i] == EXTERIOR:
+                        failed = "exterior_answered"
+                    else:
+                        failed = check.violation(batch.values[i], poly.vertices, Y[i], poly.convex, kind,
+                                                 int(loc.index[i]), 0.0, (loc.a[i], loc.b[i]))
+                    if failed:
+                        wrong.append((n, cap, mode, method, i, kind, failed))
+    with capsys.disabled():
+        print(f"domain sweep: {rows} rows per method; refusals "
+              + ", ".join(f"{m}.{t} {k}" for (m, t), k in sorted(refusals.items())))
+    assert rows >= 5000 and wrong == []

@@ -187,16 +187,19 @@ class TestGrid:
         assert locate_calls[0] == 16 * 16
 
     def test_new_mv_builds_no_stacked_polyhedra(self, monkeypatch):
-        # NEW_MV runs the fan kernel once per block, on the fan's own (m, n)
-        # arrays; mv_weights on one polyhedron runs the same kernel at m = 1.
+        # NEW_MV runs the fan's ring term once per block, on (m, n) arrays,
+        # and never the fan kernel, whose w_x cancels in the quotient;
+        # mv_weights on one polyhedron runs the fan kernel, and with it the
+        # same ring term, at m = 1.
         polygon = sb.demo_quadrilateral()
         calls = count_calls(monkeypatch, sb.polyhedron.fan_mv)
+        ring = count_calls(monkeypatch, sb.polyhedron.mean_value_ring)
         sb.grid_rows(polygon, 0, 16, "NEW_MV")
         evaluate_batch(polygon, grid_directions(polygon, 16), "NEW_MV")
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_MV")
-        assert calls[0] == 3
+        assert (calls[0], ring[0]) == (0, 3)
         sb.mv_weights(sb.build_q(polygon, [0.0, 0.0, 1.0]))
-        assert calls[0] == 4
+        assert (calls[0], ring[0]) == (1, 4)
 
     def test_new_wc_builds_no_stacked_hulls(self, monkeypatch):
         # NEW_WC runs the one polar-dual kernel once per block, on the fan's

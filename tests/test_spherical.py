@@ -19,9 +19,9 @@ from sphbary.errors import (
     ZeroVector,
     single,
 )
-from sphbary.geom import INTERIOR, locate_points, unit_rows
+from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import fan_faces, hull_cavity, hull_faces, normalized_weights
-from sphbary.spherical import _quotient, evaluate_batch
+from sphbary.spherical import KERNELS, _quotient, evaluate_batch
 
 from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
 from test_polyhedron import mv_weights_loop, polyhedron_over, wachspress_weights_loop
@@ -488,6 +488,55 @@ class TestFanKernel:
                     compared += 1
             assert compared >= 40
 
+    def test_each_mean_value_method_names_its_own_errors(self, octant):
+        # NEW_MV and NEW_MV_CLOSED run one kernel and differ only in the
+        # errors they name: for x on a vertex, for weights that are not
+        # finite (a NaN tau) and for a denominator that is not positive (all
+        # cos theta_i = 0).  The row that succeeds gets the same bits from
+        # both and from its single-row call.
+        X = unit_rows(np.vstack([CENTER, octant.vertices[0], CENTER + [0.1, 0, 0], CENTER - [0.1, 0, 0]]))[0]
+        c, cos, tau, d, alpha = ring_rays(octant, X)
+        cos, tau = cos.copy(), tau.copy()
+        tau[2, 0], cos[3] = np.nan, 0.0
+        rays = Rays(c, cos, tau, d, alpha)
+        expected = {"NEW_MV": ("PointOnVertexOrAntipode", "KernelViolation", "NonPositiveDenominator"),
+                    "NEW_MV_CLOSED": ("AngleDegenerate", "AlphaNearPi", "NonPositiveDenominator")}
+        values = []
+        for method, tags in expected.items():
+            errors = [None] * 4
+            psi, denom = KERNELS[method].kernel(octant, X, rays, errors)
+            assert errors[0] is None and tuple(e.name for e in errors[1:]) == tags
+            assert str(errors[3]).startswith("closed-form denominator 0.000e+00 <= ")
+            assert psi[0].tobytes() == sb.evaluate(octant, X[0], method).values.tobytes()
+            values.append((psi[0].tobytes(), denom[0]))
+        assert values[0] == values[1]
+
+    def test_matches_50_digit_face_sums(self):
+        # The paper's theorem against an independent computation: NEW_MV's
+        # psi, from the ring term alone, against the per-face mean value
+        # sums over the whole fan, w_x included, in 50 digits at the same
+        # unit row x, psi_j = w_j / (w_{-x} - w_x); within 1e-12 of the
+        # row's largest |psi| at interior samples of convex and non-convex
+        # rings.
+        mpmath = pytest.importorskip("mpmath")
+        convex, compared = set(), 0
+        with mpmath.workdps(50):
+            for case, (n, cap, star) in enumerate(FAN_RINGS):
+                rng = np.random.default_rng(7500 + case)
+                polygon = jittered_ring(rng, n, cap, star)
+                convex.add(polygon.convex)
+                X = unit_rows(sb.interior_points(polygon, 4, rng))[0]
+                batch = evaluate_batch(polygon, X, "NEW_MV")
+                V = [[mpmath.mpf(float(c)) for c in v] for v in polygon.vertices]
+                for i, x in enumerate(X):
+                    assert batch.errors[i] is None
+                    P = V + [[mpmath.mpf(float(c)) for c in x], [-mpmath.mpf(float(c)) for c in x]]
+                    w = mp_mean_value(mpmath, P, fan_faces(n).tolist())
+                    exact = np.array([float(w[j] / (w[n + 1] - w[n])) for j in range(n)])
+                    assert np.max(np.abs(batch.values[i] - exact)) <= 1e-12 * np.max(np.abs(exact))
+                    compared += 1
+        assert convex == {True, False} and compared == 4 * len(FAN_RINGS)
+
 
 def general_wc_outcome(polygon, x):
     """NEW_WC face by face at the unit x: the convex hull of
@@ -648,8 +697,8 @@ class TestNearBoundarySweep:
         # point per edge that far inside it, and the interior points that
         # far off each edge's great circle past its ends (at least 1000 in
         # all, from the star rings): each row is within 1e-8 of x or a
-        # named error.
-        wrong, edge_line = [], 0
+        # named error.  The mean value quotients refuse no edge-line row.
+        wrong, refused, edge_line = [], [], 0
         for k in range(20):
             rng, line_rng = np.random.default_rng(8300 + k), np.random.default_rng(8600 + k)
             polygon = jittered_ring(rng, int(rng.integers(3, 20)), rng.uniform(0.3, 1.4), star=k % 2 == 1)
@@ -661,7 +710,10 @@ class TestNearBoundarySweep:
                 residual = np.linalg.norm(values @ polygon.vertices - X, axis=1)
                 wrong += [(k, gap, i, residual[i]) for i, error in enumerate(errors)
                           if not (isinstance(error, SphBaryError) or residual[i] <= 1e-8)]
+                refused += [(k, gap, i, error.name) for i, error in enumerate(errors)
+                            if i >= len(X) - len(line) and error is not None]
         assert wrong == [] and edge_line >= 1000
+        assert method not in ("NEW_MV", "NEW_MV_CLOSED") or refused == []
 
 
 def mp_polar_dual(mp, P, faces):
