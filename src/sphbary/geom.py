@@ -184,14 +184,13 @@ class Rays(NamedTuple):
     """The rays of a ring seen from m directions x, one (m, n) row per
     direction: what point location and the interior kernels all read.
     For unit x, c_i x c_{i+1} = tau_i x, so tau_i and d_i are
-    |c_i||c_{i+1}| times the sine and the cosine of alpha_i.  The first
-    three are :func:`ring_products`, d and alpha are built from them."""
+    |c_i||c_{i+1}| times the sine and the cosine of alpha_i, the signed
+    angle from c_i to c_{i+1}.  The first three are :func:`ring_products`."""
 
     c: np.ndarray        # (m, n, 3) x cross v_i
     cos: np.ndarray      # (m, n) <v_i, x>
     tau: np.ndarray      # (m, n) <x, v_i x v_{i+1}>
     d: np.ndarray        # (m, n) <c_i, c_{i+1}>
-    alpha: np.ndarray    # (m, n) arctan2(tau, d), the signed angle from c_i to c_{i+1}
 
 
 def ring_products(ring: "Ring", X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,8 +205,7 @@ def ring_products(ring: "Ring", X: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def ring_rays(ring: "Ring", X: np.ndarray) -> Rays:
     """The rays of the ring from the rows of X (m, 3), in one pass."""
     c, cos, tau = ring_products(ring, X)
-    d = dot3(c, roll1(c, -1))
-    return Rays(c=c, cos=cos, tau=tau, d=d, alpha=np.arctan2(tau, d))
+    return Rays(c=c, cos=cos, tau=tau, d=dot3(c, roll1(c, -1)))
 
 
 def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
@@ -607,7 +605,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
     x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
     interior when the signed winding of the ring about x, the sum of the
-    rays' alpha_i, is 2*pi to tol.angle; tol is the polygon's band.
+    alpha_i = arctan2(tau_i, d_i), is 2*pi to tol.angle; tol is the polygon's band.
     """
     tol = polygon.tol
     X = np.asarray(X, dtype=float).reshape(-1, 3)
@@ -642,7 +640,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     kind[vertex] = VERTEX
     index[vertex] = near[vertex]
-    kind[(kind == EXTERIOR) & (np.abs(rays.alpha.sum(axis=1) - 2 * np.pi) <= tol.angle)] = INTERIOR
+    kind[(kind == EXTERIOR) & (np.abs(np.arctan2(trips, rays.d).sum(axis=1) - 2 * np.pi) <= tol.angle)] = INTERIOR
     return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
 
 

@@ -18,12 +18,14 @@ contained in span(v_j, v_{j+1}), the boundary-extended ratios
 phi_j(0)/phi_{n+2}(0) and phi_{j+1}(0)/phi_{n+2}(0) equal exactly the Gram
 solution (a, b), which is how the edge case is evaluated here.
 
-The mean value quotient has a closed form built from the angles theta_i =
-angle(x, v_i) and the signed angles alpha_i between c_i and c_{i+1}, the
-terms whose sum is the winding that locates x (:func:`closed_form_mv_weights`):
-its weights omega_i are the fan's at the ring and its denominator
-sum_i omega_i cos theta_i is w_{-x} - w_x, by linear precision, so the
-weight w_x of x cancels.  NEW_MV and NEW_MV_CLOSED run this one kernel
+The quotient is unchanged when phi is scaled, so the polyhedral kernels
+return raw weights w_1..w_n and w_{-x} - w_x.  The mean value quotient has
+a closed form built from the angles theta_i = angle(x, v_i) and the signed
+angles alpha_i between c_i and c_{i+1}, the terms whose sum is the winding
+that locates x (:func:`closed_form_mv_weights`): its weights omega_i are
+the fan's at the ring and its denominator sum_i omega_i cos theta_i is
+w_{-x} - w_x, by linear precision, so the weight w_x of x cancels.  NEW_MV
+and NEW_MV_CLOSED run this one kernel
 (:func:`sphbary.polyhedron.mean_value_ring`), each naming its own errors;
 the fan kernel that also forms w_x serves the functions that return 3D weights.
 
@@ -36,15 +38,18 @@ ExteriorPoint for all) and calls the method's interior kernel, looked up
 in :data:`KERNELS`, once on the interior rows X: kernel(polygon, X, rays,
 errors), with those rows of the rays point location read
 (:class:`sphbary.geom.Rays`), so no kernel crosses x with the ring again
-and its 1/tau terms read the tau the interior decision read.  NEW_WC's
-kernel needs the convex hull over a convex polygon: on a non-convex one it
-refuses every interior row, and only those, with NotConvexForWC.  The
-kernels are numpy code over the whole block, with no loop over its rows.
-A kernel records per row, in `errors`, the error the single-point call
-raises (see :func:`sphbary.errors.refuse`), so one failing row leaves the
-others evaluated.  :func:`evaluate` and the public single-point functions
-are m = 1 calls of the same code (see :func:`sphbary.errors.single`), and
-a row's result does not depend on the batch it came in.
+and its 1/tau terms read the tau the interior decision read.  One stage
+then divides the kernel's weights by its denominators (the tangent-plane
+kernels' are 1), the only one that refuses NonPositiveDenominator.
+NEW_WC's kernel needs the convex hull over a convex polygon: on a
+non-convex one it refuses every interior row, and only those, with
+NotConvexForWC.  The kernels are numpy code over the whole block, with no
+loop over its rows.  A kernel records per row, in `errors`, the error the
+single-point call raises (see :func:`sphbary.errors.refuse`), so one
+failing row leaves the others evaluated.  :func:`evaluate` and the public
+single-point functions are m = 1 calls of the same code (see
+:func:`sphbary.errors.single`), and a row's result does not depend on the
+batch it came in.
 """
 
 from __future__ import annotations
@@ -72,9 +77,7 @@ from .geom import (
     DEFAULT_TOL, DENOM, EDGE, EXTERIOR, INTERIOR, VERTEX, Locations, PointLocation, Rays, SphericalPolygon,
     Tolerances, direction, locate_points, ray_sines, ring_rays, unit_row, unit_rows, unit_vertices, zero_vector,
 )
-from .polyhedron import (
-    build_ring_q, coords_at_origin, mean_value_ring, normalized_weights, on_vertex, polar_dual, refuse_reflex,
-)
+from .polyhedron import build_ring_q, coords_at_origin, mean_value_ring, on_vertex, polar_dual, refuse_reflex
 from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
 
 __all__ = [
@@ -97,10 +100,10 @@ __all__ = [
 @dataclass(frozen=True)
 class CoordinateVector:
     """Length-n coordinate values with their method tag and the location
-    classification that selected the evaluation formula.  `denom` captures
-    the interior-formula denominator when one was computed (None on the
-    boundary and for the tangent-plane methods): phi_{n+2} - phi_{n+1},
-    or for NEW_MV and NEW_MV_CLOSED the unnormalized w_{-x} - w_x."""
+    classification that selected the evaluation formula.  `denom` is the
+    interior quotient's (None on the boundary and for the tangent-plane
+    methods): the raw w_{-x} - w_x of the NEW_* methods' weights, or
+    phi_{n+2} - phi_{n+1} of the extended mode's normalized phi."""
 
     values: np.ndarray
     method: str
@@ -143,14 +146,15 @@ def angles(polygon: SphericalPolygon, x) -> AngleCache:
     not coincide with or oppose any vertex (AngleDegenerate otherwise)."""
     rays = ring_rays(polygon, unit_row(x))
     sin_theta = single(ray_sines, polygon, rays, _angle_degenerate)
-    return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=rays.alpha[0])
+    return AngleCache(theta=np.arctan2(sin_theta, rays.cos[0]), alpha=np.arctan2(rays.tau[0], rays.d[0]))
 
 
-def closed_form_batch(polygon: SphericalPolygon, rays: Rays, errors: list,
+def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list,
                       aligned=_angle_degenerate, not_finite=AlphaNearPi):
     """Batched closed-form mean value weights (omega (m, n), denom (m,))
-    from the rays of m unit directions; see :func:`closed_form_mv_weights`.
-    Errors: aligned(k, theta_k) at vertex k (see ray_sines), not_finite."""
+    from the rays of the m unit rows X; see :func:`closed_form_mv_weights`.
+    NEW_MV's and NEW_MV_CLOSED's kernel, each with its own errors:
+    aligned(k, theta_k) at vertex k (see ray_sines), not_finite."""
     sin_theta = ray_sines(polygon, rays, aligned, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega, denom = mean_value_ring(sin_theta, rays)
@@ -173,24 +177,25 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
     sin theta_i = |c_i| and cos theta_i = <v_i, x>.  The spherical
     coordinates follow as psi_i = omega_i / denom and agree with the generic
     polyhedral mean value pipeline.  The m = 1 call of
-    :func:`closed_form_batch`, which NEW_MV_CLOSED's kernel runs.
+    :func:`closed_form_batch`, NEW_MV_CLOSED's kernel.
     """
-    omega, denom = single(closed_form_batch, polygon, ring_rays(polygon, unit_row(x)))
+    X = unit_row(x)
+    omega, denom = single(closed_form_batch, polygon, X, ring_rays(polygon, X))
     return omega, float(denom)
 
 
 # --------------------------------------------------------------------------
 # interior kernels: (polygon, unit interior rows X (m, 3), their rays,
-# errors) -> (values (m, n), denominators (m,), NaN where a method has none);
-# every band comes from polygon.tol
+# errors) -> (weights (m, n), denominators (m,)), which evaluate_batch
+# divides in one stage, _quotient; every band comes from polygon.tol
 # --------------------------------------------------------------------------
 
-def _quotient(phi: np.ndarray, n: int, errors: list):
+def _quotient(w: np.ndarray, denom: np.ndarray, errors: list) -> np.ndarray:
+    # The one place that divides by a denominator or refuses one.
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = phi[:, n + 1] - phi[:, n]
         refuse(errors, ~(denom > DENOM), lambda r: NonPositiveDenominator(
-            f"phi[-x] - phi[x] = {denom[r]:.3e} <= {DENOM}; invalid input or broken backend"))
-        return phi[:, :n] / denom[:, None], denom
+            f"denominator w[-x] - w[x] = {denom[r]:.3e} <= {DENOM}"))
+        return w / denom[:, None]
 
 
 def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list):
@@ -203,41 +208,33 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
         return np.full((len(X), polygon.n), np.nan), np.full(len(X), np.nan)
     w, reflex = polar_dual(polygon, X, rays, errors, hull=True)
     refuse_reflex(errors, reflex)
-    return _quotient(normalized_weights(w, errors), polygon.n, errors)
-
-
-def _mean_value(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, aligned, not_finite):
-    # psi_i = omega_i / sum_j omega_j cos theta_j: the fan's weights at the
-    # ring over w_{-x} - w_x, so w_x, which cancels, is never formed.  NEW_MV
-    # and NEW_MV_CLOSED differ only in the errors they name.
-    omega, denom = closed_form_batch(polygon, rays, errors, aligned, not_finite)
-    refuse(errors, denom <= DENOM, lambda r: NonPositiveDenominator(
-        f"closed-form denominator {denom[r]:.3e} <= {DENOM}"))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return omega / denom[:, None], denom
+    total = w.sum(axis=1)
+    refuse(errors, ~(np.isfinite(total) & (total > 0.0)), lambda _: KernelViolation(
+        "weight sum is not positive and finite; configuration invalid for this backend"))
+    return w[:, :-2], w[:, -1] - w[:, -2]
 
 
 def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, wachspress: bool):
     # Planar coordinates of the gnomonic image, divided by <v_i, x> to
-    # restore linear precision on the sphere.
+    # restore linear precision on the sphere; over 1.
     _, points2d = project_batch(polygon.vertices, X, rays.cos, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         planar = (planar_wachspress_batch(points2d, polygon.tol, errors) if wachspress
                   else planar_mv_batch(points2d, errors))
-        return planar / rays.cos, np.full(len(X), np.nan)
+        return planar / rays.cos, np.ones(len(X))
 
 
 class Method(NamedTuple):
     """One row of :data:`KERNELS`."""
 
-    kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (values, denominators)
-    boundary: bool       # Lagrange and edge values on the boundary; else OriginOnBoundary
+    kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (weights, denominators)
+    boundary: bool       # polyhedral: boundary values and a denominator to report; else OriginOnBoundary
 
 
 KERNELS = {
-    "NEW_MV": Method(partial(_mean_value, aligned=on_vertex, not_finite=KernelViolation), True),
+    "NEW_MV": Method(partial(closed_form_batch, aligned=on_vertex, not_finite=KernelViolation), True),
     "NEW_WC": Method(_polar_dual, True),
-    "NEW_MV_CLOSED": Method(partial(_mean_value, aligned=_angle_degenerate, not_finite=AlphaNearPi), True),
+    "NEW_MV_CLOSED": Method(closed_form_batch, True),
     "CC_MV": Method(partial(_tangent, wachspress=False), False),
     "CC_WC": Method(partial(_tangent, wachspress=True), False),
 }
@@ -249,10 +246,10 @@ METHODS = tuple(KERNELS)
 # --------------------------------------------------------------------------
 
 class Evaluations(NamedTuple):
-    """One method at m directions: locations, values (m, n) and interior
-    denominators (m,), NaN where absent, and per row the error its
-    single-point evaluation raises (None where it succeeds); rows refused
-    with one message may share the error instance."""
+    """One method at m directions: locations, values (m, n) and the
+    denominators (m,) of the interior quotient, NaN where absent, and per
+    row the error its single-point evaluation raises (None where it
+    succeeds); rows refused with one message may share the error instance."""
 
     method: str
     locations: Locations
@@ -303,7 +300,8 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
         # No kernel writes into them: an all-interior block (m = 1) goes as it is.
         rays, X = (locations.rays, X) if len(rows) == m else (Rays._make(f[rows] for f in locations.rays), X[rows])
         kernel_errors = [None] * len(rows)
-        values[rows], denom[rows] = kernel(polygon, X, rays, kernel_errors)
+        w, d = kernel(polygon, X, rays, kernel_errors)
+        values[rows], denom[rows] = _quotient(w, d, kernel_errors), d if boundary else np.nan
         failed = rows[[error is not None for error in kernel_errors]]
         values[failed] = denom[failed] = np.nan
         for r, error in zip(rows.tolist(), kernel_errors):     # no earlier check refused an interior row
@@ -346,10 +344,9 @@ def extended_spherical_coords(ring, x, backend: str = "MV", tol: Tolerances = DE
     the sign.  Returns the quotient coordinates with location kind
     "extended"."""
     phi = origin_coords_on_ring(ring, x, backend, tol)
-    values, denom = single(_quotient, phi[None], len(phi) - 2)
-    return CoordinateVector(
-        values=values, method="NEW_" + backend, location=PointLocation(kind="extended"), denom=float(denom)
-    )
+    denom = phi[None, -1] - phi[None, -2]
+    return CoordinateVector(values=single(_quotient, phi[None, :-2], denom), method="NEW_" + backend,
+                            location=PointLocation(kind="extended"), denom=float(denom[0]))
 
 
 def origin_coords_on_ring(ring, x, backend: str = "MV", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -519,11 +519,12 @@ class TestLocatePoint:
 
 
 def test_winding_angle_signs(octant):
-    """The winding locate_points takes, the sum of the rays' alpha about x:
-    2 pi inside an anti-clockwise ring, -2 pi for the reversed ring, 0
-    outside."""
+    """The winding locate_points takes, the sum of the rays' alpha =
+    arctan2(tau, d) about x: 2 pi inside an anti-clockwise ring, -2 pi for
+    the reversed ring, 0 outside."""
     def winding(V, x):
-        return float(ring_rays(Ring(V), sb.normalize(x)[None]).alpha.sum())
+        rays = ring_rays(Ring(V), sb.normalize(x)[None])
+        return float(np.arctan2(rays.tau, rays.d).sum())
 
     inner = [1, 1, 1]
     assert winding(octant.vertices, inner) == pytest.approx(2 * np.pi, abs=1e-12)

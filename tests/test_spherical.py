@@ -337,6 +337,22 @@ class TestPolarDualOnHull:
         phi = sb.coords_at_origin(q, "WC")
         np.testing.assert_allclose(cv.values, phi[:n] / (phi[n + 1] - phi[n]), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("case", range(5))
+    def test_denominator_is_the_raw_weight_difference(self, case):
+        # NEW_WC reports the raw polar-dual w_{-x} - w_x on the hull, as
+        # NEW_MV reports its own, and its values are the ring weights over it.
+        rng = np.random.default_rng(9700 + case)
+        polygon = (sb.demo_quadrilateral(), sb.random_polygon(12, 0.9, seed=4), jittered_ring(rng, 5, 1.4, False),
+                   jittered_ring(rng, 16, 0.6, False), jittered_ring(rng, 64, 1.5, False))[case]
+        n = polygon.n
+        X = unit_rows(np.vstack([[0.0, 0.0, 1.0], sb.interior_points(polygon, 20, rng)]))[0]
+        batch = evaluate_batch(polygon, X, "NEW_WC")
+        assert all(error is None for error in batch.errors)
+        for x, values, denom in zip(X, batch.values, batch.denom):
+            w = sb.wachspress_weights(sb.build_q(polygon, x, hull=True))
+            assert denom == pytest.approx(w[n + 1] - w[n], rel=1e-12, abs=0)
+            np.testing.assert_allclose(values * denom, w[:n], rtol=0, atol=1e-12 * np.abs(w[:n]).max())
+
 
 # (n, cap radius, mode): convex and star polygons, n 3..64, caps up to 1.5.
 BATCH_POLYGONS = (
@@ -442,7 +458,13 @@ def near_edge_points(polygon, gap, rng):
 def quotient_of(w, n):
     """psi from raw weights w (n+2): the quotient of the normalized
     weights, with the errors of the evaluation path."""
-    return single(_quotient, single(normalized_weights, w[None])[None], n)[0]
+    return coords_quotient(single(normalized_weights, w[None]), n)
+
+
+def coords_quotient(phi, n):
+    """psi from 3D coordinates phi (n+2): the evaluation path's quotient
+    of phi[:n] over phi[n+1] - phi[n], its errors raised."""
+    return single(_quotient, phi[None, :n], phi[None, n + 1] - phi[None, n])
 
 
 def general_mv_outcome(polygon, x):
@@ -495,18 +517,19 @@ class TestFanKernel:
         # cos theta_i = 0).  The row that succeeds gets the same bits from
         # both and from its single-row call.
         X = unit_rows(np.vstack([CENTER, octant.vertices[0], CENTER + [0.1, 0, 0], CENTER - [0.1, 0, 0]]))[0]
-        c, cos, tau, d, alpha = ring_rays(octant, X)
+        c, cos, tau, d = ring_rays(octant, X)
         cos, tau = cos.copy(), tau.copy()
         tau[2, 0], cos[3] = np.nan, 0.0
-        rays = Rays(c, cos, tau, d, alpha)
+        rays = Rays(c, cos, tau, d)
         expected = {"NEW_MV": ("PointOnVertexOrAntipode", "KernelViolation", "NonPositiveDenominator"),
                     "NEW_MV_CLOSED": ("AngleDegenerate", "AlphaNearPi", "NonPositiveDenominator")}
         values = []
         for method, tags in expected.items():
             errors = [None] * 4
-            psi, denom = KERNELS[method].kernel(octant, X, rays, errors)
+            w, denom = KERNELS[method].kernel(octant, X, rays, errors)
+            psi = _quotient(w, denom, errors)
             assert errors[0] is None and tuple(e.name for e in errors[1:]) == tags
-            assert str(errors[3]).startswith("closed-form denominator 0.000e+00 <= ")
+            assert str(errors[3]).startswith("denominator w[-x] - w[x] = 0.000e+00 <= ")
             assert psi[0].tobytes() == sb.evaluate(octant, X[0], method).values.tobytes()
             values.append((psi[0].tobytes(), denom[0]))
         assert values[0] == values[1]
@@ -622,7 +645,7 @@ class TestPolarDualKernel:
         # hull is not the fan and the two differ.
         def fan_route(polygon, x):
             phi = sb.coords_at_origin(sb.build_q(polygon, x), "WC", require_convex=False)
-            return single(_quotient, phi[None], polygon.n)[0]
+            return coords_quotient(phi, polygon.n)
 
         rng = np.random.default_rng(9400 + n)
         polygon = jittered_ring(rng, n, float(rng.uniform(0.3, 1.4)), star=False)
@@ -654,8 +677,8 @@ SWEEP_GAPS = tuple(10.0 ** -k for k in range(4, 14))
 # The public functions on one polyhedron, at one direction x (m = 1): psi
 # of x, or its error raised.
 Q_ROUTES = {
-    "q:MV": lambda p, x: single(_quotient, sb.coords_at_origin(sb.build_q(p, x), "MV")[None], p.n)[0],
-    "q:WC": lambda p, x: single(_quotient, sb.coords_at_origin(sb.build_q(p, x, hull=True), "WC")[None], p.n)[0],
+    "q:MV": lambda p, x: coords_quotient(sb.coords_at_origin(sb.build_q(p, x), "MV"), p.n),
+    "q:WC": lambda p, x: coords_quotient(sb.coords_at_origin(sb.build_q(p, x, hull=True), "WC"), p.n),
     "extended:MV": lambda p, x: sb.extended_spherical_coords(p.vertices, x, "MV").values,
     "extended:WC": lambda p, x: sb.extended_spherical_coords(p.vertices, x, "WC").values,
 }
@@ -814,11 +837,12 @@ class TestExtendedDomain:
         # they are alone.
         phi = np.array([[0.2, 0.3, 0.1, 0.4], [0.2, 0.3, np.nan, 0.4], [0.1, 0.1, 0.3, 0.5]])
         errors = [None] * 3
-        values, denom = _quotient(phi, 2, errors)
+        denom = phi[:, 3] - phi[:, 2]
+        values = _quotient(phi[:, :2], denom, errors)
         assert isinstance(errors[1], NonPositiveDenominator) and errors[0] is None and errors[2] is None
         assert np.isnan(denom[1])
         for r in (0, 2):
-            np.testing.assert_array_equal(values[r], single(_quotient, phi[r:r + 1], 2)[0])
+            np.testing.assert_array_equal(values[r], coords_quotient(phi[r], 2))
             np.testing.assert_array_equal(values[r], phi[r, :2] / (phi[r, 3] - phi[r, 2]))
 
     def test_great_circle_ring(self):
