@@ -9,10 +9,11 @@ gate reads it from there; the fixed guards are the constants UNIT, TINY,
 DENOM and PROJ.
 
 Each primitive is batched once, and the scalar helpers are its m = 1
-calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects (the
-polygon's cached image at its witness too) and :func:`locate_points`
-classifies an (m, 3) block of directions from the (m, n) arrays of
-:func:`ring_rays`, which it hands on to the interior kernels;
+calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects (at
+m = 1 only: :func:`sphbary.tangent.gnomonic_project` and the polygon's
+cached image at its witness; the CC_* kernels read the rays instead) and
+:func:`locate_points` classifies an (m, 3) block of directions from the
+(m, n) arrays of :func:`ring_rays`, which it hands on to the interior kernels;
 :func:`validate_polygon` reads their first half, :func:`ring_products`, of
 the ring seen from its own vertices and from the one witness that
 :func:`find_hemisphere_witness` finds; what they read of the ring alone is
@@ -340,6 +341,13 @@ class Ring:
         V = self.vertices
         edges = np.concatenate([V[1:], V[:1]]) - V                      # v_{j+1} - v_j
         return np.ascontiguousarray(cross3(edges, np.concatenate([edges[-1:], edges[:-1]])).T)[:, None, :]
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """(n,) corner triples det(v_{j-1}, v_j, v_{j+1}) = -<v_j, turns_j>:
+        from the differences, which keep their digits at a straight corner
+        where <v_{j-1}, v_j x v_{j+1}> cancels."""
+        return -dot3(self.vertices, self.turns[:, 0].T)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -282,12 +282,12 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
         # crossed once per ring, T_i; of -x, <v_i + x, T_i>; of x between two
         # ring edges, <x - v_i, T_i>, else from a chord's face.
         v = ring.products_table[:, :, :n]
-        p, q = (v + X.T[:, :, None]) * ring.turns, v * ring.turns                # (3, m, n), as in hull_cavity
+        p = (v + X.T[:, :, None]) * ring.turns                                   # (3, m, n), as in hull_cavity
         vol = p[0] + p[1] + p[2]
         pair = t_in * tau                                  # the t of a spoke's two faces
         spoke_low = -vol * (1.0 + rays.cos) / pair
         reflex = (vol > tol.geom * np.minimum(roll1(size_low, 1), size_low)).any(axis=1)
-        vol = vol - 2.0 * (q[0] + q[1] + q[2])
+        vol = vol + 2.0 * ring.corners                     # <v_i, T_i> = -corners_i
         # Ring edge i, between (v_i, v_{i+1}, x) and (v_{i+1}, v_i, -x), vol = -2 tau_i.
         edge = 2.0 * gap / tau
         flat = -2.0 * tau > tol.geom * np.minimum(size_up, size_low)

@@ -38,9 +38,14 @@ ExteriorPoint for all) and calls the method's interior kernel, looked up
 in :data:`KERNELS`, once on the interior rows X: kernel(polygon, X, rays,
 errors), with those rows of the rays point location read
 (:class:`sphbary.geom.Rays`), so no kernel crosses x with the ring again
-and its 1/tau terms read the tau the interior decision read.  One stage
-then divides the kernel's weights by its denominators (the tangent-plane
-kernels' are 1), the only one that refuses NonPositiveDenominator.
+and its 1/tau terms read the tau the interior decision read.  The
+tangent-plane kernels project nothing either: the gnomonic projection keeps
+the angles at x and sends theta_i to the radius tan theta_i, so the planar
+quantities their formulas read are the rays over products of cos theta_i
+(see :func:`_tangent`), and they return w_i / cos theta_i with the planar
+weights' sum as denominator.  One stage then divides every kernel's
+weights by its denominators, the only one that refuses
+NonPositiveDenominator.
 NEW_WC's kernel needs the convex hull over a convex polygon: on a
 non-convex one it refuses every interior row, and only those, with
 NotConvexForWC.  The kernels are numpy code over the whole block, with no
@@ -75,10 +80,11 @@ from .errors import (
 )
 from .geom import (
     DEFAULT_TOL, DENOM, EDGE, EXTERIOR, INTERIOR, VERTEX, Locations, PointLocation, Rays, SphericalPolygon,
-    Tolerances, direction, locate_points, ray_sines, ring_rays, unit_row, unit_rows, unit_vertices, zero_vector,
+    Tolerances, direction, dot3, locate_points, ray_sines, ring_rays, roll1, unit_row, unit_rows, unit_vertices,
+    zero_vector,
 )
 from .polyhedron import build_ring_q, coords_at_origin, mean_value_ring, on_vertex, polar_dual, refuse_reflex
-from .tangent import planar_mv_batch, planar_wachspress_batch, project_batch
+from .tangent import mean_value_weights, refuse_unprojected, wachspress_weights
 
 __all__ = [
     "CoordinateVector",
@@ -215,13 +221,23 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
 
 
 def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, wachspress: bool):
-    # Planar coordinates of the gnomonic image, divided by <v_i, x> to
-    # restore linear precision on the sphere; over 1.
-    _, points2d = project_batch(polygon.vertices, X, rays.cos, errors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        planar = (planar_wachspress_batch(points2d, polygon.tol, errors) if wachspress
-                  else planar_mv_batch(points2d, errors))
-        return planar / rays.cos, np.ones(len(X))
+    # Planar weights w of the gnomonic image u at x, read off the rays: the
+    # projection keeps the angles at x and sends theta_i to the radius
+    # tan theta_i, so |u_i| = |c_i| / cos theta_i, u_i x u_{i+1} and
+    # <u_i, u_{i+1}> are tau_i and d_i over cos theta_i cos theta_{i+1}, and
+    # the corner area A(u_{i-1}, u_i, u_{i+1}) is the ring's corner triple
+    # over 2 cos theta_{i-1} cos theta_i cos theta_{i+1}.  Divided by
+    # <v_i, x> to restore linear precision on the sphere, over their sum.
+    cos = rays.cos
+    refuse_unprojected(cos, errors)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pair = 1.0 / (cos * roll1(cos, -1))
+        if wachspress:
+            w = wachspress_weights(0.5 * polygon.corners * pair / roll1(cos, 1), 0.5 * rays.tau * pair,
+                                   polygon.tol, errors)
+        else:
+            w = mean_value_weights(np.sqrt(dot3(rays.c, rays.c)) / cos, rays.tau * pair, rays.d * pair, errors)
+        return w / cos, w.sum(axis=1)
 
 
 class Method(NamedTuple):

@@ -756,6 +756,31 @@ def mp_polar_dual(mp, P, faces):
     return [mp_dot(p, S) / mp_dot(p, p) for p, S in zip(P, area)]
 
 
+def mp_classical(mp, V, x, wachspress: bool):
+    """psi of CC_MV or CC_WC at the unit row x (mpf, as V's rows): the
+    planar mean value or Wachspress weights of the origin in the gnomonic
+    image u_i = v_i / <v_i, x> - x, in the plane normal to x, over their
+    sum and over <v_i, x>."""
+    n = len(V)
+    cos = [mp_dot(v, x) for v in V]
+    u = [[v[k] / c - x[k] for k in range(3)] for v, c in zip(V, cos)]
+
+    def area(a, b, c):          # signed, seen from x
+        return mp_dot(x, mp_cross([b[k] - a[k] for k in range(3)], [c[k] - a[k] for k in range(3)])) / 2
+
+    if wachspress:
+        origin = [mp.mpf(0)] * 3
+        w = [area(u[i - 1], u[i], u[(i + 1) % n]) / (area(origin, u[i - 1], u[i]) * area(origin, u[i], u[(i + 1) % n]))
+             for i in range(n)]
+    else:
+        r = [mp.sqrt(mp_dot(a, a)) for a in u]
+        half = [mp_dot(x, mp_cross(u[i], u[(i + 1) % n])) / (r[i] * r[(i + 1) % n] + mp_dot(u[i], u[(i + 1) % n]))
+                for i in range(n)]
+        w = [(half[i - 1] + half[i]) / r[i] for i in range(n)]
+    total = sum(w)
+    return np.array([float(w[i] / total / cos[i]) for i in range(n)])
+
+
 class TestHighPrecisionOracle:
     def test_near_edge_rows_match_50_digits(self):
         # Convex rings with n <= 8, one point per edge at gaps 1e-7 ... 1e-13:
@@ -790,6 +815,32 @@ class TestHighPrecisionOracle:
                                 far.append((k, i, method, gap))
         assert rows <= 300 and far == []
         assert min(compared.values()) >= 20 and len(compared) == 5
+
+    def test_classical_rows_match_50_digits(self):
+        # CC_MV and CC_WC at interior samples of convex rings, n 3 ... 16 and
+        # caps 0.3 ... 1.55, and CC_MV on star rings too, against the planar
+        # formulas of the gnomonic image of the same float vertices at the
+        # same unit row x in 50-digit arithmetic: every row that returns
+        # values is within 1e-12 of its max |psi|.
+        mpmath = pytest.importorskip("mpmath")
+        compared, far = {"CC_MV": 0, "CC_WC": 0}, []
+        with mpmath.workdps(50):
+            for k, (n, cap) in enumerate(zip((3, 4, 5, 6, 8, 10, 12, 16, 4, 7, 9, 13), np.linspace(0.3, 1.55, 12))):
+                rng = np.random.default_rng(8900 + k)
+                star = k >= 8
+                polygon = jittered_ring(rng, n, cap, star=star)
+                X = unit_rows(sb.interior_points(polygon, 4, rng))[0]
+                V = [[mpmath.mpf(float(c)) for c in v] for v in polygon.vertices]
+                for method in ("CC_MV",) if star else ("CC_MV", "CC_WC"):
+                    batch = evaluate_batch(polygon, X, method)
+                    for i, x in enumerate(X):
+                        if batch.errors[i] is None:
+                            oracle = mp_classical(mpmath, V, [mpmath.mpf(float(c)) for c in x], method == "CC_WC")
+                            compared[method] += 1
+                            if not np.max(np.abs(batch.values[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle)):
+                                far.append((k, i, method))
+        assert far == []
+        assert compared["CC_MV"] >= 30 and compared["CC_WC"] >= 20
 
 
 class TestExtendedDomain:
