@@ -372,30 +372,39 @@ class SphericalPolygon(Ring):
     @cached_property
     def delaunay(self) -> "Triangulation":
         """The spherical Delaunay triangulation of a convex ring (the faces of
-        the hull of its vertices that face away from the origin) with its
-        half-edge tables; see :class:`Triangulation`.
+        the hull of its vertices that face away from the origin): its
+        triangles and their planes, and half-edge tables that are built on
+        the first read; see :class:`Triangulation`.
         A chord recursion from (0, n-1) takes as apex of chord (i, j) the
         lowest chain vertex i < k < j whose plane through v_i, v_k, v_j
         leaves every other chain vertex at most the band in front.  One pass
         takes its first steps, apex i+1 for chord (i, n-1) while that plane
-        leaves every vertex so: all of them on a cocircular ring."""
+        leaves every vertex so: all of them on a cocircular ring.  Each
+        triangle keeps the normal (v_k - v_i) x (v_j - v_i) of the pass that
+        chose it, the run's or its chord's."""
         V, n = self.vertices, self.n
 
-        def behind(a, b, c, points):      # (K, L): points[l] at most the band in front of plane (a, b, c)[k]
+        def behind(a, b, c, points):
+            """The normals (K, 3) of the planes (a, b, c)[k], and (K, L):
+            points[l] at most the band in front of plane k."""
             normals = cross3(b - a, c - a)
             band = self.tol.geom * np.sqrt(dot3(normals, normals))
-            return dot3(normals[:, None], points - a[..., None, :]) <= band[:, None]
+            return normals, dot3(normals[:, None], points - a[..., None, :]) <= band[:, None]
 
-        run = int(np.cumprod(np.all(behind(V[:-2], V[1:-1], V[-1], V), axis=1)).sum())
-        triangles, chords = [(i, i + 1, n - 1) for i in range(run)], [(run, n - 1)]
+        fan, ahead = behind(V[:-2], V[1:-1], V[-1], V)
+        run = int(np.cumprod(np.all(ahead, axis=1)).sum())
+        triangles, normals, chords = [(i, i + 1, n - 1) for i in range(run)], [fan[:run]], [(run, n - 1)]
         while chords:
             i, j = chords.pop()
             if j - i > 1:
                 chain = V[i + 1:j]
-                k = i + 1 + int(np.all(behind(V[i], chain, V[j], chain), axis=1).argmax())
+                apex, ahead = behind(V[i], chain, V[j], chain)
+                k = int(np.all(ahead, axis=1).argmax())
+                normals.append(apex[k:k + 1])
+                k += i + 1
                 triangles.append((i, k, j))
                 chords += [(i, k), (k, j)]
-        return Triangulation.of(V, np.array(triangles, dtype=np.intp), self.tol)
+        return Triangulation.of(V, np.array(triangles, dtype=np.intp), self.tol, np.concatenate(normals))
 
     @cached_property
     def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -406,48 +415,73 @@ class SphericalPolygon(Ring):
         return bases[0], planar[0], planar[0].min(axis=0), planar[0].max(axis=0)
 
 
-class Triangulation(NamedTuple):
-    """:attr:`SphericalPolygon.delaunay` and the tables the hull of the ring
-    with a point above it and one below is built from.  Half-edge
-    h = 3t + s runs from corner s of triangle t to corner s+1, from v_tail
-    to v_head; triangle n-2 stands for the side below the ring, which
-    nothing lies in front of."""
+class Triangulation:
+    """:attr:`SphericalPolygon.delaunay`: the triangles and their planes,
+    which tell the triangles a point sees, and the half-edge tables the hull
+    of the ring with a point above it and one below is built from.  The
+    tables, :attr:`HALF_EDGES`, are read by the hull's faces and where a
+    point does not see every triangle, which never happens on a triangle or
+    a cocircular ring; :meth:`half_edges` builds them all the first time one
+    is read, and they stay cached here.  Half-edge h = 3t + s runs from
+    corner s of triangle t to corner s+1, from v_tail to v_head; triangle
+    n-2 stands for the side below the ring, which nothing lies in front of."""
 
-    triangles: np.ndarray   # (n-2, 3), anti-clockwise seen from outside
-    normals: np.ndarray     # (3, 1, n-1) columns of the unit normals of their planes <normal, y> = offset,
-    offsets: np.ndarray     # (n-1,) and offsets; a zero normal and an infinite offset below
-    sizes: np.ndarray       # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
-    own: np.ndarray         # (3n-6,) the triangle of each half-edge
-    across: np.ndarray      # (3n-6,) the triangle across it, n-2 on the ring
-    tail: np.ndarray        # (3n-6,)
-    head: np.ndarray        # (3n-6,)
-    cross: np.ndarray       # (3n-6, 3) v_tail x v_head
-    cosines: np.ndarray     # (3n-6,) <v_tail, v_head>
-    rim: np.ndarray         # (n,) the triangle on the ring edge from v_i to v_{i+1}
-    halves: np.ndarray      # (n-3, 2) the half-edges p -> q and q -> p of each edge between two triangles,
-    sides: np.ndarray       # (n-3, 2) and their triangles, left and right of p -> q,
-    kappa: np.ndarray       # (n-3,) its polar-dual term when both are on the hull,
-    reflex: np.ndarray      # (n-3,) and whether an apex lies more than the band in front of the plane across;
-    star: np.ndarray        # (3n-6,) per vertex in ring order, 0 and then 1 + each such edge at it,
-    starts: np.ndarray      # (n,) where each vertex's run in star begins
+    def __init__(self, triangles: np.ndarray, normals: np.ndarray, offsets: np.ndarray, sizes: np.ndarray,
+                 vertices: np.ndarray, tol: Tolerances):
+        self.triangles = triangles  # (n-2, 3), anti-clockwise seen from outside
+        self.normals = normals      # (3, 1, n-1) columns of the unit normals of their planes <normal, y> = offset,
+        self.offsets = offsets      # (n-1,) and offsets; a zero normal and an infinite offset below
+        self.sizes = sizes          # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
+        self.vertices = vertices    # (n, 3) the ring
+        self.tol = tol              # the band of the apex tests
+
+    # The half-edge tables, built on the first read:
+    #   own      (3n-6,) the triangle of each half-edge
+    #   across   (3n-6,) the triangle across it, n-2 on the ring
+    #   tail     (3n-6,)
+    #   head     (3n-6,)
+    #   cross    (3n-6, 3) v_tail x v_head
+    #   cosines  (3n-6,) <v_tail, v_head>
+    #   rim      (n,) the triangle on the ring edge from v_i to v_{i+1}
+    #   halves   (n-3, 2) the half-edges p -> q and q -> p of each edge between two triangles,
+    #   sides    (n-3, 2) and their triangles, left and right of p -> q,
+    #   kappa    (n-3,) its polar-dual term when both are on the hull,
+    #   reflex   (n-3,) and whether an apex lies more than the band in front of the plane across;
+    #   star     (3n-6,) per vertex in ring order, 0 and then 1 + each such edge at it,
+    #   starts   (n,) where each vertex's run in star begins
+    HALF_EDGES = ("own", "across", "tail", "head", "cross", "cosines", "rim", "halves", "sides", "kappa", "reflex",
+                  "star", "starts")
 
     @classmethod
-    def of(cls, V: np.ndarray, triangles: np.ndarray, tol: Tolerances) -> "Triangulation":
-        """The tables of a triangulation (n-2, 3) of the convex ring V, each
-        triangle anti-clockwise seen from outside; tol is the band of the
-        apex tests."""
-        n = len(V)
+    def of(cls, V: np.ndarray, triangles: np.ndarray, tol: Tolerances,
+           normals: np.ndarray | None = None) -> "Triangulation":
+        """The triangulation (n-2, 3) of the convex ring V, each triangle
+        anti-clockwise seen from outside, from the normals (n-2, 3)
+        (v_1 - v_0) x (v_2 - v_0) of its triangles, crossed here unless
+        given; tol is the band of the apex tests."""
+        a = V[triangles[:, 0]]
+        if normals is None:
+            normals = cross3(V[triangles[:, 1]] - a, V[triangles[:, 2]] - a)
+        sizes = np.sqrt(dot3(normals, normals))
+        normals = normals / sizes[:, None]
+        return cls(triangles, np.ascontiguousarray(np.concatenate([normals, np.zeros((1, 3))]).T)[:, None],
+                   np.concatenate([dot3(normals, a), [np.inf]]), np.concatenate([sizes, [0.0]]), V, tol)
+
+    def __getattr__(self, name: str):
+        # Reached only for a name that is not set: a table before the build.
+        if name not in self.HALF_EDGES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(self.half_edges())
+        return self.__dict__[name]
+
+    def half_edges(self) -> dict:
+        """The tables of :attr:`HALF_EDGES`, from the triangles and their planes."""
+        V, triangles, n = self.vertices, self.triangles, len(self.vertices)
+        normals, offsets, sizes = self.normals[:, 0, :-1].T, self.offsets[:-1], self.sizes[:-1]
         corners = V[triangles]
         after = corners[:, [1, 2, 0]]                     # the head of each half-edge
         a = corners[:, 0]
         i, j, e = np.arange(n), np.arange(1, n + 1) % n, np.arange(3 * n - 6)
-        # One pass for the triangles' normals (v_1 - v_0) x (v_2 - v_0) and
-        # each half-edge's v_tail x v_head.
-        normals, cross = np.split(cross3(np.concatenate([corners[:, 1] - a, corners.reshape(-1, 3)]),
-                                         np.concatenate([corners[:, 2] - a, after.reshape(-1, 3)])), [n - 2])
-        sizes = np.sqrt(dot3(normals, normals))
-        normals = normals / sizes[:, None]
-        offsets = dot3(normals, a)
         tail, head = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
         lookup = np.full((n, n), -1)
         lookup[tail, head] = e
@@ -464,14 +498,13 @@ class Triangulation(NamedTuple):
         sides = both.reshape(2, -1).T // 3
         at = np.concatenate([i, tail[h], head[h]])
         order = np.argsort(at, kind="stable")
-        return cls(
-            triangles=triangles, normals=np.ascontiguousarray(np.concatenate([normals, np.zeros((1, 3))]).T)[:, None],
-            offsets=np.concatenate([offsets, [np.inf]]), sizes=np.concatenate([sizes, [0.0]]), own=e // 3,
-            across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head, cross=cross, cosines=cosines,
-            rim=lookup[i, j] // 3, halves=both.reshape(2, -1).T, sides=sides,
+        return dict(
+            own=e // 3, across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head,
+            cross=cross3(corners.reshape(-1, 3), after.reshape(-1, 3)), cosines=cosines, rim=lookup[i, j] // 3,
+            halves=both.reshape(2, -1).T, sides=sides,
             kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0)
             / (planes[sides[:, 0]] * planes[sides[:, 1]]),
-            reflex=(height > tol.geom).reshape(2, -1).any(axis=0),
+            reflex=(height > self.tol.geom).reshape(2, -1).any(axis=0),
             star=np.concatenate([np.zeros(n, np.intp), np.tile(np.arange(1, n - 2), 2)])[order],
             starts=np.searchsorted(at[order], i))
 

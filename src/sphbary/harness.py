@@ -279,16 +279,21 @@ class _Grid(NamedTuple):
     residuals: np.ndarray
     errors: list
 
-    def rows(self, k: int, bands=DEFAULT_BANDS) -> list[GridRow]:
-        """One GridRow per point, with vertex k's value and band selected."""
-        value, method = self.values[:, k], self.method
-        return [
-            GridRow(p, label, method, k, None, None, None, e) if e
-            else GridRow(p, label, method, k, v, r, b, None, row)
-            for p, label, row, v, r, b, e in zip(
-                self.points, self.labels, self.values, value.tolist(), self.residuals.tolist(),
-                _band_index(value, bands).tolist(), self.errors)
-        ]
+    def rows(self, ks, bands=DEFAULT_BANDS) -> list[GridRow]:
+        """One GridRow per point for each vertex k of ks in turn, with k's
+        value and band selected; the per-point views are made once."""
+        method, labels, errors = self.method, self.labels, self.errors
+        points, rows, residuals = list(self.points), list(self.values), self.residuals.tolist()
+        out = []
+        for k in ks:
+            value = self.values[:, k]
+            out += [
+                GridRow(p, label, method, k, None, None, None, e) if e
+                else GridRow(p, label, method, k, v, r, b, None, row)
+                for p, label, row, v, r, b, e in zip(
+                    points, labels, rows, value.tolist(), residuals, _band_index(value, bands).tolist(), errors)
+            ]
+        return out
 
 
 def _evaluate_grid(polygon: SphericalPolygon, resolution: int, method: str) -> _Grid:
@@ -315,7 +320,7 @@ def grid_rows(
     """
     if not 0 <= vertex_index < polygon.n:
         raise ValueError(f"vertex index {vertex_index} out of range for n={polygon.n}")
-    return _evaluate_grid(polygon, resolution, method).rows(vertex_index, bands)
+    return _evaluate_grid(polygon, resolution, method).rows((vertex_index,), bands)
 
 
 def rows_to_csv(rows) -> str:
@@ -355,7 +360,7 @@ class CompareReport:
 
     def to_csv(self) -> str:
         """The rows of `grid_rows` for method_a, then method_b, each for vertex 0, 1, ... in turn."""
-        return rows_to_csv([row for grid in self._grids for k in range(grid.values.shape[1]) for row in grid.rows(k)])
+        return rows_to_csv([row for grid in self._grids for row in grid.rows(range(grid.values.shape[1]))])
 
 
 def compare_methods(polygon: SphericalPolygon, method_a: str, method_b: str, resolution: int = 24) -> CompareReport:

@@ -11,9 +11,13 @@ lower fan and the polygon's Delaunay triangulation with x inserted
 
 Each face holds x or -x or is a triangle of the cached triangulation, so
 the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
-(:class:`sphbary.geom.Rays`) and tables cached with the ring, by one
-kernel per backend, kernel(ring, X, rays, errors) on m unit rows: mean
-value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers 2005),
+(:class:`sphbary.geom.Rays`) and tables cached with the ring.  The
+triangulation's planes tell which triangles x sees; its half-edge tables
+are built on their first read, by :func:`hull_faces` or by a block with a
+row that does not see every triangle, which never happens on a triangle or
+a cocircular ring.  There is one kernel per backend, kernel(ring, X,
+rays, errors) on m unit rows: mean value weights on the fan,
+:func:`fan_mv` (Floater, Kos & Reimers 2005),
 and polar-dual weights, :func:`polar_dual` (Warren, Schaefer, Hirani &
 Desbrun 2007), on the fan and, patched where x's cavity in the
 triangulation makes the two differ, on the hull.  Each returns raw weights
@@ -148,9 +152,11 @@ def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     unit rows of X over a convex polygon: rho (m, n-1), <normal, x> of each
     triangle plane (and 0 below the ring); seen (m, n-1), the triangles x
     lies more than the polygon's band (the one the triangulation was built
-    with) in front of; and, unless x sees every triangle on every row (the
-    outline is then the ring), sides (m, n-3, 2), seen of the triangles
-    left and right of each edge between two.  The seen triangles are one
+    with) in front of, both from the triangles' planes alone; and, unless x
+    sees every triangle on every row (the outline is then the ring), sides
+    (m, n-3, 2), seen of the triangles left and right of each edge between
+    two, the first read of the half-edge tables, which builds them (see
+    :class:`sphbary.geom.Triangulation`).  The seen triangles are one
     edge-connected disc, bounded by its ring vertices in ring order, exactly
     when one fewer such edge than seen triangles joins two seen ones (then
     the outline, from a seen triangle to an unseen one or to the side

@@ -396,6 +396,19 @@ def edge_connected(triangles: list) -> bool:
     return len(reached) == len(triangles)
 
 
+def delaunay_ring(rng, k: int, n: int):
+    """Ring k of TestDelaunay, n vertices: a generic convex ring when k % 3
+    is 0, else a cocircular one, with polar angles moved by 1e-12 ... 1e-6
+    when k % 3 is 2."""
+    if k % 3 == 0:
+        return sb.random_polygon(n, float(rng.uniform(0.2, 1.5)), seed=int(rng.integers(0, 2**32)))
+    azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
+    jitter = rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1e-6], size=n) if k % 3 == 2 else np.zeros(n)
+    polar = float(rng.uniform(0.2, 1.5)) * (1 + jitter * rng.uniform(-1, 1, size=n))
+    return sb.validate_polygon(np.column_stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+
+
 class TestDelaunay:
     def test_disc_count_and_outline(self):
         # For every triangulation of rings with n <= 9 and every set of seen
@@ -429,19 +442,25 @@ class TestDelaunay:
         fans = 0
         for k in range(60):
             n = int(rng.integers(3, 40))
-            if k % 3 == 0:
-                polygon = sb.random_polygon(n, float(rng.uniform(0.2, 1.5)), seed=int(rng.integers(0, 2**32)))
-            else:
-                azimuth = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, size=n)) / n
-                jitter = rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1e-6], size=n) if k % 3 == 2 else np.zeros(n)
-                polar = float(rng.uniform(0.2, 1.5)) * (1 + jitter * rng.uniform(-1, 1, size=n))
-                polygon = sb.validate_polygon(np.column_stack(
-                    [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
+            polygon = delaunay_ring(rng, k, n)
             assert polygon.convex
-            triangles = {tuple(t) for t in polygon.delaunay[0][:n - 2].tolist()}
+            triangles = {tuple(t) for t in polygon.delaunay.triangles.tolist()}
             assert triangles == delaunay_loop(polygon)
             fans += triangles == {(i, i + 1, n - 1) for i in range(n - 2)}
         assert 0 < fans < 60
+
+    def test_planes_from_the_apex_pass(self):
+        # The planes each triangle keeps from the cross pass that chose it
+        # are those Triangulation.of crosses from the triangles, bit for
+        # bit, and so are the half-edge tables built from them.
+        rng = np.random.default_rng(20261020)
+        for k in range(36):
+            n = 3 if k < 3 else int(rng.integers(4, 40))
+            polygon = delaunay_ring(rng, k, n)
+            d = polygon.delaunay
+            reference = Triangulation.of(polygon.vertices, d.triangles, polygon.tol)
+            for name in ("normals", "offsets", "sizes") + Triangulation.HALF_EDGES:
+                assert getattr(d, name).tobytes() == getattr(reference, name).tobytes(), (k, name)
 
 
 class TestLocatePoint:

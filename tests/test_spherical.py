@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
     single,
 )
-from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
+from sphbary.geom import INTERIOR, Rays, Triangulation, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import KERNELS, _quotient, evaluate_batch
 
@@ -668,6 +668,46 @@ class TestPolarDualKernel:
             gaps = [np.max(np.abs(batch.values[i] - fan_route(polygon, X[i])))
                     for i in np.flatnonzero(chord) if batch.errors[i] is None]
             assert max(gaps) > 1e-6
+
+
+    def test_half_edge_tables_are_built_when_read(self, monkeypatch):
+        # x sees every Delaunay triangle of a triangle or of a cocircular
+        # ring, so NEW_WC reads their planes alone and never builds the
+        # half-edge tables; demo_quad's cavities read them, and they are
+        # built once per polygon.  Whether they were read before a batch or
+        # are built inside it, every row comes out the same.
+        builds = []
+        build = Triangulation.half_edges
+        monkeypatch.setattr(Triangulation, "half_edges", lambda d: builds.append(d) or build(d))
+        rng = np.random.default_rng(9500)
+        for n in (3, 12, 64):
+            azimuth = 2 * np.pi * np.arange(n) / n
+            polygon = sb.validate_polygon(np.column_stack([np.cos(azimuth), np.sin(azimuth), np.ones(n)]))
+            X = np.vstack([sb.interior_points(polygon, 10, rng)]
+                          + [near_edge_points(polygon, gap, rng) for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)])
+            assert np.count_nonzero([sb.evaluate(polygon, x, "NEW_WC").denom is not None
+                                     for x in X[locate_points(polygon, X).kind == INTERIOR]]) >= 10 + 3 * n
+            sb.grid_rows(polygon, 0, 8, "NEW_WC")
+        assert builds == []
+        quad = sb.demo_quadrilateral()
+        sb.grid_rows(quad, 0, 8, "NEW_WC")
+        sb.grid_rows(quad, 1, 8, "NEW_WC")
+        assert builds == [quad.delaunay]
+        refusals = set()
+        for polygon in (quad, sb.random_polygon(12, 0.9, seed=4), nudged_ring(np.random.default_rng(9501), 30, 0.5)):
+            centre = sb.normalize(polygon.vertices.sum(axis=0))
+            corners = [polygon.vertices + t * (centre - polygon.vertices) for t in (1e-9, 1e-8, 3e-8)]
+            near = [near_edge_points(polygon, gap, rng) for gap in (1e-4, 1e-8, 1e-12)]
+            X = unit_rows(np.vstack([sb.interior_points(polygon, 30, rng)] + near + corners))[0]
+            read = sb.validate_polygon(polygon.vertices)
+            read.delaunay.sides
+            built = sb.validate_polygon(polygon.vertices)
+            before, inside = evaluate_batch(read, X, "NEW_WC"), evaluate_batch(built, X, "NEW_WC")
+            assert "sides" in vars(built.delaunay)
+            assert [row_outcome(before, i) for i in range(len(X))] == [row_outcome(inside, i) for i in range(len(X))]
+            refusals |= {str(e) for e in inside.errors if e is not None}
+        assert {"x does not see a disc of the polygon's triangles",
+                "polyhedron has a reflex dihedral angle"} <= refusals
 
 
 # ROADMAP item 1's sweep.
