@@ -43,14 +43,11 @@ def _write(text: str, output: str | None) -> None:
 
 # argparse types: the ArgumentTypeError they raise is a usage error (exit 2).
 
-def _band(text: str) -> float:
+def _band(text: str) -> Tolerances:
     try:
-        eps = float(text)
+        return Tolerances(geom=float(text))
     except ValueError:
-        eps = np.nan
-    if not 0.0 < eps < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive, finite number, got {text!r}")
-    return eps
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number, got {text!r}") from None
 
 
 def _coordinate(text: str) -> float:
@@ -169,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barycentric coordinates of points on the unit sphere "
         "with respect to spherical polygons.",
     )
-    parser.add_argument("--tol", type=_band, default=None, metavar="EPS",
+    parser.add_argument("--tol", type=_band, default=DEFAULT_TOL, metavar="EPS",
                         help="override the geometric band, > 0 and finite (angles get 10x this)")
     parser.add_argument("--seed", type=int, default=0, help="seed for the random subcommand")
     parser.add_argument("--extended", action="store_true",
@@ -231,9 +228,10 @@ def main(argv=None) -> int:
     least = {"grid": 8, "compare": 1}.get(args.command)
     if least is not None and args.resolution < least:
         parser.error(f"--resolution must be >= {least}, got {args.resolution}")
-    tol = DEFAULT_TOL if args.tol is None else Tolerances(geom=args.tol)
+    if args.extended and args.command != "coords":
+        parser.error(f"argument --extended: applies to coords only, not to {args.command}")
     try:
-        return args.func(args, tol)
+        return args.func(args, args.tol)
     except SphBaryError as exc:
         print(f"error: {exc.name}: {exc}", file=sys.stderr)
         return 1

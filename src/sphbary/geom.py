@@ -17,10 +17,12 @@ cached image at its witness; the CC_* kernels read the rays instead) and
 :func:`validate_polygon` reads their first half, :func:`ring_products`, of
 the ring seen from its own vertices and from the one witness that
 :func:`find_hemisphere_witness` finds; what they read of the ring alone is
-cached with it.  Dot and cross products go
-through :func:`dot3` and :func:`cross3`, which add the products in a fixed
-order instead of calling BLAS, so a row's bits depend neither on BLAS nor
-on its batch.
+cached with it, and so are a convex polygon's Delaunay triangulation
+(:attr:`SphericalPolygon.delaunay`) and, on their first read, its
+half-edge tables (:attr:`SphericalPolygon.half_edges`).  Dot and cross
+products go through :func:`dot3` and :func:`cross3`, which add the
+products in a fixed order instead of calling BLAS, so a row's bits depend
+neither on BLAS nor on its batch.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ class Tolerances:
     """
 
     geom: float = 1e-10
+
+    def __post_init__(self):
+        # A band that is 0, negative or not a number turns the predicates'
+        # "at most the band" into wrong answers, not into refusals.
+        if not 0.0 < self.geom < np.inf:
+            raise ValueError(f"the band must be a positive, finite number, got {self.geom!r}")
 
     @property
     def angle(self) -> float:
@@ -370,11 +378,10 @@ class SphericalPolygon(Ring):
                                                        >= -self.tol.geom)))
 
     @cached_property
-    def delaunay(self) -> "Triangulation":
+    def delaunay(self) -> "Delaunay":
         """The spherical Delaunay triangulation of a convex ring (the faces of
         the hull of its vertices that face away from the origin): its
-        triangles and their planes, and half-edge tables that are built on
-        the first read; see :class:`Triangulation`.
+        triangles and their planes, see :class:`Delaunay`.
         A chord recursion from (0, n-1) takes as apex of chord (i, j) the
         lowest chain vertex i < k < j whose plane through v_i, v_k, v_j
         leaves every other chain vertex at most the band in front.  One pass
@@ -404,7 +411,15 @@ class SphericalPolygon(Ring):
                 k += i + 1
                 triangles.append((i, k, j))
                 chords += [(i, k), (k, j)]
-        return Triangulation.of(V, np.array(triangles, dtype=np.intp), self.tol, np.concatenate(normals))
+        return Delaunay.of(V, np.array(triangles, dtype=np.intp), np.concatenate(normals))
+
+    @cached_property
+    def half_edges(self) -> "HalfEdges":
+        """The half-edge tables of :attr:`delaunay`, built on their first
+        read (:func:`half_edge_tables`): by the hull's faces, and where a
+        point does not see every triangle, which never happens on a triangle
+        or a cocircular ring."""
+        return half_edge_tables(self.vertices, self.delaunay, self.tol)
 
     @cached_property
     def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -415,104 +430,81 @@ class SphericalPolygon(Ring):
         return bases[0], planar[0], planar[0].min(axis=0), planar[0].max(axis=0)
 
 
-class Triangulation:
+class Delaunay(NamedTuple):
     """:attr:`SphericalPolygon.delaunay`: the triangles and their planes,
-    which tell the triangles a point sees, and the half-edge tables the hull
-    of the ring with a point above it and one below is built from.  The
-    tables, :attr:`HALF_EDGES`, are read by the hull's faces and where a
-    point does not see every triangle, which never happens on a triangle or
-    a cocircular ring; :meth:`half_edges` builds them all the first time one
-    is read, and they stay cached here.  Half-edge h = 3t + s runs from
-    corner s of triangle t to corner s+1, from v_tail to v_head; triangle
-    n-2 stands for the side below the ring, which nothing lies in front of."""
+    which tell the triangles a point sees; triangle n-2, a plane here and
+    an index in :class:`HalfEdges`, stands for the side below the ring,
+    which nothing lies in front of."""
 
-    def __init__(self, triangles: np.ndarray, normals: np.ndarray, offsets: np.ndarray, sizes: np.ndarray,
-                 vertices: np.ndarray, tol: Tolerances):
-        self.triangles = triangles  # (n-2, 3), anti-clockwise seen from outside
-        self.normals = normals      # (3, 1, n-1) columns of the unit normals of their planes <normal, y> = offset,
-        self.offsets = offsets      # (n-1,) and offsets; a zero normal and an infinite offset below
-        self.sizes = sizes          # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
-        self.vertices = vertices    # (n, 3) the ring
-        self.tol = tol              # the band of the apex tests
-
-    # The half-edge tables, built on the first read:
-    #   own      (3n-6,) the triangle of each half-edge
-    #   across   (3n-6,) the triangle across it, n-2 on the ring
-    #   tail     (3n-6,)
-    #   head     (3n-6,)
-    #   cross    (3n-6, 3) v_tail x v_head
-    #   cosines  (3n-6,) <v_tail, v_head>
-    #   rim      (n,) the triangle on the ring edge from v_i to v_{i+1}
-    #   halves   (n-3, 2) the half-edges p -> q and q -> p of each edge between two triangles,
-    #   sides    (n-3, 2) and their triangles, left and right of p -> q,
-    #   kappa    (n-3,) its polar-dual term when both are on the hull,
-    #   reflex   (n-3,) and whether an apex lies more than the band in front of the plane across;
-    #   star     (3n-6,) per vertex in ring order, 0 and then 1 + each such edge at it,
-    #   starts   (n,) where each vertex's run in star begins
-    HALF_EDGES = ("own", "across", "tail", "head", "cross", "cosines", "rim", "halves", "sides", "kappa", "reflex",
-                  "star", "starts")
+    triangles: np.ndarray  # (n-2, 3), anti-clockwise seen from outside
+    normals: np.ndarray    # (3, 1, n-1) columns of the unit normals of their planes <normal, y> = offset,
+    offsets: np.ndarray    # (n-1,) and offsets; a zero normal and an infinite offset below
+    sizes: np.ndarray      # (n-1,) lengths of the normals (v_1 - v_0) x (v_2 - v_0); 0 below
 
     @classmethod
-    def of(cls, V: np.ndarray, triangles: np.ndarray, tol: Tolerances,
-           normals: np.ndarray | None = None) -> "Triangulation":
+    def of(cls, V: np.ndarray, triangles: np.ndarray, normals: np.ndarray) -> "Delaunay":
         """The triangulation (n-2, 3) of the convex ring V, each triangle
         anti-clockwise seen from outside, from the normals (n-2, 3)
-        (v_1 - v_0) x (v_2 - v_0) of its triangles, crossed here unless
-        given; tol is the band of the apex tests."""
-        a = V[triangles[:, 0]]
-        if normals is None:
-            normals = cross3(V[triangles[:, 1]] - a, V[triangles[:, 2]] - a)
+        (v_1 - v_0) x (v_2 - v_0) of its triangles."""
         sizes = np.sqrt(dot3(normals, normals))
         normals = normals / sizes[:, None]
         return cls(triangles, np.ascontiguousarray(np.concatenate([normals, np.zeros((1, 3))]).T)[:, None],
-                   np.concatenate([dot3(normals, a), [np.inf]]), np.concatenate([sizes, [0.0]]), V, tol)
+                   np.concatenate([dot3(normals, V[triangles[:, 0]]), [np.inf]]), np.concatenate([sizes, [0.0]]))
 
-    def __getattr__(self, name: str):
-        # Reached only for a name that is not set: a table before the build.
-        if name not in self.HALF_EDGES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__.update(self.half_edges())
-        return self.__dict__[name]
 
-    def half_edges(self) -> dict:
-        """The tables of :attr:`HALF_EDGES`, from the triangles and their planes."""
-        V, triangles, n = self.vertices, self.triangles, len(self.vertices)
-        normals, offsets, sizes = self.normals[:, 0, :-1].T, self.offsets[:-1], self.sizes[:-1]
-        corners = V[triangles]
-        after = corners[:, [1, 2, 0]]                     # the head of each half-edge
-        a = corners[:, 0]
-        i, j, e = np.arange(n), np.arange(1, n + 1) % n, np.arange(3 * n - 6)
-        tail, head = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
-        lookup = np.full((n, n), -1)
-        lookup[tail, head] = e
-        twin = lookup[head, tail]
-        cosines = dot3(corners, after).ravel()
-        # Each edge between two triangles from both sides, half-edge h and
-        # then its twin: the height of the apex across over the own plane,
-        # and the edge's polar-dual term on a hull with both triangles.
-        h = np.flatnonzero(twin > e)
-        both = np.concatenate([h, twin[h]])
-        apex = corners[:, [2, 0, 1]].reshape(-1, 3)[twin[both]]
-        height = dot3(normals[both // 3], apex - a[both // 3])
-        planes = offsets * sizes
-        sides = both.reshape(2, -1).T // 3
-        at = np.concatenate([i, tail[h], head[h]])
-        order = np.argsort(at, kind="stable")
-        return dict(
-            own=e // 3, across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head,
-            cross=cross3(corners.reshape(-1, 3), after.reshape(-1, 3)), cosines=cosines, rim=lookup[i, j] // 3,
-            halves=both.reshape(2, -1).T, sides=sides,
-            kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0)
-            / (planes[sides[:, 0]] * planes[sides[:, 1]]),
-            reflex=(height > self.tol.geom).reshape(2, -1).any(axis=0),
-            star=np.concatenate([np.zeros(n, np.intp), np.tile(np.arange(1, n - 2), 2)])[order],
-            starts=np.searchsorted(at[order], i))
+class HalfEdges(NamedTuple):
+    """:attr:`SphericalPolygon.half_edges`: the tables the hull of the ring
+    with a point above it and one below is built from.  Half-edge h = 3t + s
+    runs from corner s of triangle t = h // 3 to corner s+1, from v_tail to
+    v_head."""
 
-    def outline(self, seen: np.ndarray) -> np.ndarray:
-        """Half-edges (m, 3n-6) from a seen triangle to an unseen one or to
-        the side below, for rows (m, n-1) of seen triangles, the last
-        column (below) False."""
-        return seen[:, self.own] & ~seen[:, self.across]
+    across: np.ndarray   # (3n-6,) the triangle across it, n-2 on the ring
+    tail: np.ndarray     # (3n-6,)
+    head: np.ndarray     # (3n-6,)
+    cross: np.ndarray    # (3n-6, 3) v_tail x v_head
+    cosines: np.ndarray  # (3n-6,) <v_tail, v_head>
+    rim: np.ndarray      # (n,) the triangle on the ring edge from v_i to v_{i+1}
+    halves: np.ndarray   # (n-3, 2) the half-edges p -> q and q -> p of each edge between two triangles,
+    sides: np.ndarray    # (n-3, 2) and their triangles, left and right of p -> q,
+    kappa: np.ndarray    # (n-3,) its polar-dual term when both are on the hull,
+    reflex: np.ndarray   # (n-3,) and whether an apex lies more than the band in front of the plane across;
+    star: np.ndarray     # (3n-6,) per vertex in ring order, 0 and then 1 + each such edge at it,
+    starts: np.ndarray   # (n,) where each vertex's run in star begins
+
+
+def half_edge_tables(V: np.ndarray, delaunay: Delaunay, tol: Tolerances) -> HalfEdges:
+    """The half-edge tables of the triangulation of the convex ring V, from
+    its triangles and their planes; tol is the band of the reflex test."""
+    triangles, n = delaunay.triangles, len(V)
+    normals, offsets, sizes = delaunay.normals[:, 0, :-1].T, delaunay.offsets[:-1], delaunay.sizes[:-1]
+    corners = V[triangles]
+    after = corners[:, [1, 2, 0]]                     # the head of each half-edge
+    a = corners[:, 0]
+    i, j, e = np.arange(n), np.arange(1, n + 1) % n, np.arange(3 * n - 6)
+    tail, head = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    lookup = np.full((n, n), -1)
+    lookup[tail, head] = e
+    twin = lookup[head, tail]
+    cosines = dot3(corners, after).ravel()
+    # Each edge between two triangles from both sides, half-edge h and
+    # then its twin: the height of the apex across over the own plane,
+    # and the edge's polar-dual term on a hull with both triangles.
+    h = np.flatnonzero(twin > e)
+    both = np.concatenate([h, twin[h]])
+    apex = corners[:, [2, 0, 1]].reshape(-1, 3)[twin[both]]
+    height = dot3(normals[both // 3], apex - a[both // 3])
+    planes = offsets * sizes
+    sides = both.reshape(2, -1).T // 3
+    at = np.concatenate([i, tail[h], head[h]])
+    order = np.argsort(at, kind="stable")
+    return HalfEdges(
+        across=np.where(twin < 0, n - 2, twin // 3), tail=tail, head=head,
+        cross=cross3(corners.reshape(-1, 3), after.reshape(-1, 3)), cosines=cosines, rim=lookup[i, j] // 3,
+        halves=both.reshape(2, -1).T, sides=sides,
+        kappa=height[:n - 3] * sizes[sides[:, 0]] * (cosines[h] - 1.0) / (planes[sides[:, 0]] * planes[sides[:, 1]]),
+        reflex=(height > tol.geom).reshape(2, -1).any(axis=0),
+        star=np.concatenate([np.zeros(n, np.intp), np.tile(np.arange(1, n - 2), 2)])[order],
+        starts=np.searchsorted(at[order], i))
 
 
 def find_hemisphere_witness(vertices: np.ndarray) -> np.ndarray:

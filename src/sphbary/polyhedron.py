@@ -12,13 +12,13 @@ lower fan and the polygon's Delaunay triangulation with x inserted
 Each face holds x or -x or is a triangle of the cached triangulation, so
 the weights are summed from (m, n) arrays of the rays c_i = x cross v_i
 (:class:`sphbary.geom.Rays`) and tables cached with the ring.  The
-triangulation's planes tell which triangles x sees; its half-edge tables
-are built on their first read, by :func:`hull_faces` or by a block with a
-row that does not see every triangle, which never happens on a triangle or
-a cocircular ring.  There is one kernel per backend, kernel(ring, X,
-rays, errors) on m unit rows: mean value weights on the fan,
-:func:`fan_mv` (Floater, Kos & Reimers 2005),
-and polar-dual weights, :func:`polar_dual` (Warren, Schaefer, Hirani &
+triangulation's planes (polygon.delaunay) tell which triangles x sees;
+its half-edge tables (polygon.half_edges) are built on their first read,
+by :func:`hull_faces` or by a block with a row that does not see every
+triangle, which never happens on a triangle or a cocircular ring.  There
+is one kernel per backend, kernel(ring, X, rays, errors) on m unit rows:
+mean value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers
+2005), and polar-dual weights, :func:`polar_dual` (Warren, Schaefer, Hirani &
 Desbrun 2007), on the fan and, patched where x's cavity in the
 triangulation makes the two differ, on the hull.  Each returns raw weights
 w (m, n+2) with sum(w_i * p_i) = 0, and records per-row errors (see
@@ -152,23 +152,22 @@ def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):
     unit rows of X over a convex polygon: rho (m, n-1), <normal, x> of each
     triangle plane (and 0 below the ring); seen (m, n-1), the triangles x
     lies more than the polygon's band (the one the triangulation was built
-    with) in front of, both from the triangles' planes alone; and, unless x
-    sees every triangle on every row (the outline is then the ring), sides
-    (m, n-3, 2), seen of the triangles left and right of each edge between
-    two, the first read of the half-edge tables, which builds them (see
-    :class:`sphbary.geom.Triangulation`).  The seen triangles are one
-    edge-connected disc, bounded by its ring vertices in ring order, exactly
-    when one fewer such edge than seen triangles joins two seen ones (then
-    the outline, from a seen triangle to an unseen one or to the side
-    below, has two more half-edges than seen triangles); other rows:
-    NotConvex."""
+    with) in front of, both from the planes of polygon.delaunay alone;
+    and, unless x sees every triangle on every row (the outline is then the
+    ring), sides (m, n-3, 2), seen of the triangles left and right of each
+    edge between two, the first read of polygon.half_edges, which builds
+    the tables.  The seen triangles are one edge-connected disc, bounded by
+    its ring vertices in ring order, exactly when one fewer such edge than
+    seen triangles joins two seen ones (then the outline, from a seen
+    triangle to an unseen one or to the side below, has two more
+    half-edges than seen triangles); other rows: NotConvex."""
     d = polygon.delaunay
     p = X.T[:, :, None] * d.normals                    # (3, m, n-1), added in dot3's order
     rho = p[0] + p[1] + p[2]
     seen = rho > d.offsets + polygon.tol.geom
     if seen[:, :-1].all():
         return rho, seen, None
-    sides = seen[:, d.sides]
+    sides = seen[:, polygon.half_edges.sides]
     refuse(errors, sides.all(axis=2).sum(axis=1) != seen.sum(axis=1) - 1, lambda _: NotConvex(
         "x does not see a disc of the polygon's triangles"))
     return rho, seen, sides
@@ -179,11 +178,13 @@ def hull_faces(polygon: SphericalPolygon, X: np.ndarray, errors: list) -> np.nda
     rows of X over a convex polygon: the lower fan (-x, v_{i+1}, v_i), as
     the projection from -x keeps the ring convex around x, the Delaunay
     triangles x does not see, and x joined to each outline half-edge of
-    the ones it sees (see :func:`hull_cavity`)."""
-    n, d, seen = polygon.n, polygon.delaunay, hull_cavity(polygon, X, errors)[1]
-    faces = np.concatenate([d.triangles, np.column_stack([np.full(3 * n - 6, n), d.tail, d.head]),
+    the ones it sees (see :func:`hull_cavity`): a half-edge h of a seen
+    triangle h // 3 into an unseen one or into the side below."""
+    n, h, seen = polygon.n, polygon.half_edges, hull_cavity(polygon, X, errors)[1]
+    faces = np.concatenate([polygon.delaunay.triangles, np.column_stack([np.full(3 * n - 6, n), h.tail, h.head]),
                             np.column_stack([np.full(n, n + 1), np.arange(1, n + 1) % n, np.arange(n)])])
-    drop = np.concatenate([seen[:, :-1], ~d.outline(seen), np.zeros((len(X), n), bool)], axis=1)
+    outline = np.repeat(seen[:, :-1], 3, axis=1) & ~seen[:, h.across]
+    drop = np.concatenate([seen[:, :-1], ~outline, np.zeros((len(X), n), bool)], axis=1)
     return faces[np.argsort(drop, axis=1, kind="stable")[:, :2 * n]]
 
 
@@ -300,11 +301,11 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
         through = ~(tau / size_low > UNIT).all(axis=1)
         if patched:
             # The chords on the outline: a -> b from the seen side of an edge.
-            d = ring.delaunay
-            rim = seen[:, d.rim]                           # (m, n) the ring edges on the outline
+            d, half = ring.delaunay, ring.half_edges
+            rim = seen[:, half.rim]                        # (m, n) the ring edges on the outline
             r, e = np.nonzero(sides[..., 0] != sides[..., 1])
-            h = d.halves[e, sides[r, e, 1].astype(np.intp)]
-            a, b, across, cross, xr = d.tail[h], d.head[h], d.across[h], d.cross[h], X[r]
+            h = half.halves[e, sides[r, e, 1].astype(np.intp)]
+            a, b, across, cross, xr = half.tail[h], half.head[h], half.across[h], half.cross[h], X[r]
             t_ch, face = dot3(xr, cross), cross + c[r, a] - c[r, b]
             size_ch = np.sqrt(dot3(face, face))
             t = tau.copy()
@@ -324,18 +325,18 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
             # triangle on the right, vol = its size times the height of x
             # over it.  An edge between two unseen triangles: a per-polygon
             # term.  Each to both ends, summed at a vertex in a fixed order.
-            offset, size = d.offsets[d.rim], d.sizes[d.rim]
-            fall = rho[:, d.rim] + offset
+            offset, size = d.offsets[half.rim], d.sizes[half.rim]
+            fall = rho[:, half.rim] + offset
             edge = np.where(rim, edge, fall * gap / (offset * tau))
             flat = np.where(rim, flat, -fall * size > tol.geom * np.minimum(size, size_low))
             offset, size = d.offsets[across], d.sizes[across]
             rise = rho[r, across] - offset
             touch = sides.any(axis=2)
-            reflex |= (~touch & d.reflex).any(axis=1)
+            reflex |= (~touch & half.reflex).any(axis=1)
             reflex[r[rise * size > tol.geom * np.minimum(size, size_ch)]] = True
-            inner = np.concatenate([np.zeros((len(X), 1)), np.where(touch, 0.0, d.kappa)], axis=1)
-            inner[r, 1 + e] = rise * (d.cosines[h] - 1.0) / (t_ch * offset)
-            ends = np.add.reduceat(inner[:, d.star], d.starts, axis=1)
+            inner = np.concatenate([np.zeros((len(X), 1)), np.where(touch, 0.0, half.kappa)], axis=1)
+            inner[r, 1 + e] = rise * (half.cosines[h] - 1.0) / (t_ch * offset)
+            ends = np.add.reduceat(inner[:, half.star], half.starts, axis=1)
         spoke_up = vol * (rays.cos - 1.0) / pair
         reflex |= ((vol > tol.geom * np.minimum(size_in, size_up)) | flat).any(axis=1)
         refuse(errors, through | ~(t / size_up > UNIT).all(axis=1),

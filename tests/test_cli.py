@@ -115,6 +115,7 @@ def assert_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("sphbary") and "error: argument" in err.splitlines()[-1]
+    return err
 
 
 class TestUnparseableInput:
@@ -229,6 +230,31 @@ class TestExtendedFlag:
         code = main(["--extended", "coords", octant_file, "--point", "1", "1", "1",
                      "--method", "CC_MV"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "{file}"],
+        ["grid", "{file}", "--resolution", "8", "--method", "NEW_WC", "--output", "{out}"],
+        ["compare", "{file}", "--methods", "NEW_MV", "CC_MV", "--csv", "{out}"],
+        ["random", "--n", "5", "--output", "{out}"],
+        ["oracle", "{file}", "--point", "1", "1", "1"],
+    ], ids=lambda c: c[0])
+    def test_extended_refused_outside_coords(self, octant_file, tmp_path, command, capsys):
+        # The global flag once did nothing outside coords: grid wrote the
+        # validated grid and validate validated, both with exit 0.
+        out = tmp_path / "out"
+        argv = [a.format(file=octant_file, out=out) for a in command]
+        err = assert_usage_error(["--extended", *argv], capsys)
+        assert f"argument --extended: applies to coords only, not to {command[0]}" in err
+        assert not out.exists()
+        assert main(argv) == 0
+
+    def test_extended_after_coords(self, octant_file, capsys):
+        argv = [octant_file, "--point", "0.3", "0.5", "0.9"]
+        assert main(["coords", "--extended", *argv]) == 0
+        after = capsys.readouterr().out
+        assert main(["--extended", "coords", *argv]) == 0
+        assert capsys.readouterr().out == after
+        assert "location: extended" in after
 
 
 class TestGrid:

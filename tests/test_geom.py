@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    Ring, Triangulation, find_hemisphere_witness, ring_rays, unit_row, unit_rows,
+    Delaunay, HalfEdges, Ring, cross3, find_hemisphere_witness, half_edge_tables, ring_rays, unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
 
@@ -372,6 +372,13 @@ def delaunay_loop(polygon) -> set:
     return triangles
 
 
+def crossed_delaunay(V, triangles) -> Delaunay:
+    """The planes of the triangles (n-2, 3) of the ring V, their normals
+    crossed from the triangles' corners."""
+    a = V[triangles[:, 0]]
+    return Delaunay.of(V, triangles, cross3(V[triangles[:, 1]] - a, V[triangles[:, 2]] - a))
+
+
 def chord_triangulations(i: int, j: int) -> list:
     """Every triangulation of the chain i..j closed by the chord (i, j)
     that the chord recursion can build, one apex i < k < j per chord: the
@@ -423,8 +430,8 @@ class TestDelaunay:
             masks = (np.arange(2 ** (n - 2))[:, None] >> np.arange(n - 2)) & 1 == 1
             seen = np.column_stack([masks, np.zeros(len(masks), bool)])
             for triangles in chord_triangulations(0, n - 1):
-                table = Triangulation.of(ring, np.array(triangles), sb.DEFAULT_TOL)
-                outline = table.outline(seen)
+                table = half_edge_tables(ring, crossed_delaunay(ring, np.array(triangles)), sb.DEFAULT_TOL)
+                outline = np.repeat(seen[:, :-1], 3, axis=1) & ~seen[:, table.across]
                 disc = outline.sum(axis=1) == masks.sum(axis=1) + 2
                 for mask, edges, is_disc in zip(masks, outline, disc):
                     cavity = [t for t, s in zip(triangles, mask) if s]
@@ -451,16 +458,19 @@ class TestDelaunay:
 
     def test_planes_from_the_apex_pass(self):
         # The planes each triangle keeps from the cross pass that chose it
-        # are those Triangulation.of crosses from the triangles, bit for
-        # bit, and so are the half-edge tables built from them.
+        # are those crossed from the triangles, bit for bit, and so are the
+        # half-edge tables built from them.
         rng = np.random.default_rng(20261020)
         for k in range(36):
             n = 3 if k < 3 else int(rng.integers(4, 40))
             polygon = delaunay_ring(rng, k, n)
             d = polygon.delaunay
-            reference = Triangulation.of(polygon.vertices, d.triangles, polygon.tol)
-            for name in ("normals", "offsets", "sizes") + Triangulation.HALF_EDGES:
+            reference = crossed_delaunay(polygon.vertices, d.triangles)
+            for name in Delaunay._fields:
                 assert getattr(d, name).tobytes() == getattr(reference, name).tobytes(), (k, name)
+            tables = half_edge_tables(polygon.vertices, reference, polygon.tol)
+            for name in HalfEdges._fields:
+                assert getattr(polygon.half_edges, name).tobytes() == getattr(tables, name).tobytes(), (k, name)
 
 
 class TestLocatePoint:
@@ -564,6 +574,14 @@ def test_one_band_carried_by_the_polygon():
             carriers += 1
             assert "tol" not in [p.name for p in params], name
     assert carriers >= 13
+
+
+@pytest.mark.parametrize("geom", [0.0, -1e-10, np.nan, np.inf])
+def test_band_must_be_positive_and_finite(geom):
+    """A band of 0, -1e-10 or NaN once validated the octant and then
+    located its centroid exterior; no polygon carries such a band."""
+    with pytest.raises(ValueError, match="positive, finite"):
+        sb.Tolerances(geom=geom)
 
 
 def test_row_algebra_goes_through_dot3_cross3_unit_rows():

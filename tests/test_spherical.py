@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
     single,
 )
-from sphbary.geom import INTERIOR, Rays, Triangulation, locate_points, ring_rays, unit_rows
+from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import KERNELS, _quotient, evaluate_batch
 
@@ -677,8 +677,8 @@ class TestPolarDualKernel:
         # built once per polygon.  Whether they were read before a batch or
         # are built inside it, every row comes out the same.
         builds = []
-        build = Triangulation.half_edges
-        monkeypatch.setattr(Triangulation, "half_edges", lambda d: builds.append(d) or build(d))
+        build = sb.geom.half_edge_tables
+        monkeypatch.setattr(sb.geom, "half_edge_tables", lambda V, d, tol: builds.append(d) or build(V, d, tol))
         rng = np.random.default_rng(9500)
         for n in (3, 12, 64):
             azimuth = 2 * np.pi * np.arange(n) / n
@@ -700,10 +700,10 @@ class TestPolarDualKernel:
             near = [near_edge_points(polygon, gap, rng) for gap in (1e-4, 1e-8, 1e-12)]
             X = unit_rows(np.vstack([sb.interior_points(polygon, 30, rng)] + near + corners))[0]
             read = sb.validate_polygon(polygon.vertices)
-            read.delaunay.sides
+            read.half_edges
             built = sb.validate_polygon(polygon.vertices)
             before, inside = evaluate_batch(read, X, "NEW_WC"), evaluate_batch(built, X, "NEW_WC")
-            assert "sides" in vars(built.delaunay)
+            assert "half_edges" in vars(built)
             assert [row_outcome(before, i) for i in range(len(X))] == [row_outcome(inside, i) for i in range(len(X))]
             refusals |= {str(e) for e in inside.errors if e is not None}
         assert {"x does not see a disc of the polygon's triangles",
