@@ -79,8 +79,7 @@ class Tolerances:
     """The one settable band, carried by a validated polygon.
 
     geom     : band on triple products, plane distances and on-edge fits
-    angle    : derived, 10 * geom: band on angles (vertex coincidence,
-               winding defect)
+    angle    : derived, 10 * geom: band on the angle to a vertex or its antipode
     """
 
     geom: float = 1e-10
@@ -638,7 +637,8 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
     x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
     interior when the signed winding of the ring about x, the sum of the
-    alpha_i = arctan2(tau_i, d_i), is 2*pi to tol.angle; tol is the polygon's band.
+    alpha_i = arctan2(tau_i, d_i), rounds to one turn, |sum - 2*pi| < pi (beyond the
+    bands it is a whole turn but for roundoff); tol is the polygon's band.
     """
     tol = polygon.tol
     X = np.asarray(X, dtype=float).reshape(-1, 3)
@@ -673,7 +673,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     kind[vertex] = VERTEX
     index[vertex] = near[vertex]
-    kind[(kind == EXTERIOR) & (np.abs(np.arctan2(trips, rays.d).sum(axis=1) - 2 * np.pi) <= tol.angle)] = INTERIOR
+    kind[(kind == EXTERIOR) & (np.abs(np.arctan2(trips, rays.d).sum(axis=1) - 2 * np.pi) < np.pi)] = INTERIOR
     return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
 
 

@@ -24,8 +24,8 @@ import pytest
 
 import sphbary as sb
 from sphbary.cli import main
-from sphbary.errors import ExteriorPoint, ProjectionUndefined, SphBaryError
-from sphbary.geom import EXTERIOR, KINDS, unit_rows
+from sphbary.errors import DegenerateEdge, ExteriorPoint, ProjectionUndefined, SphBaryError
+from sphbary.geom import EDGE, EXTERIOR, INTERIOR, KINDS, unit_rows
 from sphbary.spherical import evaluate_batch
 
 from conftest import DATA_DIR, REPO_ROOT, random_rotation
@@ -353,13 +353,23 @@ def domain_points(polygon, rng):
     return unit_rows(np.vstack(rows))[0]
 
 
+def whole_turns(V, X):
+    """The winding of the ring V about each row of X in whole turns, from
+    np.cross and np.arctan2: the angles from x cross v_i to x cross v_{i+1},
+    summed and rounded."""
+    c = np.cross(X[:, None, :], V)
+    after = np.roll(c, -1, axis=1)
+    sines = np.einsum("mk,mnk->mn", X, np.cross(c, after))
+    return np.rint(np.arctan2(sines, np.einsum("mnk,mnk->mn", c, after)).sum(axis=1) / (2 * np.pi))
+
+
 def test_domain_sweep_answers_or_refuses_by_name(capsys):
     # The whole domain of the contract: convex and star rings with n 3..64
     # and caps up to 1.565, each also rotated and cyclically relabelled, at
     # interior samples, near edges, just off edges' great circles and near
-    # vertices.  Every row of every method is a named error (ExteriorPoint
-    # where the row is located outside) or values that pass the benchmark's
-    # checker for the row's own location.
+    # vertices.  Every row of every method is a named error or values that
+    # pass the benchmark's checker for the row's own location; ExteriorPoint
+    # is named only where the ring winds about the row zero whole turns.
     check = bench_check()
     refusals, wrong, rows = Counter(), [], 0
     for case, (n, cap, mode) in enumerate(product(DOMAIN_N, DOMAIN_CAPS, ("convex", "nonconvex"))):
@@ -372,6 +382,7 @@ def test_domain_sweep_answers_or_refuses_by_name(capsys):
         copy = sb.validate_polygon(np.roll(polygon.vertices, -shift, axis=0) @ R.T)
         for poly, Y in ((polygon, X), (copy, unit_rows(X @ R.T)[0])):
             rows += len(Y)
+            outside = whole_turns(poly.vertices, Y) == 0
             for method in sb.METHODS:
                 batch = evaluate_batch(poly, Y, method)
                 loc = batch.locations
@@ -379,8 +390,10 @@ def test_domain_sweep_answers_or_refuses_by_name(capsys):
                     kind = KINDS[loc.kind[i]]
                     if error is not None:
                         refusals[method, error.name] += 1
-                        named = type(error) is not SphBaryError
-                        failed = None if named and (kind != "exterior" or isinstance(error, ExteriorPoint)) else "name"
+                        if isinstance(error, ExteriorPoint):
+                            failed = None if outside[i] else "exterior_refused"
+                        else:
+                            failed = None if type(error) is not SphBaryError and kind != "exterior" else "name"
                     elif loc.kind[i] == EXTERIOR:
                         failed = "exterior_answered"
                     else:
@@ -392,3 +405,75 @@ def test_domain_sweep_answers_or_refuses_by_name(capsys):
         print(f"domain sweep: {rows} rows per method; refusals "
               + ", ".join(f"{m}.{t} {k}" for (m, t), k in sorted(refusals.items())))
     assert rows >= 5000 and wrong == []
+
+
+NEAR_VERTEX_N = (3, 5, 8, 16, 32, 64)
+NEAR_VERTEX_CAPS = (0.3, 1.0, 1.55)
+NEAR_VERTEX_GAPS = (1.5e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6)        # all beyond the vertex band, 1e-9
+
+
+def towards_interior(polygon, rng):
+    """The points at each of NEAR_VERTEX_GAPS from every vertex on the arc
+    to one interior sample: inside, as the polygon is convex."""
+    V, p = polygon.vertices, sb.interior_points(polygon, 1, rng)[0]
+    t = unit_rows(p - (V @ p)[:, None] * V)[0]
+    gaps = np.array(NEAR_VERTEX_GAPS)[:, None, None]
+    return unit_rows((np.cos(gaps) * V + np.sin(gaps) * t).reshape(-1, 3))[0]
+
+
+def near_vertex_family():
+    """20 random triangles at each cap and one convex ring per n and cap,
+    each with its rows near the vertices."""
+    cases = [(3, cap) for _ in range(20) for cap in NEAR_VERTEX_CAPS] + list(product(NEAR_VERTEX_N, NEAR_VERTEX_CAPS))
+    for seed, (n, cap) in enumerate(cases, start=9600):
+        polygon = sb.random_polygon(n, cap, seed=seed)
+        yield polygon, towards_interior(polygon, np.random.default_rng(seed))
+
+
+def short_edge_family():
+    """Convex cocircular rings at polar angle cap with azimuths 0, eps and
+    2 pi k / (n - 1), k = 1 ... n - 2, those that validate, each with the
+    points g inside the short edge: from (1 - t) v_0 + t v_1 towards the
+    pole."""
+    for eps, n, cap in product((1.8e-6, 2.5e-6, 4e-6, 8e-6, 2e-5), (5, 9, 16, 33), (0.5, 0.9, 1.3)):
+        azimuth = np.concatenate([[0.0, eps], 2 * np.pi * np.arange(1, n - 1) / (n - 1)])
+        try:
+            polygon = sb.validate_polygon(np.column_stack(
+                [np.sin(cap) * np.cos(azimuth), np.sin(cap) * np.sin(azimuth), np.full(n, np.cos(cap))]))
+        except DegenerateEdge:                                  # an edge shorter than about 1.4e-6 rad
+            continue
+        t = np.linspace(0.05, 0.95, 10)[:, None]
+        feet = unit_rows((1.0 - t) * polygon.vertices[0] + t * polygon.vertices[1])[0]
+        up = unit_rows(np.array([0.0, 0.0, 1.0]) - feet[:, 2:] * feet)[0]
+        g = np.array([3e-10, 1e-9, 3e-9, 1e-8, 3e-8])[:, None, None]
+        yield polygon, unit_rows((np.cos(g) * feet + np.sin(g) * up).reshape(-1, 3))[0]
+
+
+@pytest.mark.parametrize("family, count", [(near_vertex_family, 3384), (short_edge_family, 2400)],
+                         ids=["near_vertex", "short_edge"])
+def test_points_inside_are_never_exterior(family, count):
+    # Inside a convex ring, points 1.5e-9 ... 1e-6 from a vertex and points
+    # 3e-10 ... 3e-8 inside a short edge are located interior or on an
+    # edge.  NEW_MV and NEW_MV_CLOSED answer, and match oracle_triangle on
+    # a triangle's interior rows; the other methods answer or refuse by a
+    # name other than ExteriorPoint; every answer reconstructs x.
+    wrong, rows = [], 0
+    for polygon, X in family():
+        rows += len(X)
+        for method in sb.METHODS:
+            batch = evaluate_batch(polygon, X, method)
+            kind = batch.locations.kind
+            wrong += [(method, i, KINDS[kind[i]]) for i in np.flatnonzero((kind != INTERIOR) & (kind != EDGE))]
+            for i, error in enumerate(batch.errors):
+                if error is not None:
+                    if method.startswith("NEW_MV") or isinstance(error, ExteriorPoint):
+                        wrong.append((method, i, error.name))
+                    continue
+                residual = sb.reconstruction_residual(batch.values[i], polygon.vertices, X[i])
+                if residual > 1e-8:
+                    wrong.append((method, i, "residual", residual))
+                if polygon.n == 3 and kind[i] == INTERIOR and method.startswith("NEW_MV"):
+                    off = np.abs(batch.values[i] - sb.oracle_triangle(*polygon.vertices, X[i])).max()
+                    if off > 1e-12:
+                        wrong.append((method, i, "oracle", off))
+    assert rows == count and wrong == []
