@@ -258,7 +258,7 @@ KINDS = ("interior", "edge", "vertex", "exterior")
 INTERIOR, EDGE, VERTEX, EXTERIOR = range(len(KINDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Locations:
     """:class:`PointLocation` of m directions as arrays: kind (codes into
     KINDS), index (-1 unless edge or vertex) and the edge coefficients a, b
@@ -286,7 +286,7 @@ class Locations:
         return PointLocation(kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ring:
     """A ring of unit vertices with its band and its cached tables (of its
     edges, and the one :func:`ring_products` reads), not validated: the
@@ -357,24 +357,23 @@ class Ring:
         return -dot3(self.vertices, self.turns[:, 0].T)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SphericalPolygon(Ring):
     """Validated anti-clockwise vertex ring contained in an open hemisphere.
 
     witness   : direction w with <w, v_i> > 0 for every vertex
-    convex    : True iff every consecutive vertex triple turns left,
-                <v_j, v_{j+1} x v_{j+2}> >= -tol.geom (set on construction)
     """
 
     witness: np.ndarray
-    convex: bool = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
         self.witness.setflags(write=False)
-        N = self.edge_normals
-        object.__setattr__(self, "convex", bool(np.all(dot3(self.vertices, np.concatenate([N[1:], N[:1]]))
-                                                       >= -self.tol.geom)))
+
+    @cached_property
+    def convex(self) -> bool:
+        """True iff every corner turns left: each of :attr:`corners` is at least -tol.geom."""
+        return bool(np.all(self.corners >= -self.tol.geom))
 
     @cached_property
     def delaunay(self) -> "Delaunay":
@@ -562,7 +561,8 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
 
     Raises TooFewVertices, ZeroVector (naming the vertex), DegenerateEdge
     (also when the angle band is at least half the shortest edge),
-    NotInHemisphere, SelfIntersecting or WrongOrientation.
+    NotInHemisphere, SelfIntersecting (crossing, then touching edges) or
+    WrongOrientation, in that order.
     """
     vertices = unit_vertices(raw_vertices)
 
@@ -600,30 +600,41 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     straddles = tau * np.roll(tau, -1, axis=0) < 0.0           # [j, i]: edge j's ends on both sides of edge i
     if np.any(straddles & straddles.T & apart):
         raise SelfIntersecting("two edges of the ring cross")
-    area = 0.5 * float(np.sum(tau_w / (cos_w * roll1(cos_w, -1))))
-    if area <= 0.0:
-        raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
-
-    # Touching: a vertex v_k within the polygon's band of a vertex v_i other
-    # than its neighbours (the angle arctan2(|v_k x v_i|, <v_k, v_i>)) or of
-    # an edge i it is not an end of (a distance of at most tol.geom from the
-    # edge's plane, |tau[k, i]| <= tol.geom |v_i x v_{i+1}|, with Gram
-    # coefficients a, b > 0): the bands of :func:`locate_points`, whose
-    # reconstruction check bounds that distance.
-    g, cos_next = polygon.edge_cosines, roll1(cos, -1)         # <v_k, v_{i+1}>
+    # Touching, the rest of simplicity: v_k within a band of locate_points,
+    # of a vertex v_i other than its neighbours (the angle arctan2(|v_k x
+    # v_i|, <v_k, v_i>)) or of an edge i it is not an end of (edge_hits).
     sin = np.sqrt(dot3(c, c))
     # arctan2(sin, cos) <= tol.angle < pi / 2 needs sin <= tan(tol.angle) cos;
     # this filter, with a factor 2 for rounding, spares most entries the arctan2.
     vertex = apart & (sin <= 2.0 * np.tan(tol.angle) * cos)
     if vertex.any():
         vertex &= np.arctan2(sin, cos) <= tol.angle
-    edge = ((np.abs(tau) <= tol.geom * polygon.edge_sines) & (cos - g * cos_next > 0.0)
-            & (cos_next - g * cos > 0.0) & (1 < step))
-    for touch, what in ((vertex, "vertex"), (edge, "edge")):
-        if touch.any():
-            k, i = np.argwhere(touch)[0]
-            raise SelfIntersecting(f"vertex {k} lies within the band of {what} {i}")
+    edge = edge_hits(polygon, vertices, cos, tau, 1 < step)[:2]
+    for (k, i), what in ((np.nonzero(vertex), "vertex"), (edge, "edge")):
+        if len(k):
+            raise SelfIntersecting(f"vertex {k[0]} lies within the band of {what} {i[0]}")
+    area = 0.5 * float(np.sum(tau_w / (cos_w * roll1(cos_w, -1))))
+    if area <= 0.0:
+        raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
     return polygon
+
+
+def edge_hits(ring: Ring, X: np.ndarray, cos: np.ndarray, tau: np.ndarray, candidate: np.ndarray):
+    """The candidate (m, n) pairs of row x = X[r] and edge j in the edge band, in row-major order:
+    |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom, and the Gram coefficients of x = a v_j + b v_{j+1}
+    have a, b > 0 and reconstruct x to tol.geom.  Returns (r, j, a, b), four empty index arrays when no
+    pair is a candidate; cos and tau are the (m, n) <v_j, x> and tau_j of :func:`ring_products`."""
+    r, j = np.nonzero((np.abs(tau) <= ring.tol.geom) & candidate)
+    if not len(r):
+        return r, j, r, j
+    k = (j + 1) % ring.n
+    gram = ring.edge_cosines[j]
+    det = 1.0 - gram * gram                               # > 1e-12: |gram| < 1 - UNIT on a valid polygon
+    a = (cos[r, j] - gram * cos[r, k]) / det
+    b = (cos[r, k] - gram * cos[r, j]) / det
+    miss = a[:, None] * ring.vertices[j] + b[:, None] * ring.vertices[k] - X[r]
+    hit = (a > 0.0) & (b > 0.0) & (np.sqrt(dot3(miss, miss)) <= ring.tol.geom)
+    return r[hit], j[hit], a[hit], b[hit]
 
 
 def locate_points(polygon: SphericalPolygon, X) -> Locations:
@@ -633,17 +644,14 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     Vertex and edge bands are checked first so that ambiguous points are
     never classified interior: a vertex when the angle to the nearest
-    vertex is at most tol.angle; an edge j (the lowest such index) when
-    |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom and the Gram coefficients of
-    x = a v_j + b v_{j+1} have a, b > 0 and reconstruct x to tol.geom;
-    interior when the signed winding of the ring about x, the sum of the
-    alpha_i = arctan2(tau_i, d_i), rounds to one turn, |sum - 2*pi| < pi (beyond the
-    bands it is a whole turn but for roundoff); tol is the polygon's band.
+    vertex is at most tol.angle; else an edge j, the lowest that
+    :func:`edge_hits` finds; interior when the signed winding of the ring
+    about x, the sum of the alpha_i = arctan2(tau_i, d_i), rounds to one
+    turn, |sum - 2*pi| < pi (beyond the bands it is a whole turn but for
+    roundoff); tol is the polygon's band.
     """
-    tol = polygon.tol
     X = np.asarray(X, dtype=float).reshape(-1, 3)
-    V = polygon.vertices
-    m, n = len(X), polygon.n
+    m = len(X)
     rows = np.arange(m)
     rays = ring_rays(polygon, X)
     cosines, trips = rays.cos, rays.tau
@@ -654,18 +662,10 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     near = cosines.argmax(axis=1)
     c = rays.c[rows, near]
-    vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= tol.angle
+    vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= polygon.tol.angle
 
-    r, j = np.nonzero((np.abs(trips) <= tol.geom) & ~vertex[:, None])
+    r, j, ea, eb = edge_hits(polygon, X, cosines, trips, ~vertex[:, None])
     if len(r):
-        k = (j + 1) % n
-        gram = polygon.edge_cosines[j]
-        det = 1.0 - gram * gram                           # > 1e-12: |gram| < 1 - UNIT on a valid polygon
-        ea = (cosines[r, j] - gram * cosines[r, k]) / det
-        eb = (cosines[r, k] - gram * cosines[r, j]) / det
-        miss = ea[:, None] * V[j] + eb[:, None] * V[k] - X[r]
-        hit = (ea > 0.0) & (eb > 0.0) & (np.sqrt(dot3(miss, miss)) <= tol.geom)
-        r, j, ea, eb = r[hit], j[hit], ea[hit], eb[hit]
         first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
         r = r[first]
         kind[r] = EDGE

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedronQ:
     """The fan or the convex hull of [v_1..v_n, x, -x] over a ring and a
     unit direction x, as :func:`build_q` and :func:`build_ring_q` build it.

@@ -74,6 +74,7 @@ from .errors import (
     NotConvexForWC,
     OriginOnBoundary,
     UnknownMethod,
+    ZeroVector,
     check_row,
     refuse,
     single,
@@ -103,7 +104,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoordinateVector:
     """Length-n coordinate values with their method tag and the location
     classification that selected the evaluation formula.  `denom` is the
@@ -129,7 +130,7 @@ def reconstruction_residual(values, vertices, x) -> float:
     return float(np.linalg.norm(np.asarray(values) @ np.asarray(vertices) - np.asarray(x)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleCache:
     """Per-(polygon, x) angles: theta[i] = angle(x, v_i) and alpha[i] the
     signed angle from x cross v_i to x cross v_{i+1} (signed by
@@ -286,8 +287,11 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     (m, 3) block of directions: normalize, locate the whole block once,
     answer the boundary and the exterior for every row, and call the
     method's interior kernel once on the interior rows, with those rows of
-    the location's rays, all within the polygon's band."""
-    raw = np.asarray(X, dtype=float).reshape(-1, 3)
+    the location's rays, all within the polygon's band.  ZeroVector unless
+    X's last axis holds 3 numbers."""
+    if (raw := np.asarray(X, dtype=float)).shape[-1:] != (3,):
+        raise ZeroVector(f"cannot normalize X: expected rows of 3 numbers, got shape {raw.shape}")
+    raw = raw.reshape(-1, 3)
     X, short = unit_rows(raw)
     m, n = len(X), polygon.n
     errors = [None] * m
@@ -328,7 +332,7 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
 def evaluate(polygon: SphericalPolygon, x, method: str) -> CoordinateVector:
     """Evaluate one of the five coordinate methods at x (see
     :func:`sphbary.geom.direction`): the m = 1 call of :func:`evaluate_batch`."""
-    return evaluate_batch(polygon, direction(x), method).result(0)
+    return evaluate_batch(polygon, direction(x).reshape(1, 3), method).result(0)
 
 
 def spherical_coords(polygon: SphericalPolygon, x, backend: str = "MV") -> CoordinateVector:

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentPolygon:
     """Gnomonic image of a polygon in the tangent plane at x.
 

@@ -75,18 +75,15 @@ def planar_verdict(raw) -> str | None:
     """Reference for validate_polygon's last three checks on a ring that
     passes its edge checks, decided in the gnomonic image at the witness
     and by chords: SelfIntersecting when two image segments cross, else
-    WrongOrientation unless the image's shoelace area is positive, else
     SelfIntersecting when a vertex v_k lies within the band of a vertex
     other than its neighbours (the chord |v_k - v_i| <= 2 sin(tol.angle / 2))
-    or of an edge it is not an end of; None when the ring is valid."""
+    or of an edge it is not an end of, else WrongOrientation unless the
+    image's shoelace area is positive; None when the ring is valid."""
     V = sb.geom.unit_vertices(raw)
     polygon = sb.SphericalPolygon(vertices=V, witness=sb.geom.find_hemisphere_witness(V))
     _, planar, _, _ = polygon.witness_image
     if segments_cross(planar):
         return "SelfIntersecting"
-    nxt = np.roll(planar, -1, axis=0)
-    if np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]) <= 0.0:
-        return "WrongOrientation"
     n, tol = polygon.n, polygon.tol
     D = V[:, None, :] - V
     chord2 = sb.geom.dot3(D, D)                               # (n, n) |v_k - v_i|^2
@@ -97,7 +94,10 @@ def planar_verdict(raw) -> str | None:
     vertex = (chord2 <= (2.0 * np.sin(0.5 * tol.angle)) ** 2) & (1 < step) & (step < n - 1)
     edge = ((np.abs(tau) <= tol.geom * polygon.edge_sines) & (cos - g * cos_next > 0.0)
             & (cos_next - g * cos > 0.0) & (1 < step))
-    return "SelfIntersecting" if (vertex | edge).any() else None
+    if (vertex | edge).any():
+        return "SelfIntersecting"
+    nxt = np.roll(planar, -1, axis=0)
+    return "WrongOrientation" if np.sum(planar[:, 0] * nxt[:, 1] - planar[:, 1] * nxt[:, 0]) <= 0.0 else None
 
 
 def mp_cross(a, b):

@@ -213,6 +213,40 @@ class TestValidatePolygon:
         else:
             assert sb.validate_polygon(ring).n == 6
 
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_t_touch_uses_the_edge_band_of_locate_point(self, factor):
+        # Vertex 3 at tol.geom * factor from edge 0: touching iff
+        # locate_point puts it in edge 0's band.
+        d = sb.DEFAULT_TOL.geom * factor
+        ring = np.column_stack([[-0.3, 0.3, 0.3, 0, -0.3], [0, 0, 0.3, 0, 0.3], np.ones(5)])
+        ring[3] = [0.0, np.sin(d), np.cos(d)]
+        triangle = sb.validate_polygon(ring[:3])
+        touching = str(sb.locate_point(triangle, ring[3])) == "edge(0)"
+        assert touching == (factor < 1)
+        if touching:
+            with pytest.raises(SelfIntersecting, match="^vertex 3 lies within the band of edge 0$"):
+                sb.validate_polygon(ring)
+        else:
+            assert sb.validate_polygon(ring).n == 5
+
+    def test_touching_is_decided_before_orientation(self):
+        # Vertex 2 is vertex 0: the pinched ring has zero area, and is
+        # refused as not simple, not as clockwise.
+        with pytest.raises(SelfIntersecting, match="^vertex 0 lies within the band of vertex 2$"):
+            sb.validate_polygon([E1, E2, E1, E3])
+
+    def test_records_compare_by_identity(self):
+        # The records hold arrays: equality and hashing are by identity,
+        # and neither raises.
+        quad = sb.demo_quadrilateral().vertices
+        a = sb.validate_polygon(quad)
+        x = sb.interior_points(a, 1, np.random.default_rng(0))[0]
+        for make in (lambda: sb.validate_polygon(quad), lambda: sb.build_q(a, x), lambda: sb.evaluate(a, x, "NEW_MV"),
+                     lambda: sb.geom.locate_points(a, x)):
+            one, other = make(), make()
+            assert one != other and one == one and other == other
+            assert len({one, other}) == 2
+
     def test_decided_on_the_sphere(self, monkeypatch):
         # Crossing, orientation and touching read the ring's own triple
         # products: validation projects nothing.

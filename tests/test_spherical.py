@@ -446,6 +446,15 @@ class TestBatchInvariance:
         assert batch.values.shape == (0, 3) and batch.denom.shape == (0,)
         assert batch.errors == [] and len(batch.locations) == 0
 
+    def test_batch_needs_rows_of_three(self, octant):
+        # A block is never reshaped into made-up directions; one direction
+        # to evaluate may still come as a column.
+        with pytest.raises(ZeroVector, match=r"^cannot normalize X: expected rows of 3 numbers, got shape \(3, 2\)$"):
+            evaluate_batch(octant, np.zeros((3, 2)), "NEW_MV")
+        x = np.array([1.0, 2.0, 3.0])
+        column, row = sb.evaluate(octant, x[:, None], "NEW_MV"), sb.evaluate(octant, x, "NEW_MV")
+        assert column.values.tobytes() == row.values.tobytes() and str(column.location) == "interior"
+
 
 def near_edge_points(polygon, gap, rng):
     """One unit direction per edge at geodesic distance gap inside it, with
