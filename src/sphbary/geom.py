@@ -14,8 +14,8 @@ m = 1 only: :func:`sphbary.tangent.gnomonic_project` and the polygon's
 cached image at its witness; the CC_* kernels read the rays instead) and
 :func:`locate_points` classifies an (m, 3) block of directions from the
 (m, n) arrays of :func:`ring_rays`, which it hands on to the interior kernels;
-:func:`validate_polygon` reads their first half, :func:`ring_products`, of
-the ring seen from its own vertices and from the one witness that
+:func:`validate_polygon` reads them, sin theta_i too, of the ring seen
+from its own vertices and from the one witness that
 :func:`find_hemisphere_witness` finds; what they read of the ring alone is
 cached with it, and so are a convex polygon's Delaunay triangulation
 (:attr:`SphericalPolygon.delaunay`) and, on their first read, its
@@ -55,7 +55,6 @@ __all__ = [
     "unit_rows",
     "tangent_frames",
     "Rays",
-    "ring_products",
     "ring_rays",
     "ray_sines",
     "PointLocation",
@@ -189,41 +188,35 @@ def gnomonic_images(V: np.ndarray, X: np.ndarray, dots: np.ndarray) -> tuple[np.
 
 
 class Rays(NamedTuple):
-    """The rays of a ring seen from m directions x, one (m, n) row per
-    direction: what point location and the interior kernels all read.
-    For unit x, c_i x c_{i+1} = tau_i x, so tau_i and d_i are
-    |c_i||c_{i+1}| times the sine and the cosine of alpha_i, the signed
-    angle from c_i to c_{i+1}.  The first three are :func:`ring_products`."""
+    """The rays of a ring seen from m unit directions x, one (m, n) row per direction, formed once
+    by :func:`ring_rays`: what validation, point location, the projections and the interior kernels
+    all read.  sin and cos are those of theta_i = angle(x, v_i); c_i x c_{i+1} = tau_i x, so tau_i and
+    d_i are |c_i||c_{i+1}| times the sine and the cosine of alpha_i, the signed angle from c_i to c_{i+1}."""
 
     c: np.ndarray        # (m, n, 3) x cross v_i
     cos: np.ndarray      # (m, n) <v_i, x>
     tau: np.ndarray      # (m, n) <x, v_i x v_{i+1}>
     d: np.ndarray        # (m, n) <c_i, c_{i+1}>
-
-
-def ring_products(ring: "Ring", X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c = x cross v_i (m, n, 3), <v_i, x> and <x, v_i x v_{i+1}> (m, n)
-    for the rows of X (m, 3): the first three fields of :class:`Rays`, the
-    last two from one pass over the ring's cached [V; N] columns."""
-    p = X.T[:, :, None] * ring.products_table      # (3, m, 2n): dot3's products, in loops of 2n, not of 3
-    both = p[0] + p[1] + p[2]                      # added in dot3's order
-    return cross3(X[:, None, :], ring.vertices), both[:, :ring.n], both[:, ring.n:]
+    sin: np.ndarray      # (m, n) |c_i|
 
 
 def ring_rays(ring: "Ring", X: np.ndarray) -> Rays:
-    """The rays of the ring from the rows of X (m, 3), in one pass."""
-    c, cos, tau = ring_products(ring, X)
-    return Rays(c=c, cos=cos, tau=tau, d=dot3(c, roll1(c, -1)))
+    """The rays of the ring from the rows of X (m, 3): the one function
+    that crosses directions with the ring; cos and tau in one pass over
+    the ring's cached [V; N] columns."""
+    p = X.T[:, :, None] * ring.products_table      # (3, m, 2n): dot3's products, in loops of 2n, not of 3
+    both = p[0] + p[1] + p[2]                      # added in dot3's order
+    c = cross3(X[:, None, :], ring.vertices)
+    return Rays(c=c, cos=both[:, :ring.n], tau=both[:, ring.n:], d=dot3(c, roll1(c, -1)), sin=np.sqrt(dot3(c, c)))
 
 
 def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
-    """sin theta_i = |c_i| (m, n) from the rays; rows with x aligned with
-    or opposite to some vertex k, theta_k within the ring's angle band of
-    0 or pi, are refused with aligned_error(k, theta_k), each kernel with
-    its own tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta
-    = arctan2(sin, cos) is taken only when some entry is that close."""
-    band = ring.tol.angle
-    sin_theta = np.sqrt(dot3(rays.c, rays.c))
+    """sin theta_i (m, n), the rays' own; rows with x aligned with or
+    opposite to some vertex k, theta_k within the ring's angle band of 0
+    or pi, are refused with aligned_error(k, theta_k), each kernel with its
+    own tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta =
+    arctan2(sin, cos) is taken only when some entry is that close."""
+    band, sin_theta = ring.tol.angle, rays.sin
     if np.any(sin_theta <= 2.0 * band * np.abs(rays.cos)):
         theta = np.arctan2(sin_theta, rays.cos)
         aligned = (theta <= band) | (theta >= np.pi - band)
@@ -289,7 +282,7 @@ class Locations:
 @dataclass(frozen=True, eq=False)
 class Ring:
     """A ring of unit vertices with its band and its cached tables (of its
-    edges, and the one :func:`ring_products` reads), not validated: the
+    edges, and the one :func:`ring_rays` reads), not validated: the
     base of :class:`SphericalPolygon`, and the ring of the extended mode.
 
     vertices  : (n, 3) unit rows, cyclically indexed (v[i + n] = v[i])
@@ -319,7 +312,7 @@ class Ring:
 
     @cached_property
     def products_table(self) -> np.ndarray:
-        """(3, 1, 2n) columns of the rows v_j, then v_j x v_{j+1}, for :func:`ring_products`."""
+        """(3, 1, 2n) columns of the rows v_j, then v_j x v_{j+1}, for :func:`ring_rays`."""
         return np.ascontiguousarray(np.concatenate([self.vertices, self.edge_normals]).T)[:, None, :]
 
     @cached_property
@@ -423,8 +416,8 @@ class SphericalPolygon(Ring):
     def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gnomonic image at the witness that grids and samples are drawn over: the
         tangent basis (2, 3), the (n, 2) planar vertices and their bounding box lo, hi (2,): the
-        m = 1 call of :func:`gnomonic_images`."""
-        bases, planar = gnomonic_images(self.vertices, self.witness[None], dot3(self.witness, self.vertices)[None])
+        m = 1 call of :func:`gnomonic_images`, with the <v_i, w> of the rays."""
+        bases, planar = gnomonic_images(self.vertices, self.witness[None], ring_rays(self, self.witness[None]).cos)
         return bases[0], planar[0], planar[0].min(axis=0), planar[0].max(axis=0)
 
 
@@ -593,8 +586,8 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # and anti-clockwise iff its image is.  Edges i and j cross iff each
     # one's ends lie strictly on opposite sides of the other; edges that
     # share an end never count.
-    c, cos, tau = ring_products(polygon, np.concatenate([vertices, polygon.witness[None]]))
-    c, cos, tau, cos_w, tau_w = c[:n], cos[:n], tau[:n], cos[n:], tau[n:]
+    rays = ring_rays(polygon, np.concatenate([vertices, polygon.witness[None]]))
+    cos, tau, sin, cos_w, tau_w = rays.cos[:n], rays.tau[:n], rays.sin[:n], rays.cos[n:], rays.tau[n:]
     step = (np.arange(n)[:, None] - np.arange(n)) % n          # k - i
     apart = (1 < step) & (step < n - 1)
     straddles = tau * np.roll(tau, -1, axis=0) < 0.0           # [j, i]: edge j's ends on both sides of edge i
@@ -603,7 +596,6 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     # Touching, the rest of simplicity: v_k within a band of locate_points,
     # of a vertex v_i other than its neighbours (the angle arctan2(|v_k x
     # v_i|, <v_k, v_i>)) or of an edge i it is not an end of (edge_hits).
-    sin = np.sqrt(dot3(c, c))
     # arctan2(sin, cos) <= tol.angle < pi / 2 needs sin <= tan(tol.angle) cos;
     # this filter, with a factor 2 for rounding, spares most entries the arctan2.
     vertex = apart & (sin <= 2.0 * np.tan(tol.angle) * cos)
@@ -623,7 +615,7 @@ def edge_hits(ring: Ring, X: np.ndarray, cos: np.ndarray, tau: np.ndarray, candi
     """The candidate (m, n) pairs of row x = X[r] and edge j in the edge band, in row-major order:
     |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom, and the Gram coefficients of x = a v_j + b v_{j+1}
     have a, b > 0 and reconstruct x to tol.geom.  Returns (r, j, a, b), four empty index arrays when no
-    pair is a candidate; cos and tau are the (m, n) <v_j, x> and tau_j of :func:`ring_products`."""
+    pair is a candidate; cos and tau are the (m, n) <v_j, x> and tau_j of the rays (:func:`ring_rays`)."""
     r, j = np.nonzero((np.abs(tau) <= ring.tol.geom) & candidate)
     if not len(r):
         return r, j, r, j
@@ -654,17 +646,15 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     m = len(X)
     rows = np.arange(m)
     rays = ring_rays(polygon, X)
-    cosines, trips = rays.cos, rays.tau
     kind = np.full(m, EXTERIOR)
     index = np.full(m, -1)
     a = np.zeros(m)
     b = np.zeros(m)
 
-    near = cosines.argmax(axis=1)
-    c = rays.c[rows, near]
-    vertex = np.arctan2(np.sqrt(dot3(c, c)), cosines[rows, near]) <= polygon.tol.angle
+    near = rays.cos.argmax(axis=1)
+    vertex = np.arctan2(rays.sin[rows, near], rays.cos[rows, near]) <= polygon.tol.angle
 
-    r, j, ea, eb = edge_hits(polygon, X, cosines, trips, ~vertex[:, None])
+    r, j, ea, eb = edge_hits(polygon, X, rays.cos, rays.tau, ~vertex[:, None])
     if len(r):
         first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
         r = r[first]
@@ -673,7 +663,7 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     kind[vertex] = VERTEX
     index[vertex] = near[vertex]
-    kind[(kind == EXTERIOR) & (np.abs(np.arctan2(trips, rays.d).sum(axis=1) - 2 * np.pi) < np.pi)] = INTERIOR
+    kind[(kind == EXTERIOR) & (np.abs(np.arctan2(rays.tau, rays.d).sum(axis=1) - 2 * np.pi) < np.pi)] = INTERIOR
     return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
 
 

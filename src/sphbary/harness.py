@@ -29,7 +29,7 @@ from .geom import (
     unit_rows,
     validate_polygon,
 )
-from .spherical import evaluate_batch
+from .spherical import evaluate_batch, reconstruction_residuals
 
 __all__ = [
     "DEFAULT_BANDS",
@@ -211,7 +211,7 @@ def interior_points(polygon: SphericalPolygon, count: int, rng) -> np.ndarray:
             uv = rng.uniform(lo, hi, size=(need, 2))
         candidates = unit_rows(polygon.witness + uv[:, :1] * b1 + uv[:, 1:] * b2)[0]
         out += list(candidates[locate_points(polygon, candidates).kind == INTERIOR])
-    return np.array(out)
+    return np.array(out).reshape(-1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def _evaluate_grid(polygon: SphericalPolygon, resolution: int, method: str) -> _
     """Evaluate `method` at the grid directions in one batch."""
     points = grid_directions(polygon, resolution)
     batch = evaluate_batch(polygon, points, method)
-    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
+    residuals = reconstruction_residuals(batch.values, polygon.vertices, points)
     errors = [
         error.name if error is not None else ResidualTooLarge.__name__ if r > 1e-8 else None
         for error, r in zip(batch.errors, residuals.tolist())

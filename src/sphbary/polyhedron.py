@@ -198,12 +198,12 @@ def on_vertex(k: int, _) -> PointOnVertexOrAntipode:
     return PointOnVertexOrAntipode(f"x or -x coincides with vertex {k}")
 
 
-def mean_value_ring(sin_theta: np.ndarray, rays: Rays):
+def mean_value_ring(rays: Rays):
     """The mean value weights omega (m, n) and denominator sum_i omega_i
     cos theta_i (m,) of NEW_MV and NEW_MV_CLOSED, which are also the fan's
-    weights at the ring and w_{-x} - w_x (:func:`fan_mv`), from
-    sin theta_i = |c_i| and the rays.  Call under np.errstate."""
-    s, d = rays.tau, rays.d
+    weights at the ring and w_{-x} - w_x (:func:`fan_mv`), from the rays.
+    Call under np.errstate."""
+    s, d, sin_theta = rays.tau, rays.d, rays.sin
     cc = sin_theta * roll1(sin_theta, -1)
     # tan(alpha/2) = s / (cc + d) = (cc - d) / s: the first form cancels
     # for |alpha| > pi/2, the second for |alpha| < pi/2.
@@ -244,7 +244,7 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
         a = dot3(rays.c, N) / sin_theta
         b = dot3(roll1(rays.c, -1), N) / roll1(sin_theta, -1)
         w_x = np.sum((beta + theta * a - roll1(theta, -1) * b) / h2, axis=1)
-        omega, total = mean_value_ring(sin_theta, rays)
+        omega, total = mean_value_ring(rays)
         return np.concatenate([omega, w_x[:, None], (w_x + total)[:, None]], axis=1)
 
 

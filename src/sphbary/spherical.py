@@ -125,9 +125,16 @@ class CoordinateVector:
         return float(self.values.sum())
 
 
+def reconstruction_residuals(W: np.ndarray, V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """|| sum_i W[r, i] v_i - x_r || (m,) for W (m, n), V (n, 3) and X (m, 3), each coordinate summed
+    along its own contiguous row of products, not by BLAS, so a row's residual does not depend on its batch."""
+    miss = np.multiply(W[:, None, :], V.T, order="C").sum(axis=2) - X
+    return np.sqrt(dot3(miss, miss))
+
+
 def reconstruction_residual(values, vertices, x) -> float:
-    """|| sum(values_i * v_i) - x ||, the linear-precision defect."""
-    return float(np.linalg.norm(np.asarray(values) @ np.asarray(vertices) - np.asarray(x)))
+    """The linear-precision defect || sum(values_i * v_i) - x ||: the m = 1 call of :func:`reconstruction_residuals`."""
+    return float(reconstruction_residuals(np.reshape(values, (1, -1)), np.asarray(vertices), np.reshape(x, (1, 3)))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +169,9 @@ def closed_form_batch(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, erro
     from the rays of the m unit rows X; see :func:`closed_form_mv_weights`.
     NEW_MV's and NEW_MV_CLOSED's kernel, each with its own errors:
     aligned(k, theta_k) at vertex k (see ray_sines), not_finite."""
-    sin_theta = ray_sines(polygon, rays, aligned, errors)
+    ray_sines(polygon, rays, aligned, errors)
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega, denom = mean_value_ring(sin_theta, rays)
+        omega, denom = mean_value_ring(rays)
     refuse(errors, ~(np.all(np.isfinite(omega), axis=1) & np.isfinite(denom)),
            lambda _: not_finite("the closed form is not finite at x"))
     return omega, denom
@@ -237,7 +244,7 @@ def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list,
             w = wachspress_weights(0.5 * polygon.corners * pair / roll1(cos, 1), 0.5 * rays.tau * pair,
                                    polygon.tol, errors)
         else:
-            w = mean_value_weights(np.sqrt(dot3(rays.c, rays.c)) / cos, rays.tau * pair, rays.d * pair, errors)
+            w = mean_value_weights(rays.sin / cos, rays.tau * pair, rays.d * pair, errors)
         return w / cos, w.sum(axis=1)
 
 

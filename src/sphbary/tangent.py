@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, check_row, refuse, single
-from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, gnomonic_images, roll1, unit_row
+from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, gnomonic_images, ring_rays, roll1, unit_row
 
 __all__ = [
     "TangentPolygon",
@@ -79,7 +79,7 @@ def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     X = unit_row(x)
-    dots = dot3(X[:, None, :], polygon.vertices)                 # the rays' cos theta
+    dots = ring_rays(polygon, X).cos                 # <v_i, x>: the rays' cos theta, as the CC_* kernels read it
     errors = [None]
     refuse_unprojected(dots, errors)
     check_row(errors)

@@ -121,7 +121,7 @@ def interior_points_loop(polygon, count, rng):
         p = sb.normalize(polygon.witness + uv[0] * b1 + uv[1] * b2)
         if sb.locate_point(polygon, p).kind == "interior":
             out.append(p)
-    return np.array(out)
+    return np.array(out).reshape(-1, 3)
 
 
 class TestInteriorPoints:
@@ -142,6 +142,13 @@ class TestInteriorPoints:
                 points = sb.interior_points(polygon, count, rng_a)
                 assert np.array_equal(points, interior_points_loop(polygon, count, rng_b))
                 assert rng_a.uniform() == rng_b.uniform()
+
+    def test_no_points_are_rows_of_three(self):
+        # Count 0 draws nothing and still returns rows of 3.
+        for polygon in (sb.demo_quadrilateral(), sb.random_polygon(6, 0.9, seed=3, mode="nonconvex")):
+            rng, fresh = np.random.default_rng(1), np.random.default_rng(1)
+            assert sb.interior_points(polygon, 0, rng).shape == (0, 3)
+            assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 class TestGrid:
@@ -180,6 +187,15 @@ class TestGrid:
         sb.compare_methods(polygon, "NEW_MV", "NEW_WC", 6)
         assert len(sb.interior_points(polygon, 5, rng)) == 5
         assert count[0] == 1
+
+    @pytest.mark.parametrize("method", sb.METHODS)
+    def test_residual_of_a_grid_row_is_its_own(self, method):
+        # A row's residual depends neither on BLAS nor on the grid around it.
+        for polygon in (sb.demo_quadrilateral(), sb.random_polygon(12, 0.9, seed=4)):
+            rows = [row for row in sb.grid_rows(polygon, 0, 16, method) if row.error is None]
+            assert rows
+            for row in rows:
+                assert row.residual == sb.reconstruction_residual(row.values, polygon.vertices, row.point)
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_one_locate_per_grid_point(self, method, locate_calls):
@@ -293,19 +309,20 @@ def for_vertex_loop(row, k, bands=sb.DEFAULT_BANDS):
 
 
 def grid_rows_loop(polygon, vertex_index, resolution, method, bands=sb.DEFAULT_BANDS):
-    """One batch, then one row per point, copied with the vertex selected."""
+    """One batch, then one row per point, copied with the vertex selected;
+    each residual from its row alone."""
     points = grid_directions(polygon, resolution)
     batch = evaluate_batch(polygon, points, method)
-    residuals = np.linalg.norm(batch.values @ polygon.vertices - points, axis=1)
     rows = []
     for i, p in enumerate(points):
         row = GridRow(point=p, location=str(batch.locations.at(i)), method=method, vertex_index=vertex_index)
+        residual = sb.reconstruction_residual(batch.values[i], polygon.vertices, p)
         if batch.errors[i] is not None:
             row.error = batch.errors[i].name
-        elif residuals[i] > 1e-8:
+        elif residual > 1e-8:
             row.error = "ResidualTooLarge"
         else:
-            row.residual = float(residuals[i])
+            row.residual = residual
             row.values = batch.values[i]
         rows.append(for_vertex_loop(row, vertex_index, bands))
     return rows

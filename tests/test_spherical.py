@@ -20,7 +20,7 @@ from sphbary.errors import (
     single,
 )
 from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
-from sphbary.polyhedron import fan_faces, hull_cavity, hull_faces, normalized_weights
+from sphbary.polyhedron import build_ring_q, fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import KERNELS, _quotient, evaluate_batch
 
 from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
@@ -235,6 +235,35 @@ class TestBoundaryBehavior:
         c_fit = abs(values[1e-3][j] - 1.0) / 1e-3
         assert abs(values[1e-4][j] - 1.0) <= 2.0 * c_fit * 1e-4
         assert np.max(np.abs(np.delete(values[1e-4], j))) <= 2.0 * c_fit * 1e-4
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_kernels_use_the_vertex_band_of_locate_point(self, factor):
+        # x at tol.angle * factor from vertex 0, towards the interior: each
+        # kernel refuses x, and -x, as aligned with vertex 0 iff locate_point
+        # puts x in vertex 0's band, and otherwise answers at x (at -x, far
+        # outside the ring, a fan face plane passes through the point).
+        polygon = sb.demo_quadrilateral()
+        v0, center = polygon.vertex(0), CENTER_OF(polygon)
+        theta = sb.DEFAULT_TOL.angle * factor
+        x = np.cos(theta) * v0 + np.sin(theta) * sb.normalize(center - np.dot(center, v0) * v0)
+        aligned = str(sb.locate_point(polygon, x)) == "vertex(0)"
+        assert aligned == (factor < 1)
+        calls = [
+            ("AngleDegenerate", lambda y: sb.closed_form_mv_weights(polygon, y)),
+            ("AngleDegenerate", lambda y: sb.angles(polygon, y)),
+            ("PointOnVertexOrAntipode", lambda y: sb.mv_weights(build_ring_q(polygon.vertices, y))),
+            ("PointOnVertexOrAntipode",
+             lambda y: sb.wachspress_weights(build_ring_q(polygon.vertices, y), require_convex=False)),
+        ]
+        for y in (x, -x):
+            for tag, call in calls:
+                try:
+                    call(y)
+                    refused = None
+                except SphBaryError as error:
+                    refused = error.name
+                assert (refused == tag) == aligned
+                assert aligned or y is not x or refused is None
 
 
 def CENTER_OF(polygon):
@@ -526,10 +555,10 @@ class TestFanKernel:
         # cos theta_i = 0).  The row that succeeds gets the same bits from
         # both and from its single-row call.
         X = unit_rows(np.vstack([CENTER, octant.vertices[0], CENTER + [0.1, 0, 0], CENTER - [0.1, 0, 0]]))[0]
-        c, cos, tau, d = ring_rays(octant, X)
+        c, cos, tau, d, sin = ring_rays(octant, X)
         cos, tau = cos.copy(), tau.copy()
         tau[2, 0], cos[3] = np.nan, 0.0
-        rays = Rays(c, cos, tau, d)
+        rays = Rays(c, cos, tau, d, sin)
         expected = {"NEW_MV": ("PointOnVertexOrAntipode", "KernelViolation", "NonPositiveDenominator"),
                     "NEW_MV_CLOSED": ("AngleDegenerate", "AlphaNearPi", "NonPositiveDenominator")}
         values = []
