@@ -13,7 +13,10 @@ calls: :func:`unit_rows` normalizes, :func:`gnomonic_images` projects (at
 m = 1 only: :func:`sphbary.tangent.gnomonic_project` and the polygon's
 cached image at its witness; the CC_* kernels read the rays instead) and
 :func:`locate_points` classifies an (m, 3) block of directions from the
-(m, n) arrays of :func:`ring_rays`, which it hands on to the interior kernels;
+(m, n) arrays of :func:`ring_rays`, which it hands on to the interior kernels
+(its vertex band is :func:`vertex_hits`, which validation and the
+kernels' refusal of an aligned x call too, and its edge band
+:func:`edge_hits`, which validation calls too);
 :func:`validate_polygon` reads them, sin theta_i too, of the ring seen
 from its own vertices and from the one witness that
 :func:`find_hemisphere_witness` finds; what they read of the ring alone is
@@ -27,6 +30,7 @@ neither on BLAS nor on its batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -40,7 +44,6 @@ from .errors import (
     TooFewVertices,
     WrongOrientation,
     ZeroVector,
-    refuse,
 )
 
 __all__ = [
@@ -211,18 +214,15 @@ def ring_rays(ring: "Ring", X: np.ndarray) -> Rays:
 
 
 def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
-    """sin theta_i (m, n), the rays' own; rows with x aligned with or
-    opposite to some vertex k, theta_k within the ring's angle band of 0
-    or pi, are refused with aligned_error(k, theta_k), each kernel with its
-    own tag.  That needs sin theta_k <= 2 band |cos theta_k|, so theta =
-    arctan2(sin, cos) is taken only when some entry is that close."""
-    band, sin_theta = ring.tol.angle, rays.sin
-    if np.any(sin_theta <= 2.0 * band * np.abs(rays.cos)):
-        theta = np.arctan2(sin_theta, rays.cos)
-        aligned = (theta <= band) | (theta >= np.pi - band)
-        refuse(errors, aligned.any(axis=1), lambda r: aligned_error(
-            int(np.argmax(aligned[r])), theta[r, np.argmax(aligned[r])]))
-    return sin_theta
+    """sin theta_i (m, n), the rays' own; rows with x in the vertex band
+    (:func:`vertex_hits`) of some v_k or of -v_k, theta_k within the ring's
+    angle band of 0 or pi, are refused with aligned_error(k, theta_k) for
+    the lowest such k, each kernel with its own tag."""
+    r, k = vertex_hits(ring, np.abs(rays.cos), rays.sin)
+    for i, j in zip(r.tolist(), k.tolist()):              # row-major: a row's lowest k first
+        if errors[i] is None:
+            errors[i] = aligned_error(j, np.arctan2(rays.sin[i, j], rays.cos[i, j]))
+    return rays.sin
 
 
 @dataclass(frozen=True)
@@ -594,21 +594,36 @@ def validate_polygon(raw_vertices, tol: Tolerances = DEFAULT_TOL) -> SphericalPo
     if np.any(straddles & straddles.T & apart):
         raise SelfIntersecting("two edges of the ring cross")
     # Touching, the rest of simplicity: v_k within a band of locate_points,
-    # of a vertex v_i other than its neighbours (the angle arctan2(|v_k x
-    # v_i|, <v_k, v_i>)) or of an edge i it is not an end of (edge_hits).
-    # arctan2(sin, cos) <= tol.angle < pi / 2 needs sin <= tan(tol.angle) cos;
-    # this filter, with a factor 2 for rounding, spares most entries the arctan2.
-    vertex = apart & (sin <= 2.0 * np.tan(tol.angle) * cos)
-    if vertex.any():
-        vertex &= np.arctan2(sin, cos) <= tol.angle
+    # of a vertex v_i other than its neighbours (vertex_hits) or of an edge
+    # i it is not an end of (edge_hits).
+    vertex = vertex_hits(polygon, cos, sin, apart)
     edge = edge_hits(polygon, vertices, cos, tau, 1 < step)[:2]
-    for (k, i), what in ((np.nonzero(vertex), "vertex"), (edge, "edge")):
+    for (k, i), what in ((vertex, "vertex"), (edge, "edge")):
         if len(k):
             raise SelfIntersecting(f"vertex {k[0]} lies within the band of {what} {i[0]}")
     area = 0.5 * float(np.sum(tau_w / (cos_w * roll1(cos_w, -1))))
     if area <= 0.0:
         raise WrongOrientation(f"signed area of the ring's gnomonic image is {area:.6e}; the ring is clockwise")
     return polygon
+
+
+NO_HITS = np.empty(0, np.intp), np.empty(0, np.intp)
+
+
+def vertex_hits(ring: Ring, cos: np.ndarray, sin: np.ndarray, candidate: np.ndarray | None = None):
+    """The (m, n) pairs of row r and vertex k in the vertex band, among the candidate ones (all when
+    None), in row-major order: theta = arctan2(sin, cos) <= tol.angle, for cos and sin those of
+    theta (the rays', :func:`ring_rays`).  Returns (r, k).  As tol.angle < pi / 2, that needs
+    sin <= tan(tol.angle) cos; this filter, with a factor 2 for rounding, spares most pairs the
+    arctan2."""
+    near = sin <= 2.0 * math.tan(ring.tol.angle) * cos
+    if candidate is not None:
+        near &= candidate
+    if not near.any():
+        return NO_HITS
+    r, k = np.nonzero(near)
+    hit = np.arctan2(sin[r, k], cos[r, k]) <= ring.tol.angle
+    return r[hit], k[hit]
 
 
 def edge_hits(ring: Ring, X: np.ndarray, cos: np.ndarray, tau: np.ndarray, candidate: np.ndarray):
@@ -635,8 +650,8 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     the rays (:func:`ring_rays`) it was read from.
 
     Vertex and edge bands are checked first so that ambiguous points are
-    never classified interior: a vertex when the angle to the nearest
-    vertex is at most tol.angle; else an edge j, the lowest that
+    never classified interior: a vertex k, the lowest that
+    :func:`vertex_hits` finds; else an edge j, the lowest that
     :func:`edge_hits` finds; interior when the signed winding of the ring
     about x, the sum of the alpha_i = arctan2(tau_i, d_i), rounds to one
     turn, |sum - 2*pi| < pi (beyond the bands it is a whole turn but for
@@ -644,25 +659,24 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     m = len(X)
-    rows = np.arange(m)
     rays = ring_rays(polygon, X)
     kind = np.full(m, EXTERIOR)
     index = np.full(m, -1)
     a = np.zeros(m)
     b = np.zeros(m)
 
-    near = rays.cos.argmax(axis=1)
-    vertex = np.arctan2(rays.sin[rows, near], rays.cos[rows, near]) <= polygon.tol.angle
+    r, k = vertex_hits(polygon, rays.cos, rays.sin)
+    if len(r):
+        first = np.diff(r, prepend=-1) != 0               # lowest vertex index per row
+        kind[r[first]], index[r[first]] = VERTEX, k[first]
 
-    r, j, ea, eb = edge_hits(polygon, X, rays.cos, rays.tau, ~vertex[:, None])
+    r, j, ea, eb = edge_hits(polygon, X, rays.cos, rays.tau, (kind == EXTERIOR)[:, None])
     if len(r):
         first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
         r = r[first]
         kind[r] = EDGE
         index[r], a[r], b[r] = j[first], ea[first], eb[first]
 
-    kind[vertex] = VERTEX
-    index[vertex] = near[vertex]
     kind[(kind == EXTERIOR) & (np.abs(np.arctan2(rays.tau, rays.d).sum(axis=1) - 2 * np.pi) < np.pi)] = INTERIOR
     return Locations(kind=kind, index=index, a=a, b=b, rays=rays)
 

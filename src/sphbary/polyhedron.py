@@ -74,19 +74,13 @@ class PolyhedronQ:
             its gates read
     X     : (1, 3) the unit row x
     rays  : the rays of x (one row)
-    faces : (2n, 3) int, anti-clockwise viewed from outside; in the fan
-            faces[i] = (n, i, i+1) upper, (n+1, i+1, i) lower
     hull  : True for the faces of the convex hull, False for the fan
     """
 
     ring: Ring
     X: np.ndarray
     rays: Rays = field(repr=False)
-    faces: np.ndarray
     hull: bool = False
-
-    def __post_init__(self):
-        self.faces.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -107,6 +101,16 @@ class PolyhedronQ:
         P.setflags(write=False)
         return P
 
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """(2n, 3) int, anti-clockwise viewed from outside, built on their
+        first read: the hull's (:func:`hull_faces`, NotConvex where x does
+        not see a disc of the triangles) or the fan's, faces[i] =
+        (n, i, i+1) upper, (n+1, i+1, i) lower."""
+        F = single(hull_faces, self.ring, self.X) if self.hull else fan_faces(self.n)
+        F.setflags(write=False)
+        return F
+
 
 def fan_faces(n: int) -> np.ndarray:
     """(2n, 3) fan faces: (n, i, i+1) upper, (n+1, i+1, i) lower."""
@@ -123,7 +127,7 @@ def build_ring_q(ring: np.ndarray, x, tol: Tolerances = DEFAULT_TOL) -> Polyhedr
     (e.g. all vertices on a great circle)."""
     ring = Ring(np.array(ring, dtype=float), tol)
     X = unit_row(x)
-    return PolyhedronQ(ring, X, ring_rays(ring, X), fan_faces(ring.n))
+    return PolyhedronQ(ring, X, ring_rays(ring, X))
 
 
 def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
@@ -132,8 +136,9 @@ def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
     polygon; the polyhedron carries the polygon's band.
 
     With hull=True the faces are those of the convex hull of
-    [v_1..v_n, x, -x] instead of the fan (see :func:`hull_faces`); the
-    polygon must then be convex (NotConvex otherwise)."""
+    [v_1..v_n, x, -x] instead of the fan, built when they are first read
+    (:attr:`PolyhedronQ.faces`); the polygon must then be convex
+    (NotConvex otherwise)."""
     if hull and not polygon.convex:
         raise NotConvex("the hull faces are built for convex polygons only")
     X = unit_row(x)
@@ -143,8 +148,7 @@ def build_q(polygon: SphericalPolygon, x, *, hull: bool = False) -> PolyhedronQ:
         raise PointOnVertexOrAntipode(f"x coincides with vertex {loc.index}")
     if not loc.is_interior:
         raise NotInterior(f"x is {loc} of the polygon, expected interior")
-    faces = single(hull_faces, polygon, X) if hull else fan_faces(polygon.n)
-    return PolyhedronQ(polygon, X, located.rays, faces, hull)
+    return PolyhedronQ(polygon, X, located.rays, hull)
 
 
 def hull_cavity(polygon: SphericalPolygon, X: np.ndarray, errors: list):

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,19 +248,15 @@ def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list,
         return w / cos, w.sum(axis=1)
 
 
-class Method(NamedTuple):
-    """One row of :data:`KERNELS`."""
-
-    kernel: Callable     # (polygon, unit interior rows X, rays, errors) -> (weights, denominators)
-    boundary: bool       # polyhedral: boundary values and a denominator to report; else OriginOnBoundary
-
-
+# A method tag to its interior kernel, (polygon, unit interior rows X, rays,
+# errors) -> (weights, denominators).  The NEW_* methods extend to the
+# boundary and report a denominator; the CC_* ones refuse it.
 KERNELS = {
-    "NEW_MV": Method(partial(closed_form_batch, aligned=on_vertex, not_finite=KernelViolation), True),
-    "NEW_WC": Method(_polar_dual, True),
-    "NEW_MV_CLOSED": Method(closed_form_batch, True),
-    "CC_MV": Method(partial(_tangent, wachspress=False), False),
-    "CC_WC": Method(partial(_tangent, wachspress=True), False),
+    "NEW_MV": partial(closed_form_batch, aligned=on_vertex, not_finite=KernelViolation),
+    "NEW_WC": _polar_dual,
+    "NEW_MV_CLOSED": closed_form_batch,
+    "CC_MV": partial(_tangent, wachspress=False),
+    "CC_WC": partial(_tangent, wachspress=True),
 }
 METHODS = tuple(KERNELS)
 
@@ -309,7 +305,7 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     if method not in KERNELS:
         refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
         return Evaluations(method, locations, values, denom, errors)
-    kernel, boundary = KERNELS[method]
+    kernel, boundary = KERNELS[method], method.startswith("NEW_")
     kind, exterior = locations.kind, ExteriorPoint("x lies outside the polygon")
     refuse(errors, kind == EXTERIOR, lambda _: exterior)     # one message: the rows share it
     on_boundary = (kind == VERTEX) | (kind == EDGE)

@@ -19,7 +19,8 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    Delaunay, HalfEdges, Ring, cross3, find_hemisphere_witness, half_edge_tables, ring_rays, unit_row, unit_rows,
+    KINDS, Delaunay, HalfEdges, Ring, cross3, find_hemisphere_witness, half_edge_tables, locate_points, ring_rays,
+    unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
 
@@ -575,10 +576,68 @@ class TestLocatePoint:
                     located = evaluate_batch(polygon, scale * x, "CC_MV").locations.at(0)
                     assert sb.locate_point(polygon, scale * x) == located
 
+    @pytest.mark.parametrize("d", [1.5e-9, 3e-9, 1e-8, 2e-8])
+    def test_rows_in_the_band_of_one_of_two_close_vertices(self, d):
+        # A valid ring whose vertices 0 and 3 lie d, a few tol.angle, apart:
+        # the cosines of the two vertices at a row within tol.angle of
+        # either round alike, so the nearest cosine does not tell which
+        # band holds it.  Each row is located at a vertex whose band holds
+        # it (the lower index where both do), where the NEW_* methods give
+        # its Kronecker delta and the CC_* methods refuse it.
+        rng = np.random.default_rng(int(d * 1e12))
+        polygon = sb.validate_polygon(pinched_hexagon(d) @ random_rotation(rng).T)
+        V, band = polygon.vertices, polygon.tol.angle
+        X = []
+        for k in np.repeat([0, 3], 50):
+            tangent = sb.normalize(cross3(V[k], rng.normal(size=3)))
+            theta = rng.uniform(0.05, 0.95) * band
+            X.append(np.cos(theta) * V[k] + np.sin(theta) * tangent)
+        X = unit_rows(np.array(X))[0]
+        located = locate_points(polygon, X)
+        for x, kind, k in zip(X, located.kind, located.index):
+            assert KINDS[kind] == "vertex" and sb.angle_between(x, V[k]) <= band
+        for method in sb.METHODS:
+            batch = evaluate_batch(polygon, X, method)
+            if method.startswith("NEW_"):
+                assert batch.errors == [None] * len(X)
+                assert np.array_equal(batch.values, np.eye(6)[located.index]), method
+            else:
+                assert {e.name for e in batch.errors} == {"OriginOnBoundary"}
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    @pytest.mark.parametrize("d", [1.5e-9, 3e-9, 1e-8, 2e-8])
+    def test_close_vertices_band_agrees_with_validation(self, d, factor):
+        # y at tol.angle * factor from vertex 3 of the ring above towards
+        # -x, outside vertex 0's band: located at vertex 3 iff the ring with
+        # vertex 0 moved to y is refused as touching there.
+        R = random_rotation(np.random.default_rng(int(d * 1e12)))
+        ring = pinched_hexagon(d)
+        polygon = sb.validate_polygon(ring @ R.T)
+        theta = sb.DEFAULT_TOL.angle * factor
+        ring[0] = np.cos(theta) * ring[3] - np.sin(theta) * E1
+        ring = ring @ R.T
+        assert sb.angle_between(polygon.vertices[3], ring[0]) == pytest.approx(theta, rel=1e-6)
+        touching = str(sb.locate_point(polygon, ring[0])) == "vertex(3)"
+        assert touching == (factor < 1)
+        if touching:
+            with pytest.raises(SelfIntersecting, match="^vertex 0 lies within the band of vertex 3$"):
+                sb.validate_polygon(ring)
+        else:
+            assert sb.validate_polygon(ring).n == 6
+
     @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [np.nan, 0.0, 1.0]])
     def test_direction_that_cannot_be_normalized(self, octant, x):
         with pytest.raises(ZeroVector):
             sb.locate_point(octant, x)
+
+
+def pinched_hexagon(d: float) -> np.ndarray:
+    """The pinched hexagon of test_touching_ring_rejected with vertex 3 at
+    the angle d from vertex 0 towards +y, as unit rows: valid for d above
+    tol.angle."""
+    ring = np.column_stack([[0, 0.3, 0.3, 0, -0.3, -0.3], [0, -0.1, 0.1, 0, 0.1, -0.1], np.ones(6)])
+    ring[3] = [0.0, np.sin(d), np.cos(d)]
+    return unit_rows(ring)[0]
 
 
 def test_winding_angle_signs(octant):

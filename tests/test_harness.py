@@ -221,8 +221,8 @@ class TestGrid:
         # NEW_WC runs the one polar-dual kernel once per block, on the fan's
         # (m, n) arrays patched by x's cavity in the polygon's cached
         # triangulation; wachspress_weights, is_convex and coords_at_origin
-        # on one polyhedron run the same kernel at m = 1, and only build_q
-        # builds the hull's faces.
+        # on one polyhedron run the same kernel at m = 1, and only the first
+        # read of q.faces builds the hull's faces.
         polygon = sb.demo_quadrilateral()
         calls = count_calls(monkeypatch, sb.polyhedron.polar_dual)
         faces = count_calls(monkeypatch, sb.polyhedron.hull_faces)
@@ -231,6 +231,8 @@ class TestGrid:
         sb.evaluate(polygon, [0.0, 0.0, 1.0], "NEW_WC")
         assert (calls[0], faces[0]) == (3, 0)
         q = sb.build_q(polygon, [0.0, 0.0, 1.0], hull=True)
+        assert (calls[0], faces[0]) == (3, 0)
+        q.faces
         assert (calls[0], faces[0]) == (3, 1)
         sb.wachspress_weights(q)
         sb.polyhedron.is_convex(q)

@@ -19,7 +19,7 @@ from sphbary.errors import (
 from sphbary.geom import UNIT
 from sphbary.polyhedron import build_ring_q, fan_faces, is_convex, normalized_weights
 
-from conftest import jittered_ring, mp_mean_value, random_rotation
+from conftest import count_calls, jittered_ring, mp_mean_value, random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 
@@ -129,6 +129,18 @@ class TestHull:
                 hull = spatial.ConvexHull(np.vstack([polygon.vertices, x, -x]))
                 assert {tuple(sorted(f)) for f in fan_faces(n)[n:].tolist()} <= {
                     tuple(sorted(f)) for f in hull.simplices.tolist()}
+
+
+def test_hull_faces_are_built_when_read(monkeypatch):
+    # build_q(hull=True) leaves the hull's faces to their first read, so
+    # the polyhedron's polar-dual weights find x's cavity once, in their
+    # kernel; the faces, when read, find it once more and are kept.
+    cavities = count_calls(monkeypatch, sb.polyhedron.hull_cavity)
+    q = sb.build_q(sb.demo_quadrilateral(), [0.0, 0.0, 1.0], hull=True)
+    sb.wachspress_weights(q)
+    assert cavities[0] == 1
+    assert q.faces is q.faces and not q.faces.flags.writeable
+    assert cavities[0] == 2
 
 
 def face_set(faces) -> set:

@@ -21,7 +21,7 @@ from sphbary.errors import (
 )
 from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import build_ring_q, fan_faces, hull_cavity, hull_faces, normalized_weights
-from sphbary.spherical import KERNELS, _quotient, evaluate_batch
+from sphbary.spherical import KERNELS, _quotient, evaluate_batch, reconstruction_residuals
 
 from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
 from test_polyhedron import mv_weights_loop, polyhedron_over, wachspress_weights_loop
@@ -564,7 +564,7 @@ class TestFanKernel:
         values = []
         for method, tags in expected.items():
             errors = [None] * 4
-            w, denom = KERNELS[method].kernel(octant, X, rays, errors)
+            w, denom = KERNELS[method](octant, X, rays, errors)
             psi = _quotient(w, denom, errors)
             assert errors[0] is None and tuple(e.name for e in errors[1:]) == tags
             assert str(errors[3]).startswith("denominator w[-x] - w[x] = 0.000e+00 <= ")
@@ -746,6 +746,44 @@ class TestPolarDualKernel:
             refusals |= {str(e) for e in inside.errors if e is not None}
         assert {"x does not see a disc of the polygon's triangles",
                 "polyhedron has a reflex dihedral angle"} <= refusals
+
+
+def band_convex_pentagon(corner: float, cap: float = 1.3) -> np.ndarray:
+    """A cocircular pentagon at the polar angle cap, with vertex 1's polar
+    angle reduced, by bisection, until its corner triple is `corner`."""
+    azimuth = 2 * np.pi * np.arange(5) / 5
+
+    def ring(polar1):
+        polar = np.full(5, cap)
+        polar[1] = polar1
+        return np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+
+    lo, hi = 0.5 * cap, cap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sb.geom.Ring(unit_rows(ring(mid))[0]).corners[1] < corner else (lo, mid)
+    return ring(hi)
+
+
+@pytest.mark.parametrize("corner, convex", [(5e-11, True), (-5e-11, True), (-1.5e-10, False)])
+def test_wachspress_routes_on_rings_convex_within_the_band(corner, convex):
+    # A corner triple within tol.geom below 0 leaves the ring convex, and
+    # NEW_WC answers every row; beyond it NEW_WC refuses them all.  CC_WC
+    # gates each row's projected corners, the triple over products of cos
+    # theta, which these rows scale past the band, and refuses them with
+    # NotConvex: read from polygon.convex instead, it answered 11 rows of
+    # the -5e-11 ring with psi down to -1.66e-10.  Every answer is
+    # non-negative to 1e-10 and reproduces x to 1e-8.
+    polygon = sb.validate_polygon(band_convex_pentagon(corner))
+    assert polygon.convex == convex and polygon.corners[1] == pytest.approx(corner, rel=1e-4)
+    X = sb.interior_points(polygon, 200, np.random.default_rng(0))
+    for method, refusals in (("NEW_WC", {"NotConvexForWC"}), ("CC_WC", {"ProjectionUndefined", "NotConvex"})):
+        batch = evaluate_batch(polygon, X, method)
+        ok = np.array([e is None for e in batch.errors])
+        assert {e.name for e in batch.errors if e is not None} <= refusals
+        assert method != "NEW_WC" or ok.all() == convex and ok.any() == convex
+        assert np.all(batch.values[ok] >= -1e-10), method
+        assert np.all(reconstruction_residuals(batch.values[ok], polygon.vertices, X[ok]) <= 1e-8), method
 
 
 # ROADMAP item 1's sweep.
