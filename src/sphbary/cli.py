@@ -69,7 +69,7 @@ def _levels(text: str):
             raise argparse.ArgumentTypeError(f"expected lo:hi[,lo:hi...], got {text!r}") from None
         if np.isnan(lo) or np.isnan(hi):
             raise argparse.ArgumentTypeError(f"a band bound must be a number or +-inf, got {chunk!r}")
-        bands.append((min(lo, hi), max(lo, hi)))
+        bands.append((lo, hi))
     return tuple(bands)
 
 

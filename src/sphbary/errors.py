@@ -135,10 +135,10 @@ def check_row(errors: list, i: int = 0) -> None:
         raise errors[i]
 
 
-def single(batched, *args):
-    """The m = 1 call of a batched kernel: batched(*args, errors) with one
-    error slot, that row's error raised, else row 0 of each output."""
+def single(batched, *args, **kwargs):
+    """The m = 1 call of a batched kernel: batched(*args, errors, **kwargs)
+    with one error slot, that row's error raised, else row 0 of each output."""
     errors = [None]
-    out = batched(*args, errors)
+    out = batched(*args, errors, **kwargs)
     check_row(errors)
     return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]

@@ -416,8 +416,8 @@ class SphericalPolygon(Ring):
     def witness_image(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gnomonic image at the witness that grids and samples are drawn over: the
         tangent basis (2, 3), the (n, 2) planar vertices and their bounding box lo, hi (2,): the
-        m = 1 call of :func:`gnomonic_images`, with the <v_i, w> of the rays."""
-        bases, planar = gnomonic_images(self.vertices, self.witness[None], ring_rays(self, self.witness[None]).cos)
+        m = 1 call of :func:`gnomonic_images`, with the <v_i, w> of the rays (bit for bit)."""
+        bases, planar = gnomonic_images(self.vertices, self.witness[None], dot3(self.witness, self.vertices)[None])
         return bases[0], planar[0], planar[0].min(axis=0), planar[0].max(axis=0)
 
 

@@ -167,12 +167,14 @@ def random_polygon(
 
     mode "convex" produces a convex polygon (guaranteed by construction);
     mode "nonconvex" retries star-shaped rings until one with at least one
-    reflex vertex validates.  Same seed, same polygon.
+    reflex vertex validates (n >= 4).  Same seed, same polygon.
     """
     if not 3 <= n <= 64:
         raise GenerationFailed(f"vertex count {n} outside [3, 64]")
     if not 0.0 < rho < np.pi / 2:
         raise GenerationFailed(f"cap radius {rho} outside (0, pi/2)")
+    if mode == "nonconvex" and n == 3:
+        raise GenerationFailed("no nonconvex polygon has 3 vertices: a triangle has no reflex vertex")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         if mode == "convex":
@@ -259,10 +261,10 @@ class GridRow:
 
 
 def _band_index(values, bands) -> np.ndarray:
-    """Index of the first band lo <= value <= hi of each value, else -1."""
+    """Index of the first band holding each value, its bounds in either order, else -1."""
     if not len(bands):                  # argmax over an empty axis raises
         return np.full(np.shape(values), -1)
-    lo, hi = np.asarray(bands, dtype=float).T
+    lo, hi = np.sort(np.asarray(bands, dtype=float), axis=1).T
     values = np.asarray(values)[..., None]
     inside = (lo <= values) & (values <= hi)
     return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)

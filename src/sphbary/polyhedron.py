@@ -22,13 +22,13 @@ mean value weights on the fan, :func:`fan_mv` (Floater, Kos & Reimers
 Desbrun 2007), on the fan and, patched where x's cavity in the
 triangulation makes the two differ, on the hull.  Each returns raw weights
 w (m, n+2) with sum(w_i * p_i) = 0, and records per-row errors (see
-:func:`sphbary.errors.refuse`).  :func:`mv_weights`,
-:func:`wachspress_weights`, :func:`is_convex` and :func:`coords_at_origin`
-run them on one PolyhedronQ, m = 1, and raise the errors, as does the
-extended mode on the fan over an unvalidated :class:`sphbary.geom.Ring`;
-NEW_WC runs polar_dual on a block of directions.  NEW_MV needs only the
-fan's ring weights and w_{-x} - w_x (:func:`mean_value_ring`), so fan_mv
-is the kernel of the 3D weights alone.
+:func:`sphbary.errors.refuse`).  :func:`mv_weights`, :func:`wachspress_weights`
+and :func:`coords_at_origin` run them on one PolyhedronQ through
+:func:`sphbary.errors.single`, as does the extended mode on the fan over an
+unvalidated :class:`sphbary.geom.Ring`, and :func:`is_convex` reads the
+reflex rows; NEW_WC runs polar_dual, strict, on a block of directions.
+NEW_MV needs only the fan's ring weights and w_{-x} - w_x
+(:func:`mean_value_ring`), so fan_mv is the kernel of the 3D weights alone.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
-    check_row,
     refuse,
     single,
 )
@@ -261,7 +260,7 @@ def fan_mv(ring: Ring, X: np.ndarray, rays: Rays, errors: list) -> np.ndarray:
 # have tau_i, so near the edge all the terms that grow like 1 / tau_i
 # cancel in the quotient.
 
-def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool = False):
+def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool = False, strict: bool = False):
     """Polar-dual weights of the origin (m, n+2) in the fan, or with
     hull=True in the convex hull over a convex polygon, and the rows (m,)
     with a reflex edge (on the hull, also where the polygon's band decided
@@ -274,7 +273,8 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
     and b read it; a ring edge under a triangle x does not see takes that
     triangle's term; a vertex off the outline has no spoke of x; and each
     chord and each edge between two unseen triangles adds its term to its
-    ends."""
+    ends.  With strict=True, the mode whose weights are all positive, the
+    reflex rows are refused with NotConvex after the kernel's own refusals."""
     n, tol, V, c, tau = ring.n, ring.tol, ring.vertices, rays.c, rays.tau
     ray_sines(ring, rays, on_vertex, errors)
     rho, seen, sides = hull_cavity(ring, X, errors) if hull else (None, None, None)
@@ -345,16 +345,13 @@ def polar_dual(ring: Ring, X: np.ndarray, rays: Rays, errors: list, hull: bool =
         reflex |= ((vol > tol.geom * np.minimum(size_in, size_up)) | flat).any(axis=1)
         refuse(errors, through | ~(t / size_up > UNIT).all(axis=1),
                lambda _: FaceThroughPoint("a face plane passes through the evaluation point"))
+        if strict:
+            refuse(errors, reflex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
         w = edge + roll1(edge, 1) + spoke_up + spoke_low
         if patched:
             w += ends
         w = np.concatenate([w, spoke_up.sum(axis=1)[:, None], spoke_low.sum(axis=1)[:, None]], axis=1)
     return w, reflex
-
-
-def refuse_reflex(errors: list, reflex: np.ndarray) -> None:
-    """The strict polar-dual mode: NotConvex on the reflex rows (m,)."""
-    refuse(errors, reflex, lambda _: NotConvex("polyhedron has a reflex dihedral angle"))
 
 
 def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
@@ -370,17 +367,11 @@ def normalized_weights(w: np.ndarray, errors: list) -> np.ndarray:
 def _weights(q: PolyhedronQ, backend: str, require_convex: bool = True) -> np.ndarray:
     """Raw weights of the origin in q, its kernel at m = 1: "MV" on the
     fan, "WC" on the fan or the hull, strict when require_convex."""
-    errors = [None]
     if backend == "MV" and not q.hull:
-        w = fan_mv(q.ring, q.X, q.rays, errors)
-    elif backend == "WC":
-        w, reflex = polar_dual(q.ring, q.X, q.rays, errors, q.hull)
-        if require_convex:
-            refuse_reflex(errors, reflex)
-    else:
-        raise ValueError(f"no {backend!r} weights on the {'hull' if q.hull else 'fan'}")
-    check_row(errors)
-    return w[0]
+        return single(fan_mv, q.ring, q.X, q.rays)
+    if backend == "WC":
+        return single(polar_dual, q.ring, q.X, q.rays, hull=q.hull, strict=require_convex)[0]
+    raise ValueError(f"no {backend!r} weights on the {'hull' if q.hull else 'fan'}")
 
 
 def mv_weights(q: PolyhedronQ) -> np.ndarray:
@@ -392,7 +383,10 @@ def mv_weights(q: PolyhedronQ) -> np.ndarray:
 def is_convex(q: PolyhedronQ) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
     sharing an edge, the apex of each lies at most the band in front of the
-    other's plane; read from the reflex test of q's polar-dual kernel."""
+    other's plane; the reflex test of q's polar-dual kernel, also where its
+    weights meet FaceThroughPoint.  A hull raises q.faces' NotConvex."""
+    if q.hull:
+        q.faces
     return not polar_dual(q.ring, q.X, q.rays, [None], q.hull)[1][0]
 
 

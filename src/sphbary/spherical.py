@@ -84,7 +84,7 @@ from .geom import (
     Tolerances, direction, dot3, locate_points, ray_sines, ring_rays, roll1, unit_row, unit_rows, unit_vertices,
     zero_vector,
 )
-from .polyhedron import build_ring_q, coords_at_origin, mean_value_ring, on_vertex, polar_dual, refuse_reflex
+from .polyhedron import build_ring_q, coords_at_origin, mean_value_ring, on_vertex, polar_dual
 from .tangent import mean_value_weights, refuse_unprojected, wachspress_weights
 
 __all__ = [
@@ -220,8 +220,7 @@ def _polar_dual(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: li
         refuse(errors, np.ones(len(X), bool), lambda _: NotConvexForWC(
             "the polar-dual backend requires a convex polygon"))
         return np.full((len(X), polygon.n), np.nan), np.full(len(X), np.nan)
-    w, reflex = polar_dual(polygon, X, rays, errors, hull=True)
-    refuse_reflex(errors, reflex)
+    w, _ = polar_dual(polygon, X, rays, errors, hull=True, strict=True)
     total = w.sum(axis=1)
     refuse(errors, ~(np.isfinite(total) & (total > 0.0)), lambda _: KernelViolation(
         "weight sum is not positive and finite; configuration invalid for this backend"))
@@ -236,8 +235,7 @@ def _tangent(polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list,
     # the corner area A(u_{i-1}, u_i, u_{i+1}) is the ring's corner triple
     # over 2 cos theta_{i-1} cos theta_i cos theta_{i+1}.  Divided by
     # <v_i, x> to restore linear precision on the sphere, over their sum.
-    cos = rays.cos
-    refuse_unprojected(cos, errors)
+    cos = refuse_unprojected(rays.cos, errors)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pair = 1.0 / (cos * roll1(cos, -1))
         if wachspress:

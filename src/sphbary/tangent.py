@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, check_row, refuse, single
-from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, gnomonic_images, ring_rays, roll1, unit_row
+from .errors import NotConvex, OriginOnBoundary, ProjectionUndefined, refuse, single
+from .geom import DEFAULT_TOL, PROJ, UNIT, SphericalPolygon, Tolerances, dot3, gnomonic_images, roll1, unit_row
 
 __all__ = [
     "TangentPolygon",
@@ -61,13 +61,14 @@ class TangentPolygon:
         self.dots.setflags(write=False)
 
 
-def refuse_unprojected(dots: np.ndarray, errors: list) -> None:
+def refuse_unprojected(dots: np.ndarray, errors: list) -> np.ndarray:
     """Refuse with ProjectionUndefined the rows of dots (m, n) = <v_i, x>
     (the rays' cos theta) where some <v_i, x> <= PROJ, naming the first
-    least one."""
+    least one; returns dots."""
     low = np.argmin(dots, axis=1)
     least = dots[np.arange(len(dots)), low]
     refuse(errors, least <= PROJ, lambda r: ProjectionUndefined(f"<v[{low[r]}], x> = {least[r]:.3e} is not positive"))
+    return dots
 
 
 def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
@@ -79,12 +80,9 @@ def gnomonic_project(polygon: SphericalPolygon, x) -> TangentPolygon:
     planar distance of a vertex at angle theta from x is tan(theta).
     """
     X = unit_row(x)
-    dots = ring_rays(polygon, X).cos                 # <v_i, x>: the rays' cos theta, as the CC_* kernels read it
-    errors = [None]
-    refuse_unprojected(dots, errors)
-    check_row(errors)
-    (basis,), (points2d,) = gnomonic_images(polygon.vertices, X, dots)
-    return TangentPolygon(basis=basis, points2d=points2d, dots=dots[0], tol=polygon.tol)
+    dots = single(refuse_unprojected, dot3(X[:, None], polygon.vertices))   # the rays' cos theta, bit for bit
+    (basis,), (points2d,) = gnomonic_images(polygon.vertices, X, dots[None])
+    return TangentPolygon(basis=basis, points2d=points2d, dots=dots, tol=polygon.tol)
 
 
 def mean_value_weights(r: np.ndarray, cross: np.ndarray, dot: np.ndarray, errors: list) -> np.ndarray:

@@ -45,6 +45,21 @@ def jittered_ring(rng, n: int, cap: float, star: bool):
         [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]))
 
 
+def near_vertex_corpus(seed: int):
+    """(polygon, rows) for convex random_polygon rings, n in {3, 5, 8, 16,
+    32, 64} and caps {0.3, 1.0, 1.55}, one ring each: an interior sample,
+    then rows 1.5e-9, 1e-8 and 1e-7 rad from every vertex towards it,
+    inside the vertex band and out of it."""
+    rng = np.random.default_rng(seed)
+    for n in (3, 5, 8, 16, 32, 64):
+        for cap in (0.3, 1.0, 1.55):
+            polygon = sb.random_polygon(n, cap, seed=int(rng.integers(0, 2**32)))
+            V, s = polygon.vertices, sb.interior_points(polygon, 1, rng)[0]
+            u = s - (V @ s)[:, None] * V
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            yield polygon, np.concatenate([s[None]] + [np.cos(d) * V + np.sin(d) * u for d in (1.5e-9, 1e-8, 1e-7)])
+
+
 def crossing_hexagon() -> np.ndarray:
     """A six-vertex ring whose edges cross although every vertex turns
     left: azimuths 0, 2, 4, 1, 3, 5.2 rad at polar angle 0.5."""

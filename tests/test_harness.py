@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sphbary as sb
-from sphbary.errors import GenerationFailed, SingularMatrix, UnknownMethod
+from sphbary.errors import GenerationFailed, SelfIntersecting, SingularMatrix, UnknownMethod
 from sphbary.harness import (
     CSV_HEADER,
     CompareReport,
@@ -94,10 +94,26 @@ class TestRandomPolygon:
         with pytest.raises(GenerationFailed, match="unknown mode 'x'"):
             sb.random_polygon(5, 0.8, seed=1, mode="x")
 
-    def test_gives_up_after_max_tries(self):
-        # A triangle never has a reflex vertex.
-        with pytest.raises(GenerationFailed, match="after 1000 tries"):
+    def test_gives_up_after_max_tries(self, monkeypatch):
+        # Every draw fails validation: the generator stops after 1000 of them.
+        calls = [0]
+
+        def refuse_every_ring(ring, tol):
+            calls[0] += 1
+            raise SelfIntersecting("refused")
+
+        monkeypatch.setattr(sb.harness, "validate_polygon", refuse_every_ring)
+        with pytest.raises(GenerationFailed, match="no valid convex polygon after 1000 tries"):
+            sb.random_polygon(5, 0.5, seed=1)
+        assert calls[0] == 1000
+
+    def test_no_nonconvex_triangle_is_drawn(self, monkeypatch):
+        # A triangle never has a reflex vertex: refused before any draw.
+        calls = count_calls(monkeypatch, sb.harness.validate_polygon)
+        with pytest.raises(GenerationFailed, match="no nonconvex polygon has 3 vertices"):
             sb.random_polygon(3, 0.5, seed=1, mode="nonconvex")
+        assert calls[0] == 0
+        assert sb.random_polygon(3, 0.5, seed=1).n == 3
 
     def test_vertices_within_cap(self):
         rho = 0.7
@@ -268,6 +284,13 @@ class TestGrid:
 
     def test_no_bands(self):
         assert _band_index([0.1, 0.5], ()).tolist() == [-1, -1]
+
+    def test_band_bounds_in_either_order(self, octant):
+        # A band hi:lo is the band lo:hi, in the library as on the CLI.
+        ordered = sb.grid_rows(octant, 0, 8, "NEW_MV", bands=((0.1, 0.2), (0.3, np.inf)))
+        reversed_ = sb.grid_rows(octant, 0, 8, "NEW_MV", bands=((0.2, 0.1), (np.inf, 0.3)))
+        assert rows_to_csv(reversed_) == rows_to_csv(ordered)
+        assert {r.band for r in ordered} >= {0, 1}
 
 
 class TestCompare:

@@ -19,7 +19,7 @@ from sphbary.errors import (
 from sphbary.geom import UNIT
 from sphbary.polyhedron import build_ring_q, fan_faces, is_convex, normalized_weights
 
-from conftest import count_calls, jittered_ring, mp_mean_value, random_rotation
+from conftest import count_calls, jittered_ring, mp_mean_value, near_vertex_corpus, random_rotation
 
 CENTER = sb.normalize([1, 1, 1])
 
@@ -464,3 +464,23 @@ class TestPolarDualReference:
                     compared += 1
         assert compared > 170 and 0 < convex < judged
         assert {"NotConvex", "FaceThroughPoint"} <= tags
+
+    def test_is_convex_raises_where_the_hull_cannot_be_built(self):
+        # Rows 1.5e-9 to 1e-7 rad from every vertex of convex rings: where
+        # x does not see a disc of the triangles, is_convex raises the
+        # NotConvex of q.faces, as the reference does; elsewhere it agrees
+        # with the reference's verdict.  It is never True where q.faces or
+        # the strict weights refuse the polyhedron as not convex.
+        verdicts = []
+        for polygon, X in near_vertex_corpus(0):
+            for x in X:
+                if isinstance(q := outcome(sb.build_q, polygon, x, hull=True), str):
+                    continue
+                verdict = outcome(is_convex, q)
+                assert verdict == outcome(is_convex_loop, q)
+                if verdict is True:
+                    assert outcome(lambda: q.faces) is q.faces
+                    weights = outcome(sb.wachspress_weights, q)
+                    assert not isinstance(weights, str) or weights != "NotConvex"
+                verdicts.append(verdict)
+        assert len(verdicts) > 1000 and verdicts.count("NotConvex") > 0 and verdicts.count(True) > 0

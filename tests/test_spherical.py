@@ -13,6 +13,8 @@ from sphbary.errors import (
     FaceThroughPoint,
     NonPositiveDenominator,
     NotConvexForWC,
+    NotInterior,
+    PointOnVertexOrAntipode,
     ProjectionUndefined,
     SphBaryError,
     TooFewVertices,
@@ -23,7 +25,7 @@ from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import build_ring_q, fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import KERNELS, _quotient, evaluate_batch, reconstruction_residuals
 
-from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, random_rotation, result_shapes
+from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, near_vertex_corpus, random_rotation, result_shapes
 from test_polyhedron import mv_weights_loop, polyhedron_over, wachspress_weights_loop
 
 CENTER = sb.normalize([1, 1, 1])
@@ -381,6 +383,32 @@ class TestPolarDualOnHull:
             w = sb.wachspress_weights(sb.build_q(polygon, x, hull=True))
             assert denom == pytest.approx(w[n + 1] - w[n], rel=1e-12, abs=0)
             np.testing.assert_allclose(values * denom, w[:n], rtol=0, atol=1e-12 * np.abs(w[:n]).max())
+
+    def test_strict_hull_weights_and_new_wc_refuse_the_same_rows(self):
+        # NEW_WC and the strict polar-dual weights on the hull are one
+        # strict mode: at interior samples and rows 1.5e-9 to 1e-7 rad from
+        # every vertex of convex rings, evaluate raises the tag the weights
+        # raise, and where they answer, evaluate returns their quotient bit
+        # for bit or refuses by its own later gates.
+        tally = {}
+        for polygon, X in near_vertex_corpus(1):
+            n = polygon.n
+            for x in X:
+                try:
+                    w = sb.wachspress_weights(sb.build_q(polygon, x, hull=True))
+                except (NotInterior, PointOnVertexOrAntipode):
+                    continue                    # located on the boundary: the Kronecker delta or the edge
+                except SphBaryError as exc:
+                    assert single_outcome(polygon, x, "NEW_WC")[:2] == (exc.name, str(exc))
+                    tally[exc.name] = tally.get(exc.name, 0) + 1
+                    continue
+                tag, _, values, _ = single_outcome(polygon, x, "NEW_WC")
+                if tag is None:
+                    assert values == (w[:n] / (w[n + 1] - w[n])).tobytes()
+                    tally[None] = tally.get(None, 0) + 1
+                else:
+                    assert tag in ("KernelViolation", "NonPositiveDenominator")
+        assert tally.get(None, 0) > 1000 and tally.get("NotConvex", 0) > 0
 
 
 # (n, cap radius, mode): convex and star polygons, n 3..64, caps up to 1.5.
