@@ -25,7 +25,10 @@ cached with it, and so are a convex polygon's Delaunay triangulation
 half-edge tables (:attr:`SphericalPolygon.half_edges`).  Dot and cross
 products go through :func:`dot3` and :func:`cross3`, which add the
 products in a fixed order instead of calling BLAS, so a row's bits depend
-neither on BLAS nor on its batch.
+neither on BLAS nor on its batch.  :func:`ring_rays` forms all of x's
+products with the ring in one such pass, the crosses x x v_i too, from
+columns of e_k x v_i: their values are cross3's, and only the sign of an
+exact zero can differ.
 """
 
 from __future__ import annotations
@@ -131,6 +134,8 @@ def dot3(a, b) -> np.ndarray:
 
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+# e_k x v from the columns of [v, -v, 0], row k: (0, -v_2, v_1), (v_2, 0, -v_0), (-v_1, v_0, 0).
+_CROSS_PICK = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])
 
 
 def cross3(a, b) -> np.ndarray:
@@ -205,12 +210,18 @@ class Rays(NamedTuple):
 
 def ring_rays(ring: "Ring", X: np.ndarray) -> Rays:
     """The rays of the ring from the rows of X (m, 3): the one function
-    that crosses directions with the ring; cos and tau in one pass over
-    the ring's cached [V; N] columns."""
-    p = X.T[:, :, None] * ring.products_table      # (3, m, 2n): dot3's products, in loops of 2n, not of 3
-    both = p[0] + p[1] + p[2]                      # added in dot3's order
-    c = cross3(X[:, None, :], ring.vertices)
-    return Rays(c=c, cos=both[:, :ring.n], tau=both[:, ring.n:], d=dot3(c, roll1(c, -1)), sin=np.sqrt(dot3(c, c)))
+    that crosses directions with the ring.  cos, tau and c come from one
+    pass over the ring's cached columns (:attr:`Ring.products_table`),
+    added in dot3's order: the first entry of c_i = sum_k x_k (e_k x v_i)
+    is x_0 * 0 + x_1 v_i2 + x_2 (-v_i1), the bits of :func:`cross3`'s
+    x_1 v_i2 - x_2 v_i1 but for the sign of an exact zero."""
+    m, n = len(X), ring.n
+    (x0, x1, x2), (t0, t1, t2) = X.T[:, :, None], ring.products_table
+    out = x0 * t0                                  # (m, 5n): dot3's products, in loops of 5n, not of 3,
+    out += x1 * t1                                 # added in its order
+    out += x2 * t2
+    c = out[:, 2 * n:].reshape(m, n, 3)
+    return Rays(c=c, cos=out[:, :n], tau=out[:, n:2 * n], d=dot3(c, roll1(c, -1)), sin=np.sqrt(dot3(c, c)))
 
 
 def ray_sines(ring: "Ring", rays: Rays, aligned_error, errors: list) -> np.ndarray:
@@ -312,8 +323,12 @@ class Ring:
 
     @cached_property
     def products_table(self) -> np.ndarray:
-        """(3, 1, 2n) columns of the rows v_j, then v_j x v_{j+1}, for :func:`ring_rays`."""
-        return np.ascontiguousarray(np.concatenate([self.vertices, self.edge_normals]).T)[:, None, :]
+        """(3, 1, 5n) columns of the rows v_j, then v_j x v_{j+1}, then of
+        e_k x v_j in row k (entry l of v_j's three), for :func:`ring_rays`:
+        each of the latter is exactly 0 or +-v_j, picked, not multiplied."""
+        V = self.vertices
+        crossed = np.concatenate([V, -V, np.zeros((self.n, 1))], axis=1)[:, _CROSS_PICK]    # (n, 3, 3)
+        return np.concatenate([V.T, self.edge_normals.T, crossed.transpose(1, 0, 2).reshape(3, -1)], axis=1)[:, None]
 
     @cached_property
     def edge_cosines(self) -> np.ndarray:
@@ -626,11 +641,12 @@ def vertex_hits(ring: Ring, cos: np.ndarray, sin: np.ndarray, candidate: np.ndar
     return r[hit], k[hit]
 
 
-def edge_hits(ring: Ring, X: np.ndarray, cos: np.ndarray, tau: np.ndarray, candidate: np.ndarray):
+def edge_hits(ring: Ring, X: np.ndarray, cos: np.ndarray, tau: np.ndarray, candidate: np.ndarray | bool):
     """The candidate (m, n) pairs of row x = X[r] and edge j in the edge band, in row-major order:
     |tau_j| = |<x, v_j x v_{j+1}>| <= tol.geom, and the Gram coefficients of x = a v_j + b v_{j+1}
     have a, b > 0 and reconstruct x to tol.geom.  Returns (r, j, a, b), four empty index arrays when no
-    pair is a candidate; cos and tau are the (m, n) <v_j, x> and tau_j of the rays (:func:`ring_rays`)."""
+    pair is a candidate; cos and tau are the (m, n) <v_j, x> and tau_j of the rays (:func:`ring_rays`),
+    candidate a mask that broadcasts to them, or True for every pair."""
     r, j = np.nonzero((np.abs(tau) <= ring.tol.geom) & candidate)
     if not len(r):
         return r, j, r, j
@@ -667,12 +683,12 @@ def locate_points(polygon: SphericalPolygon, X) -> Locations:
 
     r, k = vertex_hits(polygon, rays.cos, rays.sin)
     if len(r):
-        first = np.diff(r, prepend=-1) != 0               # lowest vertex index per row
+        first = np.concatenate([[True], r[1:] != r[:-1]])  # lowest vertex index per row
         kind[r[first]], index[r[first]] = VERTEX, k[first]
 
-    r, j, ea, eb = edge_hits(polygon, X, rays.cos, rays.tau, (kind == EXTERIOR)[:, None])
+    r, j, ea, eb = edge_hits(polygon, X, rays.cos, rays.tau, (kind == EXTERIOR)[:, None] if len(r) else True)
     if len(r):
-        first = np.diff(r, prepend=-1) != 0               # lowest edge index per row
+        first = np.concatenate([[True], r[1:] != r[:-1]])  # lowest edge index per row
         r = r[first]
         kind[r] = EDGE
         index[r], a[r], b[r] = j[first], ea[first], eb[first]

@@ -261,10 +261,13 @@ class GridRow:
 
 
 def _band_index(values, bands) -> np.ndarray:
-    """Index of the first band holding each value, its bounds in either order, else -1."""
+    """Index of the first band holding each value, its bounds in either order, else -1; ValueError
+    for a bound that is not a number (+-inf is one)."""
     if not len(bands):                  # argmax over an empty axis raises
         return np.full(np.shape(values), -1)
-    lo, hi = np.sort(np.asarray(bands, dtype=float), axis=1).T
+    if np.isnan(bounds := np.asarray(bands, dtype=float)).any():
+        raise ValueError(f"a band bound must be a number or +-inf, got {bands!r}")
+    lo, hi = np.sort(bounds, axis=1).T
     values = np.asarray(values)[..., None]
     inside = (lo <= values) & (values <= hi)
     return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
@@ -318,7 +321,8 @@ def grid_rows(
     failures become rows with an error tag; a linear-precision defect above
     1e-8 is refused at emission.  The whole grid is located and evaluated
     in one batch, and the location column comes from that same locate.
-    ValueError for a vertex index outside [0, n) or a resolution below 1.
+    ValueError for a vertex index outside [0, n), a resolution below 1 or
+    a band bound that is not a number.
     """
     if not 0 <= vertex_index < polygon.n:
         raise ValueError(f"vertex index {vertex_index} out of range for n={polygon.n}")

@@ -45,6 +45,7 @@ from .errors import (
     NotConvex,
     NotInterior,
     PointOnVertexOrAntipode,
+    check_row,
     refuse,
     single,
 )
@@ -384,9 +385,12 @@ def is_convex(q: PolyhedronQ) -> bool:
     """True iff every dihedral angle of q is convex: for each pair of faces
     sharing an edge, the apex of each lies at most the band in front of the
     other's plane; the reflex test of q's polar-dual kernel, also where its
-    weights meet FaceThroughPoint.  A hull raises q.faces' NotConvex."""
+    weights meet FaceThroughPoint.  A hull raises the NotConvex of q.faces,
+    from x's cavity (:func:`hull_cavity`) without building the faces."""
     if q.hull:
-        q.faces
+        errors = [None]
+        hull_cavity(q.ring, q.X, errors)
+        check_row(errors)
     return not polar_dual(q.ring, q.X, q.rays, [None], q.hull)[1][0]
 
 

@@ -45,7 +45,9 @@ quantities their formulas read are the rays over products of cos theta_i
 (see :func:`_tangent`), and they return w_i / cos theta_i with the planar
 weights' sum as denominator.  One stage then divides every kernel's
 weights by its denominators, the only one that refuses
-NonPositiveDenominator.
+NonPositiveDenominator; a block whose rows are all interior (every interior
+m = 1 call) takes its quotients as they come, with no scatter into
+prefilled outputs.
 NEW_WC's kernel needs the convex hull over a convex polygon: on a
 non-convex one it refuses every interior row, and only those, with
 NotConvexForWC.  The kernels are numpy code over the whole block, with no
@@ -59,6 +61,7 @@ batch it came in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -80,7 +83,7 @@ from .errors import (
     single,
 )
 from .geom import (
-    DEFAULT_TOL, DENOM, EDGE, EXTERIOR, INTERIOR, VERTEX, Locations, PointLocation, Rays, SphericalPolygon,
+    DEFAULT_TOL, DENOM, EDGE, EXTERIOR, INTERIOR, KINDS, VERTEX, Locations, PointLocation, Rays, SphericalPolygon,
     Tolerances, direction, dot3, locate_points, ray_sines, ring_rays, roll1, unit_row, unit_rows, unit_vertices,
     zero_vector,
 )
@@ -207,8 +210,9 @@ def closed_form_mv_weights(polygon: SphericalPolygon, x) -> tuple[np.ndarray, fl
 def _quotient(w: np.ndarray, denom: np.ndarray, errors: list) -> np.ndarray:
     # The one place that divides by a denominator or refuses one.
     with np.errstate(divide="ignore", invalid="ignore"):
-        refuse(errors, ~(denom > DENOM), lambda r: NonPositiveDenominator(
-            f"denominator w[-x] - w[x] = {denom[r]:.3e} <= {DENOM}"))
+        if (failed := ~(denom > DENOM)).any():
+            refuse(errors, failed, lambda r: NonPositiveDenominator(
+                f"denominator w[-x] - w[x] = {denom[r]:.3e} <= {DENOM}"))
         return w / denom[:, None]
 
 
@@ -280,7 +284,17 @@ class Evaluations(NamedTuple):
         check_row(self.errors, i)
         d = float(self.denom[i])
         return CoordinateVector(values=self.values[i].copy(), method=self.method,
-                                location=self.locations.at(i), denom=None if np.isnan(d) else d)
+                                location=self.locations.at(i), denom=None if math.isnan(d) else d)
+
+
+def _interior(kernel, polygon: SphericalPolygon, X: np.ndarray, rays: Rays, errors: list, boundary: bool):
+    """The kernel's quotients (m, n) on m interior rows and their denominators (m,), NaN on the
+    rows it refused and, unless boundary (a NEW_* method), every denominator."""
+    w, d = kernel(polygon, X, rays, errors)
+    values, denom = _quotient(w, d, errors), d if boundary else np.full(len(X), np.nan)
+    if failed := [r for r, error in enumerate(errors) if error is not None]:
+        values[failed] = denom[failed] = np.nan
+    return values, denom
 
 
 def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
@@ -298,33 +312,36 @@ def evaluate_batch(polygon: SphericalPolygon, X, method: str) -> Evaluations:
     errors = [None] * m
     refuse(errors, short, lambda r: zero_vector(raw[r]))
     locations = locate_points(polygon, X)
-    values = np.full((m, n), np.nan)
-    denom = np.full(m, np.nan)
     if method not in KERNELS:
         refuse(errors, ~short, lambda _: UnknownMethod(f"unknown method {method!r}; expected one of {METHODS}"))
-        return Evaluations(method, locations, values, denom, errors)
+        return Evaluations(method, locations, np.full((m, n), np.nan), np.full(m, np.nan), errors)
     kernel, boundary = KERNELS[method], method.startswith("NEW_")
-    kind, exterior = locations.kind, ExteriorPoint("x lies outside the polygon")
-    refuse(errors, kind == EXTERIOR, lambda _: exterior)     # one message: the rows share it
-    on_boundary = (kind == VERTEX) | (kind == EDGE)
-    if not boundary:
-        refuse(errors, on_boundary, lambda r: OriginOnBoundary(
-            f"x is {locations.at(r)}; the tangent-plane construction needs interior x"))
-    elif on_boundary.any():
-        rows = on_boundary.nonzero()[0]
-        i, edge = locations.index[rows], kind[rows] == EDGE
-        values[rows] = 0.0
-        values[rows, i] = np.where(edge, locations.a[rows], 1.0)
-        values[rows[edge], (i[edge] + 1) % n] = locations.b[rows[edge]]
-    rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
-    if len(rows):
-        # No kernel writes into them: an all-interior block (m = 1) goes as it is.
-        rays, X = (locations.rays, X) if len(rows) == m else (Rays._make(f[rows] for f in locations.rays), X[rows])
+    kind = locations.kind
+    count = np.bincount(kind, minlength=len(KINDS)).tolist()
+    if 0 < count[INTERIOR] == m:
+        # Every row interior (every interior m = 1 call): the kernel's rows are the block's.
+        return Evaluations(method, locations, *_interior(kernel, polygon, X, locations.rays, errors, boundary),
+                           errors)
+    values, denom = np.full((m, n), np.nan), np.full(m, np.nan)
+    if count[EXTERIOR]:
+        exterior = ExteriorPoint("x lies outside the polygon")
+        refuse(errors, kind == EXTERIOR, lambda _: exterior)     # one message: the rows share it
+    if count[VERTEX] or count[EDGE]:
+        on_boundary = (kind == VERTEX) | (kind == EDGE)
+        if not boundary:
+            refuse(errors, on_boundary, lambda r: OriginOnBoundary(
+                f"x is {locations.at(r)}; the tangent-plane construction needs interior x"))
+        else:
+            rows = on_boundary.nonzero()[0]
+            i, edge = locations.index[rows], kind[rows] == EDGE
+            values[rows] = 0.0
+            values[rows, i] = np.where(edge, locations.a[rows], 1.0)
+            values[rows[edge], (i[edge] + 1) % n] = locations.b[rows[edge]]
+    if count[INTERIOR]:
+        rows = (kind == INTERIOR).nonzero()[0]           # short rows are NaN, never interior
         kernel_errors = [None] * len(rows)
-        w, d = kernel(polygon, X, rays, kernel_errors)
-        values[rows], denom[rows] = _quotient(w, d, kernel_errors), d if boundary else np.nan
-        failed = rows[[error is not None for error in kernel_errors]]
-        values[failed] = denom[failed] = np.nan
+        values[rows], denom[rows] = _interior(kernel, polygon, X[rows], Rays._make(f[rows] for f in locations.rays),
+                                              kernel_errors, boundary)
         for r, error in zip(rows.tolist(), kernel_errors):     # no earlier check refused an interior row
             errors[r] = error
     return Evaluations(method, locations, values, denom, errors)

@@ -201,3 +201,16 @@ def result_shapes(monkeypatch, original) -> list:
 
     _patch_everywhere(monkeypatch, original, recording)
     return shapes
+
+
+def recorded_args(monkeypatch, original) -> list:
+    """Records the positional arguments of each call of the function
+    `original` from any sphbary module, in call order."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, original, recording)
+    return calls

@@ -19,7 +19,7 @@ from sphbary.errors import (
     ZeroVector,
 )
 from sphbary.geom import (
-    KINDS, Delaunay, HalfEdges, Ring, cross3, find_hemisphere_witness, half_edge_tables, locate_points, ring_rays,
+    KINDS, Delaunay, HalfEdges, Ring, cross3, dot3, find_hemisphere_witness, half_edge_tables, locate_points, ring_rays,
     unit_row, unit_rows,
 )
 from sphbary.spherical import evaluate_batch
@@ -654,6 +654,25 @@ def test_winding_angle_signs(octant):
     assert abs(winding(octant.vertices, [-1, -1, 1])) <= 1e-9
 
 
+def test_ring_rays_cross_as_cross3():
+    """The rays' c_i = x x v_i, from the product that gives <v_i, x> and
+    tau_i, are cross3's by value (the sign of an exact zero may differ),
+    and <v_i, x> and tau_i are dot3's bit for bit: on random rings and
+    directions and on axis-aligned ones, whose products hold exact zeros."""
+    rng = np.random.default_rng(17)
+    axes = np.array([[i, j, k] for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1) if i or j or k], float)
+    axes = unit_rows(axes)[0]
+    rings = [sb.random_polygon(n, cap, seed=n).vertices for n, cap in ((3, 0.4), (7, 1.0), (16, 1.5), (64, 0.9))]
+    rings += [sb.octant_triangle().vertices, axes, unit_rows(rng.normal(size=(9, 3)))[0]]
+    for V in rings:
+        ring = Ring(V.copy())
+        for X in (axes, unit_rows(rng.normal(size=(20, 3)))[0], V):
+            rays = ring_rays(ring, X)
+            assert np.array_equal(rays.c, cross3(X[:, None], V))
+            assert rays.cos.tobytes() == dot3(X[:, None], V).tobytes()
+            assert rays.tau.tobytes() == dot3(X[:, None], ring.edge_normals).tobytes()
+
+
 def test_one_band_carried_by_the_polygon():
     """Tolerances has one settable field, and no public function that takes
     a validated polygon or polyhedron takes a band of its own."""
@@ -679,9 +698,10 @@ def test_band_must_be_positive_and_finite(geom):
 
 def test_row_algebra_goes_through_dot3_cross3_unit_rows():
     """No np.cross, np.linalg.norm, np.dot or matmul in the geometry
-    modules: a row's bits must depend neither on BLAS nor on its batch."""
+    modules or in the evaluation path (spherical.py): a row's bits must
+    depend neither on BLAS nor on its batch."""
     banned = ("np.cross(", "np.linalg.norm(", "np.dot(")
-    for name in ("geom.py", "tangent.py", "polyhedron.py"):
+    for name in ("geom.py", "tangent.py", "polyhedron.py", "spherical.py"):
         source = (SRC / "sphbary" / name).read_text()
         lines, statement_start = {}, True
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):

@@ -285,6 +285,17 @@ class TestGrid:
     def test_no_bands(self):
         assert _band_index([0.1, 0.5], ()).tolist() == [-1, -1]
 
+    def test_a_band_bound_that_is_not_a_number(self, octant):
+        # A NaN bound holds no value, so it would band nothing without a
+        # word; it is refused, as the CLI's --levels refuses it, and +-inf
+        # stay bounds.
+        demo = sb.demo_quadrilateral()
+        for bands in (((np.nan, 0.9),), ((0.1, 0.2), (0.3, np.nan))):
+            with pytest.raises(ValueError, match=r"^a band bound must be a number or \+-inf, got "):
+                sb.grid_rows(demo, 0, 8, "NEW_MV", bands=bands)
+        rows = sb.grid_rows(demo, 0, 8, "NEW_MV", bands=((-np.inf, 0.25), (0.25, np.inf)))
+        assert {r.band for r in rows if r.error is None} == {0, 1}
+
     def test_band_bounds_in_either_order(self, octant):
         # A band hi:lo is the band lo:hi, in the library as on the CLI.
         ordered = sb.grid_rows(octant, 0, 8, "NEW_MV", bands=((0.1, 0.2), (0.3, np.inf)))

@@ -470,14 +470,24 @@ class TestPolarDualReference:
         # x does not see a disc of the triangles, is_convex raises the
         # NotConvex of q.faces, as the reference does; elsewhere it agrees
         # with the reference's verdict.  It is never True where q.faces or
-        # the strict weights refuse the polyhedron as not convex.
+        # the strict weights refuse the polyhedron as not convex.  It
+        # builds no faces: its NotConvex, message and all, is the one that
+        # reading q.faces raises afterwards.
         verdicts = []
         for polygon, X in near_vertex_corpus(0):
             for x in X:
                 if isinstance(q := outcome(sb.build_q, polygon, x, hull=True), str):
                     continue
-                verdict = outcome(is_convex, q)
+                try:
+                    verdict = is_convex(q)
+                except NotConvex as exc:
+                    verdict, message = exc.name, str(exc)
+                assert "faces" not in vars(q)
                 assert verdict == outcome(is_convex_loop, q)
+                if verdict == "NotConvex":
+                    with pytest.raises(NotConvex) as raised:
+                        q.faces
+                    assert str(raised.value) == message
                 if verdict is True:
                     assert outcome(lambda: q.faces) is q.faces
                     weights = outcome(sb.wachspress_weights, q)

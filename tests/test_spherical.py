@@ -25,7 +25,9 @@ from sphbary.geom import INTERIOR, Rays, locate_points, ring_rays, unit_rows
 from sphbary.polyhedron import build_ring_q, fan_faces, hull_cavity, hull_faces, normalized_weights
 from sphbary.spherical import KERNELS, _quotient, evaluate_batch, reconstruction_residuals
 
-from conftest import jittered_ring, mp_cross, mp_dot, mp_mean_value, near_vertex_corpus, random_rotation, result_shapes
+from conftest import (
+    jittered_ring, mp_cross, mp_dot, mp_mean_value, near_vertex_corpus, random_rotation, recorded_args, result_shapes,
+)
 from test_polyhedron import mv_weights_loop, polyhedron_over, wachspress_weights_loop
 
 CENTER = sb.normalize([1, 1, 1])
@@ -485,17 +487,43 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_one_ray_pass(self, method, monkeypatch):
-        # Point location crosses x with the ring once for the whole block;
-        # the kernel reads those rays instead of crossing again.
+        # Point location forms the rays of the whole block once, x x v_i in
+        # the same product as <v_i, x> and tau_i; the kernel reads those
+        # rays instead of crossing x with the ring again.
         polygon = sb.random_polygon(7, 1.0, seed=31)
         polygon.delaunay                                 # cached per polygon
         rng = np.random.default_rng(31)
         inner = sb.interior_points(polygon, 9, rng)
         X = np.vstack([inner, polygon.vertices[:2], edge_point(polygon, 3, 0.4), -inner[:1], np.zeros(3)])
+        calls = recorded_args(monkeypatch, sb.geom.ring_rays)
         shapes = result_shapes(monkeypatch, sb.geom.cross3)
         batch = evaluate_batch(polygon, X, method)
         assert sum(e is None for e in batch.errors) >= 9
-        assert [s for s in shapes if len(s) == 3] == [(len(X), polygon.n, 3)]
+        assert len(calls) == 1 and calls[0][0] is polygon
+        assert np.array_equal(calls[0][1], unit_rows(X)[0], equal_nan=True)
+        assert [s for s in shapes if len(s) == 3] == []
+
+    def test_all_interior_block_goes_straight_to_its_outputs(self):
+        # A block of interior rows only skips the scatter into the outputs.
+        # The rows its kernel refuses, NEW_WC's NotConvex next to a vertex
+        # of a convex ring among them, still come out NaN with their errors,
+        # and every row is that row of a block with an exterior row added
+        # and of its single-point call.
+        refused = 0
+        for polygon, X in near_vertex_corpus(0):
+            if polygon.n > 16:                   # the rings up to 16 vertices have such rows already
+                break
+            inner = X[locate_points(polygon, X).kind == INTERIOR]
+            with_exterior = np.vstack([inner, -polygon.witness])
+            for method in sb.METHODS:
+                whole, mixed = evaluate_batch(polygon, inner, method), evaluate_batch(polygon, with_exterior, method)
+                assert mixed.errors[-1].name == "ExteriorPoint"
+                for i, x in enumerate(inner):
+                    assert row_outcome(whole, i) == row_outcome(mixed, i) == single_outcome(polygon, x, method)
+                    if whole.errors[i] is not None:
+                        assert np.isnan(whole.values[i]).all() and np.isnan(whole.denom[i])
+                        refused += method == "NEW_WC" and whole.errors[i].name == "NotConvex"
+        assert refused > 0
 
     @pytest.mark.parametrize("method", sb.METHODS)
     def test_empty_batch(self, octant, method):
